@@ -53,6 +53,10 @@ pub trait CcAlgorithm: std::fmt::Debug + Send + Sync {
     /// Advances the controller's clocks by `dt`, during which the flow
     /// sent `bytes_sent` bytes and observed `queue_delay` of fabric
     /// queueing.
+    ///
+    /// Idle spans coalesce: `advance(k·dt, 0.0, Dur::ZERO)` must leave the
+    /// controller exactly as `k` calls of `advance(dt, 0.0, Dur::ZERO)`
+    /// would. The rate engine's idle fast-forward relies on it.
     fn advance(&mut self, dt: Dur, bytes_sent: f64, queue_delay: Dur);
 
     /// Resets the flow to a fresh line-rate state (new communication
@@ -515,6 +519,55 @@ mod tests {
             rp.as_dcqcn().unwrap().boost(),
             cl.as_dcqcn().unwrap().boost()
         );
+    }
+
+    /// The idle-coalescing contract of `advance`, for every controller the
+    /// variants build: one long idle advance and many short ones leave
+    /// identical state, seen through a contended episode afterwards.
+    #[test]
+    fn idle_advance_coalesces_exactly() {
+        use crate::CcVariant;
+        let variants = [
+            CcVariant::Fair,
+            CcVariant::StaticUnfair {
+                timer: Dur::from_micros(100),
+            },
+            CcVariant::AdaptiveUnfair,
+            CcVariant::Swift {
+                target_delay: Dur::from_micros(30),
+            },
+            CcVariant::Mltcp { bonus: 1.0 },
+            CcVariant::Policy {
+                policy: FairnessPolicy::BonusDecay {
+                    bonus: 1.0,
+                    decay: 3.0,
+                },
+            },
+        ];
+        let dt = Dur::from_micros(5);
+        for v in variants {
+            let mut base = v.build(params());
+            for _ in 0..3 {
+                base.on_cnp();
+                base.advance(Dur::from_micros(7), 3.1e4, Dur::from_micros(45));
+            }
+            base.on_phase_progress(0.4);
+            let (mut once, mut stepped) = (base.clone(), base.clone());
+            once.advance(dt * 4_001, 0.0, Dur::ZERO);
+            for _ in 0..4_001 {
+                stepped.advance(dt, 0.0, Dur::ZERO);
+            }
+            for step in 0..200u32 {
+                for cc in [&mut once, &mut stepped] {
+                    if step % 9 == 0 {
+                        cc.on_cnp();
+                    }
+                    cc.advance(dt, 2.9e4, Dur::from_micros(u64::from(step % 60)));
+                }
+                assert_eq!(once.rate().to_bits(), stepped.rate().to_bits(), "{v:?}");
+                assert_eq!(once.stage(), stepped.stage(), "{v:?}");
+            }
+        }
     }
 
     #[test]

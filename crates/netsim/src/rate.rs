@@ -65,7 +65,10 @@ pub struct RateSimConfig {
     /// job is computing and the queue is drained, the engine jumps
     /// straight to the next compute deadline (that jump is exact: the
     /// DCQCN clocks replay their timer/byte events precisely for any
-    /// `dt`). Off by default; `false` is the exact legacy stepper.
+    /// `dt`, though landing on deadlines moves the step grid). Off by
+    /// default: it shifts results measurably (Table 1 group means by up
+    /// to ≈4%). `false` is the exact fixed stepper, which skips idle
+    /// stretches only in whole steps on its own grid.
     ///
     /// [`max_dt`]: RateSimConfig::max_dt
     pub adaptive_step: bool,
@@ -200,6 +203,9 @@ pub struct RateSimulator<R: Recorder = NoopRecorder> {
     chaos_rng: Rng,
     /// Last observed capacity multiplier (for change detection).
     last_cap_mult: f64,
+    /// Per-job bytes delivered in the current step: scratch space kept
+    /// across steps so stepping never allocates. Not snapshot state.
+    delivered: Vec<f64>,
 }
 
 /// Quiet steps required before the adaptive stepper starts doubling:
@@ -301,6 +307,7 @@ impl<R: Recorder> RateSimulator<R> {
             quiet_steps: 0,
             chaos_rng,
             last_cap_mult: 1.0,
+            delivered: vec![0.0; n],
         }
     }
 
@@ -516,16 +523,18 @@ impl<R: Recorder> RateSimulator<R> {
         let total_backlog: f64 = self.jobs.iter().map(|j| j.backlog).sum();
         let service = effective_bps * dt_secs / 8.0;
         let served_total = total_backlog.min(service);
-        let mut delivered = vec![0.0f64; self.jobs.len()];
+        let delivered = &mut self.delivered;
         if total_backlog > 0.0 {
-            for (i, js) in self.jobs.iter_mut().enumerate() {
+            for (js, d_out) in self.jobs.iter_mut().zip(delivered.iter_mut()) {
                 // Clamp against float dust: pro-rata shares can overshoot a
                 // job's backlog by an ulp, and a negative backlog would
                 // poison the next step's totals.
                 let d = (served_total * js.backlog / total_backlog).clamp(0.0, js.backlog);
                 js.backlog = (js.backlog - d).max(0.0);
-                delivered[i] = d;
+                *d_out = d;
             }
+        } else {
+            delivered.fill(0.0);
         }
         let standing_queue = total_backlog - served_total;
 
@@ -534,59 +543,67 @@ impl<R: Recorder> RateSimulator<R> {
         // directly in step 5).
         // Fluid marking: accumulate the expected number of marked packets
         // and fire when it crosses the threshold. Marks suppressed by CNP
-        // pacing are dropped, as NP hardware coalesces them.
-        for (i, js) in self.jobs.iter_mut().enumerate() {
-            if !js.cc.reacts_to_marks() {
-                continue;
-            }
-            if delivered[i] > 0.0 {
-                let packets = delivered[i] / self.cfg.mtu_bytes;
-                js.expected_marks += packets * self.cfg.marker.mark_probability(standing_queue);
-                if js.expected_marks >= js.mark_threshold {
-                    activity = true;
-                    js.expected_marks = 0.0;
-                    js.mark_threshold = if self.cfg.mark_noise > 0.0 {
-                        1.0 + self.cfg.mark_noise * (self.rng.f64() * 2.0 - 1.0)
-                    } else {
-                        1.0
-                    };
-                    // Fault injection: the mark may be stripped before it
-                    // reaches the NP. The chaos RNG is only consulted when
-                    // loss is configured, keeping quiet runs bit-identical.
-                    let mark_lost = match &self.cfg.signal_loss {
-                        Some(l) if l.mark_loss > 0.0 => self.chaos_rng.bernoulli(l.mark_loss),
-                        _ => false,
-                    };
-                    if !mark_lost {
-                        if R::ENABLED {
-                            self.rec.record(t_end, Event::EcnMark { flow: i as u32 });
-                        }
-                        if js.np.on_marked_arrival(t_end) {
-                            // The NP sent a CNP; it may be lost on the
-                            // reverse path before the RP sees it.
-                            let cnp_lost = match &self.cfg.signal_loss {
-                                Some(l) if l.cnp_loss > 0.0 => self.chaos_rng.bernoulli(l.cnp_loss),
-                                _ => false,
-                            };
+        // pacing are dropped, as NP hardware coalesces them. At zero
+        // marking probability no accumulator moves and, with `mark_noise`
+        // in its documented `[0, 1)`, every threshold is positive, so no
+        // mark can fire: the pass is skipped.
+        let mark_p = self.cfg.marker.mark_probability(standing_queue);
+        if mark_p > 0.0 {
+            for (i, js) in self.jobs.iter_mut().enumerate() {
+                if !js.cc.reacts_to_marks() {
+                    continue;
+                }
+                if delivered[i] > 0.0 {
+                    let packets = delivered[i] / self.cfg.mtu_bytes;
+                    js.expected_marks += packets * mark_p;
+                    if js.expected_marks >= js.mark_threshold {
+                        activity = true;
+                        js.expected_marks = 0.0;
+                        js.mark_threshold = if self.cfg.mark_noise > 0.0 {
+                            1.0 + self.cfg.mark_noise * (self.rng.f64() * 2.0 - 1.0)
+                        } else {
+                            1.0
+                        };
+                        // Fault injection: the mark may be stripped before it
+                        // reaches the NP. The chaos RNG is only consulted when
+                        // loss is configured, keeping quiet runs bit-identical.
+                        let mark_lost = match &self.cfg.signal_loss {
+                            Some(l) if l.mark_loss > 0.0 => self.chaos_rng.bernoulli(l.mark_loss),
+                            _ => false,
+                        };
+                        if !mark_lost {
                             if R::ENABLED {
-                                self.rec.record(t_end, Event::CnpSent { flow: i as u32 });
+                                self.rec.record(t_end, Event::EcnMark { flow: i as u32 });
                             }
-                            if !cnp_lost {
-                                js.cc.on_cnp();
+                            if js.np.on_marked_arrival(t_end) {
+                                // The NP sent a CNP; it may be lost on the
+                                // reverse path before the RP sees it.
+                                let cnp_lost = match &self.cfg.signal_loss {
+                                    Some(l) if l.cnp_loss > 0.0 => {
+                                        self.chaos_rng.bernoulli(l.cnp_loss)
+                                    }
+                                    _ => false,
+                                };
                                 if R::ENABLED {
-                                    // NP→RP notification is modeled as
-                                    // zero-delay, so send and receipt land
-                                    // on the same instant.
-                                    self.rec
-                                        .record(t_end, Event::CnpReceived { flow: i as u32 });
-                                    self.rec.record(
-                                        t_end,
-                                        Event::RateChange {
-                                            flow: i as u32,
-                                            bps: js.cc.rate(),
-                                            state: CcState::Cut,
-                                        },
-                                    );
+                                    self.rec.record(t_end, Event::CnpSent { flow: i as u32 });
+                                }
+                                if !cnp_lost {
+                                    js.cc.on_cnp();
+                                    if R::ENABLED {
+                                        // NP→RP notification is modeled as
+                                        // zero-delay, so send and receipt land
+                                        // on the same instant.
+                                        self.rec
+                                            .record(t_end, Event::CnpReceived { flow: i as u32 });
+                                        self.rec.record(
+                                            t_end,
+                                            Event::RateChange {
+                                                flow: i as u32,
+                                                bps: js.cc.rate(),
+                                                state: CcState::Cut,
+                                            },
+                                        );
+                                    }
                                 }
                             }
                         }
@@ -598,10 +615,16 @@ impl<R: Recorder> RateSimulator<R> {
         // 5. Controller clocks, adaptive progress, and delivery to jobs.
         // The queueing delay a delay-based controller observes: the time
         // the standing queue takes to drain at line rate.
-        let queue_delay = Dur::from_secs_f64(standing_queue * 8.0 / effective_bps);
+        let queue_delay = if standing_queue == 0.0 {
+            Dur::ZERO
+        } else {
+            Dur::from_secs_f64(standing_queue * 8.0 / effective_bps)
+        };
+        let adaptive_step = self.cfg.adaptive_step;
         for (i, js) in self.jobs.iter_mut().enumerate() {
             let communicating = js.progress.is_communicating();
-            let rate_before = js.cc.rate();
+            // Only the adaptive stepper reads rate motion.
+            let rate_before = if adaptive_step { js.cc.rate() } else { 0.0 };
             if js.adaptive && communicating {
                 let total = js.progress.comm_bytes_per_iteration();
                 let sent = total - js.progress.remaining_bytes();
@@ -612,7 +635,7 @@ impl<R: Recorder> RateSimulator<R> {
             // is still converging: keep the stepper fine. (Computing
             // flows' clocks replay exactly at any dt, so their motion
             // doesn't force fine steps.)
-            if communicating && js.cc.rate() != rate_before {
+            if adaptive_step && communicating && js.cc.rate() != rate_before {
                 activity = true;
             }
             if js.progress.is_communicating() && delivered[i] > 0.0 {
@@ -718,6 +741,66 @@ impl<R: Recorder> RateSimulator<R> {
         }
     }
 
+    /// Exact idle fast-forward for the fixed stepper: while every job is
+    /// computing (or departed) and the link queue is empty, a base step
+    /// only advances the controllers' clocks with no traffic and no queue.
+    /// Takes `k ≥ 2` such steps at once, on the same `dt` grid, as one
+    /// `advance(k·dt, 0, 0)` per controller — which fires the same timer
+    /// events in the same order as `k` separate advances, so the run stays
+    /// bit-identical to stepping. Every skipped step starts before the
+    /// next compute deadline, departure, capacity change and `end`, and
+    /// ends before the next trace or telemetry sample. Returns `false`
+    /// (and does nothing) when fewer than two steps qualify.
+    fn skip_idle_steps(&mut self, end: Time) -> bool {
+        if self.cfg.adaptive_step
+            || self
+                .jobs
+                .iter()
+                .any(|j| j.progress.is_communicating() || j.backlog != 0.0)
+        {
+            return false;
+        }
+        let now = self.now.as_nanos();
+        let dt = self.cfg.dt.as_nanos();
+        // Whole steps from `now` that start strictly before `t`, and that
+        // end strictly before it.
+        let starting_before = |t: Time| t.as_nanos().saturating_sub(now).div_ceil(dt);
+        let ending_before = |t: Time| t.as_nanos().saturating_sub(now).saturating_sub(1) / dt;
+        let mut k = starting_before(end);
+        for js in self.jobs.iter().filter(|j| !j.departed) {
+            if let Some(deadline) = js.progress.next_self_transition() {
+                k = k.min(starting_before(deadline));
+            }
+            if let Some(at) = js.depart_at {
+                k = k.min(starting_before(at));
+            }
+        }
+        if let Some(s) = &self.cfg.capacity_schedule {
+            if s.multiplier_at(self.now) != self.last_cap_mult {
+                return false;
+            }
+            if let Some(change) = s.next_change_after(self.now) {
+                k = k.min(starting_before(change));
+            }
+        }
+        if self.cfg.trace_interval.is_some() {
+            k = k.min(ending_before(self.next_trace_at));
+        }
+        if R::ENABLED {
+            k = k.min(ending_before(self.next_sample_at));
+        }
+        if k < 2 {
+            return false;
+        }
+        let span = Dur::from_nanos(k * dt);
+        for js in &mut self.jobs {
+            js.cc.advance(span, 0.0, Dur::ZERO);
+        }
+        self.steps += k;
+        self.now += span;
+        true
+    }
+
     /// Runs for a fixed span of simulated time.
     pub fn run_for(&mut self, span: Dur) {
         let wall = if R::ENABLED {
@@ -728,7 +811,9 @@ impl<R: Recorder> RateSimulator<R> {
         let steps0 = self.steps;
         let end = self.now + span;
         while self.now < end {
-            self.step();
+            if !self.skip_idle_steps(end) {
+                self.step();
+            }
         }
         if let Some(t0) = wall {
             self.rec
@@ -758,7 +843,9 @@ impl<R: Recorder> RateSimulator<R> {
                 done = true;
                 break;
             }
-            self.step();
+            if !self.skip_idle_steps(end) {
+                self.step();
+            }
         }
         if let Some(t0) = wall {
             self.rec
@@ -886,6 +973,7 @@ impl<R: Recorder> Snapshottable<R> for RateSimulator<R> {
             });
         }
         Ok(RateSimulator {
+            delivered: vec![0.0; snap.jobs.len()],
             cfg: snap.cfg,
             now: snap.now,
             jobs: snap.jobs,
@@ -1191,6 +1279,34 @@ mod tests {
             err < 0.02,
             "adaptive solo iteration {measured:.1} ms vs analytic {expected:.1} ms"
         );
+    }
+
+    /// The idle fast-forward crosses a whole compute phase in one jump that
+    /// stays on the step grid and stops on the step that starts the
+    /// communication phase; it declines while any bytes are queued or any
+    /// job communicates.
+    #[test]
+    fn idle_skip_stops_on_the_deadline_step() {
+        let spec = vgg19(1200);
+        let mut sim = RateSimulator::new(
+            RateSimConfig::default(),
+            &[RateJob::new(spec, CcVariant::Fair)],
+        );
+        let dt = sim.cfg.dt;
+        let deadline = Time::ZERO + spec.compute_time();
+        let end = Time::ZERO + Dur::from_secs(1);
+
+        sim.jobs[0].backlog = 0.25;
+        assert!(!sim.skip_idle_steps(end), "jumped over queued bytes");
+        sim.jobs[0].backlog = 0.0;
+
+        assert!(sim.skip_idle_steps(end));
+        assert!(sim.now() >= deadline && sim.now() < deadline + dt);
+        assert_eq!(sim.now().as_nanos(), sim.steps() * dt.as_nanos());
+        assert!(!sim.skip_idle_steps(end), "a second jump past the deadline");
+        sim.step();
+        assert!(sim.progress(0).is_communicating());
+        assert!(!sim.skip_idle_steps(end));
     }
 
     /// A capacity degradation window slows delivery while open and the

@@ -214,7 +214,11 @@ fn parse_opts(args: &[String]) -> Result<Opts, String> {
         match a.as_str() {
             "--iterations" => {
                 let v = it.next().ok_or("--iterations needs a value")?;
-                opts.iterations = Some(v.parse().map_err(|_| format!("bad iteration count {v}"))?);
+                let n: usize = v.parse().map_err(|_| format!("bad iteration count {v}"))?;
+                if n == 0 {
+                    return Err("--iterations must be at least 1".to_string());
+                }
+                opts.iterations = Some(n);
             }
             "--jobs" => {
                 let v = it.next().ok_or("--jobs needs a value")?;
@@ -1542,9 +1546,10 @@ fn usage() -> ExitCode {
          \x20      mlcc-repro trend [HISTORY.jsonl] [--last K] [--tolerance F]\n\
          \x20      [--wall-tolerance F] [--experiment NAME]\n\
          \x20      mlcc-repro explain <EXPERIMENT|TRACE.jsonl> [run options]\n\
-         exit codes: 0 success, 1 failure (incl. diff/trend/explain findings), 4 SLO breach"
+         exit codes: 0 success, 1 failure (incl. diff/trend/explain findings), 2 usage error, \
+         4 SLO breach"
     );
-    ExitCode::FAILURE
+    ExitCode::from(2)
 }
 
 fn main() -> ExitCode {

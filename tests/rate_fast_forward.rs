@@ -1,0 +1,296 @@
+//! Exactness of the rate engine's idle fast-forward. `run_for`, `run_until`
+//! and `run_until_iterations` take runs of idle fixed steps (every job
+//! computing, link queue empty) as one jump; each case here drives the
+//! same engine that way and by calling the public `step()` once per step,
+//! and requires the two to agree bit for bit: iteration records, rate and
+//! queue traces, step counts, and every recorded telemetry event.
+
+use dcqcn::{CcVariant, FairnessPolicy};
+use eventsim::TimeSeries;
+use mlcc::experiments::table1::ordered_timers;
+use netsim::rate::{RateJob, RateSimConfig, RateSimulator};
+use netsim::snapshot::Snapshottable;
+use simtime::{Dur, Time};
+use telemetry::{BufferRecorder, NoopRecorder, Recorder};
+use topology::LinkSchedule;
+use workload::{IterationRecord, JobSpec, Model};
+
+/// Simulated-time budget for every iteration-driven case.
+const BUDGET: Dur = Dur::from_secs(20);
+
+/// How a case drives the engine.
+#[derive(Debug, Clone, Copy)]
+enum Drive {
+    /// Until every job has completed this many iterations.
+    Iterations(usize),
+    /// For a fixed span of simulated time.
+    For(Dur),
+}
+
+/// Everything a finished run exposes, floats as raw bits.
+#[derive(Debug, PartialEq)]
+struct Outcome {
+    now: Time,
+    steps: u64,
+    departed: Vec<bool>,
+    iterations: Vec<Vec<IterationRecord>>,
+    rate_traces: Vec<Vec<(Time, u64)>>,
+    queue_trace: Vec<(Time, u64)>,
+}
+
+fn bits(ts: &TimeSeries) -> Vec<(Time, u64)> {
+    ts.iter().map(|(t, v)| (t, v.to_bits())).collect()
+}
+
+fn outcome<R: Recorder>(sim: &RateSimulator<R>) -> Outcome {
+    let n = sim.num_jobs();
+    Outcome {
+        now: sim.now(),
+        steps: sim.steps(),
+        departed: (0..n).map(|i| sim.departed(i)).collect(),
+        iterations: (0..n)
+            .map(|i| sim.progress(i).iterations().to_vec())
+            .collect(),
+        rate_traces: (0..n).map(|i| bits(sim.rate_trace(i))).collect(),
+        queue_trace: bits(sim.queue_trace()),
+    }
+}
+
+/// `Debug` prints every `f64` in its shortest round-trip form, so equal
+/// renderings mean bit-equal event streams.
+fn event_stream(rec: &BufferRecorder) -> String {
+    format!("{:?}", rec.events())
+}
+
+fn reached<R: Recorder>(sim: &RateSimulator<R>, n: usize) -> bool {
+    (0..sim.num_jobs()).all(|i| sim.departed(i) || sim.progress(i).completed() >= n)
+}
+
+/// Drives through the engine's own loops, which fast-forward.
+fn drive_fast<R: Recorder>(sim: &mut RateSimulator<R>, drive: Drive) {
+    match drive {
+        Drive::Iterations(n) => assert!(sim.run_until_iterations(n, BUDGET)),
+        Drive::For(span) => sim.run_for(span),
+    }
+}
+
+/// Drives the same way, one public `step()` at a time.
+fn drive_stepped<R: Recorder>(sim: &mut RateSimulator<R>, drive: Drive) {
+    let end = sim.now()
+        + match drive {
+            Drive::Iterations(_) => BUDGET,
+            Drive::For(span) => span,
+        };
+    while sim.now() < end {
+        if let Drive::Iterations(n) = drive {
+            if reached(sim, n) {
+                return;
+            }
+        }
+        sim.step();
+    }
+}
+
+fn step_until<R: Recorder>(sim: &mut RateSimulator<R>, t: Time) {
+    while sim.now() < t {
+        sim.step();
+    }
+}
+
+/// Runs `jobs` both ways, unobserved and observed, and requires identical
+/// outcomes and event streams.
+fn assert_exact(cfg: &RateSimConfig, jobs: &[RateJob], drive: Drive) {
+    let mut fast = RateSimulator::new(cfg.clone(), jobs);
+    let mut stepped = RateSimulator::new(cfg.clone(), jobs);
+    drive_fast(&mut fast, drive);
+    drive_stepped(&mut stepped, drive);
+    assert_eq!(outcome(&fast), outcome(&stepped), "unobserved, {drive:?}");
+
+    let (mut fast_rec, mut stepped_rec) = (BufferRecorder::new(), BufferRecorder::new());
+    let mut fast = RateSimulator::with_recorder(cfg.clone(), jobs, &mut fast_rec);
+    let mut stepped = RateSimulator::with_recorder(cfg.clone(), jobs, &mut stepped_rec);
+    drive_fast(&mut fast, drive);
+    drive_stepped(&mut stepped, drive);
+    assert_eq!(outcome(&fast), outcome(&stepped), "observed, {drive:?}");
+    let steps = fast.steps();
+    drop((fast, stepped));
+    assert_eq!(event_stream(&fast_rec), event_stream(&stepped_rec));
+    // Skipped steps still count as simulated steps.
+    assert_eq!(fast_rec.counts()["rate_steps_total"], steps);
+}
+
+fn vgg19() -> JobSpec {
+    JobSpec::reference(Model::Vgg19, 1200)
+}
+
+fn traced() -> RateSimConfig {
+    RateSimConfig {
+        trace_interval: Some(Dur::from_millis(1)),
+        ..RateSimConfig::default()
+    }
+}
+
+#[test]
+fn fig1_pairs_match_single_stepping() {
+    let unfair = CcVariant::StaticUnfair {
+        timer: Dur::from_micros(100),
+    };
+    for variants in [[CcVariant::Fair; 2], [unfair, CcVariant::Fair]] {
+        let jobs = variants.map(|v| RateJob::new(vgg19(), v));
+        assert_exact(&traced(), &jobs, Drive::Iterations(6));
+    }
+}
+
+#[test]
+fn four_job_table1_group_matches_single_stepping() {
+    let j = JobSpec::reference;
+    let group = [
+        j(Model::BertLarge, 8),
+        j(Model::Vgg19, 1400),
+        j(Model::WideResNet50, 800),
+        j(Model::Vgg16, 1400),
+    ];
+    let timers = ordered_timers(group.len(), (Dur::from_micros(100), Dur::from_micros(125)));
+    let jobs: Vec<RateJob> = group
+        .iter()
+        .zip(timers)
+        .map(|(&spec, timer)| RateJob::new(spec, CcVariant::StaticUnfair { timer }))
+        .collect();
+    assert_exact(&RateSimConfig::default(), &jobs, Drive::Iterations(3));
+}
+
+/// Swift, MLTCP and a bonus-decay policy job: the delay-based clock and
+/// both progress-fed DCQCN wrappers, on off-grid staggered starts.
+#[test]
+fn zoo_controllers_match_single_stepping() {
+    let variants = [
+        CcVariant::Swift {
+            target_delay: Dur::from_micros(30),
+        },
+        CcVariant::Mltcp { bonus: 1.0 },
+        CcVariant::Policy {
+            policy: FairnessPolicy::BonusDecay {
+                bonus: 1.0,
+                decay: 3.0,
+            },
+        },
+    ];
+    let offsets = [0, 7_002_500, 19_000_001];
+    let jobs: Vec<RateJob> = variants
+        .iter()
+        .zip(offsets)
+        .map(|(&v, ns)| {
+            let mut job = RateJob::new(vgg19(), v);
+            job.start_offset = Dur::from_nanos(ns);
+            job
+        })
+        .collect();
+    assert_exact(&traced(), &jobs, Drive::Iterations(4));
+}
+
+/// Pipelined jobs: compute gaps inside an iteration, so jumps start and
+/// stop between communication segments.
+#[test]
+fn pipelined_pair_matches_single_stepping() {
+    let spec = JobSpec::reference(Model::Vgg19, 600).pipelined(3, Dur::from_millis(4));
+    let jobs = [
+        RateJob::new(spec, CcVariant::Fair),
+        RateJob::new(spec, CcVariant::Fair),
+    ];
+    assert_exact(&RateSimConfig::default(), &jobs, Drive::Iterations(4));
+}
+
+#[test]
+fn departure_matches_single_stepping() {
+    let mut leaver = RateJob::new(vgg19(), CcVariant::Fair);
+    leaver.depart_at = Some(Time::from_nanos(300_001_234));
+    let stayer = RateJob::new(vgg19(), CcVariant::Fair);
+    assert_exact(
+        &RateSimConfig::default(),
+        &[leaver, stayer],
+        Drive::Iterations(6),
+    );
+}
+
+/// Down windows (a 0× multiplier, floored to `MIN_MULTIPLIER`) opening
+/// and closing off the step grid, in compute and communication phases.
+#[test]
+fn capacity_schedule_matches_single_stepping() {
+    let us = |us: u64, extra_ns: u64| Time::from_nanos(us * 1_000 + extra_ns);
+    let schedule = LinkSchedule::new(vec![
+        (us(40_237, 100), 0.0),
+        (us(90_000, 0), 1.0),
+        (us(200_113, 3), 0.0),
+        (us(260_002, 500), 0.5),
+        (us(420_371, 7), 1.0),
+    ]);
+    let cfg = RateSimConfig {
+        capacity_schedule: Some(schedule),
+        ..RateSimConfig::default()
+    };
+    let jobs = [
+        RateJob::new(vgg19(), CcVariant::Fair),
+        RateJob::new(vgg19(), CcVariant::Fair),
+    ];
+    assert_exact(&cfg, &jobs, Drive::For(Dur::from_millis(900)));
+}
+
+/// A fork barrier halfway through the first compute phase, off the step
+/// grid: `run_until` stops on the same step as single stepping, and the
+/// snapshot restored there resumes identically.
+#[test]
+fn mid_idle_fork_barrier_restores_identically() {
+    let unfair = CcVariant::StaticUnfair {
+        timer: Dur::from_micros(100),
+    };
+    let jobs = [
+        RateJob::new(vgg19(), unfair),
+        RateJob::new(vgg19(), CcVariant::Fair),
+    ];
+    let barrier = Time::from_nanos(vgg19().compute_time().as_nanos() / 2 + 2_500);
+    let cfg = traced();
+
+    let run = |fast: bool| {
+        let mut prefix_rec = BufferRecorder::new();
+        let mut sim = RateSimulator::with_recorder(cfg.clone(), &jobs, &mut prefix_rec);
+        if fast {
+            sim.run_until(barrier);
+        } else {
+            step_until(&mut sim, barrier);
+        }
+        assert!((0..2).all(|i| !sim.progress(i).is_communicating()));
+        let at_barrier = outcome(&sim);
+        let snap = sim.snapshot().unwrap();
+        drop(sim);
+
+        let mut resumed_rec = BufferRecorder::new();
+        let mut resumed = RateSimulator::restore(snap, &mut resumed_rec).unwrap();
+        if fast {
+            drive_fast(&mut resumed, Drive::Iterations(5));
+        } else {
+            drive_stepped(&mut resumed, Drive::Iterations(5));
+        }
+        let end = outcome(&resumed);
+        drop(resumed);
+        (
+            at_barrier,
+            end,
+            event_stream(&prefix_rec),
+            event_stream(&resumed_rec),
+        )
+    };
+    assert_eq!(run(true), run(false));
+
+    // The same barrier untraced and unobserved, where nothing caps a jump
+    // short of the barrier or the compute deadline.
+    let mut fast = RateSimulator::new(RateSimConfig::default(), &jobs);
+    let mut stepped = RateSimulator::new(RateSimConfig::default(), &jobs);
+    fast.run_until(barrier);
+    step_until(&mut stepped, barrier);
+    assert_eq!(outcome(&fast), outcome(&stepped));
+    let mut fast: RateSimulator =
+        Snapshottable::restore(fast.snapshot().unwrap(), NoopRecorder).expect("snapshot restores");
+    drive_fast(&mut fast, Drive::Iterations(5));
+    drive_stepped(&mut stepped, Drive::Iterations(5));
+    assert_eq!(outcome(&fast), outcome(&stepped));
+}

@@ -1,20 +1,24 @@
 //! Asserts the disabled telemetry path is genuinely zero-cost: driving a
 //! `NoopRecorder` — or a `TapRecorder<NoopRecorder>` with no live sink
 //! installed — through hundreds of thousands of instrumentation calls
-//! performs **zero heap allocations**. A counting global allocator
-//! measures, so regressions that sneak a buffer or a clone into the
-//! disabled path fail loudly rather than silently taxing every
+//! performs **zero heap allocations**, and so does stepping an unobserved
+//! rate engine through a contended communication phase. A counting global
+//! allocator measures, so regressions that sneak a buffer or a clone into
+//! the disabled path fail loudly rather than silently taxing every
 //! unobserved simulation.
 //!
 //! This file holds exactly one `#[test]` so no sibling test thread can
 //! allocate concurrently and pollute the counter.
 
+use dcqcn::CcVariant;
+use netsim::rate::{RateJob, RateSimConfig, RateSimulator};
 use simtime::Time;
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Duration;
 use telemetry::live::{self, LiveConfig};
 use telemetry::{BufferRecorder, CcState, Event, NoopRecorder, Recorder, TapRecorder};
+use workload::{JobSpec, Model};
 
 struct CountingAlloc;
 
@@ -138,4 +142,27 @@ fn disabled_recorder_paths_are_allocation_free() {
     let (_, disconnected) = handle.poll();
     assert!(disconnected);
     assert_eq!(handle.total_events(), 300);
+
+    // 4. The unobserved rate engine inside a contended communication
+    // phase (queue building, marks and CNPs firing): a step reuses its
+    // working set, so 2k steps allocate nothing.
+    let vgg19 = JobSpec::reference(Model::Vgg19, 1200);
+    let jobs = [
+        RateJob::new(vgg19, CcVariant::Fair),
+        RateJob::new(vgg19, CcVariant::Fair),
+    ];
+    let mut sim = RateSimulator::new(RateSimConfig::default(), &jobs);
+    while !sim.progress(0).is_communicating() {
+        sim.step();
+    }
+    let allocs = min_allocations_during(|| {
+        for _ in 0..200 {
+            sim.step();
+        }
+    });
+    assert!((0..2).all(|i| sim.progress(i).is_communicating()));
+    assert_eq!(
+        allocs, 0,
+        "RateSimulator<NoopRecorder>::step allocated {allocs} times"
+    );
 }
