@@ -39,19 +39,13 @@ fn run_packet(train_packets: u32, span: Dur) -> (f64, u64) {
     (t0.elapsed().as_secs_f64(), sim.events_processed())
 }
 
-fn run_rate(adaptive_step: bool, span: Dur) -> (f64, u64) {
+fn run_rate(span: Dur) -> (f64, u64) {
     let specs = pair();
     let jobs = [
         RateJob::new(specs[0], CcVariant::Fair),
         RateJob::new(specs[1], CcVariant::Fair),
     ];
-    let mut sim = RateSimulator::new(
-        RateSimConfig {
-            adaptive_step,
-            ..RateSimConfig::default()
-        },
-        &jobs,
-    );
+    let mut sim = RateSimulator::new(RateSimConfig::default(), &jobs);
     let t0 = Instant::now();
     sim.run_for(span);
     (t0.elapsed().as_secs_f64(), sim.steps())
@@ -89,20 +83,11 @@ fn write_summaries() {
     let _ = std::fs::write(format!("{dir}/BENCH_packet.json"), packet.to_json());
 
     let mut rate = RunSummary::new("rate");
-    run_rate(false, Dur::from_millis(20));
-    let (wf, sf) = run_rate(false, span);
-    let (wa, sa) = run_rate(true, span);
+    run_rate(Dur::from_millis(20));
+    let (wf, sf) = run_rate(span);
     rate.put("fixed.wall_clock_secs", wf);
     rate.put("fixed.steps", sf as f64);
-    rate.put("adaptive.wall_clock_secs", wa);
-    rate.put("adaptive.steps", sa as f64);
-    rate.put("adaptive.speedup", wf / wa);
-    println!(
-        "rate 200 ms: fixed {:.3}s ({sf} steps) -> adaptive {:.3}s ({sa} steps), {:.1}x",
-        wf,
-        wa,
-        wf / wa
-    );
+    println!("rate 200 ms: fixed {wf:.3}s ({sf} steps)");
     let _ = std::fs::write(format!("{dir}/BENCH_rate.json"), rate.to_json());
 }
 
@@ -171,7 +156,7 @@ fn bench(c: &mut Criterion) {
         })
     });
 
-    // This PR's optimisations: packet trains and adaptive stepping.
+    // Packet trains: 64 packets per sender/dequeue event.
     c.bench_function("engines/packet_200ms_2jobs_train64", |b| {
         b.iter(|| {
             let jobs = [
@@ -187,24 +172,6 @@ fn bench(c: &mut Criterion) {
             );
             sim.run_until(simtime::Time::ZERO + span);
             sim.packet_counts().0
-        })
-    });
-
-    c.bench_function("engines/rate_200ms_2jobs_adaptive", |b| {
-        b.iter(|| {
-            let jobs = [
-                RateJob::new(specs[0], CcVariant::Fair),
-                RateJob::new(specs[1], CcVariant::Fair),
-            ];
-            let mut sim = RateSimulator::new(
-                RateSimConfig {
-                    adaptive_step: true,
-                    ..RateSimConfig::default()
-                },
-                &jobs,
-            );
-            sim.run_for(span);
-            sim.progress(0).completed()
         })
     });
 }

@@ -4,9 +4,11 @@
 //! A cluster-scale scenario (CASSINI-style: many jobs spread over a
 //! multi-group fabric) decomposes into link-disjoint components via
 //! [`topology::partition`]. Each component becomes one *shard* — its own
-//! engine instance with its own event queue — advanced by
-//! [`netsim::shard::run_epochs`]. Per-shard telemetry is rewritten to
-//! global indices by [`telemetry::RemapRecorder`] and merged with
+//! engine instance with its own event queue — built, optionally forked at
+//! a snapshot barrier, and run to completion inside [`parallel::map_with`]:
+//! components share no links, so shards never need to exchange state.
+//! Per-shard telemetry is rewritten to global indices by
+//! [`telemetry::RemapRecorder`] and merged with
 //! [`ForkableRecorder::join_merged`], whose `(time, shard, seq)` key makes
 //! the merged stream independent of worker-thread count: `--shards 8` and
 //! `--shards 1` are byte-identical.
@@ -24,11 +26,11 @@
 
 use crate::experiments::chaos;
 use crate::metrics::JobStats;
+use crate::parallel;
 use dcqcn::CcVariant;
 use faults::ChaosConfig;
 use netsim::fluid::{FluidConfig, FluidJob, FluidSimulator};
 use netsim::packet::{PacketJob, PacketSimConfig, PacketSimulator};
-use netsim::shard::run_epochs;
 use netsim::snapshot::Snapshottable;
 use simtime::{Bandwidth, Dur, Time};
 use telemetry::{ForkableRecorder, Recorder, RemapRecorder};
@@ -67,7 +69,7 @@ impl ShardConfig {
             jobs_per_group: 128,
             iterations: 4,
             warmup: 1,
-            budget: Dur::from_secs(30),
+            budget: Dur::from_secs(120),
             chaos: ChaosConfig::none(),
             fork_at: None,
         }
@@ -182,13 +184,12 @@ pub fn build_fluid(cfg: &ShardConfig) -> FluidScenario {
         }
     }
     let mut fluid_cfg = FluidConfig::fair();
-    let horizon = cfg.budget * chaos::budget_slack(&cfg.chaos);
     apply_fluid(
         &cfg.chaos,
         &mut jobs,
         &mut fluid_cfg,
         topo.link_count(),
-        horizon,
+        budget(cfg),
     );
     let plan = partition(&job_link_sets(&jobs));
     FluidScenario {
@@ -217,8 +218,7 @@ pub fn run_fluid_unsharded<R: Recorder>(
 ) -> (ShardRunResult, R) {
     let mut sim =
         FluidSimulator::with_recorder(&scn.topology, scn.fluid_cfg.clone(), &scn.jobs, rec);
-    let budget = cfg.budget * chaos::budget_slack(&cfg.chaos);
-    let completed = sim.run_until_iterations(cfg.iterations, budget);
+    let completed = sim.run_until_iterations(cfg.iterations, budget(cfg));
     let stats = (0..scn.jobs.len())
         .map(|i| chaos::stats_tolerant(sim.progress(i), cfg.warmup))
         .collect();
@@ -236,82 +236,90 @@ pub fn run_fluid_sharded<R: ForkableRecorder>(
     rec: &mut R,
     threads: usize,
 ) -> ShardRunResult {
-    let budget = cfg.budget * chaos::budget_slack(&cfg.chaos);
-    let mut sims: Vec<FluidSimulator<RemapRecorder<R::Fork>>> = scn
-        .plan
-        .components()
-        .iter()
-        .map(|comp| {
-            // Each shard runs on the sub-topology its component induces, so
-            // per-solve cost scales with the component, not the fabric.
-            // Flow routes are rewritten to local link ids going in, and the
-            // remap recorder rewrites them back to global ids coming out.
-            let comp_links: Vec<LinkId> = comp
-                .iter()
-                .flat_map(|&j| {
-                    scn.jobs[j]
-                        .flows
-                        .iter()
-                        .flat_map(|f| f.links.iter().copied())
-                })
-                .collect();
-            let (sub, link_ids) = subgraph(&scn.topology, &comp_links);
-            let jobs: Vec<FluidJob> = comp
-                .iter()
-                .map(|&j| {
-                    let mut job = scn.jobs[j].clone();
-                    for flow in &mut job.flows {
-                        for link in &mut flow.links {
-                            let local = link_ids.binary_search(link).expect("route off-component");
-                            *link = LinkId(local as u32);
-                        }
-                    }
-                    job
-                })
-                .collect();
-            let mut cfg = scn.fluid_cfg.clone();
-            if !cfg.link_schedules.is_empty() {
-                cfg.link_schedules = link_ids
+    let shards = parallel::map_with(threads, scn.plan.components(), |_, comp| {
+        // Each shard runs on the sub-topology its component induces, so
+        // per-solve cost scales with the component, not the fabric. Flow
+        // routes are rewritten to local link ids going in, and the remap
+        // recorder rewrites them back to global ids coming out.
+        let comp_links: Vec<LinkId> = comp
+            .iter()
+            .flat_map(|&j| {
+                scn.jobs[j]
+                    .flows
                     .iter()
-                    .map(|l| scn.fluid_cfg.link_schedules[l.0 as usize].clone())
-                    .collect();
-            }
-            let fork = RemapRecorder::new(
-                R::fork(),
-                comp.iter().map(|&j| j as u32).collect(),
-                Some(link_ids.iter().map(|l| l.0).collect()),
-            );
-            FluidSimulator::with_recorder(&sub, cfg, &jobs, fork)
-        })
-        .collect();
-    if let Some(at) = cfg.fork_at {
-        let barrier = Time::ZERO + at;
-        sims = sims
-            .into_iter()
-            .map(|mut sim| {
-                sim.run_until(barrier);
-                let snap = sim.snapshot().expect("shard fork barrier");
-                let fork = sim.into_recorder();
-                FluidSimulator::restore(snap, fork).expect("shard restore")
+                    .flat_map(|f| f.links.iter().copied())
             })
             .collect();
-    }
-    let completed = run_epochs(&mut sims, threads, cfg.iterations, budget, None);
+        let (sub, link_ids) = subgraph(&scn.topology, &comp_links);
+        let jobs: Vec<FluidJob> = comp
+            .iter()
+            .map(|&j| {
+                let mut job = scn.jobs[j].clone();
+                for flow in &mut job.flows {
+                    for link in &mut flow.links {
+                        let local = link_ids.binary_search(link).expect("route off-component");
+                        *link = LinkId(local as u32);
+                    }
+                }
+                job
+            })
+            .collect();
+        let mut fluid_cfg = scn.fluid_cfg.clone();
+        if !fluid_cfg.link_schedules.is_empty() {
+            fluid_cfg.link_schedules = link_ids
+                .iter()
+                .map(|l| scn.fluid_cfg.link_schedules[l.0 as usize].clone())
+                .collect();
+        }
+        let fork = RemapRecorder::new(
+            R::fork(),
+            comp.iter().map(|&j| j as u32).collect(),
+            Some(link_ids.iter().map(|l| l.0).collect()),
+        );
+        let mut sim = FluidSimulator::with_recorder(&sub, fluid_cfg, &jobs, fork);
+        if let Some(at) = cfg.fork_at {
+            sim.run_until(Time::ZERO + at);
+            let snap = sim.snapshot().expect("shard fork barrier");
+            sim = FluidSimulator::restore(snap, sim.into_recorder()).expect("shard restore");
+        }
+        let completed = sim.run_until_iterations(cfg.iterations, budget(cfg));
+        let stats = (0..jobs.len())
+            .map(|local| chaos::stats_tolerant(sim.progress(local), cfg.warmup))
+            .collect();
+        (
+            ShardRunResult { stats, completed },
+            sim.into_recorder().into_inner(),
+        )
+    });
+    let (per_shard, completed) = join_shards(rec, shards);
     let mut stats: Vec<Option<JobStats>> = vec![None; scn.jobs.len()];
-    for (c, comp) in scn.plan.components().iter().enumerate() {
-        for (local, &global) in comp.iter().enumerate() {
-            stats[global] = Some(chaos::stats_tolerant(sims[c].progress(local), cfg.warmup));
+    for (comp, shard_stats) in scn.plan.components().iter().zip(per_shard) {
+        for (&global, s) in comp.iter().zip(shard_stats) {
+            stats[global] = Some(s);
         }
     }
-    rec.join_merged(
-        sims.into_iter()
-            .map(|s| s.into_recorder().into_inner())
-            .collect(),
-    );
     ShardRunResult {
         stats: stats.into_iter().map(Option::unwrap).collect(),
         completed,
     }
+}
+
+/// The simulated-time budget of one run (scaled up under chaos).
+fn budget(cfg: &ShardConfig) -> Dur {
+    cfg.budget * chaos::budget_slack(&cfg.chaos)
+}
+
+/// Joins per-shard outcomes in shard order: the recordings merge into
+/// `rec`, and the run completed only if every shard did. Returns each
+/// shard's statistics, in shard-local job order.
+fn join_shards<R: ForkableRecorder>(
+    rec: &mut R,
+    shards: Vec<(ShardRunResult, R::Fork)>,
+) -> (Vec<Vec<JobStats>>, bool) {
+    let completed = shards.iter().all(|(res, _)| res.completed);
+    let (results, forks): (Vec<ShardRunResult>, Vec<R::Fork>) = shards.into_iter().unzip();
+    rec.join_merged(forks);
+    (results.into_iter().map(|r| r.stats).collect(), completed)
 }
 
 /// The packet-engine side of the scenario: `groups` replicas of the
@@ -376,7 +384,7 @@ pub fn build_packet(cfg: &ShardConfig) -> PacketScenario {
         ..PacketSimConfig::default()
     };
     let total = cfg.groups * mix.len();
-    let horizon = cfg.budget * chaos::budget_slack(&cfg.chaos);
+    let horizon = budget(cfg);
     let plan = if cfg.chaos.is_none() {
         None
     } else {
@@ -422,43 +430,31 @@ pub fn run_packet_sharded<R: ForkableRecorder>(
     rec: &mut R,
     threads: usize,
 ) -> ShardRunResult {
-    let budget = cfg.budget * chaos::budget_slack(&cfg.chaos);
     let mix_len = scn.groups[0].len();
-    let mut sims: Vec<PacketSimulator<RemapRecorder<R::Fork>>> = scn
-        .groups
-        .iter()
-        .enumerate()
-        .map(|(g, jobs)| {
-            let job_map = (0..jobs.len()).map(|l| (g * mix_len + l) as u32).collect();
-            let fork = RemapRecorder::new(R::fork(), job_map, Some(vec![g as u32]));
-            PacketSimulator::with_recorder(scn.configs[g].clone(), jobs, fork)
-        })
-        .collect();
-    if let Some(at) = cfg.fork_at {
-        let barrier = Time::ZERO + at;
-        sims = sims
-            .into_iter()
-            .map(|mut sim| {
-                sim.run_until(barrier);
-                let snap = sim.snapshot().expect("packet shard fork barrier");
-                let fork = sim.into_recorder();
-                PacketSimulator::restore(snap, fork).expect("packet shard restore")
-            })
-            .collect();
-    }
-    let completed = run_epochs(&mut sims, threads, cfg.iterations, budget, None);
-    let mut stats = Vec::new();
-    for sim in &sims {
-        for local in 0..sim.num_jobs() {
-            stats.push(chaos::stats_tolerant(sim.progress(local), cfg.warmup));
+    let shards = parallel::map_with(threads, &scn.groups, |g, jobs| {
+        let job_map = (0..jobs.len()).map(|l| (g * mix_len + l) as u32).collect();
+        let fork = RemapRecorder::new(R::fork(), job_map, Some(vec![g as u32]));
+        let mut sim = PacketSimulator::with_recorder(scn.configs[g].clone(), jobs, fork);
+        if let Some(at) = cfg.fork_at {
+            sim.run_until(Time::ZERO + at);
+            let snap = sim.snapshot().expect("packet shard fork barrier");
+            sim =
+                PacketSimulator::restore(snap, sim.into_recorder()).expect("packet shard restore");
         }
+        let completed = sim.run_until_iterations(cfg.iterations, budget(cfg));
+        let stats = (0..jobs.len())
+            .map(|local| chaos::stats_tolerant(sim.progress(local), cfg.warmup))
+            .collect();
+        (
+            ShardRunResult { stats, completed },
+            sim.into_recorder().into_inner(),
+        )
+    });
+    let (per_shard, completed) = join_shards(rec, shards);
+    ShardRunResult {
+        stats: per_shard.into_iter().flatten().collect(),
+        completed,
     }
-    rec.join_merged(
-        sims.into_iter()
-            .map(|s| s.into_recorder().into_inner())
-            .collect(),
-    );
-    ShardRunResult { stats, completed }
 }
 
 /// Shard-plan statistics for `RunSummary`/`HISTORY.jsonl` correlation.
@@ -557,6 +553,24 @@ mod tests {
         let mut merged = BufferRecorder::new();
         run_fluid_sharded(&scn, &cfg, &mut merged, 4);
         assert_eq!(direct.events(), merged.events());
+    }
+
+    /// A shard that cannot finish inside the budget reports the run as
+    /// incomplete and stops at the deadline instead of running on.
+    #[test]
+    fn deadline_bounds_unfinished_shards() {
+        let cfg = ShardConfig {
+            iterations: 1000,
+            budget: Dur::from_secs(2),
+            ..ShardConfig::small()
+        };
+        let scn = build_fluid(&cfg);
+        let mut rec = BufferRecorder::new();
+        let res = run_fluid_sharded(&scn, &cfg, &mut rec, 2);
+        assert!(!res.completed);
+        let deadline = Time::ZERO + cfg.budget;
+        assert!(!rec.events().is_empty());
+        assert!(rec.events().iter().all(|e| e.at <= deadline));
     }
 
     /// Snapshot/restore at a fork barrier is invisible: a sharded run with

@@ -69,8 +69,20 @@ pub fn shards() -> usize {
     }
 }
 
-/// Applies `f` to every item, possibly across threads, returning results
-/// in item order regardless of which worker finished when.
+/// Applies `f` to every item, possibly across [`jobs`] threads, returning
+/// results in item order regardless of which worker finished when. See
+/// [`map_with`].
+pub fn map<T, U, F>(items: &[T], f: F) -> Vec<U>
+where
+    T: Sync,
+    U: Send,
+    F: Fn(usize, &T) -> U + Sync,
+{
+    map_with(jobs(), items, f)
+}
+
+/// [`map`] on up to `workers` threads instead of the [`jobs`] setting —
+/// how a sharded run sizes its pool from `--shards`.
 ///
 /// `f` receives `(index, &item)`. Work is handed out through an atomic
 /// cursor, so workers stay busy even when unit costs are skewed; each
@@ -79,13 +91,13 @@ pub fn shards() -> usize {
 ///
 /// # Panics
 /// A panic in `f` propagates to the caller once all workers stop.
-pub fn map<T, U, F>(items: &[T], f: F) -> Vec<U>
+pub fn map_with<T, U, F>(workers: usize, items: &[T], f: F) -> Vec<U>
 where
     T: Sync,
     U: Send,
     F: Fn(usize, &T) -> U + Sync,
 {
-    let workers = jobs().min(items.len());
+    let workers = workers.min(items.len());
     if workers <= 1 {
         return items.iter().enumerate().map(|(i, t)| f(i, t)).collect();
     }

@@ -21,13 +21,14 @@
 //!   geometry solver's rotation angles.
 
 use crate::alloc::{strict_priority_into, weighted_max_min_into, AllocScratch, FlowDemand};
+use crate::job::{self, Job};
 use crate::snapshot::{
     check_barrier, check_version, SnapshotError, Snapshottable, SNAPSHOT_VERSION,
 };
 use dcqcn::CcVariant;
 use eventsim::{EventQueue, TimeSeries};
 use simtime::{Bandwidth, Dur, Time};
-use telemetry::{CcState, Event, NoopRecorder, Phase, Recorder, SpanTracker};
+use telemetry::{CcState, Event, NoopRecorder, Recorder, SpanTracker};
 use topology::{LinkId, LinkSchedule, Topology};
 use workload::{JobProgress, JobSpec, PhaseNoise};
 
@@ -260,14 +261,10 @@ impl FlowArena {
 
 #[derive(Debug, Clone)]
 struct JState {
-    progress: JobProgress,
+    job: Job,
     gate: Option<Gate>,
     /// Whether the current communication phase has been released.
     released: bool,
-    /// Fault injection: pending departure deadline, if any.
-    depart_at: Option<Time>,
-    /// The job has left the cluster (no further events are armed).
-    departed: bool,
 }
 
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -408,27 +405,12 @@ impl<R: Recorder> FluidSimulator<R> {
                     .collect();
                 links.sort_unstable();
                 links.dedup();
-                rec.record(
-                    Time::ZERO + job.start_offset,
-                    Event::JobPath {
-                        job: j as u32,
-                        links,
-                    },
-                );
-                spans.enter(
+                job::record_start(
                     &mut rec,
+                    &mut spans,
                     Time::ZERO + job.start_offset,
-                    j as u32,
-                    Phase::Compute,
-                    0,
-                );
-                rec.record(
-                    Time::ZERO + job.start_offset,
-                    Event::PhaseEnter {
-                        job: j as u32,
-                        phase: Phase::Compute,
-                        iteration: 0,
-                    },
+                    j,
+                    &links,
                 );
             }
         }
@@ -529,11 +511,9 @@ impl<R: Recorder> FluidSimulator<R> {
                 .expect("job starts computing");
             events.schedule_at(poll_at, Ev::Poll(j));
             states.push(JState {
-                progress,
+                job: Job::new(progress, job.depart_at),
                 gate: cfg.gates.get(j).copied().flatten(),
                 released: false,
-                depart_at: job.depart_at,
-                departed: false,
             });
         }
         FluidSimulator {
@@ -580,7 +560,7 @@ impl<R: Recorder> FluidSimulator<R> {
 
     /// Iteration bookkeeping of job `j`.
     pub fn progress(&self, j: usize) -> &JobProgress {
-        &self.jobs[j].progress
+        &self.jobs[j].job.progress
     }
 
     /// Number of jobs in the simulation (including departed ones).
@@ -676,7 +656,7 @@ impl<R: Recorder> FluidSimulator<R> {
                     .iter()
                     .enumerate()
                     .filter(|(_, f)| {
-                        js.progress.is_communicating() && js.released && f.remaining > 0.0
+                        js.job.progress.is_communicating() && js.released && f.remaining > 0.0
                     })
                     .map(move |(fi, _)| base + fi as u32)
             })
@@ -746,7 +726,7 @@ impl<R: Recorder> FluidSimulator<R> {
                         SharingPolicy::Weighted(w) => (w[j], 0),
                         SharingPolicy::Priority(p) => (1.0, p[j]),
                         SharingPolicy::Cc(vs) => {
-                            (vs[j].fluid_weight(comm_progress(&jobs[j].progress)), 0)
+                            (vs[j].fluid_weight(comm_progress(&jobs[j].job.progress)), 0)
                         }
                     };
                     demands.push(FlowDemand {
@@ -842,7 +822,7 @@ impl<R: Recorder> FluidSimulator<R> {
         self.now = t;
         for j in 0..self.jobs.len() {
             let js = &mut self.jobs[j];
-            if !(js.progress.is_communicating() && js.released) {
+            if !(js.job.progress.is_communicating() && js.released) {
                 continue;
             }
             let mut delivered = 0.0;
@@ -871,59 +851,33 @@ impl<R: Recorder> FluidSimulator<R> {
                 self.rates_dirty = true;
             }
             if delivered > 0.0 {
-                let mut finished_phase = js.progress.deliver(delivered, t).is_some();
-                if !finished_phase && all_done && js.progress.is_communicating() {
+                let progress = &mut js.job.progress;
+                let mut finished_phase = progress.deliver(delivered, t).is_some();
+                if !finished_phase && all_done && progress.is_communicating() {
                     // All flows delivered but the job believes bytes remain:
                     // float dust mismatch. Flush it.
-                    let res = js.progress.remaining_bytes();
+                    let res = progress.remaining_bytes();
                     if res > 0.0 {
-                        finished_phase = js.progress.deliver(res, t).is_some();
+                        finished_phase = progress.deliver(res, t).is_some();
                     }
                 }
                 // Whether the delivery ended the whole iteration
                 // (`finished_phase`) or just one pipelined segment, the job
                 // is now computing: park the flows and schedule its poll.
-                if !js.progress.is_communicating() {
+                if !progress.is_communicating() {
                     debug_assert!(
                         all_done || !finished_phase,
                         "job finished with flow bytes left"
                     );
-                    js.released = false;
-                    deactivate_job(&mut self.active, &self.arena, j);
-                    let poll_at = js
-                        .progress
+                    let poll_at = progress
                         .next_self_transition()
                         .expect("job computes between communication segments");
+                    js.released = false;
+                    deactivate_job(&mut self.active, &self.arena, j);
                     self.events.schedule_at(poll_at.max(t), Ev::Poll(j));
                     self.rates_dirty = true;
-                    if R::ENABLED {
-                        let done = js.progress.completed() as u64;
-                        let exited = if finished_phase {
-                            done.saturating_sub(1)
-                        } else {
-                            done
-                        };
-                        self.rec.record(
-                            t,
-                            Event::PhaseExit {
-                                job: j as u32,
-                                phase: Phase::Communicate,
-                                iteration: exited,
-                            },
-                        );
-                        self.spans
-                            .exit(&mut self.rec, t, j as u32, Phase::Communicate, exited);
-                        self.spans
-                            .enter(&mut self.rec, t, j as u32, Phase::Compute, done);
-                        self.rec.record(
-                            t,
-                            Event::PhaseEnter {
-                                job: j as u32,
-                                phase: Phase::Compute,
-                                iteration: done,
-                            },
-                        );
-                    }
+                    js.job
+                        .record_compute(&mut self.rec, &mut self.spans, t, j, finished_phase);
                 }
             }
         }
@@ -934,52 +888,13 @@ impl<R: Recorder> FluidSimulator<R> {
         match ev {
             Ev::Poll(j) => {
                 let js = &mut self.jobs[j];
-                if js.departed {
+                // The job arms no further events once it has departed.
+                if js.job.departs(&mut self.rec, now, j) {
                     return;
                 }
-                // Fault injection: a due departure takes effect at the
-                // first compute-side poll (in-flight communication always
-                // finishes). The job arms no further events.
-                if let Some(d) = js.depart_at {
-                    if now >= d && !js.progress.is_communicating() {
-                        js.departed = true;
-                        if R::ENABLED {
-                            self.rec.record(now, Event::JobDepart { job: j as u32 });
-                        }
-                        return;
-                    }
-                }
-                if js.progress.poll(now) {
-                    if R::ENABLED {
-                        let iteration = js.progress.completed() as u64;
-                        self.rec.record(
-                            now,
-                            Event::PhaseExit {
-                                job: j as u32,
-                                phase: Phase::Compute,
-                                iteration,
-                            },
-                        );
-                        self.spans
-                            .exit(&mut self.rec, now, j as u32, Phase::Compute, iteration);
-                        self.spans.enter(
-                            &mut self.rec,
-                            now,
-                            j as u32,
-                            Phase::Communicate,
-                            iteration,
-                        );
-                        self.rec.record(
-                            now,
-                            Event::PhaseEnter {
-                                job: j as u32,
-                                phase: Phase::Communicate,
-                                iteration,
-                            },
-                        );
-                    }
+                if js.job.poll(&mut self.rec, &mut self.spans, now, j) {
                     // Phase bytes split across flows by fraction.
-                    let total = js.progress.remaining_bytes();
+                    let total = js.job.progress.remaining_bytes();
                     for f in self.arena.job_range(j) {
                         self.arena.remaining[f] = total * self.arena.fraction[f];
                     }
@@ -1004,7 +919,7 @@ impl<R: Recorder> FluidSimulator<R> {
             }
             Ev::GateOpen(j) => {
                 let js = &mut self.jobs[j];
-                if js.progress.is_communicating() && !js.released {
+                if js.job.progress.is_communicating() && !js.released {
                     js.released = true;
                     activate_job_flows(&mut self.active, &self.arena, j);
                     self.rates_dirty = true;
@@ -1112,10 +1027,7 @@ impl<R: Recorder> FluidSimulator<R> {
     /// Runs until every job completed `n` iterations or `max_span` elapses;
     /// returns `true` on success.
     pub fn run_until_iterations(&mut self, n: usize, max_span: Dur) -> bool {
-        let reached = |jobs: &[JState]| {
-            jobs.iter()
-                .all(|j| j.departed || j.progress.completed() >= n)
-        };
+        let reached = |jobs: &[JState]| jobs.iter().all(|j| j.job.done(n));
         let stop = self.now + max_span;
         while self.now < stop {
             if reached(&self.jobs) {
@@ -1130,69 +1042,7 @@ impl<R: Recorder> FluidSimulator<R> {
 
     /// Whether job `j` has departed the cluster.
     pub fn departed(&self, j: usize) -> bool {
-        self.jobs[j].departed
-    }
-
-    /// Replaces job `i`'s phase-duration noise. Takes effect at the next
-    /// iteration rollover; the in-flight iteration keeps its drawn scales.
-    /// Used by forked sweeps to perturb a cell after a shared clean prefix.
-    pub fn set_noise(&mut self, i: usize, noise: Option<PhaseNoise>) {
-        self.jobs[i].progress.set_noise(noise);
-    }
-
-    /// Replaces job `i`'s departure deadline. A deadline at or before the
-    /// current clock takes effect at the job's next compute-side poll.
-    pub fn set_depart_at(&mut self, i: usize, at: Option<Time>) {
-        self.jobs[i].depart_at = at;
-    }
-
-    /// Installs per-link fault schedules on a running simulator (one entry
-    /// per topology link). Intended for forked sweeps: the shared prefix
-    /// runs without schedules, and each fork installs its cell's schedules
-    /// at the barrier. Schedules are evaluated in absolute simulated time,
-    /// so a window before the current clock has already "happened" silently.
-    ///
-    /// # Panics
-    /// Panics if `schedules` length mismatches the link count, or if the
-    /// simulator already has schedules installed (their pending change
-    /// events cannot be retracted).
-    pub fn set_link_schedules(&mut self, schedules: Vec<LinkSchedule>) {
-        assert_eq!(
-            schedules.len(),
-            self.capacities.len(),
-            "set_link_schedules: length mismatches topology links"
-        );
-        assert!(
-            self.link_schedules.is_empty(),
-            "set_link_schedules: schedules already installed"
-        );
-        if schedules.iter().all(|s| s.is_identity()) {
-            return;
-        }
-        self.base_capacities = self.capacities.clone();
-        self.link_schedules = schedules;
-        let now = self.now;
-        for l in 0..self.link_schedules.len() {
-            let m = self.link_schedules[l].multiplier_at(now);
-            let new_cap = self.base_capacities[l] * m;
-            if new_cap != self.capacities[l] {
-                self.capacities[l] = new_cap;
-                self.rates_dirty = true;
-                self.force_resolve = true;
-                if R::ENABLED {
-                    self.rec.record(
-                        now,
-                        Event::LinkCapacity {
-                            link: l as u32,
-                            fraction: m,
-                        },
-                    );
-                }
-            }
-            if let Some(at) = self.link_schedules[l].next_change_after(now) {
-                self.events.schedule_at(at, Ev::LinkChange(l));
-            }
-        }
+        self.jobs[j].job.departed
     }
 }
 

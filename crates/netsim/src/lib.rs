@@ -26,14 +26,16 @@
 //!
 //! The shared allocation mathematics (progressive-filling max-min, weighted
 //! variant, strict priorities) lives in [`alloc`] as pure, independently
-//! tested functions.
+//! tested functions. The job lifecycle the three engines drive — compute,
+//! communicate, depart, and the phase telemetry of each change — lives in
+//! one private `job` module, so the engines differ only in transport.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod alloc;
 pub mod fluid;
+mod job;
 pub mod packet;
 pub mod rate;
-pub mod shard;
 pub mod snapshot;

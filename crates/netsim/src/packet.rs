@@ -25,13 +25,14 @@
 //! airtime never exceeds the NP's CNP interval), and `train_packets = 1`
 //! reproduces the per-packet engine event-for-event and bit-for-bit.
 
+use crate::job::{self, Job};
 use crate::snapshot::{
     check_barrier, check_version, SnapshotError, Snapshottable, SNAPSHOT_VERSION,
 };
 use dcqcn::{CcAlgorithm, CcVariant, DcqcnParams, NotificationPoint, RedMarker, SignalLoss};
 use eventsim::{queue::reference, EventQueue, Rng, ScheduledEvent};
 use simtime::{Bandwidth, Dur, Time};
-use telemetry::{CcState, Event, NoopRecorder, Phase, Recorder, SpanTracker};
+use telemetry::{CcState, Event, NoopRecorder, Recorder, SpanTracker};
 use topology::LinkSchedule;
 use workload::{JobProgress, JobSpec, PhaseNoise};
 
@@ -202,7 +203,7 @@ enum Ev {
 
 #[derive(Clone)]
 struct FlowState {
-    progress: JobProgress,
+    job: Job,
     /// The flow's live congestion controller, built from its
     /// [`CcVariant`] spec (mark-reactive family only — see the
     /// constructor's delay-based rejection).
@@ -227,10 +228,6 @@ struct FlowState {
     pending_train: u32,
     /// Delivered bytes (for goodput accounting).
     delivered: f64,
-    /// Fault injection: pending departure deadline, if any.
-    depart_at: Option<Time>,
-    /// The job has left the cluster (no further events are armed).
-    departed: bool,
 }
 
 /// A contiguous run of one flow's packets occupying the switch FIFO.
@@ -317,7 +314,7 @@ impl<R: Recorder> PacketSimulator<R> {
                     Ev::Poll(i),
                 );
                 FlowState {
-                    progress,
+                    job: Job::new(progress, j.depart_at),
                     rp: j.variant.build(params),
                     wants_progress: j.variant.wants_progress(),
                     np: NotificationPoint::new(cfg.base_params.cnp_interval),
@@ -328,39 +325,14 @@ impl<R: Recorder> PacketSimulator<R> {
                     poll_armed: true,
                     pending_train: 1,
                     delivered: 0.0,
-                    depart_at: j.depart_at,
-                    departed: false,
                 }
             })
             .collect();
         let mut spans = SpanTracker::new::<R>(jobs.len());
-        if R::ENABLED {
-            for (i, j) in jobs.iter().enumerate() {
-                // One shared bottleneck, like the rate engine: announce it
-                // so offline attribution can blame contention on a link.
-                rec.record(
-                    Time::ZERO + j.start_offset,
-                    Event::JobPath {
-                        job: i as u32,
-                        links: vec![0],
-                    },
-                );
-                spans.enter(
-                    &mut rec,
-                    Time::ZERO + j.start_offset,
-                    i as u32,
-                    Phase::Compute,
-                    0,
-                );
-                rec.record(
-                    Time::ZERO + j.start_offset,
-                    Event::PhaseEnter {
-                        job: i as u32,
-                        phase: Phase::Compute,
-                        iteration: 0,
-                    },
-                );
-            }
+        for (i, j) in jobs.iter().enumerate() {
+            // One shared bottleneck, like the rate engine: announce it so
+            // offline attribution can blame contention on a link.
+            job::record_start(&mut rec, &mut spans, Time::ZERO + j.start_offset, i, &[0]);
         }
         let rng = Rng::new(cfg.seed);
         let chaos_rng = Rng::new(cfg.signal_loss.map_or(0, |l| l.seed));
@@ -385,7 +357,7 @@ impl<R: Recorder> PacketSimulator<R> {
 
     /// Whether flow `i` has departed the cluster.
     pub fn departed(&self, i: usize) -> bool {
-        self.flows[i].departed
+        self.flows[i].job.departed
     }
 
     /// The bottleneck capacity in bps as of `now`, honouring any fault
@@ -435,7 +407,7 @@ impl<R: Recorder> PacketSimulator<R> {
 
     /// Job bookkeeping for flow `i`.
     pub fn progress(&self, i: usize) -> &JobProgress {
-        &self.flows[i].progress
+        &self.flows[i].job.progress
     }
 
     /// Number of jobs (flows) in the simulation (including departed ones).
@@ -467,9 +439,9 @@ impl<R: Recorder> PacketSimulator<R> {
         let f = &mut self.flows[i];
         let dt = now.saturating_since(f.rp_clock);
         if !dt.is_zero() {
-            if f.wants_progress && f.progress.is_communicating() {
-                let total = f.progress.comm_bytes_per_iteration();
-                let sent = total - f.progress.remaining_bytes();
+            if f.wants_progress && f.job.progress.is_communicating() {
+                let total = f.job.progress.comm_bytes_per_iteration();
+                let sent = total - f.job.progress.remaining_bytes();
                 f.rp.on_phase_progress(sent / total);
             }
             f.rp.advance(dt, f.sent_since_advance, Dur::ZERO);
@@ -537,52 +509,17 @@ impl<R: Recorder> PacketSimulator<R> {
         match ev {
             Ev::Poll(i) => {
                 self.flows[i].poll_armed = false;
-                if self.flows[i].departed {
+                // The flow arms no further events once it has departed.
+                if self.flows[i].job.departs(&mut self.rec, now, i) {
                     return;
                 }
-                // Fault injection: a due departure takes effect at the
-                // first compute-side poll (in-flight communication always
-                // finishes). The flow arms no further events.
-                if let Some(d) = self.flows[i].depart_at {
-                    if now >= d && !self.flows[i].progress.is_communicating() {
-                        self.flows[i].departed = true;
-                        if R::ENABLED {
-                            self.rec.record(now, Event::JobDepart { job: i as u32 });
-                        }
-                        return;
-                    }
-                }
-                if self.flows[i].progress.poll(now) {
-                    let f = &mut self.flows[i];
-                    f.to_send = f.progress.remaining_bytes();
+                let f = &mut self.flows[i];
+                if f.job.poll(&mut self.rec, &mut self.spans, now, i) {
+                    f.to_send = f.job.progress.remaining_bytes();
                     if self.cfg.restart_on_phase {
                         f.rp.restart();
                         f.np.reset();
-                    }
-                    if R::ENABLED {
-                        let f = &self.flows[i];
-                        let iter = f.progress.completed() as u64;
-                        self.rec.record(
-                            now,
-                            Event::PhaseExit {
-                                job: i as u32,
-                                phase: Phase::Compute,
-                                iteration: iter,
-                            },
-                        );
-                        self.spans
-                            .exit(&mut self.rec, now, i as u32, Phase::Compute, iter);
-                        self.spans
-                            .enter(&mut self.rec, now, i as u32, Phase::Communicate, iter);
-                        self.rec.record(
-                            now,
-                            Event::PhaseEnter {
-                                job: i as u32,
-                                phase: Phase::Communicate,
-                                iteration: iter,
-                            },
-                        );
-                        if self.cfg.restart_on_phase {
+                        if R::ENABLED {
                             self.rec.record(
                                 now,
                                 Event::RateChange {
@@ -594,7 +531,7 @@ impl<R: Recorder> PacketSimulator<R> {
                         }
                     }
                     self.arm_sender(i, now);
-                } else if let Some(t) = self.flows[i].progress.next_self_transition() {
+                } else if let Some(t) = f.job.progress.next_self_transition() {
                     // Premature poll (its twin was suppressed): re-arm at
                     // the real deadline.
                     self.arm_poll(i, t.max(now));
@@ -602,7 +539,7 @@ impl<R: Recorder> PacketSimulator<R> {
             }
             Ev::SenderWake(i) => {
                 self.flows[i].wake_armed = false;
-                if !self.flows[i].progress.is_communicating() || self.flows[i].to_send < 1.0 {
+                if !self.flows[i].job.progress.is_communicating() || self.flows[i].to_send < 1.0 {
                     return;
                 }
                 // Emit the planned train into the queue, marking each
@@ -677,7 +614,7 @@ impl<R: Recorder> PacketSimulator<R> {
                     let deliver_at = exit + self.cfg.prop_delay;
                     let marked = train.marked >> j & 1 == 1;
                     let f = &mut self.flows[i];
-                    f.delivered += mtu.min(f.progress.remaining_bytes().max(mtu));
+                    f.delivered += mtu.min(f.job.progress.remaining_bytes().max(mtu));
                     if marked && f.np.on_marked_arrival(deliver_at) {
                         self.cnps_sent += 1;
                         if R::ENABLED {
@@ -700,46 +637,22 @@ impl<R: Recorder> PacketSimulator<R> {
                             );
                         }
                     }
-                    let finished = f.progress.deliver(mtu, deliver_at.max(now)).is_some();
+                    let finished = f.job.progress.deliver(mtu, deliver_at.max(now)).is_some();
                     if finished {
                         f.to_send = 0.0;
                         f.rp.on_iteration_end();
-                        let poll_at = f
-                            .progress
-                            .next_self_transition()
-                            .expect("job computes after an iteration");
-                        self.arm_poll(i, poll_at.max(now));
-                    } else if !f.progress.is_communicating() {
-                        // Pipelined segment gap.
-                        let poll_at = f
-                            .progress
-                            .next_self_transition()
-                            .expect("job computes between segments");
-                        self.arm_poll(i, poll_at.max(now));
                     }
-                    if R::ENABLED && (finished || !self.flows[i].progress.is_communicating()) {
-                        let done = self.flows[i].progress.completed() as u64;
-                        let exited = if finished { done - 1 } else { done };
-                        self.rec.record(
-                            now,
-                            Event::PhaseExit {
-                                job: i as u32,
-                                phase: Phase::Communicate,
-                                iteration: exited,
-                            },
-                        );
-                        self.spans
-                            .exit(&mut self.rec, now, i as u32, Phase::Communicate, exited);
-                        self.spans
-                            .enter(&mut self.rec, now, i as u32, Phase::Compute, done);
-                        self.rec.record(
-                            now,
-                            Event::PhaseEnter {
-                                job: i as u32,
-                                phase: Phase::Compute,
-                                iteration: done,
-                            },
-                        );
+                    // Iteration end — or, for pipelined jobs, a segment gap —
+                    // returns the job to computing until its next poll.
+                    if !f.job.progress.is_communicating() {
+                        let poll_at = f
+                            .job
+                            .progress
+                            .next_self_transition()
+                            .expect("job computes after communicating");
+                        f.job
+                            .record_compute(&mut self.rec, &mut self.spans, now, i, finished);
+                        self.arm_poll(i, poll_at.max(now));
                     }
                 }
             }
@@ -793,11 +706,7 @@ impl<R: Recorder> PacketSimulator<R> {
         };
         let before = self.events_processed;
         let stop = self.now() + max_span;
-        let reached = |flows: &[FlowState]| {
-            flows
-                .iter()
-                .all(|f| f.departed || f.progress.completed() >= n)
-        };
+        let reached = |flows: &[FlowState]| flows.iter().all(|f| f.job.done(n));
         let done = loop {
             if reached(&self.flows) {
                 break true;
@@ -815,31 +724,6 @@ impl<R: Recorder> PacketSimulator<R> {
             self.rec.count("packet_events_total", delta);
         }
         done
-    }
-
-    /// Injects (or clears) per-iteration phase noise for flow `i`, taking
-    /// effect at its next iteration rollover.
-    pub fn set_noise(&mut self, i: usize, noise: Option<PhaseNoise>) {
-        self.flows[i].progress.set_noise(noise);
-    }
-
-    /// Schedules flow `i` to leave at the first compute-side poll at/after
-    /// `at` (or cancels a pending departure).
-    pub fn set_depart_at(&mut self, i: usize, at: Option<Time>) {
-        self.flows[i].depart_at = at;
-    }
-
-    /// Replaces the bottleneck's capacity schedule from now on (sampled at
-    /// each train's service start).
-    pub fn set_capacity_schedule(&mut self, schedule: Option<LinkSchedule>) {
-        self.cfg.capacity_schedule = schedule;
-    }
-
-    /// Replaces the signal-loss profile and reseeds the chaos RNG from it,
-    /// exactly as construction would have.
-    pub fn set_signal_loss(&mut self, loss: Option<SignalLoss>) {
-        self.cfg.signal_loss = loss;
-        self.chaos_rng = Rng::new(loss.map_or(0, |l| l.seed));
     }
 }
 

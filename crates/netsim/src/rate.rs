@@ -15,13 +15,14 @@
 //! Scope: one bottleneck link (the paper's experiments are all
 //! single-bottleneck; multi-link topologies are the fluid engine's job).
 
+use crate::job::{self, Job};
 use crate::snapshot::{check_version, SnapshotError, Snapshottable, SNAPSHOT_VERSION};
 use dcqcn::{
     CcAlgorithm, CcVariant, DcqcnParams, NotificationPoint, RedMarker, RpStage, SignalLoss,
 };
 use eventsim::{Rng, TimeSeries};
 use simtime::{Bandwidth, Dur, Time};
-use telemetry::{CcState, Event, NoopRecorder, Phase, Recorder, SpanTracker};
+use telemetry::{CcState, Event, NoopRecorder, Recorder, SpanTracker};
 use topology::LinkSchedule;
 use workload::{JobProgress, JobSpec, PhaseNoise};
 
@@ -58,26 +59,6 @@ pub struct RateSimConfig {
     /// If set, per-job throughput and queue traces are recorded at this
     /// granularity.
     pub trace_interval: Option<Dur>,
-    /// Adaptive stepping: lengthen `dt` (doubling, up to [`max_dt`])
-    /// while the system is quiet — no marks fired, no phase transitions,
-    /// and every communicating flow's rate unchanged over the step — and
-    /// snap back to the base `dt` the moment anything happens. When every
-    /// job is computing and the queue is drained, the engine jumps
-    /// straight to the next compute deadline (that jump is exact: the
-    /// DCQCN clocks replay their timer/byte events precisely for any
-    /// `dt`, though landing on deadlines moves the step grid). Off by
-    /// default: it shifts results measurably (Table 1 group means by up
-    /// to ≈4%). `false` is the exact fixed stepper, which skips idle
-    /// stretches only in whole steps on its own grid.
-    ///
-    /// [`max_dt`]: RateSimConfig::max_dt
-    pub adaptive_step: bool,
-    /// Longest step adaptive stepping may take while any flow is
-    /// communicating (idle jumps between compute deadlines may be longer).
-    /// Only read when [`adaptive_step`] is set.
-    ///
-    /// [`adaptive_step`]: RateSimConfig::adaptive_step
-    pub max_dt: Dur,
     /// Fault injection: a time-varying multiplier on the bottleneck
     /// capacity (degradation windows, up/down flaps). `None` is the exact
     /// unperturbed engine.
@@ -99,8 +80,6 @@ impl Default for RateSimConfig {
             seed: 1,
             restart_on_phase: true,
             trace_interval: None,
-            adaptive_step: false,
-            max_dt: Dur::from_micros(80),
             capacity_schedule: None,
             signal_loss: None,
         }
@@ -151,7 +130,7 @@ pub(crate) fn cc_state_of(cc: &dyn CcAlgorithm) -> CcState {
 
 #[derive(Clone)]
 struct JobState {
-    progress: JobProgress,
+    job: Job,
     /// The job's live congestion controller, built from its
     /// [`CcVariant`] spec.
     cc: Box<dyn CcAlgorithm>,
@@ -169,10 +148,6 @@ struct JobState {
     expected_marks: f64,
     /// Accumulator level that triggers the next CNP (1.0 unless jittered).
     mark_threshold: f64,
-    /// Churn: when the job permanently leaves (checked at compute-phase
-    /// instants), and whether it already has.
-    depart_at: Option<Time>,
-    departed: bool,
 }
 
 /// The rate-based simulator over one bottleneck link.
@@ -194,10 +169,6 @@ pub struct RateSimulator<R: Recorder = NoopRecorder> {
     spans: SpanTracker,
     next_sample_at: Time,
     steps: u64,
-    /// Current adaptive step multiplier (power of two; 1 = base `dt`).
-    dt_scale: u64,
-    /// Consecutive quiet steps (no marks, transitions, or rate motion).
-    quiet_steps: u32,
     /// Dedicated chaos RNG for signal loss; only drawn from when
     /// `cfg.signal_loss` is set, so quiet runs stay bit-identical.
     chaos_rng: Rng,
@@ -207,15 +178,6 @@ pub struct RateSimulator<R: Recorder = NoopRecorder> {
     /// across steps so stepping never allocates. Not snapshot state.
     delivered: Vec<f64>,
 }
-
-/// Quiet steps required before the adaptive stepper starts doubling:
-/// long enough to sit out a full CNP pacing interval of silence at the
-/// base 5 µs step before trusting the lull.
-const QUIET_STEPS_TO_COARSEN: u32 = 8;
-
-/// Longest exact idle jump between compute deadlines (keeps trace and
-/// telemetry sampling from starving during long compute phases).
-const MAX_IDLE_JUMP: Dur = Dur::from_millis(1);
 
 impl RateSimulator {
     /// Builds an unobserved simulator for `jobs` sharing the bottleneck.
@@ -236,32 +198,9 @@ impl<R: Recorder> RateSimulator<R> {
         assert!(!jobs.is_empty(), "RateSimulator: no jobs");
         assert!(!cfg.dt.is_zero(), "RateSimulator: zero dt");
         let mut spans = SpanTracker::new::<R>(jobs.len());
-        if R::ENABLED {
-            for (i, j) in jobs.iter().enumerate() {
-                // Single shared bottleneck: every job's flow crosses link 0.
-                rec.record(
-                    Time::ZERO + j.start_offset,
-                    Event::JobPath {
-                        job: i as u32,
-                        links: vec![0],
-                    },
-                );
-                spans.enter(
-                    &mut rec,
-                    Time::ZERO + j.start_offset,
-                    i as u32,
-                    Phase::Compute,
-                    0,
-                );
-                rec.record(
-                    Time::ZERO + j.start_offset,
-                    Event::PhaseEnter {
-                        job: i as u32,
-                        phase: Phase::Compute,
-                        iteration: 0,
-                    },
-                );
-            }
+        for (i, j) in jobs.iter().enumerate() {
+            // Single shared bottleneck: every job's flow crosses link 0.
+            job::record_start(&mut rec, &mut spans, Time::ZERO + j.start_offset, i, &[0]);
         }
         let states = jobs
             .iter()
@@ -269,11 +208,14 @@ impl<R: Recorder> RateSimulator<R> {
                 let params = cfg.base_params.with_line_rate(cfg.capacity);
                 let cc = j.variant.build(params);
                 JobState {
-                    progress: JobProgress::with_noise(
-                        j.spec,
-                        Time::ZERO + j.start_offset,
-                        j.spec.comm_bytes().as_bytes() as f64,
-                        j.noise,
+                    job: Job::new(
+                        JobProgress::with_noise(
+                            j.spec,
+                            Time::ZERO + j.start_offset,
+                            j.spec.comm_bytes().as_bytes() as f64,
+                            j.noise,
+                        ),
+                        j.depart_at,
                     ),
                     cc,
                     np: NotificationPoint::new(cfg.base_params.cnp_interval),
@@ -283,8 +225,6 @@ impl<R: Recorder> RateSimulator<R> {
                     traced_bytes: 0.0,
                     expected_marks: 0.0,
                     mark_threshold: 1.0,
-                    depart_at: j.depart_at,
-                    departed: false,
                 }
             })
             .collect();
@@ -303,8 +243,6 @@ impl<R: Recorder> RateSimulator<R> {
             spans,
             next_sample_at: Time::ZERO,
             steps: 0,
-            dt_scale: 1,
-            quiet_steps: 0,
             chaos_rng,
             last_cap_mult: 1.0,
             delivered: vec![0.0; n],
@@ -329,7 +267,7 @@ impl<R: Recorder> RateSimulator<R> {
 
     /// Iteration bookkeeping of job `i`.
     pub fn progress(&self, i: usize) -> &JobProgress {
-        &self.jobs[i].progress
+        &self.jobs[i].job.progress
     }
 
     /// Number of jobs in the simulation (including departed ones).
@@ -339,7 +277,7 @@ impl<R: Recorder> RateSimulator<R> {
 
     /// `true` once churn has removed job `i` from the cluster.
     pub fn departed(&self, i: usize) -> bool {
-        self.jobs[i].departed
+        self.jobs[i].job.departed
     }
 
     /// Per-job delivered-throughput trace (Gbps), if tracing is enabled.
@@ -352,70 +290,16 @@ impl<R: Recorder> RateSimulator<R> {
         &self.queue_trace
     }
 
-    /// Total steps taken so far (adaptive stepping's cost metric).
+    /// Total steps taken so far, idle steps skipped in bulk included.
     pub fn steps(&self) -> u64 {
         self.steps
     }
 
-    /// The earliest compute→communicate deadline across all jobs, if any
-    /// job is computing. Departed jobs idle forever and are skipped (their
-    /// stale deadline would otherwise pin the adaptive stepper to 1 ns).
-    fn next_deadline(&self) -> Option<Time> {
-        self.jobs
-            .iter()
-            .filter(|j| !j.departed)
-            .filter_map(|j| j.progress.next_self_transition())
-            .min()
-    }
-
-    /// Picks this step's `dt` under adaptive stepping: the scaled base
-    /// step (or an exact jump to the next compute deadline when the whole
-    /// system is idle), never stepping over a compute deadline.
-    fn adaptive_dt(&self) -> Dur {
-        let base = self.cfg.dt;
-        let idle = self
-            .jobs
-            .iter()
-            .all(|j| !j.progress.is_communicating() && j.backlog < 0.5);
-        let mut dt = if idle {
-            match self.next_deadline() {
-                // Nothing can happen before the earliest deadline; the
-                // DCQCN clocks replay exactly across any span.
-                Some(dl) => dl.saturating_since(self.now).clamp(base, MAX_IDLE_JUMP),
-                None => MAX_IDLE_JUMP, // all jobs permanently done
-            }
-        } else {
-            Dur::from_nanos(base.as_nanos().saturating_mul(self.dt_scale)).min(self.cfg.max_dt)
-        };
-        // Land exactly on the next compute deadline rather than past it,
-        // so coarse steps never delay a phase start.
-        if let Some(dl) = self.next_deadline() {
-            if dl > self.now {
-                dt = dt.min(dl.saturating_since(self.now));
-            }
-        }
-        // Same for the next scheduled capacity change: a coarse step must
-        // not average across a fault boundary.
-        if let Some(s) = &self.cfg.capacity_schedule {
-            if let Some(change) = s.next_change_after(self.now) {
-                dt = dt.min(change.saturating_since(self.now));
-            }
-        }
-        dt.max(Dur::NANOSECOND)
-    }
-
     /// Advances the simulation by one step.
     pub fn step(&mut self) {
-        let dt = if self.cfg.adaptive_step {
-            self.adaptive_dt()
-        } else {
-            self.cfg.dt
-        };
+        let dt = self.cfg.dt;
         let dt_secs = dt.as_secs_f64();
         let t_end = self.now + dt;
-        // Anything that should snap the stepper back to fine steps: phase
-        // transitions, mark firings (hence CNPs), or rate motion.
-        let mut activity = false;
 
         // 0. Fault injection: the capacity multiplier in effect this step.
         // `effective_bps` stays the exact config value on the quiet path.
@@ -423,7 +307,6 @@ impl<R: Recorder> RateSimulator<R> {
         if let Some(s) = &self.cfg.capacity_schedule {
             let cap_mult = s.multiplier_at(self.now);
             if cap_mult != self.last_cap_mult {
-                activity = true;
                 self.last_cap_mult = cap_mult;
                 if R::ENABLED {
                     self.rec.record(
@@ -444,73 +327,32 @@ impl<R: Recorder> RateSimulator<R> {
         // and churn departures (a departing job finishes any in-flight
         // communication phase, then idles forever instead of re-entering).
         for (i, js) in self.jobs.iter_mut().enumerate() {
-            if !js.departed {
-                if let Some(d) = js.depart_at {
-                    if self.now >= d && !js.progress.is_communicating() {
-                        js.departed = true;
-                        activity = true;
-                        if R::ENABLED {
-                            self.rec
-                                .record(self.now, Event::JobDepart { job: i as u32 });
-                        }
-                    }
-                }
-            }
-            if js.departed {
+            if js.job.departs(&mut self.rec, self.now, i) {
                 continue;
             }
-            if !js.progress.is_communicating() && js.progress.poll(self.now) {
-                activity = true;
-                js.to_inject = js.progress.remaining_bytes();
+            if js.job.poll(&mut self.rec, &mut self.spans, self.now, i) {
+                js.to_inject = js.job.progress.remaining_bytes();
                 js.backlog = 0.0;
                 if self.cfg.restart_on_phase {
                     js.cc.restart();
                 }
                 js.np.reset();
-                if R::ENABLED {
-                    let iteration = js.progress.completed() as u64;
+                if R::ENABLED && self.cfg.restart_on_phase {
                     self.rec.record(
                         self.now,
-                        Event::PhaseExit {
-                            job: i as u32,
-                            phase: Phase::Compute,
-                            iteration,
+                        Event::RateChange {
+                            flow: i as u32,
+                            bps: js.cc.rate(),
+                            state: CcState::Restart,
                         },
                     );
-                    self.spans
-                        .exit(&mut self.rec, self.now, i as u32, Phase::Compute, iteration);
-                    self.spans.enter(
-                        &mut self.rec,
-                        self.now,
-                        i as u32,
-                        Phase::Communicate,
-                        iteration,
-                    );
-                    self.rec.record(
-                        self.now,
-                        Event::PhaseEnter {
-                            job: i as u32,
-                            phase: Phase::Communicate,
-                            iteration,
-                        },
-                    );
-                    if self.cfg.restart_on_phase {
-                        self.rec.record(
-                            self.now,
-                            Event::RateChange {
-                                flow: i as u32,
-                                bps: js.cc.rate(),
-                                state: CcState::Restart,
-                            },
-                        );
-                    }
                 }
             }
         }
 
         // 2. Injection at DCQCN rates (capped by phase residual).
         for js in &mut self.jobs {
-            if js.progress.is_communicating() {
+            if js.job.progress.is_communicating() {
                 let offered = js.cc.rate() * dt_secs / 8.0; // bytes
                 let a = offered.min(js.to_inject);
                 js.backlog += a;
@@ -557,7 +399,6 @@ impl<R: Recorder> RateSimulator<R> {
                     let packets = delivered[i] / self.cfg.mtu_bytes;
                     js.expected_marks += packets * mark_p;
                     if js.expected_marks >= js.mark_threshold {
-                        activity = true;
                         js.expected_marks = 0.0;
                         js.mark_threshold = if self.cfg.mark_noise > 0.0 {
                             1.0 + self.cfg.mark_noise * (self.rng.f64() * 2.0 - 1.0)
@@ -620,30 +461,17 @@ impl<R: Recorder> RateSimulator<R> {
         } else {
             Dur::from_secs_f64(standing_queue * 8.0 / effective_bps)
         };
-        let adaptive_step = self.cfg.adaptive_step;
         for (i, js) in self.jobs.iter_mut().enumerate() {
-            let communicating = js.progress.is_communicating();
-            // Only the adaptive stepper reads rate motion.
-            let rate_before = if adaptive_step { js.cc.rate() } else { 0.0 };
-            if js.adaptive && communicating {
-                let total = js.progress.comm_bytes_per_iteration();
-                let sent = total - js.progress.remaining_bytes();
+            let progress = &mut js.job.progress;
+            if js.adaptive && progress.is_communicating() {
+                let total = progress.comm_bytes_per_iteration();
+                let sent = total - progress.remaining_bytes();
                 js.cc.on_phase_progress(sent / total);
             }
             js.cc.advance(dt, delivered[i], queue_delay);
-            // A communicating flow whose controlled rate moved this step
-            // is still converging: keep the stepper fine. (Computing
-            // flows' clocks replay exactly at any dt, so their motion
-            // doesn't force fine steps.)
-            if adaptive_step && communicating && js.cc.rate() != rate_before {
-                activity = true;
-            }
-            if js.progress.is_communicating() && delivered[i] > 0.0 {
+            if progress.is_communicating() && delivered[i] > 0.0 {
                 js.traced_bytes += delivered[i];
-                let finished = js.progress.deliver(delivered[i], t_end).is_some();
-                if finished || !js.progress.is_communicating() {
-                    activity = true;
-                }
+                let finished = progress.deliver(delivered[i], t_end).is_some();
                 if finished {
                     // Iteration finished: residual float dust is discarded.
                     js.to_inject = 0.0;
@@ -653,33 +481,9 @@ impl<R: Recorder> RateSimulator<R> {
                 // Iteration end — or, for pipelined jobs, a mid-iteration
                 // gap between communication segments — returns the job to
                 // computing.
-                if R::ENABLED && !js.progress.is_communicating() {
-                    let done = js.progress.completed() as u64;
-                    let exited = if finished {
-                        done.saturating_sub(1)
-                    } else {
-                        done
-                    };
-                    self.rec.record(
-                        t_end,
-                        Event::PhaseExit {
-                            job: i as u32,
-                            phase: Phase::Communicate,
-                            iteration: exited,
-                        },
-                    );
-                    self.spans
-                        .exit(&mut self.rec, t_end, i as u32, Phase::Communicate, exited);
-                    self.spans
-                        .enter(&mut self.rec, t_end, i as u32, Phase::Compute, done);
-                    self.rec.record(
-                        t_end,
-                        Event::PhaseEnter {
-                            job: i as u32,
-                            phase: Phase::Compute,
-                            iteration: done,
-                        },
-                    );
+                if !progress.is_communicating() {
+                    js.job
+                        .record_compute(&mut self.rec, &mut self.spans, t_end, i, finished);
                 }
             }
         }
@@ -709,7 +513,7 @@ impl<R: Recorder> RateSimulator<R> {
                 },
             );
             for (i, js) in self.jobs.iter().enumerate() {
-                if js.progress.is_communicating() {
+                if js.job.progress.is_communicating() {
                     self.rec.record(
                         t_end,
                         Event::RateChange {
@@ -726,22 +530,9 @@ impl<R: Recorder> RateSimulator<R> {
 
         self.steps += 1;
         self.now = t_end;
-        if self.cfg.adaptive_step {
-            if activity {
-                self.dt_scale = 1;
-                self.quiet_steps = 0;
-            } else {
-                self.quiet_steps = self.quiet_steps.saturating_add(1);
-                if self.quiet_steps >= QUIET_STEPS_TO_COARSEN {
-                    self.dt_scale = (self.dt_scale * 2)
-                        .min(self.cfg.max_dt.as_nanos() / self.cfg.dt.as_nanos().max(1))
-                        .max(1);
-                }
-            }
-        }
     }
 
-    /// Exact idle fast-forward for the fixed stepper: while every job is
+    /// Exact idle fast-forward: while every job is
     /// computing (or departed) and the link queue is empty, a base step
     /// only advances the controllers' clocks with no traffic and no queue.
     /// Takes `k ≥ 2` such steps at once, on the same `dt` grid, as one
@@ -752,11 +543,10 @@ impl<R: Recorder> RateSimulator<R> {
     /// ends before the next trace or telemetry sample. Returns `false`
     /// (and does nothing) when fewer than two steps qualify.
     fn skip_idle_steps(&mut self, end: Time) -> bool {
-        if self.cfg.adaptive_step
-            || self
-                .jobs
-                .iter()
-                .any(|j| j.progress.is_communicating() || j.backlog != 0.0)
+        if self
+            .jobs
+            .iter()
+            .any(|j| j.job.progress.is_communicating() || j.backlog != 0.0)
         {
             return false;
         }
@@ -767,7 +557,7 @@ impl<R: Recorder> RateSimulator<R> {
         let starting_before = |t: Time| t.as_nanos().saturating_sub(now).div_ceil(dt);
         let ending_before = |t: Time| t.as_nanos().saturating_sub(now).saturating_sub(1) / dt;
         let mut k = starting_before(end);
-        for js in self.jobs.iter().filter(|j| !j.departed) {
+        for js in self.jobs.iter().map(|j| &j.job).filter(|j| !j.departed) {
             if let Some(deadline) = js.progress.next_self_transition() {
                 k = k.min(starting_before(deadline));
             }
@@ -833,11 +623,7 @@ impl<R: Recorder> RateSimulator<R> {
         let steps0 = self.steps;
         let end = self.now + max_span;
         let mut done = false;
-        // Departed jobs will never reach `n`; they no longer gate the run.
-        let reached = |jobs: &[JobState]| {
-            jobs.iter()
-                .all(|j| j.departed || j.progress.completed() >= n)
-        };
+        let reached = |jobs: &[JobState]| jobs.iter().all(|j| j.job.done(n));
         while self.now < end {
             if reached(&self.jobs) {
                 done = true;
@@ -878,14 +664,14 @@ impl<R: Recorder> RateSimulator<R> {
     /// Injects (or clears) per-iteration phase noise for job `i`, taking
     /// effect at its next iteration rollover.
     pub fn set_noise(&mut self, i: usize, noise: Option<PhaseNoise>) {
-        self.jobs[i].progress.set_noise(noise);
+        self.jobs[i].job.progress.set_noise(noise);
     }
 
     /// Schedules job `i` to leave the cluster at the first compute-phase
     /// instant at/after `at` (or cancels a pending departure). Ignored if
     /// the job already departed.
     pub fn set_depart_at(&mut self, i: usize, at: Option<Time>) {
-        self.jobs[i].depart_at = at;
+        self.jobs[i].job.depart_at = at;
     }
 
     /// Replaces the bottleneck's capacity schedule (fault-injection
@@ -918,8 +704,6 @@ pub struct RateSnapshot {
     spans: SpanTracker,
     next_sample_at: Time,
     steps: u64,
-    dt_scale: u64,
-    quiet_steps: u32,
     chaos_rng: Rng,
     last_cap_mult: f64,
 }
@@ -955,8 +739,6 @@ impl<R: Recorder> Snapshottable<R> for RateSimulator<R> {
             spans: self.spans.clone(),
             next_sample_at: self.next_sample_at,
             steps: self.steps,
-            dt_scale: self.dt_scale,
-            quiet_steps: self.quiet_steps,
             chaos_rng: self.chaos_rng.clone(),
             last_cap_mult: self.last_cap_mult,
         })
@@ -985,8 +767,6 @@ impl<R: Recorder> Snapshottable<R> for RateSimulator<R> {
             spans: snap.spans,
             next_sample_at: snap.next_sample_at,
             steps: snap.steps,
-            dt_scale: snap.dt_scale,
-            quiet_steps: snap.quiet_steps,
             chaos_rng: snap.chaos_rng,
             last_cap_mult: snap.last_cap_mult,
         })
@@ -1220,65 +1000,6 @@ mod tests {
             })
             .count() as i64;
         assert!((enters - exits).abs() <= 1, "enters {enters} exits {exits}");
-    }
-
-    /// Adaptive stepping must not change what the simulation concludes —
-    /// iteration times stay within the engine's own validation bound —
-    /// while taking several times fewer steps.
-    #[test]
-    fn adaptive_stepping_reduces_steps_without_changing_results() {
-        let jobs = [
-            RateJob::new(vgg19(1200), CcVariant::Fair),
-            RateJob::new(vgg19(1200), CcVariant::Fair),
-        ];
-        let run = |adaptive_step: bool| {
-            let cfg = RateSimConfig {
-                adaptive_step,
-                ..RateSimConfig::default()
-            };
-            let mut sim = RateSimulator::new(cfg, &jobs);
-            assert!(sim.run_until_iterations(8, Dur::from_secs(10)));
-            let m = [median_ms(&sim, 0, 2), median_ms(&sim, 1, 2)];
-            (m, sim.steps())
-        };
-        let (fixed, steps_fixed) = run(false);
-        let (adaptive, steps_adaptive) = run(true);
-        for i in 0..2 {
-            let rel = (adaptive[i] - fixed[i]).abs() / fixed[i];
-            assert!(
-                rel < 0.03,
-                "job {i}: adaptive median {:.2} ms vs fixed {:.2} ms",
-                adaptive[i],
-                fixed[i]
-            );
-        }
-        assert!(
-            steps_adaptive * 2 < steps_fixed,
-            "adaptive stepping should cut steps ≥2×: {steps_adaptive} vs {steps_fixed}"
-        );
-    }
-
-    /// A solo adaptive run still matches the analytic iteration time: the
-    /// coarse steps taken in steady state and the exact idle jumps across
-    /// compute phases cannot distort a converged flow.
-    #[test]
-    fn adaptive_solo_matches_analytic_iteration_time() {
-        let spec = vgg19(1200);
-        let cfg = RateSimConfig {
-            adaptive_step: true,
-            ..RateSimConfig::default()
-        };
-        let mut sim = RateSimulator::new(cfg, &[RateJob::new(spec, CcVariant::Fair)]);
-        assert!(sim.run_until_iterations(5, Dur::from_secs(5)));
-        let expected = spec
-            .iteration_time_at(Bandwidth::from_gbps(50))
-            .as_millis_f64();
-        let measured = median_ms(&sim, 0, 1);
-        let err = (measured - expected).abs() / expected;
-        assert!(
-            err < 0.02,
-            "adaptive solo iteration {measured:.1} ms vs analytic {expected:.1} ms"
-        );
     }
 
     /// The idle fast-forward crosses a whole compute phase in one jump that

@@ -12,7 +12,6 @@ use core::ops::{Add, AddAssign, Div, Mul, Sub, SubAssign};
 /// Gbps) are exact. Fractional rates from congestion-control math should be
 /// carried as `f64` and converted at the edges via [`Bandwidth::from_bps_f64`].
 #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct Bandwidth(u64);
 
 impl Bandwidth {
@@ -223,7 +222,6 @@ impl fmt::Display for Bandwidth {
 
 /// A number of bytes.
 #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct ByteSize(u64);
 
 impl ByteSize {

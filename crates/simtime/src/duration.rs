@@ -13,7 +13,6 @@ use core::ops::{Add, AddAssign, Div, Mul, Rem, Sub, SubAssign};
 /// variants at trust boundaries (e.g. when computing LCMs of user-supplied
 /// iteration times).
 #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct Dur(u64);
 
 impl Dur {

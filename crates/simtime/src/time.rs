@@ -11,7 +11,6 @@ use core::ops::{Add, AddAssign, Sub, SubAssign};
 /// compile, `Time - Time = Dur`, and `Time ± Dur = Time`. This catches an
 /// entire class of off-by-an-epoch bugs at compile time.
 #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct Time(u64);
 
 impl Time {

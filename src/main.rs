@@ -579,7 +579,7 @@ fn run_variants(o: &Opts, rec: Option<&mut CliRecorder>) -> BenchMetrics {
                 format!("{:.3}", v.median_iter_ms),
                 format!("{:.4}", v.jain),
                 v.time_to_interleave_ms
-                    .map_or("-1".to_string(), |ms| format!("{ms:.1}")),
+                    .map_or(String::new(), |ms| format!("{ms:.1}")),
             ]);
         }
         let p =
@@ -591,10 +591,9 @@ fn run_variants(o: &Opts, rec: Option<&mut CliRecorder>) -> BenchMetrics {
         m.push((format!("{}.mean_iter_ms", v.name), v.mean_iter_ms));
         m.push((format!("{}.median_iter_ms", v.name), v.median_iter_ms));
         m.push((format!("{}.jain", v.name), v.jain));
-        m.push((
-            format!("{}.time_to_interleave_ms", v.name),
-            v.time_to_interleave_ms.unwrap_or(-1.0),
-        ));
+        if let Some(ms) = v.time_to_interleave_ms {
+            m.push((format!("{}.time_to_interleave_ms", v.name), ms));
+        }
         if v.name != "fair" {
             if let Some(s) = r.speedup_vs_fair(&v.name) {
                 m.push((format!("{}.speedup_vs_fair", v.name), s));
@@ -1532,6 +1531,26 @@ fn finish_live(opts: &Opts, outcome: &WatchOutcome) -> Result<bool, String> {
     Ok(opts.slo.is_some() && !outcome.alerts.is_empty())
 }
 
+/// Warmup iterations `cmd` discards before computing statistics, for the
+/// experiments that need at least one iteration past them (0 otherwise:
+/// fig1, table1, variants and chaos fall back to every completed
+/// iteration).
+fn warmup_of(cmd: &str) -> usize {
+    match cmd {
+        "adaptive" => exp::adaptive::AdaptiveConfig::default().warmup,
+        "priority" => exp::priority::PriorityConfig::default().warmup,
+        "flowsched" => exp::flowsched::FlowschedConfig::default().warmup,
+        "pipelining" => exp::pipelining::PipeliningConfig::default().warmup,
+        "cluster" => exp::cluster::ClusterConfig::default().warmup,
+        "all" => ["adaptive", "priority", "flowsched", "pipelining", "cluster"]
+            .map(warmup_of)
+            .into_iter()
+            .max()
+            .unwrap_or(0),
+        _ => 0,
+    }
+}
+
 fn usage() -> ExitCode {
     eprintln!(
         "usage: mlcc-repro <fig1|fig2|table1|variants|geometry|adaptive|priority|flowsched|cluster|\
@@ -1610,6 +1629,11 @@ fn main() -> ExitCode {
             return usage();
         }
     };
+    let warmup = warmup_of(cmd);
+    if opts.iterations.is_some_and(|n| n <= warmup) {
+        eprintln!("error: {cmd}: --iterations must exceed its {warmup} warmup iterations");
+        return usage();
+    }
     if let Some(n) = opts.jobs {
         mlcc::parallel::set_jobs(n);
     }

@@ -123,10 +123,9 @@ fn fair_contention_agrees_initially_then_noise_slides() {
 /// Scale: ≈20 GB of gradients ≈ 21 M packet events over 8+ iterations
 /// per job. Per-packet simulation (`train_packets = 1`) is an order of
 /// magnitude slower in wall-clock (and 64× the events) and blows the
-/// unit-test budget, so the packet engine runs 64-packet trains and the
-/// fluid engine adaptive stepping — the configuration
-/// this PR exists to make affordable (`scripts/check.sh` keeps a
-/// wall-clock budget on this test).
+/// unit-test budget, so the packet engine runs 64-packet trains against
+/// the fixed-step rate engine (`scripts/check.sh` keeps a wall-clock
+/// budget on this test).
 #[test]
 fn paper_scale_mix_agrees_with_batching() {
     // All periods ≈285 ms: VGG19 1400 is straight from Table 1; the other
@@ -196,13 +195,7 @@ fn paper_scale_mix_agrees_with_batching() {
             ..RateJob::new(spec, variant)
         })
         .collect();
-    let mut fluid = RateSimulator::new(
-        RateSimConfig {
-            adaptive_step: true,
-            ..RateSimConfig::default()
-        },
-        &fluid_jobs,
-    );
+    let mut fluid = RateSimulator::new(RateSimConfig::default(), &fluid_jobs);
     assert!(
         fluid.run_until_iterations(8, Dur::from_secs(8)),
         "fluid engine stalled before 8 iterations"

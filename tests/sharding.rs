@@ -5,7 +5,6 @@
 //! sharded(N threads)  ≡  sharded(1 thread)        (byte level)
 //! sharded(any N)      ≡  unsharded                (results level)
 //! sharded collapse    ≡  unsharded                (byte level, one component)
-//! epoch-bounded       ≡  unbounded                (byte level)
 //! fork_at + sharded   ≡  sharded                  (byte level)
 //! ```
 //!
@@ -24,10 +23,9 @@ use mlcc::experiments::shard::{
 };
 use mlcc_repro::*;
 use netsim::packet::PacketSimulator;
-use netsim::shard::run_epochs;
 use proptest::prelude::*;
 use simtime::Dur;
-use telemetry::{BufferRecorder, ForkableRecorder, RemapRecorder};
+use telemetry::{BufferRecorder, ForkableRecorder};
 
 /// Arrival-free builtin profiles: every engine can snapshot and every
 /// scenario completes within the small test budgets.
@@ -148,55 +146,28 @@ fn packet_collapse_is_byte_identical_to_direct_run() {
     assert_eq!(direct.events(), merged.events());
 }
 
-/// Lockstep epochs are a pure executor knob for link-disjoint fluid
-/// shards: bounded epochs at any size, with any worker count, merge to the
-/// stream an unbounded serial pass produces.
+/// The worker count is a pure executor knob for link-disjoint fluid
+/// shards under chaos: 1, 2 and 3 workers merge to the same stream.
 #[test]
-fn fluid_epoch_bound_is_invisible() {
+fn fluid_worker_count_is_invisible() {
     let cfg = small("stragglers", 5, 3, 2);
     let scn = build_fluid(&cfg);
-    let shards = || {
-        scn.plan
-            .components()
-            .iter()
-            .map(|comp| {
-                let jobs: Vec<_> = comp.iter().map(|&j| scn.jobs[j].clone()).collect();
-                netsim::fluid::FluidSimulator::with_recorder(
-                    &scn.topology,
-                    scn.fluid_cfg.clone(),
-                    &jobs,
-                    RemapRecorder::new(
-                        BufferRecorder::fork(),
-                        comp.iter().map(|&j| j as u32).collect(),
-                        None,
-                    ),
-                )
-            })
-            .collect::<Vec<_>>()
-    };
-    let mut streams = Vec::new();
-    for (threads, epoch) in [
-        (1, None),
-        (3, Some(Dur::from_millis(5))),
-        (2, Some(Dur::from_millis(17))),
-    ] {
-        let mut sims = shards();
-        run_epochs(&mut sims, threads, cfg.iterations, cfg.budget, epoch);
-        let mut rec = BufferRecorder::new();
-        rec.join_merged(
-            sims.into_iter()
-                .map(|s| s.into_recorder().into_inner())
-                .collect(),
-        );
-        streams.push(rec);
-    }
+    let streams: Vec<BufferRecorder> = [1, 2, 3]
+        .into_iter()
+        .map(|threads| {
+            let mut rec = BufferRecorder::new();
+            assert!(run_fluid_sharded(&scn, &cfg, &mut rec, threads).completed);
+            rec
+        })
+        .collect();
     assert!(!streams[0].events().is_empty());
     for s in &streams[1..] {
         assert_eq!(
             s.events(),
             streams[0].events(),
-            "epoch policy leaked into output"
+            "worker count leaked into output"
         );
+        assert_eq!(s.counts(), streams[0].counts());
     }
 }
 
