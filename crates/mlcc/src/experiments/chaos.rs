@@ -7,9 +7,9 @@
 //! without touching anything, so unperturbed runs stay bit-identical to a
 //! build without chaos plumbing.
 //!
-//! [`run`] sweeps a seeds × profiles grid over the Fig. 1 pair (aggressive
-//! VGG19 vs fair VGG19 on the 50 Gbps bottleneck): each cell runs under
-//! one seeded chaos profile, records telemetry, and feeds it through
+//! [`run_traced`] sweeps a seeds × profiles grid over the Fig. 1 pair
+//! (aggressive VGG19 vs fair VGG19 on the 50 Gbps bottleneck): each cell
+//! runs under one seeded chaos profile, records telemetry, and feeds it through
 //! [`diagnostics::recovery`] to measure how long the pair takes to
 //! re-interleave after each perturbation. The per-cell medians, fault
 //! windows, and recovery times are the `BENCH_chaos.json` payload.
@@ -22,7 +22,7 @@ use faults::ChaosConfig;
 use netsim::rate::{RateJob, RateSimConfig, RateSimulator, RateSnapshot};
 use netsim::snapshot::Snapshottable;
 use simtime::{Dur, Time};
-use telemetry::{BufferRecorder, Event, ForkableRecorder, NoopRecorder, Recorder};
+use telemetry::{BufferRecorder, Event, ForkableRecorder, Recorder};
 use topology::LinkSchedule;
 use workload::{JobProgress, JobSpec, Model};
 
@@ -164,6 +164,26 @@ impl Default for ChaosSweepConfig {
     }
 }
 
+impl ChaosSweepConfig {
+    /// Nominal length of one iteration: the slower job's solo time.
+    fn per_iter(&self) -> Dur {
+        self.jobs[0]
+            .iteration_time_at(self.sim.capacity)
+            .max(self.jobs[1].iteration_time_at(self.sim.capacity))
+    }
+
+    /// The simulated span a cell's chaos plan covers (two nominal
+    /// iterations per iteration run). A fork point must fall before it.
+    pub fn horizon(&self) -> Dur {
+        self.per_iter() * (self.iterations as u64 * 2)
+    }
+
+    /// Simulated-time budget of a cell perturbed by `chaos`.
+    fn budget(&self, chaos: &ChaosConfig) -> Dur {
+        self.per_iter() * ((self.iterations as u64 * 4 + 40) * budget_slack(chaos))
+    }
+}
+
 /// One (profile, seed) cell's outcome.
 #[derive(Debug, Clone)]
 pub struct ChaosCell {
@@ -271,22 +291,13 @@ fn run_cell(cfg: &ChaosSweepConfig, profile: &str, seed: u64) -> (ChaosCell, Buf
             .unwrap_or_else(|| panic!("chaos_sweep: unknown profile {profile:?}"))
     };
     let mut jobs = base_jobs(cfg);
-    let per_iter = cfg.jobs[0]
-        .iteration_time_at(cfg.sim.capacity)
-        .max(cfg.jobs[1].iteration_time_at(cfg.sim.capacity));
     let mut sim_cfg = cfg.sim.clone();
-    apply_rate(
-        &chaos,
-        &mut jobs,
-        &mut sim_cfg,
-        per_iter * (cfg.iterations as u64 * 2),
-    );
+    apply_rate(&chaos, &mut jobs, &mut sim_cfg, cfg.horizon());
     // Each cell records into its own buffer regardless of the caller's
     // recorder: the recovery analyzer needs the event stream.
     let mut rec = BufferRecorder::new();
     let mut sim = RateSimulator::with_recorder(sim_cfg, &jobs, &mut rec);
-    let budget = per_iter * ((cfg.iterations as u64 * 4 + 40) * budget_slack(&chaos));
-    let done = sim.run_until_iterations(cfg.iterations, budget);
+    let done = sim.run_until_iterations(cfg.iterations, cfg.budget(&chaos));
     assert!(done, "chaos_sweep: cell {profile}/s{seed} did not finish");
     let medians_ms = (0..2)
         .map(|i| stats_tolerant(sim.progress(i), cfg.warmup).median_ms())
@@ -302,11 +313,6 @@ fn run_cell(cfg: &ChaosSweepConfig, profile: &str, seed: u64) -> (ChaosCell, Buf
         },
         rec,
     )
-}
-
-/// Runs the full grid.
-pub fn run(cfg: &ChaosSweepConfig) -> ChaosSweepResult {
-    run_traced(cfg, NoopRecorder)
 }
 
 /// Runs the full grid, streaming each cell's telemetry into `rec` behind
@@ -358,14 +364,11 @@ fn run_cell_forked(
         ..ChaosConfig::profile(profile)
             .unwrap_or_else(|| panic!("chaos_sweep: unknown profile {profile:?}"))
     };
-    let per_iter = cfg.jobs[0]
-        .iteration_time_at(cfg.sim.capacity)
-        .max(cfg.jobs[1].iteration_time_at(cfg.sim.capacity));
-    let horizon = per_iter * (cfg.iterations as u64 * 2);
+    let horizon = cfg.horizon();
     let remaining = if fork_at < horizon {
         horizon - fork_at
     } else {
-        per_iter
+        cfg.per_iter()
     };
     let mut cell_rec = BufferRecorder::new();
     let medians_ms: Vec<f64> = {
@@ -388,8 +391,7 @@ fn run_cell_forked(
             }
         };
         apply_rate_at_barrier(&chaos, &mut sim, 2, fork_at, remaining);
-        let budget = per_iter * ((cfg.iterations as u64 * 4 + 40) * budget_slack(&chaos));
-        let done = sim.run_until_iterations(cfg.iterations, budget);
+        let done = sim.run_until_iterations(cfg.iterations, cfg.budget(&chaos));
         assert!(
             done,
             "chaos_sweep: forked cell {profile}/s{seed} did not finish"
@@ -473,6 +475,7 @@ pub fn run_forked<R: ForkableRecorder>(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use telemetry::NoopRecorder;
 
     fn quick() -> ChaosSweepConfig {
         ChaosSweepConfig {
@@ -506,8 +509,8 @@ mod tests {
     #[test]
     fn sweep_is_deterministic() {
         let cfg = quick();
-        let a = run(&cfg);
-        let b = run(&cfg);
+        let a = run_traced(&cfg, NoopRecorder);
+        let b = run_traced(&cfg, NoopRecorder);
         assert_eq!(a.cells.len(), 2);
         for (x, y) in a.cells.iter().zip(&b.cells) {
             assert_eq!(x.medians_ms, y.medians_ms);
@@ -545,7 +548,7 @@ mod tests {
             warmup: 3,
             ..ChaosSweepConfig::default()
         };
-        let r = run(&cfg);
+        let r = run_traced(&cfg, NoopRecorder);
         // The default seeds are chosen to perturb the bottleneck: every
         // cell must surface at least one fault window.
         for c in &r.cells {

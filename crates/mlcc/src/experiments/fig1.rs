@@ -71,6 +71,26 @@ impl Default for Fig1Config {
     }
 }
 
+impl Fig1Config {
+    /// Nominal length of one iteration: the slower job's solo time.
+    fn per_iter(&self) -> Dur {
+        self.jobs[0]
+            .iteration_time_at(self.sim.capacity)
+            .max(self.jobs[1].iteration_time_at(self.sim.capacity))
+    }
+
+    /// The simulated span a run's chaos plan covers (two nominal
+    /// iterations per iteration run). A fork point must fall before it.
+    pub fn horizon(&self) -> Dur {
+        self.per_iter() * (self.iterations as u64 * 2)
+    }
+
+    /// Simulated-time budget of one run (scaled up under chaos).
+    fn budget(&self) -> Dur {
+        self.per_iter() * ((self.iterations as u64 * 4 + 40) * chaos::budget_slack(&self.chaos))
+    }
+}
+
 /// One scenario's outcome.
 #[derive(Debug, Clone)]
 pub struct Scenario {
@@ -186,20 +206,10 @@ fn run_scenario<R: Recorder>(
         RateJob::new(cfg.jobs[1], variants[1]),
     ];
     jobs[1].start_offset = stagger;
-    let budget_per_iter = cfg.jobs[0]
-        .iteration_time_at(cfg.sim.capacity)
-        .max(cfg.jobs[1].iteration_time_at(cfg.sim.capacity));
     let mut sim_cfg = cfg.sim.clone();
-    chaos::apply_rate(
-        &cfg.chaos,
-        &mut jobs,
-        &mut sim_cfg,
-        budget_per_iter * (cfg.iterations as u64 * 2),
-    );
+    chaos::apply_rate(&cfg.chaos, &mut jobs, &mut sim_cfg, cfg.horizon());
     let mut sim = RateSimulator::with_recorder(sim_cfg, &jobs, rec);
-    let budget =
-        budget_per_iter * ((cfg.iterations as u64 * 4 + 40) * chaos::budget_slack(&cfg.chaos));
-    let done = sim.run_until_iterations(cfg.iterations, budget);
+    let done = sim.run_until_iterations(cfg.iterations, cfg.budget());
     assert!(
         done,
         "fig1: jobs did not finish {} iterations",
@@ -210,9 +220,6 @@ fn run_scenario<R: Recorder>(
 
 /// Extracts a finished run's [`Scenario`] numbers.
 fn collect_scenario<R: Recorder>(cfg: &Fig1Config, sim: &RateSimulator<R>) -> Scenario {
-    let budget_per_iter = cfg.jobs[0]
-        .iteration_time_at(cfg.sim.capacity)
-        .max(cfg.jobs[1].iteration_time_at(cfg.sim.capacity));
     // First-iteration bandwidth: mean rate over the overlapped window of
     // the first communication phases, [max compute end, first completion).
     // Under chaos a job may depart before completing an iteration; fall
@@ -221,7 +228,7 @@ fn collect_scenario<R: Recorder>(cfg: &Fig1Config, sim: &RateSimulator<R>) -> Sc
     let first_done = (0..2)
         .filter_map(|i| sim.progress(i).iterations().first().map(|it| it.completed))
         .min()
-        .unwrap_or(comm_start + budget_per_iter);
+        .unwrap_or(comm_start + cfg.per_iter());
     let first_iteration_bw = (0..2)
         .map(|i| sim.rate_trace(i).mean(comm_start, first_done))
         .collect();
@@ -447,14 +454,11 @@ fn run_forked_cell<F: Recorder>(
     shared: Option<&(RateSnapshot, BufferRecorder)>,
     mut rec: F,
 ) -> Scenario {
-    let per_iter = cfg.jobs[0]
-        .iteration_time_at(cfg.sim.capacity)
-        .max(cfg.jobs[1].iteration_time_at(cfg.sim.capacity));
-    let horizon = per_iter * (cfg.iterations as u64 * 2);
+    let horizon = cfg.horizon();
     let remaining = if fork_at < horizon {
         horizon - fork_at
     } else {
-        per_iter
+        cfg.per_iter()
     };
     let mut sim = match shared {
         Some((snap, prefix_rec)) => {
@@ -482,8 +486,7 @@ fn run_forked_cell<F: Recorder>(
         sim.set_cc_variant(0, v);
     }
     chaos::apply_rate_at_barrier(&cfg.chaos, &mut sim, 2, fork_at, remaining);
-    let budget = per_iter * ((cfg.iterations as u64 * 4 + 40) * chaos::budget_slack(&cfg.chaos));
-    let done = sim.run_until_iterations(cfg.iterations, budget);
+    let done = sim.run_until_iterations(cfg.iterations, cfg.budget());
     assert!(
         done,
         "fig1: forked cell did not finish {} iterations",

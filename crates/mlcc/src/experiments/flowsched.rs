@@ -195,16 +195,6 @@ pub fn try_run(cfg: &FlowschedConfig) -> Result<FlowschedResult, FlowschedError>
     try_run_traced(cfg, NoopRecorder)
 }
 
-/// Runs ungated max-min vs solver-scheduled gating, streaming telemetry
-/// into `rec` with a marker per scenario.
-///
-/// # Panics
-/// Panics on any [`FlowschedError`]; use [`try_run_traced`] to handle
-/// failures.
-pub fn run_traced<R: ForkableRecorder>(cfg: &FlowschedConfig, rec: R) -> FlowschedResult {
-    try_run_traced(cfg, rec).unwrap_or_else(|e| panic!("{e}"))
-}
-
 /// [`try_run`] with telemetry streamed into `rec`, one [`Event::Scenario`]
 /// marker per scenario. Both scenarios run in parallel under
 /// [`parallel::jobs`] workers with results and telemetry identical to a

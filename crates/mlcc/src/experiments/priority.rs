@@ -192,16 +192,6 @@ pub fn try_run(cfg: &PriorityConfig) -> Result<PriorityResult, PriorityError> {
     try_run_traced(cfg, NoopRecorder)
 }
 
-/// Runs max-min vs strict-priority sharing, streaming telemetry into
-/// `rec` with a marker per scenario.
-///
-/// # Panics
-/// Panics on any [`PriorityError`]; use [`try_run_traced`] to handle
-/// failures.
-pub fn run_traced<R: ForkableRecorder>(cfg: &PriorityConfig, rec: R) -> PriorityResult {
-    try_run_traced(cfg, rec).unwrap_or_else(|e| panic!("{e}"))
-}
-
 /// [`try_run`] with telemetry streamed into `rec`, one [`Event::Scenario`]
 /// marker per scenario. Both policies run in parallel under
 /// [`parallel::jobs`] workers with results and telemetry identical to a

@@ -87,6 +87,12 @@ impl ShardConfig {
             fork_at: None,
         }
     }
+
+    /// The simulated-time budget of one run (scaled up under chaos): the
+    /// horizon a fork point must fall before.
+    pub fn horizon(&self) -> Dur {
+        self.budget * chaos::budget_slack(&self.chaos)
+    }
 }
 
 /// Model zoo the scenario cycles through (Table 1 population).
@@ -189,7 +195,7 @@ pub fn build_fluid(cfg: &ShardConfig) -> FluidScenario {
         &mut jobs,
         &mut fluid_cfg,
         topo.link_count(),
-        budget(cfg),
+        cfg.horizon(),
     );
     let plan = partition(&job_link_sets(&jobs));
     FluidScenario {
@@ -218,7 +224,7 @@ pub fn run_fluid_unsharded<R: Recorder>(
 ) -> (ShardRunResult, R) {
     let mut sim =
         FluidSimulator::with_recorder(&scn.topology, scn.fluid_cfg.clone(), &scn.jobs, rec);
-    let completed = sim.run_until_iterations(cfg.iterations, budget(cfg));
+    let completed = sim.run_until_iterations(cfg.iterations, cfg.horizon());
     let stats = (0..scn.jobs.len())
         .map(|i| chaos::stats_tolerant(sim.progress(i), cfg.warmup))
         .collect();
@@ -282,7 +288,7 @@ pub fn run_fluid_sharded<R: ForkableRecorder>(
             let snap = sim.snapshot().expect("shard fork barrier");
             sim = FluidSimulator::restore(snap, sim.into_recorder()).expect("shard restore");
         }
-        let completed = sim.run_until_iterations(cfg.iterations, budget(cfg));
+        let completed = sim.run_until_iterations(cfg.iterations, cfg.horizon());
         let stats = (0..jobs.len())
             .map(|local| chaos::stats_tolerant(sim.progress(local), cfg.warmup))
             .collect();
@@ -302,11 +308,6 @@ pub fn run_fluid_sharded<R: ForkableRecorder>(
         stats: stats.into_iter().map(Option::unwrap).collect(),
         completed,
     }
-}
-
-/// The simulated-time budget of one run (scaled up under chaos).
-fn budget(cfg: &ShardConfig) -> Dur {
-    cfg.budget * chaos::budget_slack(&cfg.chaos)
 }
 
 /// Joins per-shard outcomes in shard order: the recordings merge into
@@ -384,7 +385,7 @@ pub fn build_packet(cfg: &ShardConfig) -> PacketScenario {
         ..PacketSimConfig::default()
     };
     let total = cfg.groups * mix.len();
-    let horizon = budget(cfg);
+    let horizon = cfg.horizon();
     let plan = if cfg.chaos.is_none() {
         None
     } else {
@@ -441,7 +442,7 @@ pub fn run_packet_sharded<R: ForkableRecorder>(
             sim =
                 PacketSimulator::restore(snap, sim.into_recorder()).expect("packet shard restore");
         }
-        let completed = sim.run_until_iterations(cfg.iterations, budget(cfg));
+        let completed = sim.run_until_iterations(cfg.iterations, cfg.horizon());
         let stats = (0..jobs.len())
             .map(|local| chaos::stats_tolerant(sim.progress(local), cfg.warmup))
             .collect();

@@ -21,7 +21,7 @@ use crate::experiments::fig1::{self, Fig1Config, MatrixCell, Scenario};
 use crate::metrics::text_table;
 use dcqcn::CcVariant;
 use diagnostics::fairness::jain_index;
-use telemetry::{ForkableRecorder, NoopRecorder};
+use telemetry::ForkableRecorder;
 
 /// Experiment parameters.
 #[derive(Debug, Clone)]
@@ -126,11 +126,6 @@ fn outcome_of(cell: &MatrixCell, s: &Scenario) -> VariantOutcome {
     }
 }
 
-/// Runs the sweep.
-pub fn run(cfg: &VariantsConfig) -> VariantsResult {
-    run_traced(cfg, NoopRecorder)
-}
-
 /// Runs the sweep, streaming telemetry into `rec` with per-cell
 /// [`telemetry::Event::Scenario`] markers. Cells run in parallel under
 /// [`crate::parallel::jobs`] workers; output is identical to a serial
@@ -150,6 +145,7 @@ pub fn run_traced<R: ForkableRecorder>(cfg: &VariantsConfig, rec: R) -> Variants
 #[cfg(test)]
 mod tests {
     use super::*;
+    use telemetry::NoopRecorder;
 
     fn quick() -> VariantsConfig {
         let mut cfg = VariantsConfig::default();
@@ -162,7 +158,7 @@ mod tests {
     /// mean iteration time, stays long-term fair, and interleaves.
     #[test]
     fn mltcp_beats_fair_on_contended_pair() {
-        let r = run(&quick());
+        let r = run_traced(&quick(), NoopRecorder);
         let speedup = r.speedup_vs_fair("mltcp").expect("both cells present");
         assert!(speedup > 1.05, "mltcp speedup vs fair: {speedup:.3}");
         let m = r.get("mltcp").unwrap();
@@ -177,7 +173,7 @@ mod tests {
     /// Every zoo cell produces finite, positive numbers.
     #[test]
     fn zoo_outcomes_are_sane() {
-        let r = run(&quick());
+        let r = run_traced(&quick(), NoopRecorder);
         assert_eq!(r.outcomes.len(), 7);
         for o in &r.outcomes {
             assert!(

@@ -1,13 +1,12 @@
 //! Plain-text data export (CSV) for plotting the reproduced figures.
 //!
 //! Everything here is a pure string producer over the experiment result
-//! types — no I/O, no serialization dependencies — plus one convenience
-//! file writer. The CSV dialect is the boring one: header row, comma
-//! separation, `.` decimal points, LF line endings.
+//! types — no I/O, no serialization dependencies. The CSV dialect is the
+//! boring one: header row, comma separation, `.` decimal points, LF line
+//! endings.
 
 use eventsim::{Cdf, TimeSeries};
 use std::fmt::Write as _;
-use std::path::Path;
 
 /// Renders a time series as `time_s,<value_name>` rows.
 pub fn time_series_csv(ts: &TimeSeries, value_name: &str) -> String {
@@ -90,14 +89,6 @@ pub fn rows_csv(rows: &[Vec<String>]) -> String {
         let _ = writeln!(out, "{}", cells.join(","));
     }
     out
-}
-
-/// Writes `content` to `dir/name`, creating `dir` if needed.
-pub fn write_csv(dir: &Path, name: &str, content: &str) -> std::io::Result<std::path::PathBuf> {
-    std::fs::create_dir_all(dir)?;
-    let path = dir.join(name);
-    std::fs::write(&path, content)?;
-    Ok(path)
 }
 
 #[cfg(test)]
@@ -184,14 +175,6 @@ mod tests {
         let lines: Vec<&str> = csv.lines().collect();
         assert_eq!(lines[1], "VGG19(1200),\"fast, green\"");
         assert_eq!(lines[2], "x,\"say \"\"hi\"\"\"");
-    }
-
-    #[test]
-    fn write_csv_roundtrip() {
-        let dir = std::env::temp_dir().join("mlcc_export_test");
-        let path = write_csv(&dir, "t.csv", "a,b\n1,2\n").unwrap();
-        assert_eq!(std::fs::read_to_string(&path).unwrap(), "a,b\n1,2\n");
-        let _ = std::fs::remove_file(path);
     }
 
     #[test]

@@ -245,7 +245,8 @@ echo "sharded paper-scale run completed, ${SH_SPEEDUP}x faster than the global s
 
 echo "== variants zoo gate (determinism, mltcp-beats-fair, wall-clock budget) =="
 # The seven-cell controller matrix must be byte-identical across worker
-# counts and shard counts, the MLTCP-style cell must beat fair on mean
+# counts, it must reject --shards (it simulates one component, so the
+# flag would be silently ignored), the MLTCP-style cell must beat fair on mean
 # iteration time (the paper-adjacent claim BENCH_variants.json records),
 # and the sweep must stay inside its wall-clock budget. The pinned golden
 # summary (tests/goldens/variants.json) is gated by run_summary_golden
@@ -259,10 +260,13 @@ VAR_T0=$(date +%s.%N)
 VAR_WALL=$(awk -v t0="$VAR_T0" -v t1="$(date +%s.%N)" 'BEGIN { print t1 - t0 }')
 "$BIN" variants --iterations 12 --jobs 4 --trace "$GATE/var/j4.jsonl" \
     | grep -v '^wrote ' > "$GATE/var/stdout_j4.txt"
-"$BIN" variants --iterations 12 --shards 4 --trace "$GATE/var/s4.jsonl" \
-    > /dev/null
+VAR_SHARDS_CODE=0
+"$BIN" variants --iterations 12 --shards 4 > /dev/null 2>&1 || VAR_SHARDS_CODE=$?
+if [ "$VAR_SHARDS_CODE" -ne 2 ]; then
+    echo "variants --shards 4: expected usage error exit 2, got $VAR_SHARDS_CODE" >&2
+    exit 1
+fi
 cmp "$GATE/var/j1.jsonl" "$GATE/var/j4.jsonl"
-cmp "$GATE/var/j1.jsonl" "$GATE/var/s4.jsonl"
 diff "$GATE/var/stdout_j1.txt" "$GATE/var/stdout_j4.txt"
 MLTCP=$(grep -o '"mltcp.speedup_vs_fair":[0-9.eE+-]*' \
     "$GATE/var/BENCH_variants.json" | cut -d: -f2)
@@ -276,6 +280,6 @@ awk -v w="$VAR_WALL" -v b="$VAR_BUDGET" 'BEGIN { exit !(w <= b) }' || {
     echo "variants sweep blew the ${VAR_BUDGET}s wall-clock budget: ${VAR_WALL}s" >&2
     exit 1
 }
-echo "zoo sweep byte-identical across --jobs/--shards, mltcp beats fair"
+echo "zoo sweep byte-identical across --jobs, rejects --shards, mltcp beats fair"
 
 echo "OK"

@@ -26,6 +26,10 @@
 //!              bench/HISTORY.jsonl warehouse (regression trend gate)
 //! ```
 //!
+//! Every experiment command is one row of [`EXPERIMENTS`], which lists the
+//! run options it honours. An option the command does not honour is a
+//! usage error (exit 2), never silently ignored.
+//!
 //! `--csv DIR` additionally writes the raw data series (traces, CDFs,
 //! tables) as CSV files for plotting.
 //!
@@ -45,12 +49,14 @@
 //! per experiment (median iteration times, speedups, wall-clock) — the
 //! perf trajectory documented in EXPERIMENTS.md.
 //!
-//! `--chaos` injects deterministic faults into `fig1` and `table1` (and
-//! any rate-engine experiment that honours it): pass a builtin profile
-//! name (`none`, `stragglers`, `links`, `mixed`) or a chaos TOML file
-//! (format in `crates/faults/src/toml.rs`). `--chaos-seed N` re-seeds
-//! the chosen config. `--chaos none` (the default) is byte-identical to
-//! not passing the flag at all.
+//! `--chaos` injects deterministic faults into `fig1`, `table1`,
+//! `variants` and `shard`, the experiments that honour it: pass a builtin
+//! profile name (`none`, `stragglers`, `links`, `mixed`) or a chaos TOML
+//! file (format in `crates/faults/src/toml.rs`). `--chaos-seed N`
+//! re-seeds the chosen config, so it needs one that injects a fault:
+//! without `--chaos`, or with `--chaos none`, it is a usage error.
+//! `--chaos none` (the default) is byte-identical to not passing the flag
+//! at all.
 //!
 //! `--jobs N` caps the worker threads the experiments fan their
 //! independent scenarios across (default: one per available core).
@@ -93,16 +99,18 @@
 
 use diagnostics::history::{self, HistoryRecord, TrendConfig};
 use diagnostics::watchdog::{slo_from_toml_str, Alert, SloRules, WatchdogBank};
-use diagnostics::{AnalysisConfig, DiffConfig, RunSummary};
+use diagnostics::{AnalysisConfig, DiffConfig, RunAnalysis, RunSummary};
 use faults::ChaosConfig;
 use mlcc::experiments as exp;
 use mlcc::export;
 use simtime::Dur;
+use std::error::Error;
+use std::io::Write;
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 use std::time::{Duration, Instant};
 use telemetry::live::{self, LiveConfig, LiveHandle};
-use telemetry::{BufferRecorder, Profiler, TapRecorder};
+use telemetry::{BufferRecorder, Profiler, TapRecorder, TimedEvent};
 
 /// The CLI's recorder: a buffering recorder wrapped in a live tap, so the
 /// flight recorder / watchdog observe the stream as it is produced.
@@ -110,6 +118,8 @@ use telemetry::{BufferRecorder, Profiler, TapRecorder};
 type CliRecorder = TapRecorder<BufferRecorder>;
 
 struct Opts {
+    /// Every flag given, in order, for the honoured-option check.
+    given: Vec<String>,
     iterations: Option<usize>,
     jobs: Option<usize>,
     /// Worker threads for intra-scenario sharding. Only affects wall
@@ -128,8 +138,7 @@ struct Opts {
     slo: Option<SloRules>,
     alerts: Option<PathBuf>,
     flight: Option<PathBuf>,
-    /// Fork the sweep from a shared clean prefix at this simulated time
-    /// (fig1, chaos, snapshot commands).
+    /// Fork the sweep from a shared clean prefix at this simulated time.
     fork_at: Option<Dur>,
     /// Re-simulate the prefix in every cell instead of restoring the
     /// snapshot — the byte-identity baseline for `--fork-at`.
@@ -151,6 +160,16 @@ impl Opts {
             || self.summary.is_some()
             || self.live_enabled())
         .then(|| TapRecorder::new(BufferRecorder::new()))
+    }
+
+    /// Sizes the worker pools `--jobs` and `--shards` ask for.
+    fn apply_parallelism(&self) {
+        if let Some(n) = self.jobs {
+            mlcc::parallel::set_jobs(n);
+        }
+        if let Some(n) = self.shards {
+            mlcc::parallel::set_shards(n);
+        }
     }
 }
 
@@ -190,6 +209,7 @@ fn parse_dur(s: &str) -> Result<Dur, String> {
 
 fn parse_opts(args: &[String]) -> Result<Opts, String> {
     let mut opts = Opts {
+        given: Vec::new(),
         iterations: None,
         jobs: None,
         shards: None,
@@ -211,6 +231,7 @@ fn parse_opts(args: &[String]) -> Result<Opts, String> {
     let mut chaos_seed: Option<u64> = None;
     let mut it = args.iter();
     while let Some(a) = it.next() {
+        opts.given.push(a.clone());
         match a.as_str() {
             "--iterations" => {
                 let v = it.next().ok_or("--iterations needs a value")?;
@@ -294,12 +315,124 @@ fn parse_opts(args: &[String]) -> Result<Opts, String> {
         }
     }
     if let Some(seed) = chaos_seed {
+        if opts.chaos.is_none() {
+            return Err("--chaos-seed needs a --chaos profile that injects faults".to_string());
+        }
         opts.chaos.seed = seed;
     }
     if opts.fork_replay && opts.fork_at.is_none() {
         return Err("--fork-replay requires --fork-at".to_string());
     }
     Ok(opts)
+}
+
+/// Flags every experiment command takes.
+const ALWAYS: &str = "--jobs --summary-dir";
+
+/// Flags that need an experiment that records telemetry.
+const RECORDING: &str =
+    "--trace --metrics --profile --report --summary --watch --slo --alerts --flight";
+
+/// Bench metrics one experiment contributes to its `BENCH_<name>.json`.
+type BenchMetrics = Vec<(String, f64)>;
+
+/// What running an experiment (or one of its steps) yields.
+type RunResult<T = BenchMetrics> = Result<T, Box<dyn Error>>;
+
+/// One experiment command.
+struct Experiment {
+    name: &'static str,
+    /// Warmup iterations `--iterations` must exceed (0 where the
+    /// experiment falls back to every completed iteration).
+    warmup: fn() -> usize,
+    /// The run options it honours, as a space-separated flag list. It
+    /// also takes [`ALWAYS`], and [`RECORDING`] when it records.
+    honours: &'static str,
+    /// The run's simulated horizon, which `--fork-at` must fall before;
+    /// set exactly when `honours` lists `--fork-at`.
+    horizon: Option<fn(&Opts) -> Dur>,
+    /// Whether it records telemetry: it takes the [`RECORDING`] flags,
+    /// and `explain` can attribute it.
+    records: bool,
+    /// Whether `all` runs it.
+    in_all: bool,
+    /// Runs it, writing its report to the writer.
+    run: fn(&Opts, Option<&mut CliRecorder>, &mut dyn Write) -> RunResult,
+}
+
+/// Every experiment command, in usage order; `all` runs the rows marked
+/// `in_all`, in this order. The dispatch, `all`, the usage text, the
+/// option checks and `explain` all read this table.
+#[rustfmt::skip]
+static EXPERIMENTS: [Experiment; 13] = [
+    Experiment { name: "fig1", warmup: || 0, records: true, in_all: true, run: run_fig1,
+        honours: "--iterations --chaos --chaos-seed --fork-at --fork-replay --csv",
+        horizon: Some(|o| fig1_config(o).horizon()) },
+    Experiment { name: "fig2", warmup: || 0, records: true, in_all: true, run: run_fig2,
+        honours: "--iterations --csv", horizon: None },
+    Experiment { name: "table1", warmup: || 0, records: true, in_all: true, run: run_table1,
+        honours: "--iterations --chaos --chaos-seed --csv", horizon: None },
+    Experiment { name: "variants", warmup: || 0, records: true, in_all: false, run: run_variants,
+        honours: "--iterations --chaos --chaos-seed --csv", horizon: None },
+    Experiment { name: "geometry", warmup: || 0, records: false, in_all: true, run: run_geometry,
+        honours: "", horizon: None },
+    Experiment { name: "adaptive", records: true, in_all: true, run: run_adaptive, horizon: None,
+        warmup: || exp::adaptive::AdaptiveConfig::default().warmup, honours: "--iterations" },
+    Experiment { name: "priority", records: true, in_all: true, run: run_priority, horizon: None,
+        warmup: || exp::priority::PriorityConfig::default().warmup, honours: "--iterations" },
+    Experiment { name: "flowsched", records: true, in_all: true, run: run_flowsched, horizon: None,
+        warmup: || exp::flowsched::FlowschedConfig::default().warmup, honours: "--iterations" },
+    Experiment { name: "cluster", records: true, in_all: true, run: run_cluster, horizon: None,
+        warmup: || exp::cluster::ClusterConfig::default().warmup, honours: "--iterations" },
+    Experiment { name: "pipelining", records: true, in_all: true, run: run_pipelining, horizon: None,
+        warmup: || exp::pipelining::PipeliningConfig::default().warmup, honours: "--iterations" },
+    Experiment { name: "chaos", warmup: || 0, records: true, in_all: false, run: run_chaos,
+        honours: "--iterations --fork-at --fork-replay",
+        horizon: Some(|o| chaos_config(o).horizon()) },
+    // The snapshot bench runs chaos-sweep cells on its own grid: same horizon.
+    Experiment { name: "snapshot", warmup: || 0, records: false, in_all: false, run: run_snapshot_bench,
+        honours: "--iterations --fork-at", horizon: Some(|o| chaos_config(o).horizon()) },
+    Experiment { name: "shard", warmup: || 0, records: true, in_all: false, run: run_shard_bench,
+        honours: "--iterations --chaos --chaos-seed --fork-at --shards",
+        horizon: Some(|o| shard_config(o).horizon()) },
+];
+
+/// Checks the options given for `cmd` against the experiments it runs.
+/// Each flag must be taken by at least one of `rows`; `explain` takes
+/// only the run options and `--jobs`, no output flag. `--iterations`
+/// must exceed every warmup, and `--fork-at` fall before every horizon.
+fn check_opts(cmd: &str, rows: &[&Experiment], o: &Opts, explain: bool) -> Result<(), String> {
+    for flag in &o.given {
+        let lists = |flags: &str| flags.split(' ').any(|f| f == flag);
+        let honoured = rows.iter().any(|r| lists(r.honours));
+        let taken = if explain {
+            flag == "--jobs" || (flag != "--csv" && honoured)
+        } else {
+            honoured || lists(ALWAYS) || (lists(RECORDING) && rows.iter().any(|r| r.records))
+        };
+        if !taken {
+            return Err(format!("{cmd} does not take {flag}"));
+        }
+    }
+    let warmup = rows.iter().map(|r| (r.warmup)()).max().unwrap_or(0);
+    if o.iterations.is_some_and(|n| n <= warmup) {
+        return Err(format!(
+            "{cmd}: --iterations must exceed its {warmup} warmup iterations"
+        ));
+    }
+    let Some(at) = o.fork_at else { return Ok(()) };
+    for r in rows {
+        let Some(horizon) = r.horizon.map(|h| h(o)) else {
+            continue;
+        };
+        if at >= horizon {
+            return Err(format!(
+                "{}: --fork-at {at:?} is not before the run's {horizon:?} horizon",
+                r.name
+            ));
+        }
+    }
+    Ok(())
 }
 
 /// Writes `content` to `path`, creating parent directories as needed.
@@ -313,10 +446,17 @@ fn write_file(path: &Path, content: &str) -> Result<(), String> {
     std::fs::write(path, content).map_err(|e| format!("writing {}: {e}", path.display()))
 }
 
+/// Writes the CSV file `dir/name` and says so on `out`.
+fn write_csv(out: &mut dyn Write, dir: &Path, name: &str, csv: &str) -> RunResult<()> {
+    let path = dir.join(name);
+    write_file(&path, csv)?;
+    writeln!(out, "wrote {}", path.display())?;
+    Ok(())
+}
+
 /// Appends one record to the cross-run warehouse `HISTORY.jsonl` beside
 /// the summary/bench file just written (`beside`'s directory).
 fn append_history(beside: &Path, record: &HistoryRecord) -> Result<(), String> {
-    use std::io::Write as _;
     let dir = match beside.parent() {
         Some(p) if !p.as_os_str().is_empty() => p.to_path_buf(),
         _ => PathBuf::from("."),
@@ -332,16 +472,44 @@ fn append_history(beside: &Path, record: &HistoryRecord) -> Result<(), String> {
         .map_err(|e| format!("appending to {}: {e}", path.display()))
 }
 
-/// Canonical hash of the CLI configuration that produced a run, as an
-/// f64-safe metric value. Both `--summary` output and the forked-sweep
-/// prefix cache key on [`simtime::hash::config_hash`], so "same
+/// Canonical description of the CLI configuration that produced a run.
+/// Its [`simtime::hash::config_hash`] stamps `--summary` output; the
+/// forked-sweep prefix cache keys on the same hash, so "same
 /// configuration" means the same thing in a report and in the cache.
-fn cli_config_hash(cmd: &str, opts: &Opts) -> f64 {
-    let desc = format!(
+fn cli_config(cmd: &str, opts: &Opts) -> String {
+    format!(
         "{cmd}|iterations={:?}|chaos={:?}|fork_at={:?}|fork_replay={}",
         opts.iterations, opts.chaos, opts.fork_at, opts.fork_replay
-    );
-    simtime::hash::config_hash(&desc) as f64
+    )
+}
+
+/// Analyses the events of run `name`. Writes the HTML report to `html`,
+/// announced with `html_note`, and the `RunSummary` to `summary`, stamped
+/// with the hash of `config` and appended to the HISTORY.jsonl beside it.
+fn write_analysis(
+    name: &str,
+    events: &[TimedEvent],
+    config: &str,
+    html: Option<&Path>,
+    summary: Option<&Path>,
+    html_note: &dyn Fn(&RunAnalysis) -> String,
+) -> Result<(), String> {
+    if html.is_none() && summary.is_none() {
+        return Ok(());
+    }
+    let analysis = diagnostics::analyze(name, events, &AnalysisConfig::default());
+    if let Some(path) = html {
+        write_file(path, &diagnostics::html(&analysis))?;
+        println!("wrote {} ({})", path.display(), html_note(&analysis));
+    }
+    if let Some(path) = summary {
+        let mut s = analysis.summary();
+        s.put("config.hash", simtime::hash::config_hash(config) as f64);
+        write_file(path, &s.to_json())?;
+        append_history(path, &HistoryRecord::from_summary(&s, "summary"))?;
+        println!("wrote {} (RunSummary JSON)", path.display());
+    }
+    Ok(())
 }
 
 /// Writes the trace file, HTML report, and summary, and prints the
@@ -366,20 +534,14 @@ fn report(cmd: &str, opts: &Opts, rec: &BufferRecorder) -> Result<(), String> {
             }
         );
     }
-    if opts.report.is_some() || opts.summary.is_some() {
-        let analysis = diagnostics::analyze(cmd, rec.events(), &AnalysisConfig::default());
-        if let Some(path) = &opts.report {
-            write_file(path, &diagnostics::html(&analysis))?;
-            println!("wrote {} (HTML run report)", path.display());
-        }
-        if let Some(path) = &opts.summary {
-            let mut summary = analysis.summary();
-            summary.put("config.hash", cli_config_hash(cmd, opts));
-            write_file(path, &summary.to_json())?;
-            append_history(path, &HistoryRecord::from_summary(&summary, "summary"))?;
-            println!("wrote {} (RunSummary JSON)", path.display());
-        }
-    }
+    write_analysis(
+        cmd,
+        rec.events(),
+        &cli_config(cmd, opts),
+        opts.report.as_deref(),
+        opts.summary.as_deref(),
+        &|_| "HTML run report".to_string(),
+    )?;
     if opts.metrics {
         println!("== metrics ==");
         println!("{}", rec.metrics().render());
@@ -392,9 +554,6 @@ fn report(cmd: &str, opts: &Opts, rec: &BufferRecorder) -> Result<(), String> {
     }
     Ok(())
 }
-
-/// Bench metrics one experiment contributes to its `BENCH_<name>.json`.
-type BenchMetrics = Vec<(String, f64)>;
 
 /// Writes `BENCH_<name>.json` under `dir` (schema in EXPERIMENTS.md).
 fn write_bench(
@@ -415,47 +574,54 @@ fn write_bench(
     Ok(())
 }
 
-fn run_fig1(o: &Opts, rec: Option<&mut CliRecorder>) -> BenchMetrics {
-    let cfg = exp::fig1::Fig1Config {
+/// Evaluates `$body` with `$rec` bound to the CLI recorder when one is
+/// up, else to a [`telemetry::NoopRecorder`], so an unrecorded run pays
+/// nothing for telemetry.
+macro_rules! with_recorder {
+    ($rec:expr, |$r:ident| $body:expr) => {
+        match $rec {
+            Some($r) => $body,
+            None => {
+                let $r = telemetry::NoopRecorder;
+                $body
+            }
+        }
+    };
+}
+
+fn fig1_config(o: &Opts) -> exp::fig1::Fig1Config {
+    exp::fig1::Fig1Config {
         iterations: o.iterations.unwrap_or(100),
         chaos: o.chaos,
         ..Default::default()
-    };
+    }
+}
+
+fn run_fig1(o: &Opts, rec: Option<&mut CliRecorder>, out: &mut dyn Write) -> RunResult {
+    let cfg = fig1_config(o);
     match o.fork_at {
-        Some(at) => println!(
+        Some(at) => writeln!(
+            out,
             "== Fig. 1 ({} iterations, fork at {at:?}{}) ==",
             cfg.iterations,
             if o.fork_replay { ", replay" } else { "" }
-        ),
-        None => println!("== Fig. 1 ({} iterations) ==", cfg.iterations),
+        )?,
+        None => writeln!(out, "== Fig. 1 ({} iterations) ==", cfg.iterations)?,
     }
-    let r = match (rec, o.fork_at) {
-        (Some(rec), Some(at)) => exp::fig1::run_traced_forked(&cfg, rec, at, o.fork_replay),
-        (None, Some(at)) => {
-            exp::fig1::run_traced_forked(&cfg, telemetry::NoopRecorder, at, o.fork_replay)
-        }
-        (Some(rec), None) => exp::fig1::run_traced(&cfg, rec),
-        (None, None) => exp::fig1::run(&cfg),
-    };
-    println!("{}", r.render());
+    let r = with_recorder!(rec, |rec| match o.fork_at {
+        Some(at) => exp::fig1::run_traced_forked(&cfg, rec, at, o.fork_replay),
+        None => exp::fig1::run_traced(&cfg, rec),
+    });
+    writeln!(out, "{}", r.render())?;
     if let Some(dir) = &o.csv {
         for (name, sc) in [("fair", &r.fair), ("unfair", &r.unfair)] {
             for (i, s) in sc.stats.iter().enumerate() {
-                let p = export::write_csv(
-                    dir,
-                    &format!("fig1d_{name}_j{i}.csv"),
-                    &export::cdf_csv(&s.cdf),
-                )
-                .expect("write CSV");
-                println!("wrote {}", p.display());
+                let csv = export::cdf_csv(&s.cdf);
+                write_csv(out, dir, &format!("fig1d_{name}_j{i}.csv"), &csv)?;
             }
-            let p = export::write_csv(
-                dir,
-                &format!("fig1bc_{name}_rates.csv"),
-                &export::multi_series_csv(&[&sc.traces[0], &sc.traces[1]], &["j1_gbps", "j2_gbps"]),
-            )
-            .expect("write CSV");
-            println!("wrote {}", p.display());
+            let csv =
+                export::multi_series_csv(&[&sc.traces[0], &sc.traces[1]], &["j1_gbps", "j2_gbps"]);
+            write_csv(out, dir, &format!("fig1bc_{name}_rates.csv"), &csv)?;
         }
     }
     let mut m = BenchMetrics::new();
@@ -468,49 +634,43 @@ fn run_fig1(o: &Opts, rec: Option<&mut CliRecorder>) -> BenchMetrics {
     for (i, s) in r.speedups().iter().enumerate() {
         m.push((format!("speedup.job{i}"), s.0));
     }
-    m
+    Ok(m)
 }
 
-fn run_fig2(o: &Opts, rec: Option<&mut CliRecorder>) -> BenchMetrics {
+fn run_fig2(o: &Opts, rec: Option<&mut CliRecorder>, out: &mut dyn Write) -> RunResult {
     let cfg = exp::fig2::Fig2Config {
         iterations: o.iterations.unwrap_or(6),
         ..Default::default()
     };
-    println!("== Fig. 2 ({} iterations) ==", cfg.iterations);
-    let r = match rec {
-        Some(rec) => exp::fig2::run_traced(&cfg, rec),
-        None => exp::fig2::run(&cfg),
-    };
-    println!("{}", r.render());
+    writeln!(out, "== Fig. 2 ({} iterations) ==", cfg.iterations)?;
+    let r = with_recorder!(rec, |rec| exp::fig2::run_traced(&cfg, rec));
+    writeln!(out, "{}", r.render())?;
     if let Some(dir) = &o.csv {
         for (name, sc) in [("fair", &r.fair), ("unfair", &r.unfair)] {
-            let p = export::write_csv(
-                dir,
-                &format!("fig2_{name}_rates.csv"),
-                &export::multi_series_csv(&[&sc.traces[0], &sc.traces[1]], &["j1_gbps", "j2_gbps"]),
-            )
-            .expect("write CSV");
-            println!("wrote {}", p.display());
+            let csv =
+                export::multi_series_csv(&[&sc.traces[0], &sc.traces[1]], &["j1_gbps", "j2_gbps"]);
+            write_csv(out, dir, &format!("fig2_{name}_rates.csv"), &csv)?;
         }
     }
-    vec![(
+    Ok(vec![(
         "interleaved_at_iteration".to_string(),
         r.interleaved_at().map_or(-1.0, |i| i as f64),
-    )]
+    )])
 }
 
-fn run_table1(o: &Opts, rec: Option<&mut CliRecorder>) -> BenchMetrics {
+fn run_table1(o: &Opts, rec: Option<&mut CliRecorder>, out: &mut dyn Write) -> RunResult {
     let cfg = exp::table1::Table1Config {
         iterations: o.iterations.unwrap_or(30),
         chaos: o.chaos,
         ..Default::default()
     };
-    println!("== Table 1 ({} iterations per scenario) ==", cfg.iterations);
-    let r = match rec {
-        Some(rec) => exp::table1::run_traced(&cfg, rec),
-        None => exp::table1::run(&cfg),
-    };
-    println!("{}", r.render());
+    writeln!(
+        out,
+        "== Table 1 ({} iterations per scenario) ==",
+        cfg.iterations
+    )?;
+    let r = with_recorder!(rec, |rec| exp::table1::run_traced(&cfg, rec));
+    writeln!(out, "{}", r.render())?;
     if let Some(dir) = &o.csv {
         let mut rows = vec![vec![
             "job".to_string(),
@@ -530,8 +690,7 @@ fn run_table1(o: &Opts, rec: Option<&mut CliRecorder>) -> BenchMetrics {
                 ]);
             }
         }
-        let p = export::write_csv(dir, "table1.csv", &export::rows_csv(&rows)).expect("write CSV");
-        println!("wrote {}", p.display());
+        write_csv(out, dir, "table1.csv", &export::rows_csv(&rows))?;
     }
     let mut m = BenchMetrics::new();
     for (gi, g) in r.groups.iter().enumerate() {
@@ -547,23 +706,21 @@ fn run_table1(o: &Opts, rec: Option<&mut CliRecorder>) -> BenchMetrics {
             m.push((format!("group{gi}.job{ri}.speedup"), row.speedup.0));
         }
     }
-    m
+    Ok(m)
 }
 
-fn run_variants(o: &Opts, rec: Option<&mut CliRecorder>) -> BenchMetrics {
+fn run_variants(o: &Opts, rec: Option<&mut CliRecorder>, out: &mut dyn Write) -> RunResult {
     let mut cfg = exp::variants::VariantsConfig::default();
     cfg.fig1.iterations = o.iterations.unwrap_or(30);
     cfg.fig1.chaos = o.chaos;
-    println!(
+    writeln!(
+        out,
         "== Congestion-control zoo ({} cells, {} iterations each) ==",
         cfg.cells.len(),
         cfg.fig1.iterations
-    );
-    let r = match rec {
-        Some(rec) => exp::variants::run_traced(&cfg, rec),
-        None => exp::variants::run(&cfg),
-    };
-    println!("{}", r.render());
+    )?;
+    let r = with_recorder!(rec, |rec| exp::variants::run_traced(&cfg, rec));
+    writeln!(out, "{}", r.render())?;
     if let Some(dir) = &o.csv {
         let mut rows = vec![vec![
             "variant".to_string(),
@@ -582,9 +739,7 @@ fn run_variants(o: &Opts, rec: Option<&mut CliRecorder>) -> BenchMetrics {
                     .map_or(String::new(), |ms| format!("{ms:.1}")),
             ]);
         }
-        let p =
-            export::write_csv(dir, "variants.csv", &export::rows_csv(&rows)).expect("write CSV");
-        println!("wrote {}", p.display());
+        write_csv(out, dir, "variants.csv", &export::rows_csv(&rows))?;
     }
     let mut m = BenchMetrics::new();
     for v in &r.outcomes {
@@ -600,20 +755,22 @@ fn run_variants(o: &Opts, rec: Option<&mut CliRecorder>) -> BenchMetrics {
             }
         }
     }
-    m
+    Ok(m)
 }
 
-fn run_geometry(_o: &Opts) -> BenchMetrics {
-    println!("== Figs. 3–5 ==");
+fn run_geometry(_: &Opts, _: Option<&mut CliRecorder>, out: &mut dyn Write) -> RunResult {
+    writeln!(out, "== Figs. 3–5 ==")?;
     let f3 = exp::geometry_demo::fig3(6);
-    println!(
+    writeln!(
+        out,
         "Fig. 3: VGG16 circle perimeter {} (comm {}), arcs stable: {}",
         f3.profile.period(),
         f3.profile.comm_time(),
         f3.per_iteration_checks.iter().all(|&(c, m)| !c && m)
-    );
+    )?;
     let f4 = exp::geometry_demo::fig4();
-    println!(
+    writeln!(
+        out,
         "Fig. 4: {} ms overlap at rotation zero; solver: {}",
         f4.overlap_at_zero_ms,
         if f4.verdict.is_compatible() {
@@ -621,37 +778,31 @@ fn run_geometry(_o: &Opts) -> BenchMetrics {
         } else {
             "incompatible"
         }
-    );
+    )?;
     let f5 = exp::geometry_demo::fig5();
-    println!(
-        "Fig. 5: unified circle {}, reps {:?}, J2 rotation {:.1}°",
-        f5.perimeter,
-        f5.repetitions,
-        f5.verdict.rotations().expect("compatible")[1].degrees
-    );
-    vec![
+    let j2_rotation = f5.verdict.rotations().expect("compatible")[1].degrees;
+    writeln!(
+        out,
+        "Fig. 5: unified circle {}, reps {:?}, J2 rotation {j2_rotation:.1}°",
+        f5.perimeter, f5.repetitions,
+    )?;
+    Ok(vec![
         (
             "fig4.compatible".to_string(),
             f4.verdict.is_compatible() as u8 as f64,
         ),
-        (
-            "fig5.rotation_degrees".to_string(),
-            f5.verdict.rotations().expect("compatible")[1].degrees,
-        ),
-    ]
+        ("fig5.rotation_degrees".to_string(), j2_rotation),
+    ])
 }
 
-fn run_adaptive(o: &Opts, rec: Option<&mut CliRecorder>) -> BenchMetrics {
+fn run_adaptive(o: &Opts, rec: Option<&mut CliRecorder>, out: &mut dyn Write) -> RunResult {
     let cfg = exp::adaptive::AdaptiveConfig {
         iterations: o.iterations.unwrap_or(24),
         ..Default::default()
     };
-    println!("== §4.i adaptive unfairness ==");
-    let r = match rec {
-        Some(rec) => exp::adaptive::run_traced(&cfg, rec),
-        None => exp::adaptive::run(&cfg),
-    };
-    println!("{}", r.render());
+    writeln!(out, "== §4.i adaptive unfairness ==")?;
+    let r = with_recorder!(rec, |rec| exp::adaptive::run_traced(&cfg, rec));
+    writeln!(out, "{}", r.render())?;
     let mut m = BenchMetrics::new();
     for (i, s) in r.compatible_speedups().iter().enumerate() {
         m.push((format!("compatible.job{i}.speedup"), s.0));
@@ -659,20 +810,17 @@ fn run_adaptive(o: &Opts, rec: Option<&mut CliRecorder>) -> BenchMetrics {
     let (stat, adpt) = r.victim_speedups();
     m.push(("incompatible.victim.static_speedup".to_string(), stat.0));
     m.push(("incompatible.victim.adaptive_speedup".to_string(), adpt.0));
-    m
+    Ok(m)
 }
 
-fn run_priority(o: &Opts, rec: Option<&mut CliRecorder>) -> BenchMetrics {
+fn run_priority(o: &Opts, rec: Option<&mut CliRecorder>, out: &mut dyn Write) -> RunResult {
     let cfg = exp::priority::PriorityConfig {
         iterations: o.iterations.unwrap_or(20),
         ..Default::default()
     };
-    println!("== §4.ii priority queues ==");
-    let r = match rec {
-        Some(rec) => exp::priority::run_traced(&cfg, rec),
-        None => exp::priority::run(&cfg),
-    };
-    println!("{}", r.render());
+    writeln!(out, "== §4.ii priority queues ==")?;
+    let r = with_recorder!(rec, |rec| exp::priority::try_run_traced(&cfg, rec))?;
+    writeln!(out, "{}", r.render())?;
     let mut m = BenchMetrics::new();
     for (i, s) in r.speedups().iter().enumerate() {
         m.push((format!("job{i}.fair_ms"), r.fair[i].median_ms()));
@@ -682,59 +830,50 @@ fn run_priority(o: &Opts, rec: Option<&mut CliRecorder>) -> BenchMetrics {
         ));
         m.push((format!("job{i}.speedup"), s.0));
     }
-    m
+    Ok(m)
 }
 
-fn run_flowsched(o: &Opts, rec: Option<&mut CliRecorder>) -> BenchMetrics {
+fn run_flowsched(o: &Opts, rec: Option<&mut CliRecorder>, out: &mut dyn Write) -> RunResult {
     let cfg = exp::flowsched::FlowschedConfig {
         iterations: o.iterations.unwrap_or(20),
         ..Default::default()
     };
-    println!("== §4.iii flow scheduling ==");
-    let r = match rec {
-        Some(rec) => exp::flowsched::run_traced(&cfg, rec),
-        None => exp::flowsched::run(&cfg),
-    };
-    println!("{}", r.render());
+    writeln!(out, "== §4.iii flow scheduling ==")?;
+    let r = with_recorder!(rec, |rec| exp::flowsched::try_run_traced(&cfg, rec))?;
+    writeln!(out, "{}", r.render())?;
     let mut m = BenchMetrics::new();
     for (i, s) in r.speedups().iter().enumerate() {
         m.push((format!("job{i}.fair_ms"), r.fair[i].median_ms()));
         m.push((format!("job{i}.scheduled_ms"), r.scheduled[i].median_ms()));
         m.push((format!("job{i}.speedup"), s.0));
     }
-    m
+    Ok(m)
 }
 
-fn run_pipelining(o: &Opts, rec: Option<&mut CliRecorder>) -> BenchMetrics {
+fn run_pipelining(o: &Opts, rec: Option<&mut CliRecorder>, out: &mut dyn Write) -> RunResult {
     let cfg = exp::pipelining::PipeliningConfig {
         iterations: o.iterations.unwrap_or(16),
         ..Default::default()
     };
-    println!("== pipelining extension ==");
-    let r = match rec {
-        Some(rec) => exp::pipelining::run_traced(&cfg, rec),
-        None => exp::pipelining::run(&cfg),
-    };
-    println!("{}", r.render());
-    vec![
+    writeln!(out, "== pipelining extension ==")?;
+    let r = with_recorder!(rec, |rec| exp::pipelining::run_traced(&cfg, rec));
+    writeln!(out, "{}", r.render())?;
+    Ok(vec![
         ("monolithic.max_tax".to_string(), r.monolithic.max_tax()),
         ("pipelined.max_tax".to_string(), r.pipelined.max_tax()),
-    ]
+    ])
 }
 
-fn run_cluster(o: &Opts, rec: Option<&mut CliRecorder>) -> BenchMetrics {
+fn run_cluster(o: &Opts, rec: Option<&mut CliRecorder>, out: &mut dyn Write) -> RunResult {
     let cfg = exp::cluster::ClusterConfig {
         iterations: o.iterations.unwrap_or(16),
         ..Default::default()
     };
-    println!("== §5 cluster placement ==");
-    let r = match rec {
-        Some(rec) => exp::cluster::try_run_traced(&cfg, rec).unwrap_or_else(|e| panic!("{e}")),
-        None => exp::cluster::run(&cfg),
-    };
-    println!("{}", r.render());
+    writeln!(out, "== §5 cluster placement ==")?;
+    let r = with_recorder!(rec, |rec| exp::cluster::try_run_traced(&cfg, rec))?;
+    writeln!(out, "{}", r.render())?;
     let mean = |v: &[f64]| v.iter().sum::<f64>() / v.len().max(1) as f64;
-    vec![
+    Ok(vec![
         (
             "locality.mean_slowdown".to_string(),
             mean(&r.locality.slowdowns),
@@ -743,15 +882,20 @@ fn run_cluster(o: &Opts, rec: Option<&mut CliRecorder>) -> BenchMetrics {
             "compatibility.mean_slowdown".to_string(),
             mean(&r.compatibility.slowdowns),
         ),
-    ]
+    ])
 }
 
-fn run_chaos(o: &Opts, rec: Option<&mut CliRecorder>) -> BenchMetrics {
-    let cfg = exp::chaos::ChaosSweepConfig {
+fn chaos_config(o: &Opts) -> exp::chaos::ChaosSweepConfig {
+    exp::chaos::ChaosSweepConfig {
         iterations: o.iterations.unwrap_or(40),
         ..Default::default()
-    };
-    println!(
+    }
+}
+
+fn run_chaos(o: &Opts, rec: Option<&mut CliRecorder>, out: &mut dyn Write) -> RunResult {
+    let cfg = chaos_config(o);
+    writeln!(
+        out,
         "== chaos sweep ({} iterations, {} seeds × {} profiles{}) ==",
         cfg.iterations,
         cfg.seeds.len(),
@@ -761,16 +905,12 @@ fn run_chaos(o: &Opts, rec: Option<&mut CliRecorder>) -> BenchMetrics {
             Some(at) => format!(", fork at {at:?}"),
             None => String::new(),
         }
-    );
-    let r = match (rec, o.fork_at) {
-        (Some(rec), Some(at)) => exp::chaos::run_forked(&cfg, rec, at, o.fork_replay),
-        (None, Some(at)) => {
-            exp::chaos::run_forked(&cfg, telemetry::NoopRecorder, at, o.fork_replay)
-        }
-        (Some(rec), None) => exp::chaos::run_traced(&cfg, rec),
-        (None, None) => exp::chaos::run(&cfg),
-    };
-    println!("{}", r.render());
+    )?;
+    let r = with_recorder!(rec, |rec| match o.fork_at {
+        Some(at) => exp::chaos::run_forked(&cfg, rec, at, o.fork_replay),
+        None => exp::chaos::run_traced(&cfg, rec),
+    });
+    writeln!(out, "{}", r.render())?;
     let mut m = BenchMetrics::new();
     for c in &r.cells {
         let key = format!("{}.s{}", c.profile, c.seed);
@@ -793,7 +933,7 @@ fn run_chaos(o: &Opts, rec: Option<&mut CliRecorder>) -> BenchMetrics {
         ));
     }
     m.push(("all_recovered".to_string(), r.all_recovered() as u8 as f64));
-    m
+    Ok(m)
 }
 
 /// The fork-from-prefix benchmark: runs a 16-cell chaos grid (4 seeds ×
@@ -802,29 +942,26 @@ fn run_chaos(o: &Opts, rec: Option<&mut CliRecorder>) -> BenchMetrics {
 /// two telemetry streams, and reports the wall-clock speedup. The
 /// `speedup` and `byte_identical` metrics in `BENCH_snapshot.json` are
 /// the gate for the snapshot/restore machinery.
-fn run_snapshot_bench(o: &Opts) -> BenchMetrics {
+fn run_snapshot_bench(o: &Opts, _: Option<&mut CliRecorder>, out: &mut dyn Write) -> RunResult {
     let cfg = exp::chaos::ChaosSweepConfig {
-        iterations: o.iterations.unwrap_or(40),
         seeds: vec![6, 16, 25, 33],
         profiles: ["none", "stragglers", "links", "signal"]
             .map(String::from)
             .to_vec(),
-        ..Default::default()
+        ..chaos_config(o)
     };
-    let per_iter = cfg.jobs[0]
-        .iteration_time_at(cfg.sim.capacity)
-        .max(cfg.jobs[1].iteration_time_at(cfg.sim.capacity));
-    // Default fork point: 90 % of the nominal sweep length — late enough
-    // that the shared prefix dominates each cell's work, early enough
-    // that every cell still has iterations (and its chaos) ahead of it.
-    let fork_at = o
-        .fork_at
-        .unwrap_or(per_iter * (cfg.iterations as u64 * 9) / 10);
-    println!(
+    // Default fork point: 90 % of the nominal sweep length (45 % of the
+    // horizon, which covers two nominal iterations per iteration run) —
+    // late enough that the shared prefix dominates each cell's work,
+    // early enough that every cell still has iterations (and its chaos)
+    // ahead of it.
+    let fork_at = o.fork_at.unwrap_or(cfg.horizon() * 9 / 20);
+    writeln!(
+        out,
         "== snapshot bench ({} cells, {} iterations, fork at {fork_at:?}) ==",
         cfg.seeds.len() * cfg.profiles.len(),
         cfg.iterations,
-    );
+    )?;
     let mut forked_rec = BufferRecorder::new();
     let t0 = Instant::now();
     let forked = exp::chaos::run_forked(&cfg, &mut forked_rec, fork_at, false);
@@ -841,16 +978,17 @@ fn run_snapshot_bench(o: &Opts) -> BenchMetrics {
             .zip(&replayed.cells)
             .all(|(f, r)| f.medians_ms == r.medians_ms);
     let speedup = replay_wall.as_secs_f64() / forked_wall.as_secs_f64().max(1e-9);
-    println!("{}", forked.render());
-    println!(
+    writeln!(out, "{}", forked.render())?;
+    writeln!(
+        out,
         "forked {forked_wall:.2?} vs replayed {replay_wall:.2?}: {speedup:.2}x, {}",
         if byte_identical {
             "byte-identical"
         } else {
             "STREAMS DIVERGED"
         }
-    );
-    vec![
+    )?;
+    Ok(vec![
         ("cells".to_string(), forked.cells.len() as f64),
         ("fork_at_ms".to_string(), fork_at.as_millis_f64()),
         ("forked_wall_secs".to_string(), forked_wall.as_secs_f64()),
@@ -861,7 +999,16 @@ fn run_snapshot_bench(o: &Opts) -> BenchMetrics {
             "all_recovered".to_string(),
             forked.all_recovered() as u8 as f64,
         ),
-    ]
+    ])
+}
+
+fn shard_config(o: &Opts) -> exp::shard::ShardConfig {
+    exp::shard::ShardConfig {
+        iterations: o.iterations.unwrap_or(4),
+        chaos: o.chaos,
+        fork_at: o.fork_at,
+        ..exp::shard::ShardConfig::paper_scale()
+    }
 }
 
 /// The sharding benchmark: a paper-scale cluster scenario (4 link-disjoint
@@ -874,24 +1021,20 @@ fn run_snapshot_bench(o: &Opts) -> BenchMetrics {
 /// sharding machinery. With a recorder attached (`--trace`), the sharded
 /// runs record into it, so traces at different `--shards` values can be
 /// diffed externally.
-fn run_shard_bench(o: &Opts, rec: Option<&mut CliRecorder>) -> BenchMetrics {
-    let cfg = exp::shard::ShardConfig {
-        iterations: o.iterations.unwrap_or(4),
-        chaos: o.chaos,
-        fork_at: o.fork_at,
-        ..exp::shard::ShardConfig::paper_scale()
-    };
+fn run_shard_bench(o: &Opts, rec: Option<&mut CliRecorder>, out: &mut dyn Write) -> RunResult {
+    let cfg = shard_config(o);
     let threads = mlcc::parallel::shards();
     let fluid = exp::shard::build_fluid(&cfg);
     let packet = exp::shard::build_packet(&cfg);
-    println!(
+    writeln!(
+        out,
         "== shard bench ({} fluid jobs in {} components, {} packet groups, \
          {} iterations, {threads} worker(s)) ==",
         fluid.plan.num_jobs(),
         fluid.plan.num_components(),
         packet.plan.num_components(),
         cfg.iterations,
-    );
+    )?;
 
     // Wall-clock comparison, untraced on both sides: the global simulator
     // re-solves every transition over all jobs; shards solve only theirs.
@@ -922,12 +1065,14 @@ fn run_shard_bench(o: &Opts, rec: Option<&mut CliRecorder>) -> BenchMetrics {
         .zip(&sharded.stats)
         .all(|(a, b)| (a.median_ms() - b.median_ms()).abs() <= 1e-9 * a.median_ms().max(1.0));
 
-    println!(
+    writeln!(
+        out,
         "fluid: unsharded {unsharded_wall:.2?} vs sharded {sharded_wall:.2?}: \
          {speedup:.2}x, stats {}",
         if stats_match { "match" } else { "DIVERGED" }
-    );
-    println!(
+    )?;
+    writeln!(
+        out,
         "merged streams at 1 vs {threads} worker(s): {} ({} events); packet {packet_wall:.2?}",
         if byte_identical {
             "byte-identical"
@@ -935,7 +1080,7 @@ fn run_shard_bench(o: &Opts, rec: Option<&mut CliRecorder>) -> BenchMetrics {
             "STREAMS DIVERGED"
         },
         one.events().len(),
-    );
+    )?;
 
     // With observability flags up, feed the sharded runs through the tap
     // so --trace/--summary reflect exactly what `--shards N` produces.
@@ -963,7 +1108,7 @@ fn run_shard_bench(o: &Opts, rec: Option<&mut CliRecorder>) -> BenchMetrics {
     for (k, v) in exp::shard::plan_metrics(&fluid.plan) {
         m.push((k.to_string(), v));
     }
-    m
+    Ok(m)
 }
 
 /// `mlcc-repro report TRACE.jsonl --out FILE [--summary FILE] [--name N]`
@@ -998,28 +1143,18 @@ fn cmd_report(args: &[String]) -> Result<(), String> {
             .map(|s| s.to_string_lossy().into_owned())
             .unwrap_or_else(|| "run".to_string())
     });
-    let analysis = diagnostics::analyze(&run_name, &events, &AnalysisConfig::default());
     let out = out.unwrap_or_else(|| trace.with_extension("html"));
-    write_file(&out, &diagnostics::html(&analysis))?;
-    println!(
-        "wrote {} ({} events, {} scenarios)",
-        out.display(),
-        events.len(),
-        analysis.scenarios.len()
-    );
-    if let Some(path) = &summary {
-        let mut s = analysis.summary();
-        // Offline reports hash the trace content itself — there is no CLI
-        // run configuration to hash, but the same canonical helper keeps
-        // the metric comparable across warehouse entries.
-        s.put("config.hash", simtime::hash::config_hash(&text) as f64);
-        write_file(path, &s.to_json())?;
-        // Offline report summaries feed the same cross-run warehouse as
-        // live `--summary` runs, so trend analysis sees both.
-        append_history(path, &HistoryRecord::from_summary(&s, "summary"))?;
-        println!("wrote {} (RunSummary JSON)", path.display());
-    }
-    Ok(())
+    // Offline reports hash the trace content itself — there is no CLI run
+    // configuration to hash — and feed the same cross-run warehouse as
+    // live `--summary` runs, so trend analysis sees both.
+    write_analysis(
+        &run_name,
+        &events,
+        &text,
+        Some(&out),
+        summary.as_deref(),
+        &|a| format!("{} events, {} scenarios", events.len(), a.scenarios.len()),
+    )
 }
 
 /// `mlcc-repro explain <experiment|TRACE.jsonl> [run options]`
@@ -1036,20 +1171,34 @@ fn cmd_explain(args: &[String]) -> Result<bool, String> {
     if target.starts_with("--") {
         return Err("explain needs its target (experiment or trace) first".to_string());
     }
-    let target = target.clone();
     let opts = parse_opts(rest)?;
-    if let Some(n) = opts.jobs {
-        mlcc::parallel::set_jobs(n);
+    let explainable = || EXPERIMENTS.iter().filter(|e| e.records);
+    let row = explainable().find(|e| e.name == target);
+    if row.is_none() && !target.ends_with(".jsonl") {
+        let names: Vec<&str> = explainable().map(|e| e.name).collect();
+        return Err(format!(
+            "explain supports {} or a .jsonl trace, not {target:?}",
+            names.join("|")
+        ));
     }
-    if let Some(n) = opts.shards {
-        mlcc::parallel::set_shards(n);
-    }
+    check_opts(&format!("explain {target}"), row.as_slice(), &opts, true)?;
+    opts.apply_parallelism();
 
     let mut predicted: std::collections::BTreeMap<String, f64> = Default::default();
-    let events: Vec<telemetry::TimedEvent>;
+    let events: Vec<TimedEvent>;
     let name: String;
-    if target.ends_with(".jsonl") {
-        let path = PathBuf::from(&target);
+    if let Some(row) = row {
+        let mut rec = TapRecorder::new(BufferRecorder::new());
+        (row.run)(&opts, Some(&mut rec), &mut std::io::sink()).map_err(|e| e.to_string())?;
+        events = rec.into_inner().events().to_vec();
+        name = target.clone();
+        if row.name == "fig1" {
+            let p = exp::fig1::predicted_overlap(&fig1_config(&opts));
+            predicted.insert("fig1/fair".to_string(), p);
+            predicted.insert("fig1/unfair".to_string(), p);
+        }
+    } else {
+        let path = PathBuf::from(target);
         let text = std::fs::read_to_string(&path)
             .map_err(|e| format!("reading {}: {e}", path.display()))?;
         events = telemetry::parse_jsonl(&text).map_err(|e| e.to_string())?;
@@ -1057,11 +1206,6 @@ fn cmd_explain(args: &[String]) -> Result<bool, String> {
             .file_stem()
             .map(|s| s.to_string_lossy().into_owned())
             .unwrap_or_else(|| "trace".to_string());
-    } else {
-        let mut rec = TapRecorder::new(BufferRecorder::new());
-        explain_run(&target, &opts, &mut rec, &mut predicted)?;
-        events = rec.into_inner().events().to_vec();
-        name = target.clone();
     }
 
     let cfg = AnalysisConfig {
@@ -1070,94 +1214,6 @@ fn cmd_explain(args: &[String]) -> Result<bool, String> {
     };
     let analysis = diagnostics::analyze(&name, &events, &cfg);
     print_explain(&analysis)
-}
-
-/// Runs one experiment for `explain`, with the recorder forced on.
-/// Fills `predicted` with the geometry solver's promised overlap per
-/// scenario where the experiment has one.
-fn explain_run(
-    target: &str,
-    o: &Opts,
-    rec: &mut CliRecorder,
-    predicted: &mut std::collections::BTreeMap<String, f64>,
-) -> Result<(), String> {
-    match target {
-        "fig1" => {
-            let cfg = exp::fig1::Fig1Config {
-                iterations: o.iterations.unwrap_or(100),
-                chaos: o.chaos,
-                ..Default::default()
-            };
-            exp::fig1::run_traced(&cfg, &mut *rec);
-            let p = exp::fig1::predicted_overlap(&cfg);
-            predicted.insert("fig1/fair".to_string(), p);
-            predicted.insert("fig1/unfair".to_string(), p);
-        }
-        "fig2" => {
-            let cfg = exp::fig2::Fig2Config {
-                iterations: o.iterations.unwrap_or(6),
-                ..Default::default()
-            };
-            exp::fig2::run_traced(&cfg, &mut *rec);
-        }
-        "table1" => {
-            let cfg = exp::table1::Table1Config {
-                iterations: o.iterations.unwrap_or(30),
-                chaos: o.chaos,
-                ..Default::default()
-            };
-            exp::table1::run_traced(&cfg, &mut *rec);
-        }
-        "adaptive" => {
-            let cfg = exp::adaptive::AdaptiveConfig {
-                iterations: o.iterations.unwrap_or(24),
-                ..Default::default()
-            };
-            exp::adaptive::run_traced(&cfg, &mut *rec);
-        }
-        "priority" => {
-            let cfg = exp::priority::PriorityConfig {
-                iterations: o.iterations.unwrap_or(20),
-                ..Default::default()
-            };
-            exp::priority::run_traced(&cfg, &mut *rec);
-        }
-        "flowsched" => {
-            let cfg = exp::flowsched::FlowschedConfig {
-                iterations: o.iterations.unwrap_or(20),
-                ..Default::default()
-            };
-            exp::flowsched::run_traced(&cfg, &mut *rec);
-        }
-        "pipelining" => {
-            let cfg = exp::pipelining::PipeliningConfig {
-                iterations: o.iterations.unwrap_or(16),
-                ..Default::default()
-            };
-            exp::pipelining::run_traced(&cfg, &mut *rec);
-        }
-        "cluster" => {
-            let cfg = exp::cluster::ClusterConfig {
-                iterations: o.iterations.unwrap_or(16),
-                ..Default::default()
-            };
-            exp::cluster::try_run_traced(&cfg, &mut *rec).map_err(|e| e.to_string())?;
-        }
-        "chaos" => {
-            let cfg = exp::chaos::ChaosSweepConfig {
-                iterations: o.iterations.unwrap_or(40),
-                ..Default::default()
-            };
-            exp::chaos::run_traced(&cfg, &mut *rec);
-        }
-        other => {
-            return Err(format!(
-                "explain supports fig1|fig2|table1|adaptive|priority|flowsched|pipelining|\
-                 cluster|chaos or a .jsonl trace, not {other:?}"
-            ))
-        }
-    }
-    Ok(())
 }
 
 /// Conservation tolerance: blame components must sum to the measured
@@ -1531,30 +1587,10 @@ fn finish_live(opts: &Opts, outcome: &WatchOutcome) -> Result<bool, String> {
     Ok(opts.slo.is_some() && !outcome.alerts.is_empty())
 }
 
-/// Warmup iterations `cmd` discards before computing statistics, for the
-/// experiments that need at least one iteration past them (0 otherwise:
-/// fig1, table1, variants and chaos fall back to every completed
-/// iteration).
-fn warmup_of(cmd: &str) -> usize {
-    match cmd {
-        "adaptive" => exp::adaptive::AdaptiveConfig::default().warmup,
-        "priority" => exp::priority::PriorityConfig::default().warmup,
-        "flowsched" => exp::flowsched::FlowschedConfig::default().warmup,
-        "pipelining" => exp::pipelining::PipeliningConfig::default().warmup,
-        "cluster" => exp::cluster::ClusterConfig::default().warmup,
-        "all" => ["adaptive", "priority", "flowsched", "pipelining", "cluster"]
-            .map(warmup_of)
-            .into_iter()
-            .max()
-            .unwrap_or(0),
-        _ => 0,
-    }
-}
-
 fn usage() -> ExitCode {
+    let names: Vec<&str> = EXPERIMENTS.iter().map(|e| e.name).collect();
     eprintln!(
-        "usage: mlcc-repro <fig1|fig2|table1|variants|geometry|adaptive|priority|flowsched|cluster|\
-         pipelining|chaos|snapshot|shard|all> [--iterations N] [--jobs N] [--shards N]\n\
+        "usage: mlcc-repro <{}|all> [--iterations N] [--jobs N] [--shards N]\n\
          \x20      [--csv DIR] [--trace FILE]\n\
          \x20      [--metrics] [--profile] [--report FILE] [--summary FILE] [--summary-dir DIR]\n\
          \x20      [--chaos PROFILE|FILE.toml] [--chaos-seed N]\n\
@@ -1565,7 +1601,20 @@ fn usage() -> ExitCode {
          \x20      mlcc-repro trend [HISTORY.jsonl] [--last K] [--tolerance F]\n\
          \x20      [--wall-tolerance F] [--experiment NAME]\n\
          \x20      mlcc-repro explain <EXPERIMENT|TRACE.jsonl> [run options]\n\
-         exit codes: 0 success, 1 failure (incl. diff/trend/explain findings), 2 usage error, \
+         options by experiment, besides {ALWAYS} (`all` takes an option when a member does):\n\
+         \x20 (recording = {RECORDING})",
+        names.join("|"),
+    );
+    for e in &EXPERIMENTS {
+        let opts = format!("{}{}", e.honours, if e.records { " recording" } else { "" });
+        eprintln!(
+            "  {:<10} {}",
+            e.name,
+            if opts.is_empty() { "(none)" } else { &opts }
+        );
+    }
+    eprintln!(
+        "exit codes: 0 success, 1 failure (incl. diff/trend/explain findings), 2 usage error, \
          4 SLO breach"
     );
     ExitCode::from(2)
@@ -1622,24 +1671,22 @@ fn main() -> ExitCode {
         }
         _ => {}
     }
-    let opts = match parse_opts(rest) {
+    let rows: Vec<&Experiment> = EXPERIMENTS
+        .iter()
+        .filter(|e| e.name == cmd || (cmd == "all" && e.in_all))
+        .collect();
+    if rows.is_empty() {
+        eprintln!("error: unknown command {cmd}");
+        return usage();
+    }
+    let opts = match parse_opts(rest).and_then(|o| check_opts(cmd, &rows, &o, false).map(|()| o)) {
         Ok(o) => o,
         Err(e) => {
             eprintln!("error: {e}");
             return usage();
         }
     };
-    let warmup = warmup_of(cmd);
-    if opts.iterations.is_some_and(|n| n <= warmup) {
-        eprintln!("error: {cmd}: --iterations must exceed its {warmup} warmup iterations");
-        return usage();
-    }
-    if let Some(n) = opts.jobs {
-        mlcc::parallel::set_jobs(n);
-    }
-    if let Some(n) = opts.shards {
-        mlcc::parallel::set_shards(n);
-    }
+    opts.apply_parallelism();
     // The live sink must be installed before the recorder is created (and
     // before any worker forks), so every tap picks it up.
     let watcher = if opts.live_enabled() {
@@ -1650,48 +1697,24 @@ fn main() -> ExitCode {
         None
     };
     let mut rec = opts.recorder();
-    // Runs one experiment, timing it and writing its bench summary.
-    let mut bench_err: Option<String> = None;
-    {
-        let mut run =
-            |name: &str,
-             rec: &mut Option<CliRecorder>,
-             f: &dyn Fn(&Opts, Option<&mut CliRecorder>) -> BenchMetrics| {
-                let start = Instant::now();
-                let mut metrics = f(&opts, rec.as_mut());
+    // Runs each experiment, timing it and writing its bench summary. A
+    // failed experiment stops `all`; the first error sets the exit code.
+    let mut failure: Option<String> = None;
+    for row in &rows {
+        let start = Instant::now();
+        match (row.run)(&opts, rec.as_mut(), &mut std::io::stdout()) {
+            Ok(mut metrics) => {
                 if let Some(dir) = &opts.summary_dir {
                     metrics.push(("parallel.jobs".to_string(), mlcc::parallel::jobs() as f64));
-                    if let Err(e) = write_bench(dir, name, start.elapsed(), &metrics) {
-                        bench_err.get_or_insert(e);
+                    if let Err(e) = write_bench(dir, row.name, start.elapsed(), &metrics) {
+                        failure.get_or_insert(e);
                     }
                 }
-            };
-        match cmd.as_str() {
-            "fig1" => run("fig1", &mut rec, &run_fig1),
-            "fig2" => run("fig2", &mut rec, &run_fig2),
-            "table1" => run("table1", &mut rec, &run_table1),
-            "variants" => run("variants", &mut rec, &run_variants),
-            "geometry" => run("geometry", &mut rec, &|o, _| run_geometry(o)),
-            "adaptive" => run("adaptive", &mut rec, &run_adaptive),
-            "priority" => run("priority", &mut rec, &run_priority),
-            "flowsched" => run("flowsched", &mut rec, &run_flowsched),
-            "cluster" => run("cluster", &mut rec, &run_cluster),
-            "pipelining" => run("pipelining", &mut rec, &run_pipelining),
-            "chaos" => run("chaos", &mut rec, &run_chaos),
-            "snapshot" => run("snapshot", &mut rec, &|o, _| run_snapshot_bench(o)),
-            "shard" => run("shard", &mut rec, &run_shard_bench),
-            "all" => {
-                run("fig1", &mut rec, &run_fig1);
-                run("fig2", &mut rec, &run_fig2);
-                run("table1", &mut rec, &run_table1);
-                run("geometry", &mut rec, &|o, _| run_geometry(o));
-                run("adaptive", &mut rec, &run_adaptive);
-                run("priority", &mut rec, &run_priority);
-                run("flowsched", &mut rec, &run_flowsched);
-                run("cluster", &mut rec, &run_cluster);
-                run("pipelining", &mut rec, &run_pipelining);
             }
-            _ => return usage(),
+            Err(e) => {
+                failure.get_or_insert(e.to_string());
+                break;
+            }
         }
     }
     // Unwrap the tap (flushing its final batch), tear down the global
@@ -1712,7 +1735,7 @@ fn main() -> ExitCode {
         }
         None => None,
     };
-    if let Some(e) = bench_err {
+    if let Some(e) = failure {
         eprintln!("error: {e}");
         return ExitCode::FAILURE;
     }
@@ -1739,4 +1762,34 @@ fn main() -> ExitCode {
         }
     }
     ExitCode::SUCCESS
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// Every row honours only run options, takes `--chaos-seed` with
+    /// `--chaos`, and has a horizon exactly when it honours `--fork-at`.
+    #[test]
+    fn experiment_rows_are_consistent() {
+        let lists = |flags: &str, flag: &str| flags.split(' ').any(|f| f == flag);
+        let run_options =
+            "--iterations --chaos --chaos-seed --fork-at --fork-replay --shards --csv";
+        for e in &EXPERIMENTS {
+            for flag in e.honours.split_whitespace() {
+                assert!(lists(run_options, flag), "{}: {flag}", e.name);
+            }
+            let (chaos, seed) = (
+                lists(e.honours, "--chaos"),
+                lists(e.honours, "--chaos-seed"),
+            );
+            assert_eq!(chaos, seed, "{}", e.name);
+            assert_eq!(
+                lists(e.honours, "--fork-at"),
+                e.horizon.is_some(),
+                "{}",
+                e.name
+            );
+        }
+    }
 }

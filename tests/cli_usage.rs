@@ -1,29 +1,39 @@
-//! The CLI rejects an iteration count it cannot compute statistics from up
-//! front — usage text on stderr, exit code 2, nothing run — instead of
-//! panicking in a worker once a run has completed too few iterations.
+//! The CLI rejects what it cannot honour up front — usage text on stderr,
+//! exit code 2, nothing run — instead of panicking in a worker or quietly
+//! running something else: an iteration count it cannot compute
+//! statistics from, an option the experiment does not honour, a fork
+//! point at or past the run's horizon, and a `--chaos-seed` with no fault
+//! profile to seed.
 
-use std::process::Command;
+use std::process::{Command, Output};
 
-/// Runs `mlcc-repro <experiment> --iterations <n>` and asserts it is a
-/// usage error whose message contains `expect`.
-fn assert_usage_error(experiment: &str, n: &str, expect: &str) {
-    let out = Command::new(env!("CARGO_BIN_EXE_mlcc-repro"))
-        .args([experiment, "--iterations", n])
+fn mlcc_repro(args: &[&str]) -> Output {
+    Command::new(env!("CARGO_BIN_EXE_mlcc-repro"))
+        .args(args)
         .output()
-        .expect("mlcc-repro runs");
+        .expect("mlcc-repro runs")
+}
+
+/// Asserts `mlcc-repro <args>` is a usage error whose message contains
+/// `expect`.
+fn assert_usage_error(args: &[&str], expect: &str) {
+    let out = mlcc_repro(args);
     let stderr = String::from_utf8_lossy(&out.stderr);
-    assert_eq!(out.status.code(), Some(2), "{experiment} {n}: {stderr}");
+    assert_eq!(out.status.code(), Some(2), "{args:?}: {stderr}");
     assert!(
         stderr.contains(expect) && stderr.contains("usage:"),
-        "{experiment} {n}: {stderr}"
+        "{args:?}: {stderr}"
     );
-    assert!(out.stdout.is_empty(), "{experiment} ran before rejecting");
+    assert!(out.stdout.is_empty(), "{args:?} ran before rejecting");
 }
 
 #[test]
 fn zero_iterations_is_a_usage_error() {
     for experiment in ["fig1", "table1"] {
-        assert_usage_error(experiment, "0", "--iterations must be at least 1");
+        assert_usage_error(
+            &[experiment, "--iterations", "0"],
+            "--iterations must be at least 1",
+        );
     }
 }
 
@@ -40,6 +50,124 @@ fn iterations_within_warmup_are_usage_errors() {
         ("all", "8", 8),
     ] {
         let expect = format!("--iterations must exceed its {warmup} warmup iterations");
-        assert_usage_error(experiment, n, &expect);
+        assert_usage_error(&[experiment, "--iterations", n], &expect);
     }
+}
+
+/// An option the experiment never reads is rejected, not silently
+/// dropped: a run that ignored `--chaos` would pass for a faulted one.
+#[test]
+fn options_an_experiment_ignores_are_usage_errors() {
+    for (args, flag) in [
+        (&["adaptive", "--chaos", "stragglers"][..], "--chaos"),
+        (&["fig2", "--chaos", "links"], "--chaos"),
+        (&["chaos", "--chaos", "links"], "--chaos"),
+        (&["snapshot", "--chaos", "links"], "--chaos"),
+        (&["priority", "--fork-at", "100ms"], "--fork-at"),
+        (
+            &["shard", "--fork-replay", "--fork-at", "1ms"],
+            "--fork-replay",
+        ),
+        (&["geometry", "--shards", "4"], "--shards"),
+        (&["geometry", "--iterations", "3"], "--iterations"),
+        (&["geometry", "--trace", "x.jsonl"], "--trace"),
+        (&["snapshot", "--trace", "x.jsonl"], "--trace"),
+        (&["adaptive", "--csv", "d"], "--csv"),
+        (&["variants", "--shards", "4"], "--shards"),
+        (&["all", "--shards", "2"], "--shards"),
+    ] {
+        assert_usage_error(args, &format!("{} does not take {flag}", args[0]));
+    }
+}
+
+/// A fork point at or past the horizon would fork nothing (or, for
+/// `shard`, simulate idle time until the fork point).
+#[test]
+fn fork_points_past_the_horizon_are_usage_errors() {
+    for experiment in ["fig1", "chaos", "shard"] {
+        assert_usage_error(
+            &[experiment, "--fork-at", "999s"],
+            "--fork-at 999s is not before the run's",
+        );
+    }
+}
+
+#[test]
+fn chaos_seed_without_a_fault_profile_is_a_usage_error() {
+    for args in [
+        &["fig1", "--chaos-seed", "3"][..],
+        &["fig1", "--chaos", "none", "--chaos-seed", "3"],
+    ] {
+        assert_usage_error(args, "--chaos-seed needs a --chaos profile");
+    }
+}
+
+/// `explain` takes its target's run options but no output flag; its
+/// argument errors exit 1.
+#[test]
+fn explain_rejects_output_flags() {
+    for flag in [
+        &["--trace", "x.jsonl"][..],
+        &["--csv", "d"],
+        &["--summary-dir", "d"],
+    ] {
+        let args = [&["explain", "fig1"][..], flag].concat();
+        let out = mlcc_repro(&args);
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(1), "{args:?}: {stderr}");
+        assert!(
+            stderr.contains(&format!("explain fig1 does not take {}", flag[0])),
+            "{args:?}: {stderr}"
+        );
+        assert!(out.stdout.is_empty(), "{args:?} ran before rejecting");
+    }
+}
+
+/// `--csv DIR` creates the directory, nested parents included, writes
+/// each file with its header row, and names every file on stdout.
+#[test]
+fn csv_files_are_written_and_announced() {
+    let dir = std::env::temp_dir().join(format!("mlcc_cli_csv_ok_{}", std::process::id()));
+    let csv = dir.join("nested").join("csv");
+    let out = mlcc_repro(&["fig1", "--iterations", "5", "--csv", csv.to_str().unwrap()]);
+    let read = |name: &str| std::fs::read_to_string(csv.join(name)).unwrap_or_default();
+    let cdf = read("fig1d_fair_j0.csv");
+    let rates = read("fig1bc_fair_rates.csv");
+    let _ = std::fs::remove_dir_all(&dir);
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    assert_eq!(
+        out.status.code(),
+        Some(0),
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    assert!(
+        cdf.starts_with("value_ms,cumulative_fraction\n"),
+        "{cdf:.80}"
+    );
+    assert!(rates.starts_with("time_s,j1_gbps,j2_gbps\n"), "{rates:.80}");
+    for name in ["fig1d_fair_j0.csv", "fig1bc_fair_rates.csv"] {
+        let wrote = format!("wrote {}\n", csv.join(name).display());
+        assert!(stdout.contains(&wrote), "{name} not announced: {stdout}");
+    }
+}
+
+/// A CSV directory that cannot be created is an I/O error naming the
+/// path (exit 1), not a panic.
+#[test]
+fn unwritable_csv_dir_is_an_error_not_a_panic() {
+    let dir = std::env::temp_dir().join(format!("mlcc_cli_csv_{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    // A regular file where the CSV directory's parent should be.
+    let blocker = dir.join("blocker");
+    std::fs::write(&blocker, "").unwrap();
+    let csv = blocker.join("csv");
+    let out = mlcc_repro(&["fig1", "--iterations", "5", "--csv", csv.to_str().unwrap()]);
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    let _ = std::fs::remove_dir_all(&dir);
+    assert_eq!(out.status.code(), Some(1), "{stderr}");
+    assert!(
+        stderr.contains("error:") && stderr.contains(blocker.to_str().unwrap()),
+        "{stderr}"
+    );
 }
