@@ -56,7 +56,8 @@ pub trait CcAlgorithm: std::fmt::Debug + Send + Sync {
     ///
     /// Idle spans coalesce: `advance(k·dt, 0.0, Dur::ZERO)` must leave the
     /// controller exactly as `k` calls of `advance(dt, 0.0, Dur::ZERO)`
-    /// would. The rate engine's idle fast-forward relies on it.
+    /// would. The rate engine relies on it to jump idle stretches and to
+    /// catch computing jobs' controllers up after a solo window.
     fn advance(&mut self, dt: Dur, bytes_sent: f64, queue_delay: Dur);
 
     /// Resets the flow to a fresh line-rate state (new communication

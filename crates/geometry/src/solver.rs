@@ -90,14 +90,20 @@ pub enum Verdict {
     },
     /// No conflict-free assignment exists at this resolution.
     Incompatible {
-        /// The smallest overlap found (fraction of the circle where two or
-        /// more jobs must communicate simultaneously).
+        /// The smallest overlap found. Overlap is communication demand
+        /// above link capacity, summed over the circle's sectors and
+        /// divided by their number: `Σ max(0, load − 1) / S`, with `load`
+        /// a sector's summed demand in units of link capacity (a job that
+        /// needs the whole link counts 1). A sector where three such jobs
+        /// communicate counts 2, so the value can exceed 1 (Table 1's
+        /// three-job BERT group reports 111%).
         best_overlap_fraction: f64,
     },
     /// The node budget was exhausted before the search space was: the jobs
     /// may or may not be compatible.
     Inconclusive {
-        /// The smallest overlap encountered before giving up.
+        /// The smallest overlap encountered before giving up, measured as
+        /// for [`Verdict::Incompatible`].
         best_overlap_fraction: f64,
     },
 }
@@ -116,7 +122,8 @@ impl Verdict {
         }
     }
 
-    /// The best (smallest) overlap fraction known: 0 when compatible.
+    /// The best (smallest) overlap known, as defined on
+    /// [`Verdict::Incompatible`]: 0 when compatible.
     pub fn overlap_fraction(&self) -> f64 {
         match self {
             Verdict::Compatible { .. } => 0.0,

@@ -14,6 +14,13 @@
 //!
 //! Scope: one bottleneck link (the paper's experiments are all
 //! single-bottleneck; multi-link topologies are the fluid engine's job).
+//!
+//! The run loops take two kinds of steps faster than [`RateSimulator::step`]
+//! without changing a bit of output: idle stretches (every job computing,
+//! queue empty) are jumped in one controller advance, and solo
+//! communication (one job sending into an empty queue, everyone else
+//! computing) is stepped for that job alone, repeating `step`'s float
+//! operations in the same order. Every other step is a full `step`.
 
 use crate::job::{self, Job};
 use crate::snapshot::{check_version, SnapshotError, Snapshottable, SNAPSHOT_VERSION};
@@ -150,6 +157,13 @@ struct JobState {
     mark_threshold: f64,
 }
 
+/// Steps a run loop took on each fast path (the rest were full steps).
+#[derive(Default)]
+struct StepSplit {
+    idle: u64,
+    solo: u64,
+}
+
 /// The rate-based simulator over one bottleneck link.
 ///
 /// Generic over a [`Recorder`]; the default [`NoopRecorder`] compiles all
@@ -183,7 +197,8 @@ impl RateSimulator {
     /// Builds an unobserved simulator for `jobs` sharing the bottleneck.
     ///
     /// # Panics
-    /// Panics if `jobs` is empty or `dt` is zero.
+    /// Panics if `jobs` is empty, `dt` is zero, or `mark_noise` is outside
+    /// `[0, 1)`.
     pub fn new(cfg: RateSimConfig, jobs: &[RateJob]) -> RateSimulator {
         RateSimulator::with_recorder(cfg, jobs, NoopRecorder)
     }
@@ -193,10 +208,18 @@ impl<R: Recorder> RateSimulator<R> {
     /// Builds a simulator whose instrumentation feeds `rec`.
     ///
     /// # Panics
-    /// Panics if `jobs` is empty or `dt` is zero.
+    /// Panics if `jobs` is empty, `dt` is zero, or `mark_noise` is outside
+    /// `[0, 1)` (NaN included): the engine skips the marking pass at zero
+    /// marking probability, which is exact only while every CNP threshold
+    /// is positive.
     pub fn with_recorder(cfg: RateSimConfig, jobs: &[RateJob], mut rec: R) -> RateSimulator<R> {
         assert!(!jobs.is_empty(), "RateSimulator: no jobs");
         assert!(!cfg.dt.is_zero(), "RateSimulator: zero dt");
+        assert!(
+            (0.0..1.0).contains(&cfg.mark_noise),
+            "RateSimulator: mark_noise {} outside [0, 1)",
+            cfg.mark_noise
+        );
         let mut spans = SpanTracker::new::<R>(jobs.len());
         for (i, j) in jobs.iter().enumerate() {
             // Single shared bottleneck: every job's flow crosses link 0.
@@ -387,7 +410,7 @@ impl<R: Recorder> RateSimulator<R> {
         // and fire when it crosses the threshold. Marks suppressed by CNP
         // pacing are dropped, as NP hardware coalesces them. At zero
         // marking probability no accumulator moves and, with `mark_noise`
-        // in its documented `[0, 1)`, every threshold is positive, so no
+        // in `[0, 1)` (checked at construction), every threshold is positive, so no
         // mark can fire: the pass is skipped.
         let mark_p = self.cfg.marker.mark_probability(standing_queue);
         if mark_p > 0.0 {
@@ -532,24 +555,13 @@ impl<R: Recorder> RateSimulator<R> {
         self.now = t_end;
     }
 
-    /// Exact idle fast-forward: while every job is
-    /// computing (or departed) and the link queue is empty, a base step
-    /// only advances the controllers' clocks with no traffic and no queue.
-    /// Takes `k ≥ 2` such steps at once, on the same `dt` grid, as one
-    /// `advance(k·dt, 0, 0)` per controller — which fires the same timer
-    /// events in the same order as `k` separate advances, so the run stays
-    /// bit-identical to stepping. Every skipped step starts before the
-    /// next compute deadline, departure, capacity change and `end`, and
-    /// ends before the next trace or telemetry sample. Returns `false`
-    /// (and does nothing) when fewer than two steps qualify.
-    fn skip_idle_steps(&mut self, end: Time) -> bool {
-        if self
-            .jobs
-            .iter()
-            .any(|j| j.job.progress.is_communicating() || j.backlog != 0.0)
-        {
-            return false;
-        }
+    /// Whole `dt` steps from `now` that a fast path may take at once, on
+    /// the same grid as [`step`](Self::step): each starts before `end`,
+    /// before every computing job's compute deadline and departure, and
+    /// before the next capacity-schedule change, and ends before the next
+    /// trace sample and (observed runs) the next telemetry sample. 0 when
+    /// the capacity multiplier changes at `now`, which a step must record.
+    fn window_steps(&self, end: Time) -> u64 {
         let now = self.now.as_nanos();
         let dt = self.cfg.dt.as_nanos();
         // Whole steps from `now` that start strictly before `t`, and that
@@ -557,7 +569,12 @@ impl<R: Recorder> RateSimulator<R> {
         let starting_before = |t: Time| t.as_nanos().saturating_sub(now).div_ceil(dt);
         let ending_before = |t: Time| t.as_nanos().saturating_sub(now).saturating_sub(1) / dt;
         let mut k = starting_before(end);
-        for js in self.jobs.iter().map(|j| &j.job).filter(|j| !j.departed) {
+        for js in self
+            .jobs
+            .iter()
+            .map(|j| &j.job)
+            .filter(|j| !j.departed && !j.progress.is_communicating())
+        {
             if let Some(deadline) = js.progress.next_self_transition() {
                 k = k.min(starting_before(deadline));
             }
@@ -567,7 +584,7 @@ impl<R: Recorder> RateSimulator<R> {
         }
         if let Some(s) = &self.cfg.capacity_schedule {
             if s.multiplier_at(self.now) != self.last_cap_mult {
-                return false;
+                return 0;
             }
             if let Some(change) = s.next_change_after(self.now) {
                 k = k.min(starting_before(change));
@@ -579,48 +596,183 @@ impl<R: Recorder> RateSimulator<R> {
         if R::ENABLED {
             k = k.min(ending_before(self.next_sample_at));
         }
-        if k < 2 {
-            return false;
+        k
+    }
+
+    /// Exact idle fast-forward: while every job is computing (or departed)
+    /// and the link queue is empty, a base step only advances the
+    /// controllers' clocks with no traffic and no queue. Takes `k ≥ 2`
+    /// such steps of the [`window_steps`](Self::window_steps) bound at
+    /// once, as one `advance(k·dt, 0, 0)` per controller — which fires the
+    /// same timer events in the same order as `k` separate advances, so
+    /// the run stays bit-identical to stepping. Returns the steps taken:
+    /// 0 (having done nothing) when fewer than two qualify.
+    fn skip_idle_steps(&mut self, end: Time) -> u64 {
+        if self
+            .jobs
+            .iter()
+            .any(|j| j.job.progress.is_communicating() || j.backlog != 0.0)
+        {
+            return 0;
         }
-        let span = Dur::from_nanos(k * dt);
+        let k = self.window_steps(end);
+        if k < 2 {
+            return 0;
+        }
+        let span = Dur::from_nanos(k * self.cfg.dt.as_nanos());
         for js in &mut self.jobs {
             js.cc.advance(span, 0.0, Dur::ZERO);
         }
         self.steps += k;
         self.now += span;
-        true
+        k
+    }
+
+    /// Exact solo fast path: while exactly one job communicates and every
+    /// other job computes (or has departed) with nothing queued, steps
+    /// that one job alone, up to the [`window_steps`](Self::window_steps)
+    /// bound. Each step repeats [`step`](Self::step)'s float operations
+    /// for that job in the same order — the injection `min`, the
+    /// `served·backlog/total` share and its clamp, `on_phase_progress`,
+    /// `advance(dt, d, 0)` and `deliver` — and the loop stops after the
+    /// step that ends the job's phase. A step first checks that its
+    /// standing queue would be exactly 0 and hands back to `step` (having
+    /// written nothing) if not; with an empty queue and zero marking
+    /// probability no mark fires, no CNP is sent and the queueing delay
+    /// is 0. The other controllers only advance their clocks with no
+    /// traffic, so they catch up afterwards in one `advance(n·dt, 0, 0)`
+    /// each, under the idle-coalescing rule of [`CcAlgorithm::advance`].
+    /// Returns the steps taken `n`, 0 if none.
+    fn run_solo_steps(&mut self, end: Time) -> u64 {
+        let mut solo = None;
+        for (i, js) in self.jobs.iter().enumerate() {
+            if js.job.progress.is_communicating() {
+                if solo.replace(i).is_some() {
+                    return 0;
+                }
+            } else if js.backlog != 0.0 {
+                return 0;
+            }
+        }
+        let Some(s) = solo else {
+            return 0;
+        };
+        if self.cfg.marker.mark_probability(0.0) != 0.0 {
+            return 0;
+        }
+        let k = self.window_steps(end);
+        if k == 0 {
+            return 0;
+        }
+        let dt = self.cfg.dt;
+        let dt_secs = dt.as_secs_f64();
+        // `window_steps` holds the capacity multiplier at `last_cap_mult`.
+        let mut effective_bps = self.cfg.capacity.as_bps_f64();
+        if self.cfg.capacity_schedule.is_some() && self.last_cap_mult != 1.0 {
+            effective_bps *= self.last_cap_mult;
+        }
+        let service = effective_bps * dt_secs / 8.0;
+        let js = &mut self.jobs[s];
+        let mut taken = 0;
+        while taken < k {
+            let offered = js.cc.rate() * dt_secs / 8.0;
+            let a = offered.min(js.to_inject);
+            // Every other backlog is 0, so this job's is the link total.
+            let total_backlog = js.backlog + a;
+            let served_total = total_backlog.min(service);
+            if total_backlog - served_total != 0.0 {
+                break;
+            }
+            js.backlog = total_backlog;
+            js.to_inject -= a;
+            let mut delivered = 0.0;
+            if total_backlog > 0.0 {
+                delivered = (served_total * js.backlog / total_backlog).clamp(0.0, js.backlog);
+                js.backlog = (js.backlog - delivered).max(0.0);
+            }
+            let t_end = self.now + dt;
+            let progress = &mut js.job.progress;
+            if js.adaptive {
+                let total = progress.comm_bytes_per_iteration();
+                let sent = total - progress.remaining_bytes();
+                js.cc.on_phase_progress(sent / total);
+            }
+            js.cc.advance(dt, delivered, Dur::ZERO);
+            taken += 1;
+            self.now = t_end;
+            if delivered > 0.0 {
+                js.traced_bytes += delivered;
+                let finished = progress.deliver(delivered, t_end).is_some();
+                if finished {
+                    js.to_inject = 0.0;
+                    js.backlog = 0.0;
+                    js.cc.on_iteration_end();
+                }
+                if !progress.is_communicating() {
+                    js.job
+                        .record_compute(&mut self.rec, &mut self.spans, t_end, s, finished);
+                    break;
+                }
+            }
+        }
+        if taken > 0 {
+            let idle = Dur::from_nanos(taken * dt.as_nanos());
+            for (i, js) in self.jobs.iter_mut().enumerate() {
+                if i != s {
+                    js.cc.advance(idle, 0.0, Dur::ZERO);
+                }
+            }
+            self.steps += taken;
+        }
+        taken
+    }
+
+    /// One pass of the run loops toward `end`: an idle jump, else a solo
+    /// window, else one full step. Tallies the fast-path steps in `split`.
+    fn advance_toward(&mut self, end: Time, split: &mut StepSplit) {
+        let idle = self.skip_idle_steps(end);
+        if idle > 0 {
+            split.idle += idle;
+            return;
+        }
+        let solo = self.run_solo_steps(end);
+        if solo > 0 {
+            split.solo += solo;
+            return;
+        }
+        self.step();
+    }
+
+    /// Reports a finished run loop to the recorder: the `netsim.rate` span
+    /// and the steps taken since `steps0`, in total and by fast path.
+    fn record_run(&mut self, wall: Option<std::time::Instant>, steps0: u64, split: StepSplit) {
+        if let Some(t0) = wall {
+            let steps = self.steps - steps0;
+            self.rec.span("netsim.rate", t0.elapsed(), steps);
+            self.rec.count("rate_steps_total", steps);
+            self.rec.count("rate_steps_idle", split.idle);
+            self.rec.count("rate_steps_solo", split.solo);
+        }
     }
 
     /// Runs for a fixed span of simulated time.
     pub fn run_for(&mut self, span: Dur) {
-        let wall = if R::ENABLED {
-            Some(std::time::Instant::now())
-        } else {
-            None
-        };
+        let wall = R::ENABLED.then(std::time::Instant::now);
         let steps0 = self.steps;
+        let mut split = StepSplit::default();
         let end = self.now + span;
         while self.now < end {
-            if !self.skip_idle_steps(end) {
-                self.step();
-            }
+            self.advance_toward(end, &mut split);
         }
-        if let Some(t0) = wall {
-            self.rec
-                .span("netsim.rate", t0.elapsed(), self.steps - steps0);
-            self.rec.count("rate_steps_total", self.steps - steps0);
-        }
+        self.record_run(wall, steps0, split);
     }
 
     /// Runs until every job has completed `n` iterations, or `max_span`
     /// elapses. Returns `true` if all jobs reached `n`.
     pub fn run_until_iterations(&mut self, n: usize, max_span: Dur) -> bool {
-        let wall = if R::ENABLED {
-            Some(std::time::Instant::now())
-        } else {
-            None
-        };
+        let wall = R::ENABLED.then(std::time::Instant::now);
         let steps0 = self.steps;
+        let mut split = StepSplit::default();
         let end = self.now + max_span;
         let mut done = false;
         let reached = |jobs: &[JobState]| jobs.iter().all(|j| j.job.done(n));
@@ -629,15 +781,9 @@ impl<R: Recorder> RateSimulator<R> {
                 done = true;
                 break;
             }
-            if !self.skip_idle_steps(end) {
-                self.step();
-            }
+            self.advance_toward(end, &mut split);
         }
-        if let Some(t0) = wall {
-            self.rec
-                .span("netsim.rate", t0.elapsed(), self.steps - steps0);
-            self.rec.count("rate_steps_total", self.steps - steps0);
-        }
+        self.record_run(wall, steps0, split);
         done || reached(&self.jobs)
     }
 
@@ -937,6 +1083,27 @@ mod tests {
         let _ = RateSimulator::new(RateSimConfig::default(), &[]);
     }
 
+    fn with_mark_noise(mark_noise: f64) -> RateSimulator {
+        let cfg = RateSimConfig {
+            mark_noise,
+            ..RateSimConfig::default()
+        };
+        RateSimulator::new(cfg, &[RateJob::new(vgg19(1200), CcVariant::Fair)])
+    }
+
+    /// At `mark_noise = 1` a jittered CNP threshold can reach 0.
+    #[test]
+    #[should_panic(expected = "mark_noise 1 outside [0, 1)")]
+    fn mark_noise_of_one_rejected() {
+        let _ = with_mark_noise(1.0);
+    }
+
+    #[test]
+    #[should_panic(expected = "mark_noise NaN outside [0, 1)")]
+    fn nan_mark_noise_rejected() {
+        let _ = with_mark_noise(f64::NAN);
+    }
+
     /// An observed contended run records the full event vocabulary: phase
     /// transitions, ECN marks, CNPs, rate changes, and queue samples.
     #[test]
@@ -1018,16 +1185,52 @@ mod tests {
         let end = Time::ZERO + Dur::from_secs(1);
 
         sim.jobs[0].backlog = 0.25;
-        assert!(!sim.skip_idle_steps(end), "jumped over queued bytes");
+        assert_eq!(sim.skip_idle_steps(end), 0, "jumped over queued bytes");
         sim.jobs[0].backlog = 0.0;
 
-        assert!(sim.skip_idle_steps(end));
+        assert!(sim.skip_idle_steps(end) > 0);
         assert!(sim.now() >= deadline && sim.now() < deadline + dt);
         assert_eq!(sim.now().as_nanos(), sim.steps() * dt.as_nanos());
-        assert!(!sim.skip_idle_steps(end), "a second jump past the deadline");
+        assert_eq!(
+            sim.skip_idle_steps(end),
+            0,
+            "a second jump past the deadline"
+        );
         sim.step();
         assert!(sim.progress(0).is_communicating());
-        assert!(!sim.skip_idle_steps(end));
+        assert_eq!(sim.skip_idle_steps(end), 0);
+    }
+
+    /// The solo path takes a lone communicator's whole phase in one window
+    /// that ends on the step delivering its last byte, and declines while
+    /// another job holds queued bytes.
+    #[test]
+    fn solo_window_ends_on_the_phase_end_step() {
+        let spec = vgg19(1200);
+        let late = RateJob {
+            start_offset: Dur::from_millis(200),
+            ..RateJob::new(spec, CcVariant::Fair)
+        };
+        let mut sim = RateSimulator::new(
+            RateSimConfig::default(),
+            &[RateJob::new(spec, CcVariant::Fair), late],
+        );
+        let end = Time::ZERO + Dur::from_secs(1);
+        assert_eq!(sim.run_solo_steps(end), 0, "no job communicates yet");
+        assert!(sim.skip_idle_steps(end) > 0);
+        sim.step();
+        assert!(sim.progress(0).is_communicating());
+
+        sim.jobs[1].backlog = 0.25;
+        assert_eq!(sim.run_solo_steps(end), 0, "stepped over queued bytes");
+        sim.jobs[1].backlog = 0.0;
+
+        let steps = sim.steps();
+        let taken = sim.run_solo_steps(end);
+        assert_eq!(sim.steps(), steps + taken);
+        assert!(!sim.progress(0).is_communicating());
+        assert_eq!(sim.progress(0).iterations()[0].completed, sim.now());
+        assert_eq!(sim.now().as_nanos(), sim.steps() * sim.cfg.dt.as_nanos());
     }
 
     /// A capacity degradation window slows delivery while open and the

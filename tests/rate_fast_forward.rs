@@ -1,11 +1,14 @@
-//! Exactness of the rate engine's idle fast-forward. `run_for`, `run_until`
-//! and `run_until_iterations` take runs of idle fixed steps (every job
-//! computing, link queue empty) as one jump; each case here drives the
-//! same engine that way and by calling the public `step()` once per step,
-//! and requires the two to agree bit for bit: iteration records, rate and
-//! queue traces, step counts, and every recorded telemetry event.
+//! Exactness of the rate engine's fast paths. `run_for`, `run_until` and
+//! `run_until_iterations` take runs of idle fixed steps (every job
+//! computing, link queue empty) as one jump, and step a job that
+//! communicates alone into an empty queue in a loop of its own; each case
+//! here drives the same engine that way and by calling the public `step()`
+//! once per step, and requires the two to agree bit for bit: iteration
+//! records, rate and queue traces, step counts, and every recorded
+//! telemetry event. The solo cases also require the observed run to have
+//! taken solo steps, so they cannot pass by never reaching the path.
 
-use dcqcn::{CcVariant, FairnessPolicy};
+use dcqcn::{CcVariant, FairnessPolicy, RedMarker};
 use eventsim::TimeSeries;
 use mlcc::experiments::table1::ordered_timers;
 use netsim::rate::{RateJob, RateSimConfig, RateSimulator};
@@ -97,9 +100,16 @@ fn step_until<R: Recorder>(sim: &mut RateSimulator<R>, t: Time) {
     }
 }
 
+/// Steps the observed fast run took on each fast path.
+#[derive(Debug)]
+struct Split {
+    idle: u64,
+    solo: u64,
+}
+
 /// Runs `jobs` both ways, unobserved and observed, and requires identical
-/// outcomes and event streams.
-fn assert_exact(cfg: &RateSimConfig, jobs: &[RateJob], drive: Drive) {
+/// outcomes and event streams. Returns the observed fast run's split.
+fn assert_exact(cfg: &RateSimConfig, jobs: &[RateJob], drive: Drive) -> Split {
     let mut fast = RateSimulator::new(cfg.clone(), jobs);
     let mut stepped = RateSimulator::new(cfg.clone(), jobs);
     drive_fast(&mut fast, drive);
@@ -116,7 +126,20 @@ fn assert_exact(cfg: &RateSimConfig, jobs: &[RateJob], drive: Drive) {
     drop((fast, stepped));
     assert_eq!(event_stream(&fast_rec), event_stream(&stepped_rec));
     // Skipped steps still count as simulated steps.
-    assert_eq!(fast_rec.counts()["rate_steps_total"], steps);
+    let counts = fast_rec.counts();
+    assert_eq!(counts["rate_steps_total"], steps);
+    let split = Split {
+        idle: counts["rate_steps_idle"],
+        solo: counts["rate_steps_solo"],
+    };
+    assert!(split.idle + split.solo <= steps, "{split:?} of {steps}");
+    split
+}
+
+/// [`assert_exact`], requiring the solo path to have run.
+fn assert_exact_solo(cfg: &RateSimConfig, jobs: &[RateJob], drive: Drive) {
+    let split = assert_exact(cfg, jobs, drive);
+    assert!(split.solo > 0, "solo path never ran: {split:?}");
 }
 
 fn vgg19() -> JobSpec {
@@ -293,4 +316,140 @@ fn mid_idle_fork_barrier_restores_identically() {
     drive_fast(&mut fast, Drive::Iterations(5));
     drive_stepped(&mut stepped, Drive::Iterations(5));
     assert_eq!(outcome(&fast), outcome(&stepped));
+}
+
+fn offset(mut job: RateJob, ns: u64) -> RateJob {
+    job.start_offset = Dur::from_nanos(ns);
+    job
+}
+
+/// A job alone on the link: unobserved and untraced, nothing bounds a solo
+/// window short of the run's end, so each communication phase ends inside
+/// one; a run that stops mid-phase ends one too.
+#[test]
+fn solo_phase_ends_mid_window() {
+    let jobs = [RateJob::new(vgg19(), CcVariant::Fair)];
+    assert_exact_solo(&RateSimConfig::default(), &jobs, Drive::Iterations(3));
+    let mid_phase = vgg19().compute_time() + Dur::from_nanos(40_000_123);
+    assert_exact_solo(&RateSimConfig::default(), &jobs, Drive::For(mid_phase));
+}
+
+/// The second job's compute phase ends, off the step grid, while the
+/// first communicates alone: the window stops on the step that polls it.
+#[test]
+fn solo_window_stops_at_another_jobs_deadline() {
+    let jobs = [
+        RateJob::new(vgg19(), CcVariant::Fair),
+        offset(RateJob::new(vgg19(), CcVariant::Fair), 60_001_234),
+    ];
+    assert_exact_solo(&RateSimConfig::default(), &jobs, Drive::Iterations(4));
+}
+
+/// Fig. 1's unfair pair: after contention cuts a rate, the survivor ramps
+/// back up alone on timers and byte counts, with no CNP. Without phase
+/// restarts the computing job's cut controller carries into its next
+/// phase, so its clocks must catch up across each solo window.
+#[test]
+fn solo_rate_ramp_after_a_cut() {
+    let unfair = CcVariant::StaticUnfair {
+        timer: Dur::from_micros(100),
+    };
+    let jobs = [
+        RateJob::new(vgg19(), unfair),
+        RateJob::new(vgg19(), CcVariant::Fair),
+    ];
+    assert_exact_solo(&RateSimConfig::default(), &jobs, Drive::Iterations(6));
+    let no_restart = RateSimConfig {
+        restart_on_phase: false,
+        ..RateSimConfig::default()
+    };
+    assert_exact_solo(&no_restart, &jobs, Drive::Iterations(6));
+}
+
+/// Trace samples every 333.333 µs, off the step grid, and (observed) the
+/// telemetry samples on the same cadence end solo windows early.
+#[test]
+fn solo_windows_stop_at_trace_and_sample_boundaries() {
+    let cfg = RateSimConfig {
+        trace_interval: Some(Dur::from_nanos(333_333)),
+        ..RateSimConfig::default()
+    };
+    let solo = [RateJob::new(vgg19(), CcVariant::Fair)];
+    assert_exact_solo(&cfg, &solo, Drive::Iterations(2));
+    let pair = [
+        RateJob::new(vgg19(), CcVariant::Fair),
+        offset(RateJob::new(vgg19(), CcVariant::Fair), 130_000_000),
+    ];
+    assert_exact_solo(&cfg, &pair, Drive::Iterations(3));
+}
+
+/// A down window (0×, floored to `MIN_MULTIPLIER`) and a half-capacity
+/// window open mid-phase under a job sending alone at line rate: the
+/// queue stands, so the solo path hands back to `step` until it drains.
+#[test]
+fn solo_path_yields_to_a_standing_queue_in_a_down_window() {
+    let us = |us: u64, extra_ns: u64| Time::from_nanos(us * 1_000 + extra_ns);
+    let cfg = RateSimConfig {
+        capacity_schedule: Some(LinkSchedule::new(vec![
+            (us(160_000, 700), 0.0),
+            (us(175_003, 0), 1.0),
+            (us(420_000, 11), 0.5),
+            (us(440_000, 0), 1.0),
+        ])),
+        ..RateSimConfig::default()
+    };
+    let jobs = [RateJob::new(vgg19(), CcVariant::Fair)];
+    assert_exact_solo(&cfg, &jobs, Drive::For(Dur::from_millis(700)));
+}
+
+/// The delay-based clock and both progress-fed DCQCN wrappers, each alone
+/// on the link.
+#[test]
+fn solo_zoo_controllers_match_single_stepping() {
+    for variant in [
+        CcVariant::Swift {
+            target_delay: Dur::from_micros(30),
+        },
+        CcVariant::Mltcp { bonus: 1.0 },
+        CcVariant::Policy {
+            policy: FairnessPolicy::BonusDecay {
+                bonus: 1.0,
+                decay: 3.0,
+            },
+        },
+    ] {
+        let jobs = [RateJob::new(vgg19(), variant)];
+        assert_exact_solo(&RateSimConfig::default(), &jobs, Drive::Iterations(3));
+    }
+}
+
+/// Pipelined jobs end solo windows mid-iteration, between segments,
+/// where float dust can stay queued through the compute gap.
+#[test]
+fn solo_pipelined_gaps_match_single_stepping() {
+    let spec = JobSpec::reference(Model::Vgg19, 600).pipelined(3, Dur::from_millis(4));
+    let alone = [RateJob::new(spec, CcVariant::Fair)];
+    assert_exact_solo(&RateSimConfig::default(), &alone, Drive::Iterations(3));
+    let staggered = [
+        RateJob::new(spec, CcVariant::Fair),
+        offset(RateJob::new(spec, CcVariant::Fair), 31_000_007),
+    ];
+    assert_exact_solo(&RateSimConfig::default(), &staggered, Drive::Iterations(4));
+}
+
+/// A marker that marks an empty queue keeps every step on the full path.
+#[test]
+fn solo_path_declines_when_an_empty_queue_marks() {
+    let cfg = RateSimConfig {
+        marker: RedMarker {
+            kmin: -1.0,
+            kmax: 400_000.0,
+            pmax: 0.01,
+        },
+        ..RateSimConfig::default()
+    };
+    let jobs = [RateJob::new(vgg19(), CcVariant::Fair)];
+    let split = assert_exact(&cfg, &jobs, Drive::Iterations(2));
+    assert_eq!(split.solo, 0);
+    assert!(split.idle > 0);
 }

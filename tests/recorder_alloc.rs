@@ -2,7 +2,8 @@
 //! `NoopRecorder` — or a `TapRecorder<NoopRecorder>` with no live sink
 //! installed — through hundreds of thousands of instrumentation calls
 //! performs **zero heap allocations**, and so does stepping an unobserved
-//! rate engine through a contended communication phase. A counting global
+//! rate engine through a contended communication phase or running it
+//! across solo-communication windows. A counting global
 //! allocator measures, so regressions that sneak a buffer or a clone into
 //! the disabled path fail loudly rather than silently taxing every
 //! unobserved simulation.
@@ -12,7 +13,7 @@
 
 use dcqcn::CcVariant;
 use netsim::rate::{RateJob, RateSimConfig, RateSimulator};
-use simtime::Time;
+use simtime::{Dur, Time};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Duration;
@@ -164,5 +165,37 @@ fn disabled_recorder_paths_are_allocation_free() {
     assert_eq!(
         allocs, 0,
         "RateSimulator<NoopRecorder>::step allocated {allocs} times"
+    );
+
+    // 5. The unobserved run loop across solo-communication windows: job 0
+    // sends alone while job 1 computes (its start is 100 ms later), so
+    // `run_for` takes the solo fast path. An observed twin run over the
+    // same span shows that path is the one taken.
+    let solo_jobs = [
+        RateJob::new(vgg19, CcVariant::Fair),
+        RateJob {
+            start_offset: Dur::from_millis(100),
+            ..RateJob::new(vgg19, CcVariant::Fair)
+        },
+    ];
+    let mut sim = RateSimulator::new(RateSimConfig::default(), &solo_jobs);
+    let mut rec = BufferRecorder::new();
+    let mut twin = RateSimulator::with_recorder(RateSimConfig::default(), &solo_jobs, &mut rec);
+    while !sim.progress(0).is_communicating() {
+        sim.step();
+        twin.step();
+    }
+    let window = Dur::from_millis(1);
+    let allocs = min_allocations_during(|| sim.run_for(window));
+    twin.run_for(window * 10);
+    assert_eq!(sim.now(), twin.now());
+    assert!(sim.progress(0).is_communicating() && !sim.progress(1).is_communicating());
+    drop(twin);
+    // 2,000 steps of 5 µs, all solo but the 20 that take a 500 µs
+    // telemetry sample.
+    assert_eq!(rec.counts()["rate_steps_solo"], 2_000 - 20);
+    assert_eq!(
+        allocs, 0,
+        "RateSimulator<NoopRecorder>::run_for across solo windows allocated {allocs} times"
     );
 }
