@@ -7,15 +7,23 @@
 //! float, and flat integer-array values with standard JSON string escapes —
 //! and round-trips every event kind bit-exactly.
 //!
+//! One byte scanner serves [`parse_jsonl`] and [`parse_flat_object`]. It
+//! borrows keys and escape-free strings from the line and parses numbers in
+//! place (digits-only tokens that fit `u64` stay exact). It allocates only
+//! for escaped strings, `Scenario` names, `JobPath` links, the returned map,
+//! and each distinct unknown solver component name (leaked once).
+//!
 //! Malformed input (truncated lines, bad escapes, nested values, seq
 //! regressions) never panics: every failure surfaces as a [`ReplayError`]
 //! carrying a typed [`ReplayErrorKind`] and the 1-based line number, so
 //! tooling can distinguish a corrupt file from an unknown event
-//! vocabulary.
+//! vocabulary. An `at char N` in a reason counts characters, not bytes.
 
 use crate::event::{CcState, Event, Phase, SpanKind, TimedEvent};
 use simtime::Time;
+use std::borrow::Cow;
 use std::collections::BTreeMap;
+use std::sync::Mutex;
 
 /// The category of a replay failure.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -130,26 +138,50 @@ impl JsonValue {
     /// The value as a non-negative integer fitting u64, if it is one.
     pub fn as_u64(&self) -> Option<u64> {
         match self {
-            JsonValue::Num(n) if *n >= 0.0 && n.fract() == 0.0 && *n <= u64::MAX as f64 => {
-                Some(*n as u64)
-            }
+            JsonValue::Num(n) => f64_as_u64(*n),
+            _ => None,
+        }
+    }
+}
+
+fn f64_as_u64(n: f64) -> Option<u64> {
+    (n >= 0.0 && n.fract() == 0.0 && n <= u64::MAX as f64).then_some(n as u64)
+}
+
+/// One value as the scanner reads it, borrowing from the line.
+enum Value<'a> {
+    Str(Cow<'a, str>),
+    /// A digits-only token that fits u64, kept exact.
+    UInt(u64),
+    /// Any other number.
+    Num(f64),
+    UInts(Vec<u32>),
+}
+
+impl Value<'_> {
+    fn as_u64(&self) -> Option<u64> {
+        match *self {
+            Value::UInt(n) => Some(n),
+            Value::Num(n) => f64_as_u64(n),
             _ => None,
         }
     }
 
-    fn as_f64(&self) -> Option<f64> {
+    fn into_json(self) -> JsonValue {
         match self {
-            JsonValue::Num(n) => Some(*n),
-            _ => None,
+            Value::Str(s) => JsonValue::Str(s.into_owned()),
+            Value::UInt(n) => JsonValue::Num(n as f64),
+            Value::Num(n) => JsonValue::Num(n),
+            Value::UInts(v) => JsonValue::UInts(v),
         }
     }
+}
 
-    fn as_str(&self) -> Option<&str> {
-        match self {
-            JsonValue::Str(s) => Some(s),
-            _ => None,
-        }
-    }
+/// A line's fields in input order; keys are unique.
+type Fields<'a> = Vec<(Cow<'a, str>, Value<'a>)>;
+
+fn get<'f, 'a>(fields: &'f Fields<'a>, name: &str) -> Option<&'f Value<'a>> {
+    fields.iter().find(|(k, _)| k == name).map(|(_, v)| v)
 }
 
 /// Parses one flat JSON object (`{"k":v,...}`) into a key→value map.
@@ -159,184 +191,221 @@ impl JsonValue {
 /// the summary/diff/history tooling reads the same shape. Rejects nested
 /// objects, duplicate keys, and trailing garbage with a typed error.
 pub fn parse_flat_object(line: &str) -> Result<BTreeMap<String, JsonValue>, ParseError> {
-    let mut map = BTreeMap::new();
-    let bytes: Vec<char> = line.trim().chars().collect();
-    let mut i = 0usize;
-    let err = |msg: &str, at: usize| perr(ReplayErrorKind::Syntax, format!("{msg} at char {at}"));
+    let mut fields = Vec::new();
+    scan_object(line, &mut fields)?;
+    Ok(fields
+        .into_iter()
+        .map(|(k, v)| (k.into_owned(), v.into_json()))
+        .collect())
+}
 
-    let skip_ws = |i: &mut usize| {
-        while *i < bytes.len() && bytes[*i].is_whitespace() {
-            *i += 1;
-        }
+/// Scans the flat object on `line` into `fields` (cleared first).
+fn scan_object<'a>(line: &'a str, fields: &mut Fields<'a>) -> Result<(), ParseError> {
+    fields.clear();
+    let mut sc = Scanner {
+        s: line.trim(),
+        pos: 0,
     };
-    let finish = |map: BTreeMap<String, JsonValue>, i: &mut usize| {
-        *i += 1;
-        skip_ws(i);
-        if *i < bytes.len() {
-            return Err(err("trailing characters after object", *i));
-        }
-        Ok(map)
-    };
-    skip_ws(&mut i);
-    if i >= bytes.len() || bytes[i] != '{' {
-        return Err(err("expected '{'", i));
+    sc.skip_ws();
+    if sc.peek() != Some(b'{') {
+        return Err(sc.syntax("expected '{'"));
     }
-    i += 1;
+    sc.pos += 1;
     loop {
-        skip_ws(&mut i);
-        if i < bytes.len() && bytes[i] == '}' {
-            return finish(map, &mut i);
+        sc.skip_ws();
+        if sc.peek() == Some(b'}') {
+            return sc.finish();
         }
-        let key = parse_string(&bytes, &mut i)?;
-        skip_ws(&mut i);
-        if i >= bytes.len() || bytes[i] != ':' {
-            return Err(err("expected ':'", i));
+        let key = sc.string()?;
+        sc.skip_ws();
+        if sc.peek() != Some(b':') {
+            return Err(sc.syntax("expected ':'"));
         }
-        i += 1;
-        skip_ws(&mut i);
-        let val = parse_value(&bytes, &mut i)?;
-        if map.insert(key.clone(), val).is_some() {
+        sc.pos += 1;
+        sc.skip_ws();
+        let val = sc.value()?;
+        if fields.iter().any(|(k, _)| *k == key) {
             return Err(perr(
                 ReplayErrorKind::Syntax,
                 format!("duplicate key {key:?}"),
             ));
         }
-        skip_ws(&mut i);
-        match bytes.get(i) {
-            Some(',') => i += 1,
-            Some('}') => return finish(map, &mut i),
-            _ => return Err(err("expected ',' or '}'", i)),
+        fields.push((key, val));
+        sc.skip_ws();
+        match sc.peek() {
+            Some(b',') => sc.pos += 1,
+            Some(b'}') => return sc.finish(),
+            _ => return Err(sc.syntax("expected ',' or '}'")),
         }
     }
 }
 
-fn parse_string(chars: &[char], i: &mut usize) -> Result<String, ParseError> {
-    if chars.get(*i) != Some(&'"') {
-        return Err(perr(
-            ReplayErrorKind::Syntax,
-            format!("expected '\"' at char {}", *i),
-        ));
+/// A cursor over a trimmed line. `pos` is a byte offset that always sits
+/// on a char boundary; error reasons convert it to a char count.
+struct Scanner<'a> {
+    s: &'a str,
+    pos: usize,
+}
+
+impl<'a> Scanner<'a> {
+    fn peek(&self) -> Option<u8> {
+        self.s.as_bytes().get(self.pos).copied()
     }
-    *i += 1;
-    let mut out = String::new();
-    while let Some(&c) = chars.get(*i) {
-        *i += 1;
-        match c {
-            '"' => return Ok(out),
-            '\\' => {
-                let esc = chars
-                    .get(*i)
-                    .copied()
-                    .ok_or_else(|| perr(ReplayErrorKind::BadEscape, "dangling escape"))?;
-                *i += 1;
-                match esc {
-                    '"' => out.push('"'),
-                    '\\' => out.push('\\'),
-                    '/' => out.push('/'),
-                    'n' => out.push('\n'),
-                    'r' => out.push('\r'),
-                    't' => out.push('\t'),
-                    'u' => {
-                        let hex: String = chars
-                            .get(*i..*i + 4)
-                            .ok_or_else(|| perr(ReplayErrorKind::BadEscape, "short \\u escape"))?
-                            .iter()
-                            .collect();
-                        *i += 4;
-                        let cp = u32::from_str_radix(&hex, 16).map_err(|_| {
-                            perr(
-                                ReplayErrorKind::BadEscape,
-                                format!("bad \\u digits {hex:?}"),
-                            )
-                        })?;
-                        out.push(char::from_u32(cp).ok_or_else(|| {
-                            perr(
-                                ReplayErrorKind::BadEscape,
-                                format!("bad \\u codepoint {cp:#x}"),
-                            )
-                        })?);
-                    }
-                    other => {
-                        return Err(perr(
-                            ReplayErrorKind::BadEscape,
-                            format!("unknown escape \\{other}"),
-                        ))
-                    }
+
+    fn peek_char(&self) -> Option<char> {
+        self.s[self.pos..].chars().next()
+    }
+
+    /// A syntax error at the cursor, reported as a char offset.
+    fn syntax(&self, msg: &str) -> ParseError {
+        let at = self.s[..self.pos].chars().count();
+        perr(ReplayErrorKind::Syntax, format!("{msg} at char {at}"))
+    }
+
+    /// Skips Unicode whitespace (`char::is_whitespace`, as `str::trim`).
+    fn skip_ws(&mut self) {
+        while let Some(c) = self.peek_char().filter(|c| c.is_whitespace()) {
+            self.pos += c.len_utf8();
+        }
+    }
+
+    /// Steps past the closing `}`; only whitespace may follow.
+    fn finish(&mut self) -> Result<(), ParseError> {
+        self.pos += 1;
+        self.skip_ws();
+        if self.pos < self.s.len() {
+            return Err(self.syntax("trailing characters after object"));
+        }
+        Ok(())
+    }
+
+    fn string(&mut self) -> Result<Cow<'a, str>, ParseError> {
+        if self.peek() != Some(b'"') {
+            return Err(self.syntax("expected '\"'"));
+        }
+        self.pos += 1;
+        let (s, start) = (self.s, self.pos);
+        let mut out = String::new();
+        loop {
+            let run = self.pos;
+            // UTF-8 continuation bytes are never `"` or `\`.
+            let Some(len) = s.as_bytes()[run..]
+                .iter()
+                .position(|&b| b == b'"' || b == b'\\')
+            else {
+                return Err(perr(
+                    ReplayErrorKind::UnterminatedString,
+                    "unterminated string",
+                ));
+            };
+            self.pos += len + 1;
+            if s.as_bytes()[self.pos - 1] == b'"' {
+                if run == start {
+                    return Ok(Cow::Borrowed(&s[start..self.pos - 1]));
                 }
+                out.push_str(&s[run..self.pos - 1]);
+                return Ok(Cow::Owned(out));
             }
-            c => out.push(c),
+            out.push_str(&s[run..self.pos - 1]);
+            let bad = |reason: String| perr(ReplayErrorKind::BadEscape, reason);
+            let esc = self
+                .peek_char()
+                .ok_or_else(|| bad("dangling escape".into()))?;
+            self.pos += esc.len_utf8();
+            match esc {
+                '"' => out.push('"'),
+                '\\' => out.push('\\'),
+                '/' => out.push('/'),
+                'n' => out.push('\n'),
+                'r' => out.push('\r'),
+                't' => out.push('\t'),
+                'u' => {
+                    let hex_start = self.pos;
+                    for _ in 0..4 {
+                        let c = self
+                            .peek_char()
+                            .ok_or_else(|| bad("short \\u escape".into()))?;
+                        self.pos += c.len_utf8();
+                    }
+                    let hex = &s[hex_start..self.pos];
+                    let cp = u32::from_str_radix(hex, 16)
+                        .map_err(|_| bad(format!("bad \\u digits {hex:?}")))?;
+                    let c = char::from_u32(cp);
+                    out.push(c.ok_or_else(|| bad(format!("bad \\u codepoint {cp:#x}")))?);
+                }
+                other => return Err(bad(format!("unknown escape \\{other}"))),
+            }
         }
     }
-    Err(perr(
-        ReplayErrorKind::UnterminatedString,
-        "unterminated string",
-    ))
-}
 
-fn parse_value(chars: &[char], i: &mut usize) -> Result<JsonValue, ParseError> {
-    match chars.get(*i) {
-        Some('"') => Ok(JsonValue::Str(parse_string(chars, i)?)),
-        Some('{') => Err(perr(
-            ReplayErrorKind::NonFlatValue,
-            "nested object where a flat value was expected",
-        )),
-        Some('[') => {
-            *i += 1;
-            let mut out = Vec::new();
-            loop {
-                while chars.get(*i).is_some_and(|c| c.is_whitespace()) {
-                    *i += 1;
-                }
-                match chars.get(*i) {
-                    Some(']') => {
-                        *i += 1;
-                        return Ok(JsonValue::UInts(out));
-                    }
-                    Some(',') => {
-                        *i += 1;
-                    }
-                    Some(_) => {
-                        let JsonValue::Num(n) = parse_number(chars, i)? else {
-                            unreachable!("parse_number only returns Num")
-                        };
-                        if n < 0.0 || n.fract() != 0.0 || n > f64::from(u32::MAX) {
-                            return Err(perr(
-                                ReplayErrorKind::BadArray,
-                                "array element is not an unsigned integer",
-                            ));
+    fn value(&mut self) -> Result<Value<'a>, ParseError> {
+        match self.peek() {
+            Some(b'"') => Ok(Value::Str(self.string()?)),
+            Some(b'{') => Err(perr(
+                ReplayErrorKind::NonFlatValue,
+                "nested object where a flat value was expected",
+            )),
+            Some(b'[') => {
+                self.pos += 1;
+                let mut out = Vec::new();
+                loop {
+                    self.skip_ws();
+                    match self.peek() {
+                        Some(b']') => {
+                            self.pos += 1;
+                            return Ok(Value::UInts(out));
                         }
-                        out.push(n as u32);
-                    }
-                    None => {
-                        return Err(perr(ReplayErrorKind::BadArray, "unterminated array"));
+                        Some(b',') => self.pos += 1,
+                        Some(_) => {
+                            let n = self.number()?.as_u64().and_then(|n| u32::try_from(n).ok());
+                            out.push(n.ok_or_else(|| {
+                                perr(
+                                    ReplayErrorKind::BadArray,
+                                    "array element is not an unsigned integer",
+                                )
+                            })?);
+                        }
+                        None => {
+                            return Err(perr(ReplayErrorKind::BadArray, "unterminated array"));
+                        }
                     }
                 }
             }
+            Some(b) if b.is_ascii_digit() || matches!(b, b'-' | b'+' | b'.') => self.number(),
+            _ => Err(match self.peek_char() {
+                Some(c) => perr(
+                    ReplayErrorKind::Syntax,
+                    format!("unsupported value starting with {c:?}"),
+                ),
+                None => perr(ReplayErrorKind::Syntax, "missing value"),
+            }),
         }
-        Some(c) if c.is_ascii_digit() || matches!(c, '-' | '+' | '.') => parse_number(chars, i),
-        Some(c) => Err(perr(
-            ReplayErrorKind::Syntax,
-            format!("unsupported value starting with {c:?}"),
-        )),
-        None => Err(perr(ReplayErrorKind::Syntax, "missing value")),
     }
-}
 
-fn parse_number(chars: &[char], i: &mut usize) -> Result<JsonValue, ParseError> {
-    let start = *i;
-    while chars
-        .get(*i)
-        .is_some_and(|c| c.is_ascii_digit() || matches!(c, '-' | '+' | '.' | 'e' | 'E'))
-    {
-        *i += 1;
-    }
-    let s: String = chars[start..*i].iter().collect();
-    match s.parse::<f64>() {
-        Ok(n) if n.is_finite() => Ok(JsonValue::Num(n)),
-        _ => Err(perr(
-            ReplayErrorKind::BadNumber,
-            format!("bad number {s:?} at char {start}"),
-        )),
+    /// The longest run of number characters, possibly empty: exact if it
+    /// is digits only and fits u64, else it must parse as a finite f64.
+    fn number(&mut self) -> Result<Value<'a>, ParseError> {
+        let start = self.pos;
+        let rest = &self.s.as_bytes()[start..];
+        self.pos += rest
+            .iter()
+            .take_while(|b| b.is_ascii_digit() || b"-+.eE".contains(b))
+            .count();
+        let token = &self.s[start..self.pos];
+        match token.parse::<u64>() {
+            // u64's parser also takes a leading '+'; leave those to f64.
+            Ok(n) if !token.starts_with('+') => Ok(Value::UInt(n)),
+            _ => match token.parse::<f64>() {
+                Ok(n) if n.is_finite() => Ok(Value::Num(n)),
+                _ => Err(perr(
+                    ReplayErrorKind::BadNumber,
+                    format!(
+                        "bad number {token:?} at char {}",
+                        self.s[..start].chars().count()
+                    ),
+                )),
+            },
+        }
     }
 }
 
@@ -370,9 +439,9 @@ fn cc_state_from(label: &str) -> Option<CcState> {
     })
 }
 
-fn event_from(map: &BTreeMap<String, JsonValue>) -> Result<TimedEvent, ParseError> {
-    let field = |name: &str| -> Result<&JsonValue, ParseError> {
-        map.get(name).ok_or_else(|| {
+fn event_from(fields: &Fields<'_>) -> Result<TimedEvent, ParseError> {
+    let field = |name: &str| -> Result<&Value, ParseError> {
+        get(fields, name).ok_or_else(|| {
             perr(
                 ReplayErrorKind::MissingField,
                 format!("missing field {name:?}"),
@@ -386,10 +455,16 @@ fn event_from(map: &BTreeMap<String, JsonValue>) -> Result<TimedEvent, ParseErro
     };
     let u64_field =
         |name: &str| -> Result<u64, ParseError> { field(name)?.as_u64().ok_or_else(|| bad(name)) };
-    let f64_field =
-        |name: &str| -> Result<f64, ParseError> { field(name)?.as_f64().ok_or_else(|| bad(name)) };
-    let str_field =
-        |name: &str| -> Result<&str, ParseError> { field(name)?.as_str().ok_or_else(|| bad(name)) };
+    let f64_field = |name: &str| match field(name)? {
+        // `u64 as f64` rounds to nearest, as parsing the digits would.
+        Value::UInt(n) => Ok(*n as f64),
+        Value::Num(n) => Ok(*n),
+        _ => Err(bad(name)),
+    };
+    let str_field = |name: &str| match field(name)? {
+        Value::Str(s) => Ok(&**s),
+        _ => Err(bad(name)),
+    };
     let t_ns = u64_field("t_ns")?;
     let kind = str_field("type")?;
     let event = match kind {
@@ -440,9 +515,7 @@ fn event_from(map: &BTreeMap<String, JsonValue>) -> Result<TimedEvent, ParseErro
             }
         }
         "solver_iteration" => Event::SolverIteration {
-            // &'static str in the live event: map known components back,
-            // otherwise leak (replay is a one-shot offline path and the
-            // set of component names is tiny and bounded).
+            // &'static str in the live event: see `intern_component`.
             component: intern_component(str_field("component")?),
             index: u64_field("index")?,
         },
@@ -454,8 +527,8 @@ fn event_from(map: &BTreeMap<String, JsonValue>) -> Result<TimedEvent, ParseErro
         },
         "job_path" => Event::JobPath {
             job: u32_field("job")?,
-            links: match map.get("links") {
-                Some(JsonValue::UInts(v)) => v.clone(),
+            links: match get(fields, "links") {
+                Some(Value::UInts(v)) => v.clone(),
                 Some(_) => return Err(bad("links")),
                 None => {
                     return Err(perr(
@@ -513,9 +586,9 @@ fn event_from(map: &BTreeMap<String, JsonValue>) -> Result<TimedEvent, ParseErro
 
 /// Maps a replayed component name back to a `&'static str`.
 ///
-/// Known engine/component names return their static interning; unknown
-/// names are leaked — acceptable for an offline, once-per-file path with a
-/// bounded vocabulary.
+/// Known engine/component names return their static interning. An unknown
+/// name is leaked on first sight and reused after that, so memory grows
+/// with the number of distinct names, not with the length of the file.
 fn intern_component(name: &str) -> &'static str {
     const KNOWN: &[&str] = &[
         "netsim.rate",
@@ -525,12 +598,18 @@ fn intern_component(name: &str) -> &'static str {
         "scheduler.solve",
         "scheduler.place",
     ];
-    for k in KNOWN {
-        if *k == name {
-            return k;
-        }
+    static LEAKED: Mutex<Vec<&'static str>> = Mutex::new(Vec::new());
+    if let Some(k) = KNOWN.iter().find(|k| **k == name) {
+        return k;
     }
-    Box::leak(name.to_string().into_boxed_str())
+    // Each update is a single push, so a poisoned list is still valid.
+    let mut leaked = LEAKED.lock().unwrap_or_else(|e| e.into_inner());
+    if let Some(k) = leaked.iter().find(|k| **k == name) {
+        return k;
+    }
+    let k: &'static str = Box::leak(name.into());
+    leaked.push(k);
+    k
 }
 
 /// Parses a JSONL event log (the output of [`crate::export::jsonl`]).
@@ -542,6 +621,7 @@ fn intern_component(name: &str) -> &'static str {
 /// monotonically, which catches truncated-and-reglued logs.
 pub fn parse_jsonl(text: &str) -> Result<Vec<TimedEvent>, ReplayError> {
     let mut out = Vec::new();
+    let mut fields = Vec::new();
     let mut last_seq: Option<u64> = None;
     let mut spans = SpanNesting::default();
     for (idx, line) in text.lines().enumerate() {
@@ -553,8 +633,8 @@ pub fn parse_jsonl(text: &str) -> Result<Vec<TimedEvent>, ReplayError> {
             kind: e.kind,
             reason: e.reason,
         };
-        let map = parse_flat_object(line).map_err(attribute)?;
-        if let Some(v) = map.get("seq") {
+        scan_object(line, &mut fields).map_err(attribute)?;
+        if let Some(v) = get(&fields, "seq") {
             let seq = v.as_u64().ok_or_else(|| ReplayError {
                 line: idx + 1,
                 kind: ReplayErrorKind::BadSeq,
@@ -571,7 +651,7 @@ pub fn parse_jsonl(text: &str) -> Result<Vec<TimedEvent>, ReplayError> {
             }
             last_seq = Some(seq);
         }
-        let te = event_from(&map).map_err(attribute)?;
+        let te = event_from(&fields).map_err(attribute)?;
         spans.check(&te.event).map_err(attribute)?;
         out.push(te);
     }
@@ -956,6 +1036,35 @@ mod tests {
         assert_eq!(m["a"], JsonValue::Str("x\"y".into()));
         assert_eq!(m["b"], JsonValue::Num(2.5));
         assert_eq!(m["c"], JsonValue::UInts(vec![1, 2, 3]));
+    }
+
+    #[test]
+    fn unknown_component_names_are_leaked_once() {
+        let text: String = (0..1000)
+            .map(|i| {
+                format!(
+                    "{{\"t_ns\":{i},\"type\":\"solver_iteration\",\
+                     \"component\":\"custom.widget\",\"index\":{i}}}\n"
+                )
+            })
+            .collect();
+        let components = |text: &str| -> Vec<&'static str> {
+            parse_jsonl(text)
+                .unwrap()
+                .into_iter()
+                .map(|te| match te.event {
+                    Event::SolverIteration { component, .. } => component,
+                    other => panic!("unexpected {other:?}"),
+                })
+                .collect()
+        };
+        let first = components(&text);
+        assert_eq!(first.len(), 1000);
+        assert_eq!(first[0], "custom.widget");
+        let again = components(&text[..text.find('\n').unwrap()]);
+        for name in first.iter().chain(&again) {
+            assert!(std::ptr::eq(*name, first[0]), "a second leak");
+        }
     }
 
     #[test]

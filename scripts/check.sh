@@ -15,7 +15,7 @@ cargo test --workspace -q
 echo "== golden RunSummary regression (tests/goldens) =="
 cargo test -q --test run_summary_golden
 
-echo "== mlcc-bench tests + paper_rate reference gate =="
+echo "== mlcc-bench tests + paper_rate and chaos_trace reference gates =="
 # mlcc-bench is a package of its own (empty [workspace]), so the workspace
 # run above does not test it. One paper_rate pass checks every fig1, zoo
 # and Table 1 result against mlcc-bench/reference/seed1.txt (within 1e-3)
@@ -24,6 +24,10 @@ echo "== mlcc-bench tests + paper_rate reference gate =="
 cargo test --offline --manifest-path mlcc-bench/Cargo.toml
 cargo run --release --offline --quiet --manifest-path mlcc-bench/Cargo.toml --bin mlcc-bench -- \
     --workload paper_rate --seed 1 --passes 1 | tail -n 1
+# One chaos_trace pass checks every chaos cell against the same references
+# and that parse_jsonl(export::jsonl(events)) == events for each recording.
+cargo run --release --offline --quiet --manifest-path mlcc-bench/Cargo.toml --bin mlcc-bench -- \
+    --workload chaos_trace --seed 1 --passes 1 | tail -n 1
 
 echo "== parallel determinism gate (--jobs 1 vs --jobs 4 byte-identical) =="
 cargo build --release -q

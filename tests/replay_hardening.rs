@@ -4,8 +4,12 @@
 //! injected junk, duplicated lines — always produce a typed
 //! `ReplayError`, never a panic. The flight-recorder dump and `--alerts`
 //! context share this exporter/parser pair, so its totality is what lets
-//! `mlcc-repro report` ingest any file a crashed run left behind.
+//! `mlcc-repro report` ingest any file a crashed run left behind. The
+//! other readers of the same flat-object parser, `RunSummary::from_json`
+//! and `diagnostics::parse_history`, get the same mangling and must
+//! return `Err`, never panic.
 
+use diagnostics::{parse_history, HistoryRecord, RunSummary};
 use proptest::prelude::*;
 use telemetry::export::jsonl;
 use telemetry::replay::ReplayErrorKind;
@@ -91,16 +95,128 @@ fn words() -> impl Strategy<Value = Vec<u64>> {
     proptest::collection::vec(0u64..1_000_000, 0..120)
 }
 
+/// A finite f64 from any bit pattern. One pattern in eight gets a zero
+/// exponent (a subnormal), and a NaN or infinity pattern loses the top
+/// exponent bit, so tiny, subnormal and huge values all stay in play.
+fn finite(bits: u64) -> f64 {
+    const EXPONENT: u64 = 0x7ff << 52;
+    let bits = if bits.is_multiple_of(8) {
+        bits & !EXPONENT
+    } else {
+        bits
+    };
+    let x = f64::from_bits(bits);
+    if x.is_finite() {
+        x
+    } else {
+        f64::from_bits(bits & !(1 << 62))
+    }
+}
+
+/// `event_from` with each u64 field (iteration, index) and f64 field
+/// (bytes, bps, fraction) taken from the full range of `b`.
+fn full_range_event(tag: u64, a: u64, b: u64) -> Event {
+    match event_from(tag, a, b) {
+        Event::QueueDepth { link, .. } => Event::QueueDepth {
+            link,
+            bytes: finite(b),
+        },
+        Event::RateChange { flow, state, .. } => Event::RateChange {
+            flow,
+            bps: finite(b),
+            state,
+        },
+        Event::PhaseEnter { job, phase, .. } => Event::PhaseEnter {
+            job,
+            phase,
+            iteration: b,
+        },
+        Event::PhaseExit { job, phase, .. } => Event::PhaseExit {
+            job,
+            phase,
+            iteration: b,
+        },
+        Event::LinkCapacity { link, .. } => Event::LinkCapacity {
+            link,
+            fraction: finite(b),
+        },
+        // SolverIteration's index is already the whole of `b`.
+        other => other,
+    }
+}
+
+/// Four words per event, each field from its full range.
+fn full_range_stream(words: &[u64]) -> Vec<TimedEvent> {
+    words
+        .chunks_exact(4)
+        .map(|w| TimedEvent {
+            at: simtime::Time::from_nanos(w[0]),
+            event: full_range_event(w[1], w[2], w[3]),
+        })
+        .collect()
+}
+
+/// Cuts `text` after `cut` characters (clamped), on a char boundary.
+fn truncate(text: &str, cut: usize) -> &str {
+    let end = text
+        .char_indices()
+        .map(|(i, _)| i)
+        .chain([text.len()])
+        .nth(cut.min(text.chars().count()))
+        .unwrap_or(text.len());
+    &text[..end]
+}
+
+/// `text` with the character at `pos` (mod its length) replaced.
+fn flip(text: &str, pos: usize, replacement: u64) -> String {
+    let chars: Vec<char> = text.chars().collect();
+    let pos = pos % chars.len();
+    let mut mangled: String = chars[..pos].iter().collect();
+    mangled.push(['X', '{', '"', '9', '\\'][replacement as usize]);
+    mangled.extend(&chars[pos + 1..]);
+    mangled
+}
+
+fn summary_from(words: &[u64]) -> RunSummary {
+    let mut s = RunSummary::new("fig1/\"unfair\"");
+    for (i, w) in words.iter().enumerate() {
+        s.put(&format!("m{i}.value"), finite(*w));
+    }
+    s
+}
+
+fn history_from(words: &[u64]) -> String {
+    words
+        .chunks(3)
+        .map(|w| {
+            let mut rec = HistoryRecord {
+                experiment: format!("exp{}", w[0] % 3),
+                kind: "bench".to_string(),
+                ..HistoryRecord::default()
+            };
+            for (i, v) in w.iter().enumerate() {
+                rec.metrics.insert(format!("k{i}"), finite(*v));
+            }
+            rec.to_line()
+        })
+        .collect()
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(96))]
 
-    /// Any exported stream parses back to exactly the same events.
+    /// Any exported stream parses back to exactly the same events and
+    /// bytes: both small realistic values and full-range times,
+    /// iterations and indices (past 2^53, where f64 rounds) with any
+    /// finite f64 bit pattern.
     #[test]
-    fn export_round_trips_exactly(words in words()) {
-        let events = stream_from(&words);
-        let text = jsonl(&events);
-        let back = parse_jsonl(&text).expect("well-formed export must parse");
-        prop_assert_eq!(back, events);
+    fn export_round_trips_exactly(words in proptest::collection::vec(0..u64::MAX, 0..160)) {
+        for events in [stream_from(&words), full_range_stream(&words)] {
+            let text = jsonl(&events);
+            let back = parse_jsonl(&text).expect("well-formed export must parse");
+            prop_assert_eq!(jsonl(&back), text);
+            prop_assert_eq!(back, events);
+        }
     }
 
     /// Truncating an export anywhere — even mid-line, mid-string — never
@@ -110,13 +226,7 @@ proptest! {
     fn truncated_exports_never_panic(words in words(), cut in 0usize..4000) {
         let events = stream_from(&words);
         let text = jsonl(&events);
-        let cut = text
-            .char_indices()
-            .map(|(i, _)| i)
-            .chain([text.len()])
-            .nth(cut.min(text.chars().count()))
-            .unwrap_or(text.len());
-        let _ = parse_jsonl(&text[..cut]);
+        let _ = parse_jsonl(truncate(&text, cut));
     }
 
     /// Flipping one character never panics, and when it breaks the
@@ -130,12 +240,8 @@ proptest! {
         let events = stream_from(&words);
         let text = jsonl(&events);
         prop_assume!(!text.is_empty());
-        let chars: Vec<char> = text.chars().collect();
-        let pos = pos % chars.len();
-        let mut mangled: String = chars[..pos].iter().collect();
-        mangled.push(['X', '{', '"', '9', '\\'][replacement as usize]);
-        mangled.extend(&chars[pos + 1..]);
-        if let Err(e) = parse_jsonl(&mangled) {
+        let pos = pos % text.chars().count();
+        if let Err(e) = parse_jsonl(&flip(&text, pos, replacement)) {
             let line_of_pos = text[..pos].matches('\n').count() + 1;
             prop_assert!(
                 e.line >= 1 && e.line <= line_of_pos.max(1),
@@ -172,6 +278,115 @@ proptest! {
         prop_assert_eq!(err.kind, ReplayErrorKind::BadSeq);
         prop_assert_eq!(err.line, dup + 2);
     }
+
+    /// A run summary cut anywhere before its closing brace is an `Err`.
+    #[test]
+    fn truncated_summaries_are_rejected(words in words(), cut in 0usize..4000) {
+        let text = summary_from(&words).to_json();
+        let cut = truncate(&text, cut);
+        let parsed = RunSummary::from_json(cut);
+        if cut.trim_end().ends_with('}') {
+            prop_assert_eq!(parsed, Ok(summary_from(&words)));
+        } else {
+            prop_assert!(parsed.is_err(), "{cut:?} parsed");
+        }
+    }
+
+    /// Flipping one character of a run summary never panics.
+    #[test]
+    fn flipped_summaries_never_panic(words in words(), pos in 0usize..4000, replacement in 0u64..5) {
+        let _ = RunSummary::from_json(&flip(&summary_from(&words).to_json(), pos, replacement));
+    }
+
+    /// Junk before or after a run summary's object is an `Err`.
+    #[test]
+    fn junk_around_summaries_is_rejected(words in words(), before in proptest::bool::ANY) {
+        let text = summary_from(&words).to_json();
+        let junk = "{\"seq\":0,\"garbage\":true}\n";
+        let mangled = if before { format!("{junk}{text}") } else { format!("{text}{junk}") };
+        prop_assert!(RunSummary::from_json(&mangled).is_err());
+    }
+
+    /// A history cut mid-record is an `Err`; a cut between records drops
+    /// only the records after it.
+    #[test]
+    fn truncated_histories_are_rejected(words in words(), cut in 0usize..8000) {
+        let text = history_from(&words);
+        let cut = truncate(&text, cut);
+        let parsed = parse_history(cut);
+        let whole = cut.lines().all(|l| l.ends_with('}'));
+        prop_assert_eq!(parsed.is_ok(), whole, "{:?}", cut);
+    }
+
+    /// Flipping one character of a history never panics.
+    #[test]
+    fn flipped_histories_never_panic(words in words(), pos in 0usize..8000, replacement in 0u64..5) {
+        let text = history_from(&words);
+        prop_assume!(!text.is_empty());
+        let _ = parse_history(&flip(&text, pos, replacement));
+    }
+
+    /// A junk line anywhere in a history is an `Err` naming that line.
+    #[test]
+    fn injected_junk_history_lines_are_rejected(words in words(), junk_at in 0usize..50) {
+        let text = history_from(&words);
+        let mut lines: Vec<&str> = text.lines().collect();
+        let junk_at = junk_at.min(lines.len());
+        lines.insert(junk_at, "{\"seq\":0,\"garbage\":true}");
+        let err = parse_history(&lines.join("\n")).expect_err("junk must not parse");
+        prop_assert!(err.starts_with(&format!("history line {}:", junk_at + 1)), "{}", err);
+    }
+}
+
+#[test]
+fn extreme_values_round_trip_exactly() {
+    let ints = [0, 1, (1 << 53) + 1, u64::MAX - 1, u64::MAX];
+    let floats = [
+        0.0,
+        -0.0,
+        f64::from_bits(1),
+        f64::MIN_POSITIVE,
+        f64::MAX,
+        f64::MIN,
+        1e300,
+        9_007_199_254_740_993.0,
+    ];
+    let mut events = Vec::new();
+    for (i, &n) in ints.iter().enumerate() {
+        let at = simtime::Time::from_nanos(n);
+        events.push(TimedEvent {
+            at,
+            event: Event::SolverIteration {
+                component: "netsim.rate",
+                index: n,
+            },
+        });
+        events.push(TimedEvent {
+            at,
+            event: Event::PhaseEnter {
+                job: i as u32,
+                phase: Phase::Compute,
+                iteration: n,
+            },
+        });
+    }
+    for &x in &floats {
+        events.push(TimedEvent {
+            at: simtime::Time::from_nanos(u64::MAX),
+            event: Event::QueueDepth { link: 0, bytes: x },
+        });
+        events.push(TimedEvent {
+            at: simtime::Time::ZERO,
+            event: Event::LinkCapacity {
+                link: u32::MAX,
+                fraction: x,
+            },
+        });
+    }
+    let text = jsonl(&events);
+    let back = parse_jsonl(&text).expect("well-formed export must parse");
+    assert_eq!(jsonl(&back), text);
+    assert_eq!(back, events);
 }
 
 #[test]
