@@ -13,12 +13,11 @@
 //! the merged stream independent of worker-thread count: `--shards 8` and
 //! `--shards 1` are byte-identical.
 //!
-//! On top of the thread fan-out, sharding is an *algorithmic* win for the
-//! fluid engine even on one core: the global simulator re-solves the
-//! max-min allocation over **all** flows at every transition of **any**
-//! job, so K link-disjoint groups cost O(K·jobs) per transition × K more
-//! transitions. Per-component shards solve only their own jobs — the
-//! `BENCH_shard.json` ≥2x gate holds with a single worker thread.
+//! For the fluid engine, sharding buys threads and nothing else: the
+//! global [`FluidSimulator`] splits its jobs into the same link-disjoint
+//! components and advances, solves and traces each on its own, so one
+//! global run costs what a one-worker sharded run does and every job's
+//! iteration times agree bit for bit with the shard's.
 //!
 //! Scenarios whose jobs all share a link collapse to one component
 //! (`ShardPlan::single`): sharding such a run is a no-op, never a wrong
@@ -29,7 +28,7 @@ use crate::metrics::JobStats;
 use crate::parallel;
 use dcqcn::CcVariant;
 use faults::ChaosConfig;
-use netsim::fluid::{FluidConfig, FluidJob, FluidSimulator};
+use netsim::fluid::{FluidConfig, FluidJob, FluidSimulator, SharingPolicy};
 use netsim::packet::{PacketJob, PacketSimConfig, PacketSimulator};
 use netsim::snapshot::Snapshottable;
 use simtime::{Bandwidth, Dur, Time};
@@ -120,6 +119,78 @@ pub struct FluidScenario {
     pub jobs: Vec<FluidJob>,
     /// Link-disjoint components over the jobs' routes.
     pub plan: ShardPlan,
+}
+
+/// One shard's engine inputs: the sub-topology a component induces, its
+/// jobs with routes rewritten to local link ids, the config sliced to
+/// them, and the local→global link table.
+#[derive(Debug, Clone)]
+pub struct FluidShard {
+    /// The component's links (and their endpoints), renumbered densely.
+    pub topology: Topology,
+    /// The component's jobs, in ascending global order.
+    pub jobs: Vec<FluidJob>,
+    /// The scenario config with per-job policy vectors and gates kept for
+    /// the component's jobs and link schedules for its links.
+    pub cfg: FluidConfig,
+    /// Global id of each local link.
+    pub link_ids: Vec<LinkId>,
+}
+
+impl FluidScenario {
+    /// The shard of `comp`, one of [`FluidScenario::plan`]'s components.
+    pub fn shard(&self, comp: &[usize]) -> FluidShard {
+        fn pick<T: Clone>(v: &[T], idx: impl Iterator<Item = usize>) -> Vec<T> {
+            idx.map(|i| v[i].clone()).collect()
+        }
+        let members = || comp.iter().copied();
+        let comp_links: Vec<LinkId> = members()
+            .flat_map(|j| {
+                self.jobs[j]
+                    .flows
+                    .iter()
+                    .flat_map(|f| f.links.iter().copied())
+            })
+            .collect();
+        let (topology, link_ids) = subgraph(&self.topology, &comp_links);
+        let jobs = members()
+            .map(|j| {
+                let mut job = self.jobs[j].clone();
+                for link in job.flows.iter_mut().flat_map(|f| &mut f.links) {
+                    let local = link_ids.binary_search(link).expect("route off-component");
+                    *link = LinkId(local as u32);
+                }
+                job
+            })
+            .collect();
+        let cfg = &self.fluid_cfg;
+        let policy = match &cfg.policy {
+            SharingPolicy::MaxMin => SharingPolicy::MaxMin,
+            SharingPolicy::Weighted(w) => SharingPolicy::Weighted(pick(w, members())),
+            SharingPolicy::Priority(p) => SharingPolicy::Priority(pick(p, members())),
+            SharingPolicy::Cc(vs) => SharingPolicy::Cc(pick(vs, members())),
+        };
+        let cfg = FluidConfig {
+            policy,
+            gates: if cfg.gates.is_empty() {
+                Vec::new()
+            } else {
+                pick(&cfg.gates, members())
+            },
+            nic_rate: cfg.nic_rate,
+            link_schedules: if cfg.link_schedules.is_empty() {
+                Vec::new()
+            } else {
+                pick(&cfg.link_schedules, link_ids.iter().map(|l| l.0 as usize))
+            },
+        };
+        FluidShard {
+            topology,
+            jobs,
+            cfg,
+            link_ids,
+        }
+    }
 }
 
 /// Applies `chaos` to a fluid-engine run lasting roughly `horizon` — the
@@ -215,8 +286,9 @@ pub struct ShardRunResult {
     pub completed: bool,
 }
 
-/// Runs the scenario as one global simulator — the unsharded baseline the
-/// speedup gate compares against. Returns the recorder for inspection.
+/// Runs the scenario as one global simulator — the unsharded baseline
+/// the sharded run must match bit for bit. Returns the recorder for
+/// inspection.
 pub fn run_fluid_unsharded<R: Recorder>(
     scn: &FluidScenario,
     cfg: &ShardConfig,
@@ -233,7 +305,9 @@ pub fn run_fluid_unsharded<R: Recorder>(
 
 /// Runs the scenario sharded: one engine per link-disjoint component, up
 /// to `threads` worker threads, per-shard recordings remapped to global
-/// indices and merged into `rec` deterministically. With `cfg.fork_at`
+/// indices and merged into `rec` deterministically. Per-job policy
+/// vectors, gates and link schedules are sliced to each shard, so any
+/// [`FluidConfig`] shards. With `cfg.fork_at`
 /// set, every shard round-trips through snapshot/restore at the barrier
 /// first.
 pub fn run_fluid_sharded<R: ForkableRecorder>(
@@ -247,49 +321,20 @@ pub fn run_fluid_sharded<R: ForkableRecorder>(
         // per-solve cost scales with the component, not the fabric. Flow
         // routes are rewritten to local link ids going in, and the remap
         // recorder rewrites them back to global ids coming out.
-        let comp_links: Vec<LinkId> = comp
-            .iter()
-            .flat_map(|&j| {
-                scn.jobs[j]
-                    .flows
-                    .iter()
-                    .flat_map(|f| f.links.iter().copied())
-            })
-            .collect();
-        let (sub, link_ids) = subgraph(&scn.topology, &comp_links);
-        let jobs: Vec<FluidJob> = comp
-            .iter()
-            .map(|&j| {
-                let mut job = scn.jobs[j].clone();
-                for flow in &mut job.flows {
-                    for link in &mut flow.links {
-                        let local = link_ids.binary_search(link).expect("route off-component");
-                        *link = LinkId(local as u32);
-                    }
-                }
-                job
-            })
-            .collect();
-        let mut fluid_cfg = scn.fluid_cfg.clone();
-        if !fluid_cfg.link_schedules.is_empty() {
-            fluid_cfg.link_schedules = link_ids
-                .iter()
-                .map(|l| scn.fluid_cfg.link_schedules[l.0 as usize].clone())
-                .collect();
-        }
+        let shard = scn.shard(comp);
         let fork = RemapRecorder::new(
             R::fork(),
             comp.iter().map(|&j| j as u32).collect(),
-            Some(link_ids.iter().map(|l| l.0).collect()),
+            Some(shard.link_ids.iter().map(|l| l.0).collect()),
         );
-        let mut sim = FluidSimulator::with_recorder(&sub, fluid_cfg, &jobs, fork);
+        let mut sim = FluidSimulator::with_recorder(&shard.topology, shard.cfg, &shard.jobs, fork);
         if let Some(at) = cfg.fork_at {
             sim.run_until(Time::ZERO + at);
             let snap = sim.snapshot().expect("shard fork barrier");
             sim = FluidSimulator::restore(snap, sim.into_recorder()).expect("shard restore");
         }
         let completed = sim.run_until_iterations(cfg.iterations, cfg.horizon());
-        let stats = (0..jobs.len())
+        let stats = (0..comp.len())
             .map(|local| chaos::stats_tolerant(sim.progress(local), cfg.warmup))
             .collect();
         (
@@ -516,7 +561,8 @@ mod tests {
     }
 
     /// Sharded and unsharded runs agree on every job's iteration-time
-    /// statistics (the streams differ only in solver-bookkeeping events).
+    /// statistics bit for bit (the streams differ only in
+    /// solver-bookkeeping events).
     #[test]
     fn sharded_fluid_stats_match_unsharded() {
         let cfg = ShardConfig::small();
@@ -527,8 +573,9 @@ mod tests {
         assert!(unsharded.completed && sharded.completed);
         for (a, b) in unsharded.stats.iter().zip(&sharded.stats) {
             let (ma, mb) = (median(a), median(b));
-            assert!(
-                (ma - mb).abs() <= 1e-9 * ma.abs().max(1.0),
+            assert_eq!(
+                ma.to_bits(),
+                mb.to_bits(),
                 "{}: unsharded {ma} ms vs sharded {mb} ms",
                 a.label
             );

@@ -29,7 +29,7 @@ use dcqcn::CcVariant;
 use eventsim::{EventQueue, TimeSeries};
 use simtime::{Bandwidth, Dur, Time};
 use telemetry::{CcState, Event, NoopRecorder, Recorder, SpanTracker};
-use topology::{LinkId, LinkSchedule, Topology};
+use topology::{partition, LinkId, LinkSchedule, Topology};
 use workload::{JobProgress, JobSpec, PhaseNoise};
 
 /// How link bandwidth is divided among contending flows.
@@ -210,7 +210,8 @@ struct FlowArena {
     remaining: Vec<f64>,
     /// Current allocated rate, bits/s.
     rate: Vec<f64>,
-    /// CSR-flattened link lists; flow `f` traverses
+    /// CSR-flattened link lists in the owning component's local link ids
+    /// (see [`Component::links`]); flow `f` traverses
     /// `links[link_off[f] .. link_off[f+1]]`.
     links: Vec<usize>,
     link_off: Vec<u32>,
@@ -257,6 +258,117 @@ impl FlowArena {
         }
         Ok(())
     }
+}
+
+/// One link-disjoint component of the job set. Routes never change, so
+/// the split is made once at construction; no flow of one component ever
+/// shares a link with another's. Each component is solved, advanced,
+/// traced and cached on its own, performing exactly the float operations
+/// a simulator holding only its jobs would — so a global run and a
+/// per-component sharded run agree bit for bit.
+#[derive(Debug, Clone)]
+struct Component {
+    /// Member jobs, ascending global index.
+    jobs: Vec<usize>,
+    /// The global ids of the links the members' flows traverse, ascending:
+    /// local link `k` is global link `links[k]`, the numbering
+    /// `topology::subgraph` gives the same link set.
+    links: Vec<usize>,
+    /// Current capacity of each local link, bits/s.
+    capacities: Vec<f64>,
+    /// The fluid clock: the instant this component's flows were last
+    /// advanced to (never ahead of the simulator's clock).
+    clock: Time,
+    /// A reallocation is pending.
+    dirty: bool,
+    /// The next reallocation re-runs the solver even if the active set is
+    /// unchanged: set for the first solve and when a link's capacity
+    /// changes, which invalidates rates without touching the set.
+    force_resolve: bool,
+    /// Allocation weights depend on live job progress (progress-sensitive
+    /// [`SharingPolicy::Cc`] variants): the skip-solve fast path would
+    /// freeze stale weights, so every reallocation re-runs the solver.
+    dynamic: bool,
+    /// Sorted global-flow-id index of currently active flows — the flows
+    /// the activity predicate would select, maintained incrementally at
+    /// releases, completions, and phase ends so the allocator never
+    /// rescans every job.
+    active: Vec<u32>,
+    /// The active set the last solver pass ran over. When a reallocation
+    /// request finds the set unchanged, the solve is skipped outright.
+    /// Only these flows can hold a nonzero rate.
+    solved_active: Vec<u32>,
+    /// Earliest absolute completion instant among active flows under the
+    /// current allocation, or `None` if nothing is draining. Completion
+    /// times are invariant between rate changes (remaining bytes shrink
+    /// linearly), so this is refreshed only when rates change instead of
+    /// rescanning every flow per event loop turn.
+    next_completion: Option<Time>,
+    /// Reusable allocator working memory.
+    scratch: AllocScratch,
+    /// Reusable solver output buffer, parallel to `active`.
+    rate_buf: Vec<f64>,
+}
+
+impl Component {
+    fn new(jobs: Vec<usize>, links: Vec<usize>, capacities: Vec<f64>, dynamic: bool) -> Component {
+        Component {
+            jobs,
+            links,
+            capacities,
+            clock: Time::ZERO,
+            dirty: true,
+            force_resolve: true,
+            dynamic,
+            active: Vec::new(),
+            solved_active: Vec::new(),
+            next_completion: None,
+            scratch: AllocScratch::new(),
+            rate_buf: Vec::new(),
+        }
+    }
+}
+
+/// Each job's component, and each link's `(component, local id)`.
+type ComponentIndex = (Vec<u32>, Vec<Option<(u32, u32)>>);
+
+/// Where each job and link sits among the components: the job's
+/// component, and each link's `(component, local id)` (`None` for links no
+/// flow crosses). Checks that `comps` partition the jobs and own disjoint,
+/// ascending link sets, so a restored snapshot cannot alias state.
+fn index_components(
+    comps: &[Component],
+    job_count: usize,
+    link_count: usize,
+) -> Result<ComponentIndex, SnapshotError> {
+    let malformed = |what| Err(SnapshotError::Malformed { what });
+    let mut comp_of_job = vec![u32::MAX; job_count];
+    let mut link_owner = vec![None; link_count];
+    for (c, comp) in comps.iter().enumerate() {
+        if comp.jobs.is_empty() || comp.jobs.windows(2).any(|w| w[0] >= w[1]) {
+            return malformed("component jobs empty or unsorted");
+        }
+        for &j in &comp.jobs {
+            match comp_of_job.get_mut(j) {
+                Some(slot) if *slot == u32::MAX => *slot = c as u32,
+                _ => return malformed("component jobs overlap or out of range"),
+            }
+        }
+        if comp.links.windows(2).any(|w| w[0] >= w[1]) || comp.capacities.len() != comp.links.len()
+        {
+            return malformed("component links unsorted or capacities mismatch");
+        }
+        for (k, &l) in comp.links.iter().enumerate() {
+            match link_owner.get_mut(l) {
+                Some(slot @ None) => *slot = Some((c as u32, k as u32)),
+                _ => return malformed("component links overlap or out of range"),
+            }
+        }
+    }
+    if comp_of_job.contains(&u32::MAX) {
+        return malformed("a job belongs to no component");
+    }
+    Ok((comp_of_job, link_owner))
 }
 
 #[derive(Debug, Clone)]
@@ -319,7 +431,14 @@ fn deactivate_job(active: &mut Vec<u32>, arena: &FlowArena, j: usize) {
 /// Generic over a [`Recorder`]; the default [`NoopRecorder`] compiles all
 /// instrumentation away. Observed runs use
 /// [`FluidSimulator::with_recorder`].
+///
+/// Jobs are split at construction into link-disjoint components
+/// ([`topology::partition`] over their routes). An event or completion
+/// advances, re-solves and traces only its own component, so one global
+/// simulator costs what per-component shards do and produces the same
+/// bits.
 pub struct FluidSimulator<R: Recorder = NoopRecorder> {
+    /// Current capacity of every topology link.
     capacities: Vec<f64>,
     /// Unperturbed link capacities; `capacities` is this scaled by the
     /// fault schedules' current multipliers. Empty when no schedules.
@@ -329,36 +448,20 @@ pub struct FluidSimulator<R: Recorder = NoopRecorder> {
     jobs: Vec<JState>,
     /// SoA per-flow state, indexed by global flow id.
     arena: FlowArena,
+    /// Link-disjoint components, ordered by smallest member job.
+    comps: Vec<Component>,
+    /// Component of each job.
+    comp_of_job: Vec<u32>,
+    /// `(component, local id)` of each topology link a flow crosses.
+    link_owner: Vec<Option<(u32, u32)>>,
     events: EventQueue<Ev>,
-    /// The fluid clock. Distinct from the event queue's internal clock,
-    /// which only advances when events pop: flows progress continuously
-    /// *between* events, and this field tracks that.
+    /// The simulator's clock: the last instant the event loop reached.
+    /// Distinct from the event queue's internal clock, which only advances
+    /// when events pop; each component's flows were last advanced to its
+    /// own [`Component::clock`], at or before this.
     now: Time,
     policy: SharingPolicy,
     nic_rate: f64,
-    rates_dirty: bool,
-    /// Forces the next `recompute_rates` to re-run the solver even if the
-    /// active set is unchanged — set when a link's capacity changes, which
-    /// invalidates rates without touching the set.
-    force_resolve: bool,
-    /// Sorted global-flow-id index of currently active flows — the flows
-    /// the activity predicate would select, maintained incrementally at
-    /// releases, completions, and phase ends so the allocator never
-    /// rescans every job.
-    active: Vec<u32>,
-    /// The active set the last solver pass ran over. When a reallocation
-    /// request finds the set unchanged, the solve is skipped outright.
-    solved_active: Vec<u32>,
-    /// Reusable allocator working memory.
-    scratch: AllocScratch,
-    /// Reusable solver output buffer, parallel to `active`.
-    rate_buf: Vec<f64>,
-    /// Earliest absolute completion instant among active flows under the
-    /// current allocation, or `None` if nothing is draining. Completion
-    /// times are invariant between rate changes (remaining bytes shrink
-    /// linearly), so this is refreshed only when rates change instead of
-    /// rescanning every job × flow per event loop turn.
-    next_completion_cache: Option<Time>,
     throughput_traces: Vec<TimeSeries>,
     rec: R,
     /// Typed-span emission state (empty when `R` is disabled).
@@ -516,23 +619,53 @@ impl<R: Recorder> FluidSimulator<R> {
                 released: false,
             });
         }
+        // Split the jobs into link-disjoint components and renumber each
+        // flow's links densely within its component.
+        let link_sets: Vec<Vec<LinkId>> = jobs
+            .iter()
+            .map(|job| job.flows.iter().flat_map(|f| f.links.clone()).collect())
+            .collect();
+        let comps: Vec<Component> = partition(&link_sets)
+            .components()
+            .iter()
+            .map(|members| {
+                let mut links: Vec<usize> = members
+                    .iter()
+                    .flat_map(|&j| link_sets[j].iter().map(|l| l.0 as usize))
+                    .collect();
+                links.sort_unstable();
+                links.dedup();
+                let caps = links.iter().map(|&l| capacities[l]).collect();
+                let dynamic = matches!(&cfg.policy, SharingPolicy::Cc(vs)
+                    if members.iter().any(|&j| vs[j].wants_progress()));
+                Component::new(members.clone(), links, caps, dynamic)
+            })
+            .collect();
+        let (comp_of_job, link_owner) = index_components(&comps, jobs.len(), capacities.len())
+            .expect("partition yields disjoint components");
+        for f in 0..arena.flow_count() {
+            let comp = &comps[comp_of_job[arena.job_of[f] as usize] as usize];
+            let span = arena.link_off[f] as usize..arena.link_off[f + 1] as usize;
+            for l in &mut arena.links[span] {
+                *l = comp
+                    .links
+                    .binary_search(l)
+                    .expect("link inside its component");
+            }
+        }
         FluidSimulator {
             capacities,
             base_capacities,
             link_schedules,
             jobs: states,
             arena,
+            comps,
+            comp_of_job,
+            link_owner,
             events,
             now: Time::ZERO,
             policy: cfg.policy,
             nic_rate: cfg.nic_rate.as_bps_f64(),
-            rates_dirty: true,
-            force_resolve: false,
-            active: Vec::new(),
-            solved_active: Vec::new(),
-            scratch: AllocScratch::new(),
-            rate_buf: Vec::new(),
-            next_completion_cache: None,
             throughput_traces: (0..jobs.len()).map(|_| TimeSeries::new()).collect(),
             rec,
             spans,
@@ -584,24 +717,36 @@ impl<R: Recorder> FluidSimulator<R> {
         assert!(idx < self.capacities.len(), "unknown link {l}");
         let cap = self.capacities[idx];
         assert!(cap > 0.0, "link {l} has zero capacity");
-        let allocated: f64 = (0..self.arena.flow_count())
-            .filter(|&f| self.arena.links_of(f).contains(&idx))
+        let Some((c, local)) = self.link_owner[idx] else {
+            return 0.0;
+        };
+        let allocated: f64 = self.comps[c as usize]
+            .jobs
+            .iter()
+            .flat_map(|&j| self.arena.job_range(j))
+            .filter(|&f| self.arena.links_of(f).contains(&(local as usize)))
             .map(|f| self.arena.rate[f])
             .sum();
         allocated / cap
     }
 
     /// Reconstructs every job's flows in the legacy array-of-structs
-    /// layout — the differential-oracle view of the SoA arena. Test and
-    /// validation code diffs engine behaviour through this view; it is not
-    /// on any hot path.
+    /// layout — the differential-oracle view of the SoA arena, with link
+    /// ids mapped back to the topology's. Test and validation code diffs
+    /// engine behaviour through this view; it is not on any hot path.
     pub fn aos_view(&self) -> Vec<Vec<FlowState>> {
         (0..self.jobs.len())
             .map(|j| {
+                let comp = &self.comps[self.comp_of_job[j] as usize];
                 self.arena
                     .job_range(j)
                     .map(|f| FlowState {
-                        links: self.arena.links_of(f).to_vec(),
+                        links: self
+                            .arena
+                            .links_of(f)
+                            .iter()
+                            .map(|&k| comp.links[k])
+                            .collect(),
                         fraction: self.arena.fraction[f],
                         remaining: self.arena.remaining[f],
                         rate: self.arena.rate[f],
@@ -614,8 +759,9 @@ impl<R: Recorder> FluidSimulator<R> {
     /// Test-only invariant probe: reconstructs the legacy AoS layout via
     /// [`aos_view`](Self::aos_view), checks the incremental active index
     /// against a full predicate scan over it, and checks the arena's rates
-    /// against a from-scratch reference allocation whose demands are built
-    /// from the AoS view — a genuine SoA-vs-AoS differential oracle.
+    /// against a from-scratch reference allocation over every component
+    /// at once, whose demands are built from the AoS view — a genuine
+    /// SoA-vs-AoS and component-vs-global differential oracle.
     ///
     /// Returns `None` when rates are dirty (a reallocation is pending, so
     /// flow rates are transiently stale by design); otherwise the maximum
@@ -624,24 +770,16 @@ impl<R: Recorder> FluidSimulator<R> {
     ///
     /// # Panics
     /// Panics if the active index disagrees with the predicate scan.
-    /// `true` when allocation weights depend on live job progress
-    /// (progress-sensitive [`SharingPolicy::Cc`] variants): the skip-solve
-    /// fast path would freeze stale weights, so every reallocation
-    /// re-runs the solver.
-    fn dynamic_weights(&self) -> bool {
-        matches!(&self.policy, SharingPolicy::Cc(vs) if vs.iter().any(|v| v.wants_progress()))
-    }
-
     #[doc(hidden)]
     pub fn debug_max_rate_divergence(&self) -> Option<f64> {
-        if self.rates_dirty {
+        if self.comps.iter().any(|c| c.dirty) {
             return None;
         }
         // Progress-sensitive weights move continuously between solves;
         // an oracle rebuilt from *current* progress would legitimately
         // diverge from rates solved at the last event, so the comparison
         // is only meaningful for static weights.
-        if self.dynamic_weights() {
+        if self.comps.iter().any(|c| c.dynamic) {
             return None;
         }
         let aos = self.aos_view();
@@ -661,12 +799,13 @@ impl<R: Recorder> FluidSimulator<R> {
                     .map(move |(fi, _)| base + fi as u32)
             })
             .collect();
+        let mut active: Vec<u32> = self.comps.iter().flat_map(|c| c.active.clone()).collect();
+        active.sort_unstable();
         assert_eq!(
-            scan, self.active,
+            scan, active,
             "active-flow index diverged from the AoS activity scan"
         );
-        let demands: Vec<FlowDemand<'_>> = self
-            .active
+        let demands: Vec<FlowDemand<'_>> = active
             .iter()
             .map(|&f| {
                 let j = self.arena.job_of[f as usize] as usize;
@@ -693,33 +832,31 @@ impl<R: Recorder> FluidSimulator<R> {
             _ => crate::alloc::reference::weighted_max_min(&demands, &self.capacities),
         };
         let mut worst = 0.0f64;
-        for (k, &f) in self.active.iter().enumerate() {
+        for (k, &f) in active.iter().enumerate() {
             let got = self.arena.rate[f as usize];
             worst = worst.max((got - reference[k]).abs());
         }
         Some(worst)
     }
 
-    /// Recomputes the allocation for the currently active flows.
+    /// Recomputes the allocation for component `c`'s active flows at its
+    /// clock.
     ///
     /// Demands are borrowed straight from the flow states (no link-list
-    /// clones) and solved into reusable scratch buffers. If the active set
-    /// is identical to the one the last solve ran over, the rates cannot
-    /// have changed and the solver is skipped entirely — only the
-    /// telemetry/trace bookkeeping below runs, so observed streams are
-    /// identical either way.
-    fn recompute_rates(&mut self) {
-        let set_changed = self.allocs == 0
-            || self.force_resolve
-            || self.dynamic_weights()
-            || self.active != self.solved_active;
-        if set_changed {
-            self.force_resolve = false;
+    /// clones) and solved into the component's reusable scratch buffers.
+    /// If the active set is identical to the one the last solve ran over,
+    /// the rates cannot have changed and the solver is skipped entirely —
+    /// only the telemetry/trace bookkeeping below runs, so observed
+    /// streams are identical either way.
+    fn recompute_rates(&mut self, c: usize) {
+        let comp = &mut self.comps[c];
+        if comp.force_resolve || comp.dynamic || comp.active != comp.solved_active {
+            comp.force_resolve = false;
             {
                 let arena = &self.arena;
                 let jobs = &self.jobs;
-                let mut demands: Vec<FlowDemand<'_>> = Vec::with_capacity(self.active.len());
-                for &f in &self.active {
+                let mut demands: Vec<FlowDemand<'_>> = Vec::with_capacity(comp.active.len());
+                for &f in &comp.active {
                     let j = arena.job_of[f as usize] as usize;
                     let (weight, priority) = match &self.policy {
                         SharingPolicy::MaxMin => (1.0, 0),
@@ -739,37 +876,39 @@ impl<R: Recorder> FluidSimulator<R> {
                 match &self.policy {
                     SharingPolicy::Priority(_) => strict_priority_into(
                         &demands,
-                        &self.capacities,
-                        &mut self.scratch,
-                        &mut self.rate_buf,
+                        &comp.capacities,
+                        &mut comp.scratch,
+                        &mut comp.rate_buf,
                     ),
                     _ => weighted_max_min_into(
                         &demands,
-                        &self.capacities,
-                        &mut self.scratch,
-                        &mut self.rate_buf,
+                        &comp.capacities,
+                        &mut comp.scratch,
+                        &mut comp.rate_buf,
                     ),
                 }
             }
-            self.arena.rate.fill(0.0);
-            for (k, &f) in self.active.iter().enumerate() {
-                self.arena.rate[f as usize] = self.rate_buf[k];
+            for &f in &comp.solved_active {
+                self.arena.rate[f as usize] = 0.0;
             }
-            self.solved_active.clone_from(&self.active);
+            for (k, &f) in comp.active.iter().enumerate() {
+                self.arena.rate[f as usize] = comp.rate_buf[k];
+            }
+            comp.solved_active.clone_from(&comp.active);
         }
         self.allocs += 1;
+        let now = comp.clock;
         if R::ENABLED {
             self.rec.record(
-                self.now,
+                now,
                 Event::SolverIteration {
                     component: "fluid.alloc",
                     index: self.allocs,
                 },
             );
         }
-        // Trace each job's aggregate throughput.
-        let now = self.now;
-        for j in 0..self.jobs.len() {
+        // Trace each member job's aggregate throughput.
+        for &j in &comp.jobs {
             let total: f64 = self.arena.rate[self.arena.job_range(j)].iter().sum();
             self.throughput_traces[j].push_compressed(now, total / 1e9);
             if R::ENABLED && total != self.last_rates[j] {
@@ -784,17 +923,17 @@ impl<R: Recorder> FluidSimulator<R> {
                 );
             }
         }
-        self.rates_dirty = false;
-        self.refresh_completion_cache();
+        comp.dirty = false;
+        self.refresh_completion_cache(c);
     }
 
-    /// Recomputes the earliest-completion cache from the active index:
-    /// O(active flows), run only when rates change (or to re-anchor after
-    /// float dust), never per event-loop turn.
-    fn refresh_completion_cache(&mut self) {
-        let now = self.now;
+    /// Recomputes component `c`'s earliest-completion cache from its
+    /// active index: O(active flows), run only when rates change (or to
+    /// re-anchor after float dust), never per event-loop turn.
+    fn refresh_completion_cache(&mut self, c: usize) {
+        let comp = &mut self.comps[c];
         let mut best: Option<Time> = None;
-        for &f in &self.active {
+        for &f in &comp.active {
             let (rate, remaining) = (
                 self.arena.rate[f as usize],
                 self.arena.remaining[f as usize],
@@ -803,24 +942,26 @@ impl<R: Recorder> FluidSimulator<R> {
                 let secs = remaining * 8.0 / rate;
                 // Round up so we never stall on sub-nanosecond slices.
                 let d = Dur::from_secs_f64(secs).max(Dur::NANOSECOND);
-                let t = now + d;
+                let t = comp.clock + d;
                 best = Some(match best {
                     None => t,
                     Some(b) => b.min(t),
                 });
             }
         }
-        self.next_completion_cache = best;
+        comp.next_completion = best;
     }
 
-    /// Advances all active flows to `t`, delivering bytes to their jobs.
-    fn advance_to(&mut self, t: Time) {
-        if t <= self.now {
+    /// Advances component `c`'s active flows to `t`, delivering bytes to
+    /// their jobs.
+    fn advance_component(&mut self, c: usize, t: Time) {
+        let comp = &mut self.comps[c];
+        if t <= comp.clock {
             return;
         }
-        let dt = (t - self.now).as_secs_f64();
-        self.now = t;
-        for j in 0..self.jobs.len() {
+        let dt = (t - comp.clock).as_secs_f64();
+        comp.clock = t;
+        for &j in &comp.jobs {
             let js = &mut self.jobs[j];
             if !(js.job.progress.is_communicating() && js.released) {
                 continue;
@@ -841,14 +982,14 @@ impl<R: Recorder> FluidSimulator<R> {
                         all_done = false;
                     } else {
                         any_flow_finished = true;
-                        deactivate_flow(&mut self.active, f);
+                        deactivate_flow(&mut comp.active, f);
                     }
                 }
             }
             if any_flow_finished {
                 // A finished flow frees capacity for its siblings and
                 // competitors: reallocate.
-                self.rates_dirty = true;
+                comp.dirty = true;
             }
             if delivered > 0.0 {
                 let progress = &mut js.job.progress;
@@ -873,9 +1014,9 @@ impl<R: Recorder> FluidSimulator<R> {
                         .next_self_transition()
                         .expect("job computes between communication segments");
                     js.released = false;
-                    deactivate_job(&mut self.active, &self.arena, j);
+                    deactivate_job(&mut comp.active, &self.arena, j);
                     self.events.schedule_at(poll_at.max(t), Ev::Poll(j));
-                    self.rates_dirty = true;
+                    comp.dirty = true;
                     js.job
                         .record_compute(&mut self.rec, &mut self.spans, t, j, finished_phase);
                 }
@@ -883,10 +1024,20 @@ impl<R: Recorder> FluidSimulator<R> {
         }
     }
 
+    /// The component whose state event `ev` touches, if any (a capacity
+    /// change on a link no flow crosses touches none).
+    fn component_of(&self, ev: Ev) -> Option<usize> {
+        match ev {
+            Ev::Poll(j) | Ev::GateOpen(j) => Some(self.comp_of_job[j] as usize),
+            Ev::LinkChange(l) => self.link_owner[l].map(|(c, _)| c as usize),
+        }
+    }
+
     fn handle_event(&mut self, ev: Ev) {
         let now = self.now;
         match ev {
             Ev::Poll(j) => {
+                let comp = &mut self.comps[self.comp_of_job[j] as usize];
                 let js = &mut self.jobs[j];
                 // The job arms no further events once it has departed.
                 if js.job.departs(&mut self.rec, now, j) {
@@ -898,31 +1049,25 @@ impl<R: Recorder> FluidSimulator<R> {
                     for f in self.arena.job_range(j) {
                         self.arena.remaining[f] = total * self.arena.fraction[f];
                     }
-                    match js.gate {
-                        None => {
-                            js.released = true;
-                            activate_job_flows(&mut self.active, &self.arena, j);
-                            self.rates_dirty = true;
+                    match js.gate.map(|g| g.next_release(now)) {
+                        Some(at) if at != now => {
+                            self.events.schedule_at(at, Ev::GateOpen(j));
                         }
-                        Some(g) => {
-                            let at = g.next_release(now);
-                            if at == now {
-                                js.released = true;
-                                activate_job_flows(&mut self.active, &self.arena, j);
-                                self.rates_dirty = true;
-                            } else {
-                                self.events.schedule_at(at, Ev::GateOpen(j));
-                            }
+                        _ => {
+                            js.released = true;
+                            activate_job_flows(&mut comp.active, &self.arena, j);
+                            comp.dirty = true;
                         }
                     }
                 }
             }
             Ev::GateOpen(j) => {
+                let comp = &mut self.comps[self.comp_of_job[j] as usize];
                 let js = &mut self.jobs[j];
                 if js.job.progress.is_communicating() && !js.released {
                     js.released = true;
-                    activate_job_flows(&mut self.active, &self.arena, j);
-                    self.rates_dirty = true;
+                    activate_job_flows(&mut comp.active, &self.arena, j);
+                    comp.dirty = true;
                     if R::ENABLED {
                         self.rec.record(now, Event::GateRelease { job: j as u32 });
                     }
@@ -938,8 +1083,12 @@ impl<R: Recorder> FluidSimulator<R> {
                 };
                 if new_cap != self.capacities[l] {
                     self.capacities[l] = new_cap;
-                    self.rates_dirty = true;
-                    self.force_resolve = true;
+                    if let Some((c, local)) = self.link_owner[l] {
+                        let comp = &mut self.comps[c as usize];
+                        comp.capacities[local as usize] = new_cap;
+                        comp.dirty = true;
+                        comp.force_resolve = true;
+                    }
                     if R::ENABLED {
                         self.rec.record(
                             now,
@@ -974,43 +1123,66 @@ impl<R: Recorder> FluidSimulator<R> {
         }
     }
 
+    /// The event loop. Each turn moves to the next instant anything
+    /// happens — the earliest pending event, component completion, or
+    /// `t_stop` — and touches only the components with work there: the
+    /// ones with a completion due are advanced up front, the ones with an
+    /// event just before it is handled, and at `t_stop` all of them. A
+    /// component therefore sees exactly the advance instants, solves and
+    /// float operations it would see simulated alone.
     fn run_until_inner(&mut self, t_stop: Time) {
         loop {
-            if self.rates_dirty {
-                self.recompute_rates();
+            for c in 0..self.comps.len() {
+                if self.comps[c].dirty {
+                    self.recompute_rates(c);
+                }
             }
             if self.now >= t_stop {
                 return;
             }
-            let completion = self.next_completion_cache;
+            let completion = self.comps.iter().filter_map(|c| c.next_completion).min();
             let next_ev = self.events.peek_time();
             let t_next = [completion, next_ev, Some(t_stop)]
                 .into_iter()
                 .flatten()
                 .min()
                 .unwrap();
-            self.advance_to(t_next);
+            for c in 0..self.comps.len() {
+                if t_next == t_stop || self.comps[c].next_completion.is_some_and(|t| t <= t_next) {
+                    self.advance_component(c, t_next);
+                }
+            }
+            self.now = t_next;
             // Process all events due exactly now.
             while let Some(e) = self.events.pop_until(t_next) {
                 self.events_popped += 1;
+                if let Some(c) = self.component_of(e.event) {
+                    self.advance_component(c, t_next);
+                }
                 self.handle_event(e.event);
             }
-            if !self.rates_dirty {
-                if let Some(c) = self.next_completion_cache {
-                    if c <= self.now {
+            let mut settled = true;
+            for c in 0..self.comps.len() {
+                let comp = &self.comps[c];
+                if comp.dirty {
+                    settled = false;
+                } else if let Some(t) = comp.next_completion {
+                    if t <= comp.clock {
                         // We advanced to (or past) the cached completion
                         // without any flow finishing — float dust left a
-                        // sub-byte residue. Re-anchor at `now` so the next
-                        // target is strictly in the future.
-                        self.refresh_completion_cache();
+                        // sub-byte residue. Re-anchor at the component's
+                        // clock so its next target is strictly in the
+                        // future.
+                        self.refresh_completion_cache(c);
                     }
+                    settled &= self.comps[c].next_completion.is_none();
                 }
-                if self.events.is_empty() && self.next_completion_cache.is_none() {
-                    // Nothing will ever happen again (all jobs somehow idle
-                    // with no pending polls — impossible in normal
-                    // operation, but guard against infinite loops).
-                    return;
-                }
+            }
+            if settled && self.events.is_empty() {
+                // Nothing will ever happen again (all jobs somehow idle
+                // with no pending polls — impossible in normal operation,
+                // but guard against infinite loops).
+                return;
             }
             if t_next >= t_stop {
                 return;
@@ -1056,15 +1228,11 @@ pub struct FluidSnapshot {
     link_schedules: Vec<LinkSchedule>,
     jobs: Vec<JState>,
     arena: FlowArena,
+    comps: Vec<Component>,
     events: EventQueue<Ev>,
     now: Time,
     policy: SharingPolicy,
     nic_rate: f64,
-    rates_dirty: bool,
-    force_resolve: bool,
-    active: Vec<u32>,
-    solved_active: Vec<u32>,
-    next_completion_cache: Option<Time>,
     throughput_traces: Vec<TimeSeries>,
     spans: SpanTracker,
     allocs: u64,
@@ -1091,6 +1259,37 @@ impl FluidSnapshot {
         self.events.schedule_at(self.now, Ev::Poll(0));
         self
     }
+
+    /// Checks the per-component state against the jobs, links and flows
+    /// it indexes; returns the job and link maps it implies.
+    fn validate_components(&self) -> Result<ComponentIndex, SnapshotError> {
+        let (comp_of_job, link_owner) =
+            index_components(&self.comps, self.jobs.len(), self.capacities.len())?;
+        let malformed = |what| Err(SnapshotError::Malformed { what });
+        let arena = &self.arena;
+        for (c, comp) in self.comps.iter().enumerate() {
+            if comp.clock > self.now {
+                return malformed("component clock ahead of the snapshot");
+            }
+            let owned = |f: &u32| {
+                let job = arena.job_of.get(*f as usize);
+                job.and_then(|&j| comp_of_job.get(j as usize)) == Some(&(c as u32))
+            };
+            for set in [&comp.active, &comp.solved_active] {
+                if set.windows(2).any(|w| w[0] >= w[1]) || !set.iter().all(owned) {
+                    return malformed("component active index unsorted or foreign");
+                }
+            }
+            for &j in &comp.jobs {
+                for f in arena.job_range(j) {
+                    if arena.links_of(f).iter().any(|&k| k >= comp.links.len()) {
+                        return malformed("flow link outside its component");
+                    }
+                }
+            }
+        }
+        Ok((comp_of_job, link_owner))
+    }
 }
 
 impl<R: Recorder> Snapshottable<R> for FluidSimulator<R> {
@@ -1105,15 +1304,11 @@ impl<R: Recorder> Snapshottable<R> for FluidSimulator<R> {
             link_schedules: self.link_schedules.clone(),
             jobs: self.jobs.clone(),
             arena: self.arena.clone(),
+            comps: self.comps.clone(),
             events: self.events.clone(),
             now: self.now,
             policy: self.policy.clone(),
             nic_rate: self.nic_rate,
-            rates_dirty: self.rates_dirty,
-            force_resolve: self.force_resolve,
-            active: self.active.clone(),
-            solved_active: self.solved_active.clone(),
-            next_completion_cache: self.next_completion_cache,
             throughput_traces: self.throughput_traces.clone(),
             spans: self.spans.clone(),
             allocs: self.allocs,
@@ -1139,26 +1334,20 @@ impl<R: Recorder> Snapshottable<R> for FluidSimulator<R> {
                 what: "last-rate count mismatches jobs",
             });
         }
+        let (comp_of_job, link_owner) = snap.validate_components()?;
         Ok(FluidSimulator {
             capacities: snap.capacities,
             base_capacities: snap.base_capacities,
             link_schedules: snap.link_schedules,
             jobs: snap.jobs,
             arena: snap.arena,
+            comps: snap.comps,
+            comp_of_job,
+            link_owner,
             events: snap.events,
             now: snap.now,
             policy: snap.policy,
             nic_rate: snap.nic_rate,
-            rates_dirty: snap.rates_dirty,
-            force_resolve: snap.force_resolve,
-            active: snap.active,
-            solved_active: snap.solved_active,
-            // Pure working memory, rebuilt on the next solver pass; the
-            // skip-solve path only needs `solved_active` + arena rates,
-            // which the snapshot keeps consistent.
-            scratch: AllocScratch::new(),
-            rate_buf: Vec::new(),
-            next_completion_cache: snap.next_completion_cache,
             throughput_traces: snap.throughput_traces,
             rec,
             spans: snap.spans,
@@ -1912,6 +2101,19 @@ mod tests {
             SnapshotError::VersionMismatch {
                 expected: SNAPSHOT_VERSION,
                 found: 7
+            }
+        );
+
+        let mut ahead = snap.clone();
+        ahead.comps[0].clock = ahead.now + Dur::NANOSECOND;
+        let err = match FluidSimulator::restore(ahead, NoopRecorder) {
+            Err(e) => e,
+            Ok(_) => panic!("component clock past the snapshot accepted"),
+        };
+        assert_eq!(
+            err,
+            SnapshotError::Malformed {
+                what: "component clock ahead of the snapshot"
             }
         );
 

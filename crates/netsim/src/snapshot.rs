@@ -46,7 +46,7 @@ use std::fmt;
 use telemetry::Recorder;
 
 /// Current snapshot layout version, shared by all three engines.
-pub const SNAPSHOT_VERSION: u32 = 2;
+pub const SNAPSHOT_VERSION: u32 = 3;
 
 /// Why a snapshot could not be taken or restored. All misuse surfaces as
 /// one of these — never a panic.

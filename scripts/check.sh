@@ -230,22 +230,27 @@ cmp "$GATE/shard/s1.jsonl" "$GATE/shard/s4.jsonl"
 cmp "$GATE/shard/s1.jsonl" "$GATE/shard/s4_composed.jsonl"
 echo "sharded trace byte-identical across --shards 1/4, --jobs, --fork-at"
 
-echo "== shard speedup gate (paper-scale decomposition, BENCH_shard) =="
+echo "== shard cost gate (paper-scale decomposition, BENCH_shard) =="
 "$BIN" shard --shards 4 --summary-dir "$GATE/bench" > /dev/null
+SH_RATIO=$(grep -o '"global_over_sharded1":[0-9.eE+-]*' "$GATE/bench/BENCH_shard.json" | cut -d: -f2)
 SH_SPEEDUP=$(grep -o '"speedup":[0-9.eE+-]*' "$GATE/bench/BENCH_shard.json" | cut -d: -f2)
 SH_IDENT=$(grep -o '"byte_identical":[0-9.eE+-]*' "$GATE/bench/BENCH_shard.json" | cut -d: -f2)
 SH_STATS=$(grep -o '"stats_match":[0-9.eE+-]*' "$GATE/bench/BENCH_shard.json" | cut -d: -f2)
 SH_DONE=$(grep -o '"completed":[0-9.eE+-]*' "$GATE/bench/BENCH_shard.json" | cut -d: -f2)
-SH_BUDGET=2
-# A speedup or stats match over a truncated run measures nothing, so
-# every job must also finish its iterations inside the budget.
-awk -v s="$SH_SPEEDUP" -v i="$SH_IDENT" -v m="$SH_STATS" -v c="$SH_DONE" -v b="$SH_BUDGET" \
-    'BEGIN { exit !(s >= b && i == 1 && m == 1 && c == 1) }' || {
-    echo "shard bench: ${SH_SPEEDUP}x (budget ${SH_BUDGET}x)," \
+SH_BUDGET=1.5
+# The global fluid run solves each link-disjoint component on its own, so
+# it must cost about what the one-worker sharded run does and match it bit
+# for bit; `speedup` (global over N workers) is thread parallelism only and
+# is reported, not gated. A ratio or stats match over a truncated run
+# measures nothing, so every job must also finish inside the budget.
+awk -v r="$SH_RATIO" -v i="$SH_IDENT" -v m="$SH_STATS" -v c="$SH_DONE" -v b="$SH_BUDGET" \
+    'BEGIN { exit !(r <= b && i == 1 && m == 1 && c == 1) }' || {
+    echo "shard bench: global/sharded1 ${SH_RATIO}x (budget ${SH_BUDGET}x)," \
         "byte_identical=$SH_IDENT, stats_match=$SH_STATS, completed=$SH_DONE" >&2
     exit 1
 }
-echo "sharded paper-scale run completed, ${SH_SPEEDUP}x faster than the global solve, byte-identical"
+echo "sharded paper-scale run completed; global costs ${SH_RATIO}x the 1-worker sharded run," \
+    "bit-identical stats; ${SH_SPEEDUP}x with 4 workers"
 
 echo "== variants zoo gate (determinism, mltcp-beats-fair, wall-clock budget) =="
 # The seven-cell controller matrix must be byte-identical across worker

@@ -1012,15 +1012,17 @@ fn shard_config(o: &Opts) -> exp::shard::ShardConfig {
 }
 
 /// The sharding benchmark: a paper-scale cluster scenario (4 link-disjoint
-/// groups × 24 jobs on the fluid engine, plus 4 replicas of the Table 1
+/// groups × 128 jobs on the fluid engine, plus 4 replicas of the Table 1
 /// packet mix) run three ways — as one global simulator, sharded with one
-/// worker, and sharded with `--shards N` workers. Reports the algorithmic
-/// speedup of the sharded decomposition over the global solve and
-/// byte-compares the merged streams at 1 vs N workers. The `speedup` and
-/// `byte_identical` metrics in `BENCH_shard.json` are the gate for the
-/// sharding machinery. With a recorder attached (`--trace`), the sharded
-/// runs record into it, so traces at different `--shards` values can be
-/// diffed externally.
+/// worker, and sharded with `--shards N` workers. The global simulator
+/// solves each link-disjoint component on its own, so it should cost
+/// about what the one-worker sharded run does (`global_over_sharded1`)
+/// and match it bit for bit (`stats_match`); `speedup` over the global
+/// run is then what the N worker threads buy. Each wall time is the
+/// fastest of three untraced runs. The merged streams at 1 vs
+/// N workers are byte-compared (`byte_identical`). With a recorder
+/// attached (`--trace`), the sharded runs record into it, so traces at
+/// different `--shards` values can be diffed externally.
 fn run_shard_bench(o: &Opts, rec: Option<&mut CliRecorder>, out: &mut dyn Write) -> RunResult {
     let cfg = shard_config(o);
     let threads = mlcc::parallel::shards();
@@ -1036,16 +1038,33 @@ fn run_shard_bench(o: &Opts, rec: Option<&mut CliRecorder>, out: &mut dyn Write)
         cfg.iterations,
     )?;
 
-    // Wall-clock comparison, untraced on both sides: the global simulator
-    // re-solves every transition over all jobs; shards solve only theirs.
-    let t0 = Instant::now();
-    let (baseline, _) = exp::shard::run_fluid_unsharded(&fluid, &cfg, telemetry::NoopRecorder);
-    let unsharded_wall = t0.elapsed();
-    let mut noop = telemetry::NoopRecorder;
-    let t0 = Instant::now();
-    let sharded = exp::shard::run_fluid_sharded(&fluid, &cfg, &mut noop, threads);
-    let sharded_wall = t0.elapsed();
+    // Wall-clock comparison, untraced on every side: the fastest of three
+    // runs each, so one slow run on a busy host does not decide the
+    // ratio. `fastest(None)` times the global simulator, `fastest(Some(n))`
+    // the sharded run on `n` workers; every run gives the same result.
+    let fastest = |workers: Option<usize>| {
+        let mut best = (None, Duration::MAX);
+        for _ in 0..3 {
+            let t0 = Instant::now();
+            let res = match workers {
+                None => exp::shard::run_fluid_unsharded(&fluid, &cfg, telemetry::NoopRecorder).0,
+                Some(n) => {
+                    exp::shard::run_fluid_sharded(&fluid, &cfg, &mut telemetry::NoopRecorder, n)
+                }
+            };
+            best = (Some(res), best.1.min(t0.elapsed()));
+        }
+        (best.0.expect("three runs"), best.1)
+    };
+    let (baseline, unsharded_wall) = fastest(None);
+    let (sharded, sharded_wall) = fastest(Some(threads));
+    let sharded1_wall = if threads == 1 {
+        sharded_wall
+    } else {
+        fastest(Some(1)).1
+    };
     let speedup = unsharded_wall.as_secs_f64() / sharded_wall.as_secs_f64().max(1e-9);
+    let global_over_sharded1 = unsharded_wall.as_secs_f64() / sharded1_wall.as_secs_f64().max(1e-9);
 
     // Byte identity: merged fluid + packet streams at 1 worker vs N.
     let mut one = BufferRecorder::new();
@@ -1058,18 +1077,24 @@ fn run_shard_bench(o: &Opts, rec: Option<&mut CliRecorder>, out: &mut dyn Write)
     exp::shard::run_packet_sharded(&packet, &cfg, &mut many, threads);
     let byte_identical = one.events() == many.events() && one.counts() == many.counts();
 
-    // Results parity: sharded and global runs agree on every job's stats.
+    // Results parity: sharded and global runs agree on every job's
+    // median, bit for bit.
     let stats_match = baseline
         .stats
         .iter()
         .zip(&sharded.stats)
-        .all(|(a, b)| (a.median_ms() - b.median_ms()).abs() <= 1e-9 * a.median_ms().max(1.0));
+        .all(|(a, b)| a.median_ms().to_bits() == b.median_ms().to_bits());
 
     writeln!(
         out,
-        "fluid: unsharded {unsharded_wall:.2?} vs sharded {sharded_wall:.2?}: \
-         {speedup:.2}x, stats {}",
-        if stats_match { "match" } else { "DIVERGED" }
+        "fluid: global {unsharded_wall:.2?}, sharded at 1 worker {sharded1_wall:.2?} \
+         ({global_over_sharded1:.2}x), at {threads} worker(s) {sharded_wall:.2?} \
+         ({speedup:.2}x), stats {}",
+        if stats_match {
+            "bit-identical"
+        } else {
+            "DIVERGED"
+        }
     )?;
     writeln!(
         out,
@@ -1096,8 +1121,13 @@ fn run_shard_bench(o: &Opts, rec: Option<&mut CliRecorder>, out: &mut dyn Write)
             unsharded_wall.as_secs_f64(),
         ),
         ("sharded_wall_secs".to_string(), sharded_wall.as_secs_f64()),
+        (
+            "sharded1_wall_secs".to_string(),
+            sharded1_wall.as_secs_f64(),
+        ),
         ("packet_wall_secs".to_string(), packet_wall.as_secs_f64()),
         ("speedup".to_string(), speedup),
+        ("global_over_sharded1".to_string(), global_over_sharded1),
         ("byte_identical".to_string(), byte_identical as u8 as f64),
         ("stats_match".to_string(), stats_match as u8 as f64),
         (

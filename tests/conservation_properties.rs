@@ -16,7 +16,7 @@ use netsim::rate::{RateJob, RateSimConfig, RateSimulator};
 use proptest::prelude::*;
 use simtime::{Bandwidth, Dur, Time};
 use topology::builders::dumbbell;
-use topology::LinkSchedule;
+use topology::{LinkId, LinkSchedule, NodeKind, Topology};
 use workload::{JobSpec, Model};
 
 const LINE: Bandwidth = Bandwidth::from_gbps(50);
@@ -55,6 +55,28 @@ fn chaos_strategy() -> impl Strategy<Value = ChaosConfig> {
                 cnp_loss: si.1,
             },
         })
+}
+
+/// Two dumbbells in one fabric that share no link: `routes[g][i]` carries
+/// host pair `i` of dumbbell `g` across that dumbbell's bottleneck.
+fn two_dumbbells() -> (Topology, Vec<Vec<Vec<LinkId>>>) {
+    let mut t = Topology::new();
+    let mut routes = Vec::new();
+    for g in 0..2 {
+        let left = t.add_node(NodeKind::TorSwitch, format!("tor-left{g}"));
+        let right = t.add_node(NodeKind::TorSwitch, format!("tor-right{g}"));
+        let bottleneck = t.add_link(left, right, LINE, Dur::ZERO);
+        let mut pairs = Vec::new();
+        for i in 0..2 {
+            let src = t.add_host(format!("left{g}-{i}"), 1);
+            let dst = t.add_host(format!("right{g}-{i}"), 1);
+            let up = t.add_link(src, left, LINE, Dur::ZERO);
+            let down = t.add_link(right, dst, LINE, Dur::ZERO);
+            pairs.push(vec![up, bottleneck, down]);
+        }
+        routes.push(pairs);
+    }
+    (t, routes)
 }
 
 /// The largest capacity multiplier a schedule applies anywhere inside
@@ -246,9 +268,10 @@ proptest! {
         }
     }
 
-    /// Driving the fluid engine in arbitrary small time slices, the rates
-    /// produced by its incremental allocation path never drift from the
-    /// from-scratch reference solve on the same active set.
+    /// Driving the fluid engine in arbitrary small time slices over two
+    /// disjoint dumbbells, the rates its component-local incremental
+    /// allocations produce never drift from the from-scratch reference
+    /// solve over every active flow at once.
     #[test]
     fn fluid_incremental_rates_match_reference_in_slices(
         a in spec_strategy(),
@@ -256,26 +279,20 @@ proptest! {
         policy_pick in 0u8..3,
         slice_ms in 1u64..12,
     ) {
-        let d = dumbbell(2, LINE, LINE, Dur::ZERO);
-        let t = d.topology.clone();
-        let path = |i: usize| {
-            t.route(topology::FlowKey {
-                src: d.left_hosts[i],
-                dst: d.right_hosts[i],
-                tag: 0,
-            })
-            .unwrap()
-            .links()
-            .to_vec()
-        };
+        let (t, routes) = two_dumbbells();
         let policy = match policy_pick {
             0 => SharingPolicy::MaxMin,
-            1 => SharingPolicy::Weighted(vec![2.0, 1.0]),
-            _ => SharingPolicy::Priority(vec![1, 0]),
+            1 => SharingPolicy::Weighted(vec![2.0, 1.0, 1.0, 2.0]),
+            _ => SharingPolicy::Priority(vec![1, 0, 0, 1]),
         };
+        // The second dumbbell runs the pair swapped and staggered, so the
+        // two components' events interleave.
+        let stagger = Dur::from_millis(3);
         let jobs = [
-            FluidJob::single_path(a, path(0)),
-            FluidJob::single_path(b, path(1)),
+            FluidJob::single_path(a, routes[0][0].clone()),
+            FluidJob::single_path(b, routes[0][1].clone()),
+            FluidJob::single_path_at(b, routes[1][0].clone(), stagger),
+            FluidJob::single_path_at(a, routes[1][1].clone(), stagger),
         ];
         let cfg = FluidConfig { policy, ..FluidConfig::fair() };
         let mut sim = FluidSimulator::new(&t, cfg, &jobs);

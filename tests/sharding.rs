@@ -3,29 +3,34 @@
 //!
 //! ```text
 //! sharded(N threads)  ≡  sharded(1 thread)        (byte level)
-//! sharded(any N)      ≡  unsharded                (results level)
+//! sharded(any N)      ≡  unsharded                (bit-equal phase times)
 //! sharded collapse    ≡  unsharded                (byte level, one component)
 //! fork_at + sharded   ≡  sharded                  (byte level)
 //! ```
 //!
 //! The byte-level cross-thread property is the contract behind `--shards
 //! N`: the shard plan is a pure function of the topology, worker threads
-//! only change wall clock. The results-level property pins the sharded
-//! decomposition to the global simulation it replaces (the merged streams
-//! differ only in per-shard solver bookkeeping, so equality there is on
-//! iteration statistics, not bytes — except in the one-component collapse
-//! case, where the shard *is* the global simulation and bytes must match).
+//! only change wall clock. The phase-time property pins the sharded
+//! decomposition to the global simulation it replaces: the global fluid
+//! engine solves each link-disjoint component on its own, so every phase
+//! change lands on the same nanosecond. The merged streams still differ
+//! in solver bookkeeping and event order, so equality there is on phase
+//! times and iteration statistics, not bytes — except in the
+//! one-component collapse case, where the shard *is* the global
+//! simulation and bytes must match.
 
+use dcqcn::CcVariant;
 use faults::ChaosConfig;
 use mlcc::experiments::shard::{
     build_fluid, build_packet, run_fluid_sharded, run_fluid_unsharded, run_packet_sharded,
-    ShardConfig,
+    FluidScenario, ShardConfig,
 };
 use mlcc_repro::*;
+use netsim::fluid::{FluidSimulator, SharingPolicy};
 use netsim::packet::PacketSimulator;
 use proptest::prelude::*;
-use simtime::Dur;
-use telemetry::{BufferRecorder, ForkableRecorder};
+use simtime::{Dur, Time};
+use telemetry::{BufferRecorder, Event, ForkableRecorder, Phase};
 
 /// Arrival-free builtin profiles: every engine can snapshot and every
 /// scenario completes within the small test budgets.
@@ -79,8 +84,8 @@ proptest! {
 }
 
 /// sharded ≡ unsharded at the results level (fluid engine), across chaos
-/// profiles: every job's per-iteration times agree between the global
-/// simulation and the per-component decomposition.
+/// profiles: every job's median iteration time agrees to the last bit
+/// between the global simulation and the per-component decomposition.
 #[test]
 fn sharded_matches_unsharded_stats_across_profiles() {
     for profile in PROFILES {
@@ -92,11 +97,137 @@ fn sharded_matches_unsharded_stats_across_profiles() {
         assert_eq!(base.completed, sharded.completed, "profile {profile}");
         for (j, (a, b)) in base.stats.iter().zip(&sharded.stats).enumerate() {
             let (ma, mb) = (a.median_ms(), b.median_ms());
-            assert!(
-                (ma - mb).abs() <= 1e-9 * ma.abs().max(1.0),
+            assert_eq!(
+                ma.to_bits(),
+                mb.to_bits(),
                 "{profile} job {j}: unsharded {ma} ms vs sharded {mb} ms"
             );
         }
+    }
+}
+
+/// The fluid scenarios the global ≡ sharded tests run, all on a
+/// three-component fabric: quiet, under two chaos profiles, under strict
+/// priority, and under progress-weighted congestion control.
+fn fluid_cases() -> Vec<(&'static str, FluidScenario, ShardConfig)> {
+    let mut cases = Vec::new();
+    for profile in ["none", "stragglers", "links"] {
+        let cfg = small(profile, 11, 3, 3);
+        cases.push((profile, build_fluid(&cfg), cfg));
+    }
+    let cfg = small("none", 11, 3, 3);
+    let base = build_fluid(&cfg);
+    let n = base.jobs.len();
+    let mut priority = base.clone();
+    priority.fluid_cfg.policy = SharingPolicy::Priority((0..n).map(|j| (j % 3) as u8).collect());
+    cases.push(("priority", priority, cfg.clone()));
+    let mut weighted = base;
+    weighted.fluid_cfg.policy = SharingPolicy::Cc(
+        (0..n)
+            .map(|j| match j % 3 {
+                0 => CcVariant::Mltcp { bonus: 4.0 },
+                1 => CcVariant::AdaptiveUnfair,
+                _ => CcVariant::Fair,
+            })
+            .collect(),
+    );
+    cases.push(("cc", weighted, cfg));
+    for (name, scn, _) in &cases {
+        assert_eq!(scn.plan.num_components(), 3, "{name}");
+    }
+    cases
+}
+
+/// Every job's phase exits, in order, as `(instant, phase, iteration)`.
+fn phase_exits(rec: &BufferRecorder, jobs: usize) -> Vec<Vec<(Time, Phase, u64)>> {
+    let mut per_job = vec![Vec::new(); jobs];
+    for e in rec.events() {
+        if let Event::PhaseExit {
+            job,
+            phase,
+            iteration,
+        } = e.event
+        {
+            per_job[job as usize].push((e.at, phase, iteration));
+        }
+    }
+    per_job
+}
+
+/// global ≡ sharded(1 worker), bit for bit: every job leaves every phase
+/// at the same nanosecond in both runs, over the iterations both recorded
+/// (each shard stops once its own jobs are done; the global run goes on
+/// until all are).
+#[test]
+fn global_phase_times_equal_sharded_bit_for_bit() {
+    for (name, scn, cfg) in fluid_cases() {
+        let n = scn.jobs.len();
+        let (global, global_rec) = run_fluid_unsharded(&scn, &cfg, BufferRecorder::new());
+        let mut sharded_rec = BufferRecorder::new();
+        let sharded = run_fluid_sharded(&scn, &cfg, &mut sharded_rec, 1);
+        assert!(global.completed && sharded.completed, "{name}");
+        // Statistics are not compared here: a job whose shard stops early
+        // records fewer iterations than in the global run, so a jittered
+        // job's median covers different samples.
+        let g = phase_exits(&global_rec, n);
+        let s = phase_exits(&sharded_rec, n);
+        for j in 0..n {
+            let both = g[j].len().min(s[j].len());
+            assert!(both >= 2 * cfg.iterations, "{name} job {j}: {both} exits");
+            assert_eq!(g[j][..both], s[j][..both], "{name} job {j}");
+        }
+    }
+}
+
+/// Component by component, the global engine holds exactly the state a
+/// simulator of that component alone holds: at every 10 ms slice, each
+/// job's iteration times and the bits of its remaining bytes, and of
+/// every flow's remaining bytes and rate, agree. Advancing a component at
+/// another component's events would split its `rate · dt` products and
+/// move the last bits of `remaining`, which whole nanoseconds can hide.
+#[test]
+fn global_state_equals_per_component_simulators_at_every_slice() {
+    for (name, scn, cfg) in fluid_cases() {
+        let n = scn.jobs.len();
+        let mut global = FluidSimulator::new(&scn.topology, scn.fluid_cfg.clone(), &scn.jobs);
+        let mut shards: Vec<(&[usize], FluidSimulator)> = scn
+            .plan
+            .components()
+            .iter()
+            .map(|comp| {
+                let shard = scn.shard(comp);
+                let sim = FluidSimulator::new(&shard.topology, shard.cfg, &shard.jobs);
+                (comp.as_slice(), sim)
+            })
+            .collect();
+        let stop = Time::ZERO + cfg.horizon();
+        while global.now() < stop && (0..n).any(|j| global.progress(j).completed() < cfg.iterations)
+        {
+            let t = global.now() + Dur::from_millis(10);
+            global.run_until(t);
+            let flows = global.aos_view();
+            for (comp, sim) in &mut shards {
+                sim.run_until(t);
+                let local_flows = sim.aos_view();
+                for (local, &j) in comp.iter().enumerate() {
+                    let (a, b) = (global.progress(j), sim.progress(local));
+                    assert_eq!(a.iteration_times(), b.iteration_times(), "{name} job {j}");
+                    assert_eq!(
+                        a.remaining_bytes().to_bits(),
+                        b.remaining_bytes().to_bits(),
+                        "{name} job {j} at {t:?}"
+                    );
+                    for (fa, fb) in flows[j].iter().zip(&local_flows[local]) {
+                        assert_eq!(
+                            (fa.remaining.to_bits(), fa.rate.to_bits()),
+                            (fb.remaining.to_bits(), fb.rate.to_bits()),
+                            "{name} job {j} flow at {t:?}"
+                        );
+                    }
+                }
+            }
+        }
+        assert!(global.now() < stop, "{name}: jobs did not finish");
     }
 }
 
