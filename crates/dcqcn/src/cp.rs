@@ -60,6 +60,34 @@ impl RedMarker {
         }
     }
 
+    /// How many `packet_bytes`-sized packets, enqueued back to back from
+    /// depth `queue_bytes`, each land at a depth ≤ `kmin` and so have
+    /// marking probability 0: the number of `m ≥ 0` with
+    /// `queue_bytes + m·packet_bytes ≤ ⌊kmin⌋`. None of them draws a
+    /// marking coin, which is what lets the packet engine enqueue such a
+    /// run in one step.
+    ///
+    /// The count agrees with [`RedMarker::mark_probability`] packet by
+    /// packet: depths are compared below 2^53, where every integer is an
+    /// exact `f64`, and a `kmin` that is not a non-negative number gives 0.
+    ///
+    /// # Panics
+    /// Panics if `packet_bytes` is 0.
+    pub fn unmarked_run(&self, queue_bytes: u64, packet_bytes: u64) -> u64 {
+        assert!(
+            packet_bytes > 0,
+            "RedMarker::unmarked_run: zero packet size"
+        );
+        if self.kmin.is_nan() || self.kmin < 0.0 {
+            return 0;
+        }
+        // For an integer q ≤ 2^53, `q as f64 <= kmin` ⇔ `q <= ⌊kmin⌋`.
+        let limit = self.kmin.min((1u64 << 53) as f64).floor() as u64;
+        limit
+            .checked_sub(queue_bytes)
+            .map_or(0, |room| room / packet_bytes + 1)
+    }
+
     /// Probability that a *burst* of `packets` consecutive packets contains
     /// at least one mark: `1 − (1−p)^n`. This is what a fluid-flow engine
     /// needs per time step.
@@ -101,6 +129,49 @@ mod tests {
         assert_eq!(m.burst_mark_probability(50.0, 0.0), 0.0);
         // Saturated queue → always marked for any positive burst.
         assert_eq!(m.burst_mark_probability(100.0, 0.5), 1.0);
+    }
+
+    #[test]
+    fn unmarked_run_counts_leading_zero_probability_packets() {
+        let markers = [
+            RedMarker::default_50g(),
+            RedMarker::new(100.5, 5e3, 0.2),
+            RedMarker::new(0.0, 1e6, 1.0),
+            // Not constructible through `new`, but the fields are public.
+            RedMarker {
+                kmin: f64::NAN,
+                kmax: 1e6,
+                pmax: 0.05,
+            },
+            RedMarker {
+                kmin: -5.0,
+                kmax: 1e6,
+                pmax: 0.05,
+            },
+        ];
+        for m in markers {
+            for mtu in [1u64, 1024, 1500] {
+                let centre = m.kmin.max(0.0) as u64;
+                let lo = centre.saturating_sub(3 * mtu);
+                for q in lo..=centre + 3 * mtu {
+                    let leading = (0..)
+                        .take_while(|&j| m.mark_probability((q + j * mtu) as f64) == 0.0)
+                        .count() as u64;
+                    assert_eq!(
+                        m.unmarked_run(q, mtu),
+                        leading,
+                        "kmin {} mtu {mtu} depth {q}",
+                        m.kmin
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "zero packet size")]
+    fn unmarked_run_rejects_zero_packets() {
+        RedMarker::default_50g().unmarked_run(0, 0);
     }
 
     #[test]

@@ -5,9 +5,9 @@
 //! cargo run --release -p netsim --example packet_trace -- <wheel|heap> <train_packets> <out.jsonl>
 //! ```
 //!
-//! `scripts/check.sh` runs this twice at `train_packets = 1` — once per
-//! event-queue backend — and diffs the outputs byte-for-byte: the timing
-//! wheel must reproduce the reference heap's run exactly.
+//! `scripts/check.sh` runs this once per event-queue backend at
+//! `train_packets = 1` and again at 64, and diffs each pair byte-for-byte:
+//! the timing wheel must reproduce the reference heap's run exactly.
 
 use dcqcn::CcVariant;
 use netsim::packet::{PacketJob, PacketSimConfig, PacketSimulator, QueueBackend};

@@ -19,11 +19,17 @@
 //! For paper-scale validation runs the engine can **batch packet trains**:
 //! with [`PacketSimConfig::train_packets`] > 1, consecutive packets of one
 //! flow coalesce into a single `SenderWake`/`Dequeue` event pair carrying N
-//! MTUs, with the per-packet marking coin flips, delivery timestamps, and
-//! CNP pacing decisions still evaluated packet-by-packet inside the event.
-//! Trains are capped so no CNP pacing deadline is outrun (one train's
+//! MTUs. Trains are capped so no CNP pacing deadline is outrun (one train's
 //! airtime never exceeds the NP's CNP interval), and `train_packets = 1`
 //! reproduces the per-packet engine event-for-event and bit-for-bit.
+//!
+//! Inside an event the train advances **by runs**. The leading full
+//! packets that land at a depth ≤ `kmin` draw no marking coin, so they are
+//! enqueued in one step; every other packet is judged on its own. At the
+//! receiver, the unmarked packets before each marked packet (and before
+//! the train's last) are delivered in one step; each marked packet gets
+//! its own timestamp, NP pacing check and CNP. Both steps give the same
+//! bits as packet-by-packet stepping (see `EXACT_BYTES`).
 
 use crate::job::{self, Job};
 use crate::snapshot::{
@@ -41,7 +47,7 @@ use workload::{JobProgress, JobSpec, PhaseNoise};
 pub struct PacketSimConfig {
     /// Bottleneck link capacity.
     pub capacity: Bandwidth,
-    /// Packet size (RoCE MTU).
+    /// Packet size (RoCE MTU); must be positive.
     pub mtu_bytes: u32,
     /// One-way propagation delay (sender→switch and switch→receiver each;
     /// CNPs travel one hop back).
@@ -78,6 +84,49 @@ pub struct PacketSimConfig {
 /// Upper bound on [`PacketSimConfig::train_packets`] (the per-train ECN
 /// mark bitmask is a `u64`).
 pub const MAX_TRAIN_PACKETS: u32 = 64;
+
+/// Bound (2^52 bytes) below which the byte counters step by whole MTUs
+/// exactly, so a run of `k` packets can be applied as one `± k·mtu`.
+///
+/// Why that gives the same bits as `k` single steps:
+/// - Below 2^52 a value's ulp is at most 1/2, so the value and the
+///   integer MTU are both multiples of that ulp. `x − mtu` with
+///   `x ≥ mtu` is then a multiple of `ulp(x)` in `[0, x)`, which is
+///   representable: each single subtraction is exact, and so is one
+///   subtraction of `k·mtu`. The unsent bytes (`to_send`) and the phase's
+///   undelivered bytes (`remaining`) only fall, by whole MTUs, from
+///   values ≥ one MTU.
+/// - `delivered` sums whole MTUs, and so does `sent_since_advance` from
+///   its reset at an RP advance until a phase's partial last payload.
+///   Sums of whole numbers below 2^53 are exact in any grouping. A wake
+///   steps a run only while `sent_since_advance` is whole.
+/// - A phase can only end at a train's last packet: delivering past the
+///   end would panic on the next packet, and the bulk step keeps that as
+///   an assertion.
+///
+/// Counters at or above the bound fall back to packet-by-packet steps.
+const EXACT_BYTES: f64 = (1u64 << 52) as f64;
+
+/// Whether `bytes` is a whole number below [`EXACT_BYTES`].
+fn whole_below_exact(bytes: f64) -> bool {
+    bytes < EXACT_BYTES && bytes as u64 as f64 == bytes
+}
+
+/// How many times `bytes -= mtu` can run before `bytes < mtu`: the whole
+/// MTUs in `bytes`, or 0 at or above [`EXACT_BYTES`].
+fn whole_mtus(bytes: f64, mtu: f64) -> u64 {
+    if bytes >= EXACT_BYTES {
+        return 0;
+    }
+    // The rounded quotient can only overshoot, by at most one; the check
+    // runs on exact integers (`n·mtu < 2^53`).
+    let n = (bytes / mtu) as u64;
+    if n as f64 * mtu > bytes {
+        n - 1
+    } else {
+        n
+    }
+}
 
 impl Default for PacketSimConfig {
     fn default() -> PacketSimConfig {
@@ -226,7 +275,9 @@ struct FlowState {
     /// Packets the next SenderWake may emit, planned when the wake was
     /// armed (the wake is paced for exactly this many serialization gaps).
     pending_train: u32,
-    /// Delivered bytes (for goodput accounting).
+    /// Delivered bytes (for goodput accounting), counted in wire MTUs:
+    /// every packet adds a full MTU, the padded last packet of a phase
+    /// included.
     delivered: f64,
 }
 
@@ -270,8 +321,7 @@ impl PacketSimulator {
     /// Builds the simulator without telemetry.
     ///
     /// # Panics
-    /// Panics if `jobs` is empty or a job uses the delay-based variant
-    /// (the packet engine models DCQCN's ECN/CNP path).
+    /// Panics as [`PacketSimulator::with_recorder`] does.
     pub fn new(cfg: PacketSimConfig, jobs: &[PacketJob]) -> PacketSimulator {
         PacketSimulator::with_recorder(cfg, jobs, NoopRecorder)
     }
@@ -281,14 +331,20 @@ impl<R: Recorder> PacketSimulator<R> {
     /// Builds the simulator with a telemetry recorder.
     ///
     /// # Panics
-    /// Panics if `jobs` is empty or a job uses the delay-based variant
-    /// (the packet engine models DCQCN's ECN/CNP path).
+    /// Panics if `jobs` is empty, if `cfg.mtu_bytes` is 0, if
+    /// `cfg.train_packets` is outside `1..=MAX_TRAIN_PACKETS`, or if a job
+    /// uses the delay-based variant (the packet engine models DCQCN's
+    /// ECN/CNP path).
     pub fn with_recorder(
         cfg: PacketSimConfig,
         jobs: &[PacketJob],
         mut rec: R,
     ) -> PacketSimulator<R> {
         assert!(!jobs.is_empty(), "PacketSimulator: no jobs");
+        assert!(
+            cfg.mtu_bytes > 0,
+            "PacketSimulator: mtu_bytes must be positive"
+        );
         assert!(
             (1..=MAX_TRAIN_PACKETS).contains(&cfg.train_packets),
             "PacketSimulator: train_packets must be in 1..={MAX_TRAIN_PACKETS}"
@@ -505,7 +561,9 @@ impl<R: Recorder> PacketSimulator<R> {
         self.events.schedule_at(now + service, Ev::Dequeue);
     }
 
-    fn handle(&mut self, ev: Ev, now: Time) {
+    /// Handles one event. `run_packets` tallies the packets enqueued in
+    /// one-step runs (only while `R` is enabled).
+    fn handle(&mut self, ev: Ev, now: Time, run_packets: &mut u64) {
         match ev {
             Ev::Poll(i) => {
                 self.flows[i].poll_armed = false;
@@ -546,7 +604,26 @@ impl<R: Recorder> PacketSimulator<R> {
                 // packet against the instantaneous depth as it lands.
                 let mtu = self.cfg.mtu_bytes as f64;
                 let planned = self.flows[i].pending_train.max(1);
+                // The depth only grows during the wake, so only the leading
+                // packets can land at ≤ kmin, where no coin is drawn. Those
+                // that carry a full MTU are enqueued in one exact step
+                // (`EXACT_BYTES`).
+                let f = &mut self.flows[i];
                 let mut emitted = 0u32;
+                if whole_below_exact(f.sent_since_advance) {
+                    let mtu_bytes = self.cfg.mtu_bytes as u64;
+                    let unmarked = self.cfg.marker.unmarked_run(self.queue_bytes, mtu_bytes);
+                    let run = whole_mtus(f.to_send, mtu).min(planned as u64).min(unmarked);
+                    let bytes = run as f64 * mtu;
+                    f.to_send -= bytes;
+                    f.sent_since_advance += bytes;
+                    self.packets_sent += run;
+                    self.queue_bytes += run * mtu_bytes;
+                    emitted = run as u32;
+                    if R::ENABLED {
+                        *run_packets += run;
+                    }
+                }
                 let mut mask = 0u64;
                 while emitted < planned && self.flows[i].to_send >= 1.0 {
                     let payload = mtu.min(self.flows[i].to_send);
@@ -602,19 +679,42 @@ impl<R: Recorder> PacketSimulator<R> {
                     .queue_bytes
                     .saturating_sub(mtu as u64 * train.packets as u64);
                 self.start_service_if_idle(now);
-                // Deliver packet-by-packet: packet `j` left the wire
-                // `packets - 1 - j` serialization quanta before `now`, and
-                // reaches the receiver a prop delay later; the NP judges
-                // each marked arrival at its own timestamp.
+                // Packet `j` left the wire `packets - 1 - j` serialization
+                // quanta before `now`, and reaches the receiver a prop
+                // delay later; the NP judges each marked arrival at its own
+                // timestamp.
                 let bps = self.effective_capacity_bps(now);
                 let pkt_ns = Dur::from_secs_f64(mtu * 8.0 / bps).as_nanos();
-                for j in 0..train.packets {
-                    let lag = pkt_ns * (train.packets - 1 - j) as u64;
+                let last = train.packets - 1;
+                let runs = {
+                    let f = &self.flows[i];
+                    f.delivered < EXACT_BYTES && f.job.progress.remaining_bytes() < EXACT_BYTES
+                };
+                let mut j = 0;
+                while j <= last {
+                    // The unmarked packets before the next marked one, and
+                    // before the last, touch only the byte counters: deliver
+                    // them in one exact step (`EXACT_BYTES`).
+                    let next = if runs {
+                        (j + (train.marked >> j).trailing_zeros()).min(last)
+                    } else {
+                        j
+                    };
+                    if next > j {
+                        let bytes = (next - j) as f64 * mtu;
+                        let f = &mut self.flows[i];
+                        f.delivered += bytes;
+                        let ended = f.job.progress.deliver(bytes, now).is_some()
+                            || !f.job.progress.is_communicating();
+                        assert!(!ended, "packet engine: a phase ended mid-train");
+                        j = next;
+                    }
+                    let lag = pkt_ns * (last - j) as u64;
                     let exit = Time::from_nanos(now.as_nanos().saturating_sub(lag));
                     let deliver_at = exit + self.cfg.prop_delay;
                     let marked = train.marked >> j & 1 == 1;
                     let f = &mut self.flows[i];
-                    f.delivered += mtu.min(f.job.progress.remaining_bytes().max(mtu));
+                    f.delivered += mtu;
                     if marked && f.np.on_marked_arrival(deliver_at) {
                         self.cnps_sent += 1;
                         if R::ENABLED {
@@ -654,6 +754,7 @@ impl<R: Recorder> PacketSimulator<R> {
                             .record_compute(&mut self.rec, &mut self.spans, now, i, finished);
                         self.arm_poll(i, poll_at.max(now));
                     }
+                    j += 1;
                 }
             }
             Ev::Cnp(i) => {
@@ -676,35 +777,39 @@ impl<R: Recorder> PacketSimulator<R> {
         }
     }
 
+    /// Reports a finished run loop to the recorder: the `netsim.packet`
+    /// span, the events handled and the packets sent since `before`
+    /// (`(events, packets)`), and how many of those packets were enqueued
+    /// in one-step runs.
+    fn record_run(&mut self, wall: Option<std::time::Instant>, before: (u64, u64), in_runs: u64) {
+        if let Some(start) = wall {
+            let events = self.events_processed - before.0;
+            self.rec.span("netsim.packet", start.elapsed(), events);
+            self.rec.count("packet_events_total", events);
+            self.rec
+                .count("packet_packets_total", self.packets_sent - before.1);
+            self.rec.count("packet_packets_in_runs", in_runs);
+        }
+    }
+
     /// Runs until `t_stop`.
     pub fn run_until(&mut self, t_stop: Time) {
-        let wall = if R::ENABLED {
-            Some(std::time::Instant::now())
-        } else {
-            None
-        };
-        let before = self.events_processed;
+        let wall = R::ENABLED.then(std::time::Instant::now);
+        let before = (self.events_processed, self.packets_sent);
+        let mut in_runs = 0;
         while let Some(e) = self.events.pop_until(t_stop) {
-            let now = e.at;
             self.events_processed += 1;
-            self.handle(e.event, now);
+            self.handle(e.event, e.at, &mut in_runs);
         }
-        if let Some(start) = wall {
-            let delta = self.events_processed - before;
-            self.rec.span("netsim.packet", start.elapsed(), delta);
-            self.rec.count("packet_events_total", delta);
-        }
+        self.record_run(wall, before, in_runs);
     }
 
     /// Runs until every job completed `n` iterations or `max_span`
     /// elapses; returns `true` on success.
     pub fn run_until_iterations(&mut self, n: usize, max_span: Dur) -> bool {
-        let wall = if R::ENABLED {
-            Some(std::time::Instant::now())
-        } else {
-            None
-        };
-        let before = self.events_processed;
+        let wall = R::ENABLED.then(std::time::Instant::now);
+        let before = (self.events_processed, self.packets_sent);
+        let mut in_runs = 0;
         let stop = self.now() + max_span;
         let reached = |flows: &[FlowState]| flows.iter().all(|f| f.job.done(n));
         let done = loop {
@@ -714,15 +819,10 @@ impl<R: Recorder> PacketSimulator<R> {
             let Some(e) = self.events.pop_until(stop) else {
                 break reached(&self.flows);
             };
-            let now = e.at;
             self.events_processed += 1;
-            self.handle(e.event, now);
+            self.handle(e.event, e.at, &mut in_runs);
         };
-        if let Some(start) = wall {
-            let delta = self.events_processed - before;
-            self.rec.span("netsim.packet", start.elapsed(), delta);
-            self.rec.count("packet_events_total", delta);
-        }
+        self.record_run(wall, before, in_runs);
         done
     }
 }
@@ -921,6 +1021,7 @@ mod tests {
         let mut rec = BufferRecorder::new();
         let mut sim = PacketSimulator::with_recorder(PacketSimConfig::default(), &jobs, &mut rec);
         sim.run_until(Time::ZERO + Dur::from_millis(60));
+        let (sent, _) = sim.packet_counts();
         let kinds: BTreeSet<&str> = rec.events().iter().map(|e| e.event.kind()).collect();
         for want in [
             "phase_enter",
@@ -944,7 +1045,16 @@ mod tests {
             "no rate changes recorded"
         );
         assert!(rec.spans().contains_key("netsim.packet"));
-        assert!(rec.counts()["packet_events_total"] > 0);
+        let counts = rec.counts();
+        assert!(counts["packet_events_total"] > 0);
+        assert_eq!(counts["packet_packets_total"], sent);
+        // The queue builds past `kmin` (marks happened), so some packets
+        // leave the one-step runs.
+        let in_runs = counts["packet_packets_in_runs"];
+        assert!(
+            in_runs > 0 && in_runs < sent,
+            "{in_runs} of {sent} packets in runs"
+        );
     }
 
     #[test]
@@ -1081,6 +1191,44 @@ mod tests {
                 dc * 100.0, train
             );
         }
+    }
+
+    #[test]
+    fn whole_mtus_matches_repeated_subtraction() {
+        for mtu in [1.0, 1024.0, 1500.0, 4097.0] {
+            for bytes in [
+                0.0,
+                0.5,
+                1.0,
+                mtu - 0.5,
+                mtu,
+                mtu + 0.25,
+                3.0 * mtu - 1e-9,
+                3.0 * mtu,
+                123_456.7,
+            ] {
+                let (mut left, mut n) = (bytes, 0);
+                while left >= mtu {
+                    left -= mtu;
+                    n += 1;
+                }
+                assert_eq!(whole_mtus(bytes, mtu), n, "{bytes} bytes, mtu {mtu}");
+            }
+        }
+        assert_eq!(whole_mtus(EXACT_BYTES, 1024.0), 0);
+        assert!(whole_below_exact(3.0 * 1024.0));
+        assert!(!whole_below_exact(1024.5));
+        assert!(!whole_below_exact(EXACT_BYTES));
+    }
+
+    #[test]
+    #[should_panic(expected = "mtu_bytes must be positive")]
+    fn zero_mtu_rejected() {
+        let cfg = PacketSimConfig {
+            mtu_bytes: 0,
+            ..PacketSimConfig::default()
+        };
+        let _ = PacketSimulator::new(cfg, &[PacketJob::new(small_job(), CcVariant::Fair)]);
     }
 
     #[test]

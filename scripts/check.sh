@@ -48,11 +48,15 @@ diff "$GATE/j1/stdout.txt" "$GATE/j4/stdout.txt"
 echo "byte-identical across --jobs 1 and --jobs 4"
 
 echo "== timing-wheel determinism gate (wheel vs heap JSONL byte-diff) =="
-for b in wheel heap; do
-    cargo run -q --release -p netsim --example packet_trace -- "$b" 1 "$GATE/trace_$b.jsonl"
+# train_packets=1 is the per-packet engine; 64 runs full trains, whose
+# packets the engine steps in runs.
+for t in 1 64; do
+    for b in wheel heap; do
+        cargo run -q --release -p netsim --example packet_trace -- "$b" "$t" "$GATE/trace_${b}_$t.jsonl"
+    done
+    cmp "$GATE/trace_wheel_$t.jsonl" "$GATE/trace_heap_$t.jsonl"
+    echo "traced packet run byte-identical across queue backends at train_packets=$t"
 done
-cmp "$GATE/trace_wheel.jsonl" "$GATE/trace_heap.jsonl"
-echo "traced packet run byte-identical across queue backends at train_packets=1"
 
 echo "== paper-scale packet validation wall-clock budget smoke =="
 PAPER_T0=$(date +%s.%N)
