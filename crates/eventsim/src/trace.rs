@@ -36,15 +36,6 @@ impl TimeSeries {
         self.samples.push((t, v));
     }
 
-    /// Appends a sample only if the value differs from the current last
-    /// value (run-length compression for long steady states).
-    pub fn push_compressed(&mut self, t: Time, v: f64) {
-        if self.samples.last().map(|&(_, lv)| lv) == Some(v) {
-            return;
-        }
-        self.push(t, v);
-    }
-
     /// Number of stored samples.
     pub fn len(&self) -> usize {
         self.samples.len()
@@ -252,15 +243,6 @@ mod tests {
         let mut ts = TimeSeries::new();
         ts.push(ms(10), 1.0);
         ts.push(ms(5), 2.0);
-    }
-
-    #[test]
-    fn push_compressed_skips_repeats() {
-        let mut ts = TimeSeries::new();
-        ts.push_compressed(ms(1), 5.0);
-        ts.push_compressed(ms(2), 5.0);
-        ts.push_compressed(ms(3), 6.0);
-        assert_eq!(ts.len(), 2);
     }
 
     #[test]

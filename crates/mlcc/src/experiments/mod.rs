@@ -1,5 +1,6 @@
 //! One module per paper artifact. See the crate docs for the mapping.
 
+pub mod ablation;
 pub mod adaptive;
 pub mod chaos;
 pub mod cluster;

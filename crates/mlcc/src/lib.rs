@@ -16,6 +16,7 @@
 //! | §4.iii precise flow scheduling | [`experiments::flowsched::run`] |
 //! | §5 cluster-level compatibility & placement | [`experiments::cluster::run`] |
 //! | extension: pipelined emission widens compatibility | [`experiments::pipelining::run`] |
+//! | ablations A1–A3: sector resolution, unfairness strength, placement policy | [`experiments::ablation::run`] |
 //!
 //! Shared measurement plumbing (iteration statistics, speedups, text
 //! tables) lives in [`metrics`]; CSV export for plotting lives in

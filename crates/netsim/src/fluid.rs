@@ -26,7 +26,7 @@ use crate::snapshot::{
     check_barrier, check_version, SnapshotError, Snapshottable, SNAPSHOT_VERSION,
 };
 use dcqcn::CcVariant;
-use eventsim::{EventQueue, TimeSeries};
+use eventsim::EventQueue;
 use simtime::{Bandwidth, Dur, Time};
 use telemetry::{CcState, Event, NoopRecorder, Recorder, SpanTracker};
 use topology::{partition, LinkId, LinkSchedule, Topology};
@@ -462,7 +462,6 @@ pub struct FluidSimulator<R: Recorder = NoopRecorder> {
     now: Time,
     policy: SharingPolicy,
     nic_rate: f64,
-    throughput_traces: Vec<TimeSeries>,
     rec: R,
     /// Typed-span emission state (empty when `R` is disabled).
     spans: SpanTracker,
@@ -666,7 +665,6 @@ impl<R: Recorder> FluidSimulator<R> {
             now: Time::ZERO,
             policy: cfg.policy,
             nic_rate: cfg.nic_rate.as_bps_f64(),
-            throughput_traces: (0..jobs.len()).map(|_| TimeSeries::new()).collect(),
             rec,
             spans,
             allocs: 0,
@@ -699,12 +697,6 @@ impl<R: Recorder> FluidSimulator<R> {
     /// Number of jobs in the simulation (including departed ones).
     pub fn num_jobs(&self) -> usize {
         self.jobs.len()
-    }
-
-    /// Per-job aggregate throughput trace (Gbps), sampled at every
-    /// allocation change.
-    pub fn throughput_trace(&self, j: usize) -> &TimeSeries {
-        &self.throughput_traces[j]
     }
 
     /// Instantaneous utilization of link `l` (allocated rate over
@@ -906,21 +898,20 @@ impl<R: Recorder> FluidSimulator<R> {
                     index: self.allocs,
                 },
             );
-        }
-        // Trace each member job's aggregate throughput.
-        for &j in &comp.jobs {
-            let total: f64 = self.arena.rate[self.arena.job_range(j)].iter().sum();
-            self.throughput_traces[j].push_compressed(now, total / 1e9);
-            if R::ENABLED && total != self.last_rates[j] {
-                self.last_rates[j] = total;
-                self.rec.record(
-                    now,
-                    Event::RateChange {
-                        flow: j as u32,
-                        bps: total,
-                        state: CcState::Alloc,
-                    },
-                );
+            // Each member job's aggregate rate, when it changed.
+            for &j in &comp.jobs {
+                let total: f64 = self.arena.rate[self.arena.job_range(j)].iter().sum();
+                if total != self.last_rates[j] {
+                    self.last_rates[j] = total;
+                    self.rec.record(
+                        now,
+                        Event::RateChange {
+                            flow: j as u32,
+                            bps: total,
+                            state: CcState::Alloc,
+                        },
+                    );
+                }
             }
         }
         comp.dirty = false;
@@ -1233,7 +1224,6 @@ pub struct FluidSnapshot {
     now: Time,
     policy: SharingPolicy,
     nic_rate: f64,
-    throughput_traces: Vec<TimeSeries>,
     spans: SpanTracker,
     allocs: u64,
     events_popped: u64,
@@ -1309,7 +1299,6 @@ impl<R: Recorder> Snapshottable<R> for FluidSimulator<R> {
             now: self.now,
             policy: self.policy.clone(),
             nic_rate: self.nic_rate,
-            throughput_traces: self.throughput_traces.clone(),
             spans: self.spans.clone(),
             allocs: self.allocs,
             events_popped: self.events_popped,
@@ -1323,11 +1312,6 @@ impl<R: Recorder> Snapshottable<R> for FluidSimulator<R> {
         snap.arena.validate(snap.jobs.len())?;
         if snap.jobs.is_empty() {
             return Err(SnapshotError::Malformed { what: "no jobs" });
-        }
-        if snap.throughput_traces.len() != snap.jobs.len() {
-            return Err(SnapshotError::Malformed {
-                what: "throughput trace count mismatches jobs",
-            });
         }
         if snap.last_rates.len() != snap.jobs.len() {
             return Err(SnapshotError::Malformed {
@@ -1348,7 +1332,6 @@ impl<R: Recorder> Snapshottable<R> for FluidSimulator<R> {
             now: snap.now,
             policy: snap.policy,
             nic_rate: snap.nic_rate,
-            throughput_traces: snap.throughput_traces,
             rec,
             spans: snap.spans,
             allocs: snap.allocs,
@@ -2015,6 +1998,7 @@ mod tests {
     /// and two contending jobs.
     #[test]
     fn snapshot_round_trip_is_bit_identical() {
+        use telemetry::{BufferRecorder, TimedEvent};
         let noise = PhaseNoise {
             seed: 9,
             job: 0,
@@ -2023,7 +2007,7 @@ mod tests {
             straggler_prob: 0.1,
             straggler_factor: 1.8,
         };
-        let build = || {
+        let build = |rec: BufferRecorder| {
             let d = dumbbell(2, LINE, LINE, Dur::ZERO);
             let t = d.topology.clone();
             let path = |i: usize| {
@@ -2054,18 +2038,23 @@ mod tests {
                 link_schedules: schedules,
                 ..FluidConfig::fair()
             };
-            FluidSimulator::new(&t, cfg, &jobs)
+            FluidSimulator::with_recorder(&t, cfg, &jobs, rec)
+        };
+        let rate_changes = |sim: FluidSimulator<BufferRecorder>| -> Vec<TimedEvent> {
+            let rec = sim.into_recorder();
+            let is_rate = |e: &&TimedEvent| matches!(e.event, Event::RateChange { .. });
+            rec.events().iter().filter(is_rate).cloned().collect()
         };
         let stop = Time::ZERO + Dur::from_millis(800);
-        let mut whole = build();
+        let mut whole = build(BufferRecorder::new());
         whole.run_until(stop);
 
         let barrier = Time::ZERO + Dur::from_millis(300);
-        let mut prefix = build();
+        let mut prefix = build(BufferRecorder::new());
         prefix.run_until(barrier);
         let snap = prefix.snapshot().expect("run_until leaves a barrier");
         assert_eq!(snap.taken_at(), barrier);
-        let mut forked = FluidSimulator::restore(snap, NoopRecorder).expect("restore");
+        let mut forked = FluidSimulator::restore(snap, BufferRecorder::new()).expect("restore");
         forked.run_until(stop);
 
         assert_eq!(whole.now(), forked.now());
@@ -2075,12 +2064,20 @@ mod tests {
                 forked.progress(j).iteration_times(),
                 "job {j}: iteration times diverged across snapshot/restore"
             );
-            assert_eq!(
-                whole.throughput_trace(j),
-                forked.throughput_trace(j),
-                "job {j}: throughput trace diverged across snapshot/restore"
-            );
         }
+        // The prefix's rate changes followed by the fork's are the whole
+        // run's, time and bits alike.
+        let mut stitched = rate_changes(prefix);
+        stitched.extend(rate_changes(forked));
+        let whole = rate_changes(whole);
+        assert!(
+            whole.iter().any(|e| e.at > barrier),
+            "no rate change after the fork"
+        );
+        assert_eq!(
+            whole, stitched,
+            "rate changes diverged across snapshot/restore"
+        );
     }
 
     /// Version mismatch and mid-event-barrier misuse surface as typed

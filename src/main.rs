@@ -16,6 +16,7 @@
 //!   flowsched  §4.iii flow scheduling from rotation angles
 //!   cluster    §5    compatibility-aware placement
 //!   pipelining extension: bucketized emission widens compatibility
+//!   ablations  A1–A3: sector resolution, unfairness strength, placement
 //!   chaos      fault-injection sweep: seeds × profiles through the
 //!              recovery analyzer
 //!   all        everything above, in order
@@ -364,7 +365,7 @@ struct Experiment {
 /// `in_all`, in this order. The dispatch, `all`, the usage text, the
 /// option checks and `explain` all read this table.
 #[rustfmt::skip]
-static EXPERIMENTS: [Experiment; 13] = [
+static EXPERIMENTS: [Experiment; 14] = [
     Experiment { name: "fig1", warmup: || 0, records: true, in_all: true, run: run_fig1,
         honours: "--iterations --chaos --chaos-seed --fork-at --fork-replay --csv",
         horizon: Some(|o| fig1_config(o).horizon()) },
@@ -386,6 +387,8 @@ static EXPERIMENTS: [Experiment; 13] = [
         warmup: || exp::cluster::ClusterConfig::default().warmup, honours: "--iterations" },
     Experiment { name: "pipelining", records: true, in_all: true, run: run_pipelining, horizon: None,
         warmup: || exp::pipelining::PipeliningConfig::default().warmup, honours: "--iterations" },
+    Experiment { name: "ablations", warmup: || 0, records: false, in_all: true, run: run_ablations,
+        honours: "", horizon: None },
     Experiment { name: "chaos", warmup: || 0, records: true, in_all: false, run: run_chaos,
         honours: "--iterations --fork-at --fork-replay",
         horizon: Some(|o| chaos_config(o).horizon()) },
@@ -793,6 +796,33 @@ fn run_geometry(_: &Opts, _: Option<&mut CliRecorder>, out: &mut dyn Write) -> R
         ),
         ("fig5.rotation_degrees".to_string(), j2_rotation),
     ])
+}
+
+fn run_ablations(_: &Opts, _: Option<&mut CliRecorder>, out: &mut dyn Write) -> RunResult {
+    let r = exp::ablation::run();
+    write!(out, "{}", r.render())?;
+    let compatible_at = exp::ablation::SECTORS
+        .iter()
+        .zip(&r.sectors)
+        .find(|(_, v)| v.is_compatible())
+        .map_or(-1.0, |(&n, _)| n as f64);
+    let mut m = vec![("a1.min_compatible_sectors".to_string(), compatible_at)];
+    for (t_us, f) in exp::ablation::TIMERS_US.iter().zip(&r.unfairness) {
+        for (i, s) in f.speedups().iter().enumerate() {
+            m.push((format!("a2.t{t_us}us.speedup.job{i}"), s.0));
+        }
+    }
+    for (order, c) in r.placement.iter().enumerate() {
+        m.push((
+            format!("a3.rotation{order}.locality_slowdown"),
+            c.locality.mean_slowdown(),
+        ));
+        m.push((
+            format!("a3.rotation{order}.compat_slowdown"),
+            c.compatibility.mean_slowdown(),
+        ));
+    }
+    Ok(m)
 }
 
 fn run_adaptive(o: &Opts, rec: Option<&mut CliRecorder>, out: &mut dyn Write) -> RunResult {

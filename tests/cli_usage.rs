@@ -71,6 +71,7 @@ fn options_an_experiment_ignores_are_usage_errors() {
         (&["geometry", "--shards", "4"], "--shards"),
         (&["geometry", "--iterations", "3"], "--iterations"),
         (&["geometry", "--trace", "x.jsonl"], "--trace"),
+        (&["ablations", "--iterations", "20"], "--iterations"),
         (&["snapshot", "--trace", "x.jsonl"], "--trace"),
         (&["adaptive", "--csv", "d"], "--csv"),
         (&["variants", "--shards", "4"], "--shards"),

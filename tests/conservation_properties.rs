@@ -15,11 +15,24 @@ use netsim::fluid::{FluidConfig, FluidJob, FluidSimulator, SharingPolicy};
 use netsim::rate::{RateJob, RateSimConfig, RateSimulator};
 use proptest::prelude::*;
 use simtime::{Bandwidth, Dur, Time};
+use telemetry::{BufferRecorder, Event};
 use topology::builders::dumbbell;
 use topology::{LinkId, LinkSchedule, NodeKind, Topology};
 use workload::{JobSpec, Model};
 
 const LINE: Bandwidth = Bandwidth::from_gbps(50);
+
+/// Job `k`'s allocated rate (Gbps) after every fluid solve that changed
+/// it, read from the `RateChange` events the engine records.
+fn fluid_rates(rec: &BufferRecorder, k: usize) -> Vec<(Time, f64)> {
+    rec.events()
+        .iter()
+        .filter_map(|e| match e.event {
+            Event::RateChange { flow, bps, .. } if flow as usize == k => Some((e.at, bps / 1e9)),
+            _ => None,
+        })
+        .collect()
+}
 
 /// Any chaos config at all: every layer's knobs drawn independently, so
 /// cases range from near-identity to all layers perturbing at once.
@@ -186,7 +199,7 @@ proptest! {
             FluidJob::single_path(b, path(1)),
         ];
         let cfg = FluidConfig { policy, ..FluidConfig::fair() };
-        let mut sim = FluidSimulator::new(&t, cfg, &jobs);
+        let mut sim = FluidSimulator::with_recorder(&t, cfg, &jobs, BufferRecorder::new());
         let per = a.iteration_time_at(LINE).max(b.iteration_time_at(LINE));
         prop_assert!(sim.run_until_iterations(4, per * 40));
         for (k, spec) in [a, b].iter().enumerate() {
@@ -200,10 +213,9 @@ proptest! {
                 );
             }
             // Allocated throughput never exceeds the link.
-            prop_assert!(sim
-                .throughput_trace(k)
-                .iter()
-                .all(|(_, gbps)| gbps <= 50.0 + 1e-6));
+            let rates = fluid_rates(sim.recorder(), k);
+            prop_assert!(!rates.is_empty(), "job {k}: no rate recorded");
+            prop_assert!(rates.iter().all(|&(_, gbps)| gbps <= 50.0 + 1e-6));
         }
     }
 
@@ -411,13 +423,13 @@ proptest! {
             link_schedules: plan.link_schedules.clone(),
             ..FluidConfig::fair()
         };
-        let mut sim = FluidSimulator::new(&t, cfg, &jobs);
+        let mut sim = FluidSimulator::with_recorder(&t, cfg, &jobs, BufferRecorder::new());
         sim.run_for(horizon);
 
         let eps = Dur::from_micros(1);
         for (k, paths) in [path(0), path(1)].iter().enumerate() {
             // Allocated throughput obeys every (degraded) link on the path.
-            for (at, gbps) in sim.throughput_trace(k).iter() {
+            for (at, gbps) in fluid_rates(sim.recorder(), k) {
                 prop_assert!(gbps >= -1e-9, "job {k}: negative rate at {at:?}");
                 for l in paths {
                     let Some(s) = plan.link_schedules.get(l.0 as usize) else {

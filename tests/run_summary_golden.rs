@@ -2,12 +2,13 @@
 //! pinned seed) must keep producing the metrics committed under
 //! `tests/goldens/`, within the diff tolerance. Catches silent behavioural
 //! drift in the simulators, the analyzers, and the summary serialization
-//! in one shot.
+//! in one shot. The ablation tables are pinned byte for byte.
 //!
 //! To regenerate after an intentional change:
 //!
 //! ```text
 //! cargo run -- fig1 --iterations 20 --summary tests/goldens/fig1.json
+//! cargo run -- ablations | grep -v '^== ' > tests/goldens/ablations.txt
 //! ```
 
 use diagnostics::{analyze, diff, AnalysisConfig, DiffConfig, RunSummary};
@@ -130,4 +131,31 @@ fn variants_summary_matches_committed_golden() {
             "golden lost cell {cell}"
         );
     }
+}
+
+/// `mlcc-repro ablations` prints exactly the committed A1–A3 rows: every
+/// line but the `== … ==` banners, byte for byte.
+#[test]
+fn ablation_rows_match_committed_golden() {
+    let out = std::process::Command::new(env!("CARGO_BIN_EXE_mlcc-repro"))
+        .arg("ablations")
+        .output()
+        .expect("mlcc-repro runs");
+    assert!(
+        out.status.success(),
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    let stdout = String::from_utf8(out.stdout).expect("UTF-8 output");
+    let rows: String = stdout
+        .lines()
+        .filter(|l| !l.starts_with("== "))
+        .map(|l| format!("{l}\n"))
+        .collect();
+    assert_eq!(
+        rows,
+        include_str!("goldens/ablations.txt"),
+        "ablations drifted from the golden rows; if intentional:\n  \
+         cargo run -- ablations | grep -v '^== ' > tests/goldens/ablations.txt"
+    );
 }
