@@ -29,6 +29,7 @@ use crate::metrics::{JobStats, Speedup};
 use crate::parallel;
 use dcqcn::CcVariant;
 use netsim::rate::{RateJob, RateSimConfig, RateSimulator};
+use netsim::Engine;
 use simtime::{Bandwidth, Dur, Time};
 use telemetry::{Event, ForkableRecorder, NoopRecorder, Recorder};
 use workload::{JobSpec, Model};

@@ -14,13 +14,14 @@
 //! re-interleave after each perturbation. The per-cell medians, fault
 //! windows, and recovery times are the `BENCH_chaos.json` payload.
 
+use crate::forkcache;
 use crate::metrics::{text_table, JobStats};
 use crate::parallel;
 use dcqcn::CcVariant;
 use diagnostics::{recovery, RecoveryConfig, RecoveryReport};
 use faults::ChaosConfig;
 use netsim::rate::{RateJob, RateSimConfig, RateSimulator, RateSnapshot};
-use netsim::snapshot::Snapshottable;
+use netsim::Engine;
 use simtime::{Dur, Time};
 use telemetry::{BufferRecorder, Event, ForkableRecorder, Recorder};
 use topology::LinkSchedule;
@@ -372,24 +373,9 @@ fn run_cell_forked(
     };
     let mut cell_rec = BufferRecorder::new();
     let medians_ms: Vec<f64> = {
-        let mut sim = match shared {
-            Some((snap, prefix_rec)) => {
-                // The snapshot is recorder-free: replay the prefix's
-                // recording first so the cell's stream is byte-identical
-                // to one that simulated the prefix itself.
-                for te in prefix_rec.events() {
-                    cell_rec.record(te.at, te.event.clone());
-                }
-                RateSimulator::restore(snap.clone(), &mut cell_rec)
-                    .expect("clean-prefix snapshot restores")
-            }
-            None => {
-                let jobs = base_jobs(cfg);
-                let mut sim = RateSimulator::with_recorder(cfg.sim.clone(), &jobs, &mut cell_rec);
-                sim.run_until(Time::ZERO + fork_at);
-                sim
-            }
-        };
+        let mut sim = forkcache::resume(shared, fork_at, &mut cell_rec, |rec| {
+            RateSimulator::with_recorder(cfg.sim.clone(), &base_jobs(cfg), rec)
+        });
         apply_rate_at_barrier(&chaos, &mut sim, 2, fork_at, remaining);
         let done = sim.run_until_iterations(cfg.iterations, cfg.budget(&chaos));
         assert!(
@@ -435,40 +421,20 @@ pub fn run_forked<R: ForkableRecorder>(
         .iter()
         .flat_map(|p| cfg.seeds.iter().map(move |&s| (p.clone(), s)))
         .collect();
-    let cells = if replay {
-        parallel::map_traced(&mut rec, &grid, |_, (profile, seed), fork| {
-            let (cell, cell_rec) = run_cell_forked(cfg, profile, *seed, fork_at, None);
-            emit_cell(fork, profile, *seed, &cell_rec);
-            cell
+    let shared = (!replay).then(|| {
+        let key = simtime::hash::config_hash(&format!(
+            "chaos-prefix|{:?}|{:?}|{:?}|{:?}",
+            cfg.jobs, cfg.aggressive_timer, cfg.sim, fork_at
+        ));
+        forkcache::prefix(key, fork_at, |rec| {
+            RateSimulator::with_recorder(cfg.sim.clone(), &base_jobs(cfg), rec)
         })
-    } else {
-        let prefix = || {
-            let key = simtime::hash::config_hash(&format!(
-                "chaos-prefix|{:?}|{:?}|{:?}|{:?}",
-                cfg.jobs, cfg.aggressive_timer, cfg.sim, fork_at
-            ));
-            crate::forkcache::get_or_build(key, || {
-                let jobs = base_jobs(cfg);
-                let mut prefix_rec = BufferRecorder::new();
-                let mut sim = RateSimulator::with_recorder(cfg.sim.clone(), &jobs, &mut prefix_rec);
-                sim.run_until(Time::ZERO + fork_at);
-                let snap = sim.snapshot().expect("run_until leaves a barrier");
-                drop(sim);
-                (snap, prefix_rec)
-            })
-        };
-        parallel::map_forked(
-            &mut rec,
-            &grid,
-            prefix,
-            |_, (profile, seed), shared, fork| {
-                let (cell, cell_rec) =
-                    run_cell_forked(cfg, profile, *seed, fork_at, Some(&**shared));
-                emit_cell(fork, profile, *seed, &cell_rec);
-                cell
-            },
-        )
-    };
+    });
+    let cells = parallel::map_traced(&mut rec, &grid, |_, (profile, seed), fork| {
+        let (cell, cell_rec) = run_cell_forked(cfg, profile, *seed, fork_at, shared.as_deref());
+        emit_cell(fork, profile, *seed, &cell_rec);
+        cell
+    });
     ChaosSweepResult { cells }
 }
 

@@ -17,6 +17,7 @@ use crate::metrics::{JobStats, StatsError};
 use crate::parallel;
 use geometry::Verdict;
 use netsim::fluid::{FluidConfig, FluidSimulator, Gate};
+use netsim::Engine;
 use scheduler::{
     gates_from_rotations, ClusterScheduler, PlacementError, PlacementPolicy, SchedulerConfig,
 };

@@ -11,13 +11,14 @@
 //!   testbed).
 
 use crate::experiments::chaos;
+use crate::forkcache;
 use crate::metrics::{text_table, JobStats, Speedup};
 use crate::parallel;
 use dcqcn::CcVariant;
 use eventsim::TimeSeries;
 use faults::ChaosConfig;
 use netsim::rate::{RateJob, RateSimConfig, RateSimulator, RateSnapshot};
-use netsim::snapshot::Snapshottable;
+use netsim::Engine;
 use simtime::{Dur, Time};
 use telemetry::{BufferRecorder, Event, ForkableRecorder, NoopRecorder, Recorder};
 use workload::{JobSpec, Model};
@@ -444,6 +445,16 @@ pub fn run_traced<R: ForkableRecorder>(cfg: &Fig1Config, rec: R) -> Fig1Result {
     Fig1Result { fair, unfair }
 }
 
+/// The fair pair the forked matrix's prefix runs.
+fn fair_prefix<R: Recorder>(cfg: &Fig1Config, rec: R) -> RateSimulator<R> {
+    let mut jobs = [
+        RateJob::new(cfg.jobs[0], CcVariant::Fair),
+        RateJob::new(cfg.jobs[1], CcVariant::Fair),
+    ];
+    jobs[1].start_offset = cfg.stagger;
+    RateSimulator::with_recorder(cfg.sim.clone(), &jobs, rec)
+}
+
 /// Runs one variant cell from a fork barrier: restoring `shared`'s
 /// snapshot (fork mode) or re-simulating the fair prefix (replay mode),
 /// then switching job 0's variant and applying chaos at the barrier.
@@ -452,7 +463,7 @@ fn run_forked_cell<F: Recorder>(
     variant: Option<CcVariant>,
     fork_at: Dur,
     shared: Option<&(RateSnapshot, BufferRecorder)>,
-    mut rec: F,
+    rec: F,
 ) -> Scenario {
     let horizon = cfg.horizon();
     let remaining = if fork_at < horizon {
@@ -460,28 +471,7 @@ fn run_forked_cell<F: Recorder>(
     } else {
         cfg.per_iter()
     };
-    let mut sim = match shared {
-        Some((snap, prefix_rec)) => {
-            // The snapshot is recorder-free: replay the prefix recording
-            // first so the cell's stream matches a replayed run's.
-            if F::ENABLED {
-                for te in prefix_rec.events() {
-                    rec.record(te.at, te.event.clone());
-                }
-            }
-            RateSimulator::restore(snap.clone(), rec).expect("fair-prefix snapshot restores")
-        }
-        None => {
-            let mut jobs = [
-                RateJob::new(cfg.jobs[0], CcVariant::Fair),
-                RateJob::new(cfg.jobs[1], CcVariant::Fair),
-            ];
-            jobs[1].start_offset = cfg.stagger;
-            let mut sim = RateSimulator::with_recorder(cfg.sim.clone(), &jobs, rec);
-            sim.run_until(Time::ZERO + fork_at);
-            sim
-        }
-    };
+    let mut sim = forkcache::resume(shared, fork_at, rec, |rec| fair_prefix(cfg, rec));
     if let Some(v) = variant {
         sim.set_cc_variant(0, v);
     }
@@ -525,45 +515,19 @@ pub fn run_traced_forked<R: ForkableRecorder>(
             }),
         ),
     ];
-    let mut out = if replay {
-        parallel::map_traced(&mut rec, &scenarios, |_, &(name, variant), fork| {
-            if R::ENABLED {
-                fork.record(Time::ZERO, Event::Scenario { name: name.into() });
-            }
-            run_forked_cell(cfg, variant, fork_at, None, fork)
-        })
-    } else {
-        let prefix = || {
-            let key = simtime::hash::config_hash(&format!(
-                "fig1-prefix|{:?}|{:?}|{:?}|{:?}",
-                cfg.jobs, cfg.sim, cfg.stagger, fork_at
-            ));
-            crate::forkcache::get_or_build(key, || {
-                let mut jobs = [
-                    RateJob::new(cfg.jobs[0], CcVariant::Fair),
-                    RateJob::new(cfg.jobs[1], CcVariant::Fair),
-                ];
-                jobs[1].start_offset = cfg.stagger;
-                let mut prefix_rec = BufferRecorder::new();
-                let mut sim = RateSimulator::with_recorder(cfg.sim.clone(), &jobs, &mut prefix_rec);
-                sim.run_until(Time::ZERO + fork_at);
-                let snap = sim.snapshot().expect("run_until leaves a barrier");
-                drop(sim);
-                (snap, prefix_rec)
-            })
-        };
-        parallel::map_forked(
-            &mut rec,
-            &scenarios,
-            prefix,
-            |_, &(name, variant), shared, fork| {
-                if R::ENABLED {
-                    fork.record(Time::ZERO, Event::Scenario { name: name.into() });
-                }
-                run_forked_cell(cfg, variant, fork_at, Some(&**shared), fork)
-            },
-        )
-    };
+    let shared = (!replay).then(|| {
+        let key = simtime::hash::config_hash(&format!(
+            "fig1-prefix|{:?}|{:?}|{:?}|{:?}",
+            cfg.jobs, cfg.sim, cfg.stagger, fork_at
+        ));
+        forkcache::prefix(key, fork_at, |rec| fair_prefix(cfg, rec))
+    });
+    let mut out = parallel::map_traced(&mut rec, &scenarios, |_, &(name, variant), fork| {
+        if R::ENABLED {
+            fork.record(Time::ZERO, Event::Scenario { name: name.into() });
+        }
+        run_forked_cell(cfg, variant, fork_at, shared.as_deref(), fork)
+    });
     let unfair = out.pop().expect("two scenarios");
     let fair = out.pop().expect("two scenarios");
     Fig1Result { fair, unfair }

@@ -12,6 +12,7 @@ use crate::parallel;
 use dcqcn::CcVariant;
 use eventsim::TimeSeries;
 use netsim::rate::{RateJob, RateSimConfig, RateSimulator};
+use netsim::Engine;
 use simtime::{Dur, Time};
 use telemetry::{Event, ForkableRecorder, NoopRecorder, Recorder};
 use workload::{JobSpec, Model};

@@ -11,11 +11,10 @@
 use crate::metrics::{JobStats, Speedup};
 use crate::parallel;
 use geometry::{solve, GeometryError, Profile, SolverConfig};
-use netsim::fluid::{FluidConfig, FluidJob, FluidSimulator};
+use netsim::fluid::FluidConfig;
 use scheduler::{gates_from_rotations, gating_profiles};
 use simtime::{Bandwidth, Dur, Time};
 use telemetry::{Event, ForkableRecorder, NoopRecorder, Recorder};
-use topology::builders::dumbbell;
 use workload::{JobSpec, Model};
 
 /// Experiment parameters.
@@ -134,50 +133,15 @@ fn run_with_gates<R: Recorder>(
     cfg: &FlowschedConfig,
     rec: R,
 ) -> Result<Vec<JobStats>, FlowschedError> {
-    let d = dumbbell(
-        jobs.len(),
-        Bandwidth::from_gbps(50),
-        Bandwidth::from_gbps(50),
-        Dur::ZERO,
-    );
-    let t = &d.topology;
-    let fjobs: Vec<FluidJob> = jobs
-        .iter()
-        .enumerate()
-        .map(|(i, &spec)| {
-            let path = t
-                .route(topology::FlowKey {
-                    src: d.left_hosts[i],
-                    dst: d.right_hosts[i],
-                    tag: 0,
-                })
-                .expect("dumbbell connected");
-            FluidJob::single_path(spec, path.links().to_vec())
-        })
-        .collect();
     let fluid_cfg = FluidConfig {
         gates,
         ..FluidConfig::fair()
     };
-    let mut sim = FluidSimulator::with_recorder(t, fluid_cfg, &fjobs, rec);
-    let cap = Bandwidth::from_gbps(50);
-    let per_iter = jobs
-        .iter()
-        .map(|s| s.iteration_time_at(cap))
-        .max()
-        .ok_or(FlowschedError::NoJobs)?;
-    let ok = sim.run_until_iterations(
-        cfg.iterations,
-        per_iter * (cfg.iterations as u64 * (jobs.len() as u64 + 2) + 20),
-    );
-    if !ok {
-        return Err(FlowschedError::Incomplete {
+    super::run_on_dumbbell(jobs, fluid_cfg, cfg.iterations, cfg.warmup, rec).ok_or(
+        FlowschedError::Incomplete {
             iterations: cfg.iterations,
-        });
-    }
-    Ok((0..jobs.len())
-        .map(|i| JobStats::from_progress(sim.progress(i), cfg.warmup))
-        .collect())
+        },
+    )
 }
 
 /// Runs ungated max-min vs solver-scheduled gating.

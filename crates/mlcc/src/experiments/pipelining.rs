@@ -22,6 +22,7 @@ use crate::metrics::{text_table, JobStats};
 use crate::parallel;
 use geometry::{solve_pair, SolverConfig, Verdict};
 use netsim::fluid::{FluidConfig, FluidJob, FluidSimulator, SharingPolicy};
+use netsim::Engine;
 use scheduler::analytic_profile;
 use simtime::{Bandwidth, Dur, Time};
 use telemetry::{Event, ForkableRecorder, NoopRecorder, Recorder};
@@ -138,24 +139,14 @@ fn run_shape<R: Recorder>(spec: JobSpec, cfg: &PipeliningConfig, rec: R) -> Shap
     let verdict = solve_pair(&profile, &profile, &SolverConfig::default()).expect("valid profiles");
 
     let d = dumbbell(2, line, line, Dur::ZERO);
-    let t = d.topology.clone();
     let jobs: Vec<FluidJob> = (0..2)
-        .map(|i| {
-            let path = t
-                .route(topology::FlowKey {
-                    src: d.left_hosts[i],
-                    dst: d.right_hosts[i],
-                    tag: 0,
-                })
-                .expect("dumbbell connected");
-            FluidJob::single_path(spec, path.links().to_vec())
-        })
+        .map(|i| FluidJob::single_path(spec, d.pair_links(i)))
         .collect();
     let fluid_cfg = FluidConfig {
         policy: SharingPolicy::Weighted(cfg.weights.to_vec()),
         ..FluidConfig::fair()
     };
-    let mut sim = FluidSimulator::with_recorder(&t, fluid_cfg, &jobs, rec);
+    let mut sim = FluidSimulator::with_recorder(&d.topology, fluid_cfg, &jobs, rec);
     let per_iter = spec.iteration_time_at(line);
     assert!(
         sim.run_until_iterations(cfg.iterations, per_iter * (cfg.iterations as u64 * 4 + 20)),

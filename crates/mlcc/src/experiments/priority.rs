@@ -9,11 +9,10 @@
 
 use crate::metrics::{JobStats, Speedup};
 use crate::parallel;
-use netsim::fluid::{FluidConfig, FluidJob, FluidSimulator, SharingPolicy};
+use netsim::fluid::{FluidConfig, SharingPolicy};
 use scheduler::assign_priorities;
-use simtime::{Bandwidth, Dur, Time};
+use simtime::Time;
 use telemetry::{Event, ForkableRecorder, NoopRecorder, Recorder};
-use topology::builders::dumbbell;
 use workload::{JobSpec, Model};
 
 /// Experiment parameters.
@@ -131,50 +130,15 @@ fn run_policy<R: Recorder>(
     cfg: &PriorityConfig,
     rec: R,
 ) -> Result<Vec<JobStats>, PriorityError> {
-    let d = dumbbell(
-        jobs.len(),
-        Bandwidth::from_gbps(50),
-        Bandwidth::from_gbps(50),
-        Dur::ZERO,
-    );
-    let t = &d.topology;
-    let fjobs: Vec<FluidJob> = jobs
-        .iter()
-        .enumerate()
-        .map(|(i, &spec)| {
-            let path = t
-                .route(topology::FlowKey {
-                    src: d.left_hosts[i],
-                    dst: d.right_hosts[i],
-                    tag: 0,
-                })
-                .expect("dumbbell connected");
-            FluidJob::single_path(spec, path.links().to_vec())
-        })
-        .collect();
     let fluid_cfg = FluidConfig {
         policy,
         ..FluidConfig::fair()
     };
-    let mut sim = FluidSimulator::with_recorder(t, fluid_cfg, &fjobs, rec);
-    let cap = Bandwidth::from_gbps(50);
-    let per_iter = jobs
-        .iter()
-        .map(|s| s.iteration_time_at(cap))
-        .max()
-        .ok_or(PriorityError::NoJobs)?;
-    let ok = sim.run_until_iterations(
-        cfg.iterations,
-        per_iter * (cfg.iterations as u64 * (jobs.len() as u64 + 2) + 20),
-    );
-    if !ok {
-        return Err(PriorityError::Incomplete {
+    super::run_on_dumbbell(jobs, fluid_cfg, cfg.iterations, cfg.warmup, rec).ok_or(
+        PriorityError::Incomplete {
             iterations: cfg.iterations,
-        });
-    }
-    Ok((0..jobs.len())
-        .map(|i| JobStats::from_progress(sim.progress(i), cfg.warmup))
-        .collect())
+        },
+    )
 }
 
 /// Runs max-min vs strict-priority sharing.

@@ -30,7 +30,7 @@ use dcqcn::CcVariant;
 use faults::ChaosConfig;
 use netsim::fluid::{FluidConfig, FluidJob, FluidSimulator, SharingPolicy};
 use netsim::packet::{PacketJob, PacketSimConfig, PacketSimulator};
-use netsim::snapshot::Snapshottable;
+use netsim::Engine;
 use simtime::{Bandwidth, Dur, Time};
 use telemetry::{ForkableRecorder, Recorder, RemapRecorder};
 use topology::{partition, subgraph, LinkId, NodeKind, ShardPlan, Topology};
@@ -286,21 +286,62 @@ pub struct ShardRunResult {
     pub completed: bool,
 }
 
+/// Runs one built engine to completion — through a snapshot/restore
+/// round trip at `cfg.fork_at` first, when set — and takes every job's
+/// statistics. The one run body behind the global fluid baseline and
+/// both sharded runners. The deadline is `cfg.horizon()` after time
+/// zero whether or not the run forked.
+fn run_engine<E: Engine>(mut sim: E, cfg: &ShardConfig) -> (ShardRunResult, E::Rec) {
+    if let Some(at) = cfg.fork_at {
+        sim.run_until(Time::ZERO + at);
+        let snap = sim.snapshot().expect("run_until leaves a barrier");
+        sim = E::restore(snap, sim.into_recorder()).expect("fork barrier restores");
+    }
+    let left = (Time::ZERO + cfg.horizon()).saturating_since(sim.now());
+    let completed = sim.run_until_iterations(cfg.iterations, left);
+    let stats = (0..sim.num_jobs())
+        .map(|i| chaos::stats_tolerant(sim.progress(i), cfg.warmup))
+        .collect();
+    (ShardRunResult { stats, completed }, sim.into_recorder())
+}
+
 /// Runs the scenario as one global simulator — the unsharded baseline
-/// the sharded run must match bit for bit. Returns the recorder for
-/// inspection.
+/// the sharded run must match bit for bit, with the same `cfg.fork_at`
+/// barrier. Returns the recorder for inspection.
 pub fn run_fluid_unsharded<R: Recorder>(
     scn: &FluidScenario,
     cfg: &ShardConfig,
     rec: R,
 ) -> (ShardRunResult, R) {
-    let mut sim =
-        FluidSimulator::with_recorder(&scn.topology, scn.fluid_cfg.clone(), &scn.jobs, rec);
-    let completed = sim.run_until_iterations(cfg.iterations, cfg.horizon());
-    let stats = (0..scn.jobs.len())
-        .map(|i| chaos::stats_tolerant(sim.progress(i), cfg.warmup))
-        .collect();
-    (ShardRunResult { stats, completed }, sim.into_recorder())
+    let sim = FluidSimulator::with_recorder(&scn.topology, scn.fluid_cfg.clone(), &scn.jobs, rec);
+    run_engine(sim, cfg)
+}
+
+/// Runs one engine per item of `shards` on up to `threads` workers, each
+/// built by `build` with its own remapping fork of `rec`, and merges the
+/// recordings into `rec` in shard order. Returns each shard's statistics,
+/// in shard-local job order, and whether every shard completed.
+fn run_shards<R, T, E, B>(
+    shards: &[T],
+    cfg: &ShardConfig,
+    rec: &mut R,
+    threads: usize,
+    build: B,
+) -> (Vec<Vec<JobStats>>, bool)
+where
+    R: ForkableRecorder,
+    T: Sync,
+    E: Engine<Rec = RemapRecorder<R::Fork>>,
+    B: Fn(usize, &T) -> E + Sync,
+{
+    let runs = parallel::map_with(threads, shards, |i, shard| {
+        let (res, fork) = run_engine(build(i, shard), cfg);
+        (res, fork.into_inner())
+    });
+    let completed = runs.iter().all(|(res, _)| res.completed);
+    let (results, forks): (Vec<ShardRunResult>, Vec<R::Fork>) = runs.into_iter().unzip();
+    rec.join_merged(forks);
+    (results.into_iter().map(|r| r.stats).collect(), completed)
 }
 
 /// Runs the scenario sharded: one engine per link-disjoint component, up
@@ -316,7 +357,8 @@ pub fn run_fluid_sharded<R: ForkableRecorder>(
     rec: &mut R,
     threads: usize,
 ) -> ShardRunResult {
-    let shards = parallel::map_with(threads, scn.plan.components(), |_, comp| {
+    let comps = scn.plan.components();
+    let (per_shard, completed) = run_shards(comps, cfg, rec, threads, |_, comp| {
         // Each shard runs on the sub-topology its component induces, so
         // per-solve cost scales with the component, not the fabric. Flow
         // routes are rewritten to local link ids going in, and the remap
@@ -327,24 +369,10 @@ pub fn run_fluid_sharded<R: ForkableRecorder>(
             comp.iter().map(|&j| j as u32).collect(),
             Some(shard.link_ids.iter().map(|l| l.0).collect()),
         );
-        let mut sim = FluidSimulator::with_recorder(&shard.topology, shard.cfg, &shard.jobs, fork);
-        if let Some(at) = cfg.fork_at {
-            sim.run_until(Time::ZERO + at);
-            let snap = sim.snapshot().expect("shard fork barrier");
-            sim = FluidSimulator::restore(snap, sim.into_recorder()).expect("shard restore");
-        }
-        let completed = sim.run_until_iterations(cfg.iterations, cfg.horizon());
-        let stats = (0..comp.len())
-            .map(|local| chaos::stats_tolerant(sim.progress(local), cfg.warmup))
-            .collect();
-        (
-            ShardRunResult { stats, completed },
-            sim.into_recorder().into_inner(),
-        )
+        FluidSimulator::with_recorder(&shard.topology, shard.cfg, &shard.jobs, fork)
     });
-    let (per_shard, completed) = join_shards(rec, shards);
     let mut stats: Vec<Option<JobStats>> = vec![None; scn.jobs.len()];
-    for (comp, shard_stats) in scn.plan.components().iter().zip(per_shard) {
+    for (comp, shard_stats) in comps.iter().zip(per_shard) {
         for (&global, s) in comp.iter().zip(shard_stats) {
             stats[global] = Some(s);
         }
@@ -353,19 +381,6 @@ pub fn run_fluid_sharded<R: ForkableRecorder>(
         stats: stats.into_iter().map(Option::unwrap).collect(),
         completed,
     }
-}
-
-/// Joins per-shard outcomes in shard order: the recordings merge into
-/// `rec`, and the run completed only if every shard did. Returns each
-/// shard's statistics, in shard-local job order.
-fn join_shards<R: ForkableRecorder>(
-    rec: &mut R,
-    shards: Vec<(ShardRunResult, R::Fork)>,
-) -> (Vec<Vec<JobStats>>, bool) {
-    let completed = shards.iter().all(|(res, _)| res.completed);
-    let (results, forks): (Vec<ShardRunResult>, Vec<R::Fork>) = shards.into_iter().unzip();
-    rec.join_merged(forks);
-    (results.into_iter().map(|r| r.stats).collect(), completed)
 }
 
 /// The packet-engine side of the scenario: `groups` replicas of the
@@ -477,26 +492,11 @@ pub fn run_packet_sharded<R: ForkableRecorder>(
     threads: usize,
 ) -> ShardRunResult {
     let mix_len = scn.groups[0].len();
-    let shards = parallel::map_with(threads, &scn.groups, |g, jobs| {
+    let (per_shard, completed) = run_shards(&scn.groups, cfg, rec, threads, |g, jobs| {
         let job_map = (0..jobs.len()).map(|l| (g * mix_len + l) as u32).collect();
         let fork = RemapRecorder::new(R::fork(), job_map, Some(vec![g as u32]));
-        let mut sim = PacketSimulator::with_recorder(scn.configs[g].clone(), jobs, fork);
-        if let Some(at) = cfg.fork_at {
-            sim.run_until(Time::ZERO + at);
-            let snap = sim.snapshot().expect("packet shard fork barrier");
-            sim =
-                PacketSimulator::restore(snap, sim.into_recorder()).expect("packet shard restore");
-        }
-        let completed = sim.run_until_iterations(cfg.iterations, cfg.horizon());
-        let stats = (0..jobs.len())
-            .map(|local| chaos::stats_tolerant(sim.progress(local), cfg.warmup))
-            .collect();
-        (
-            ShardRunResult { stats, completed },
-            sim.into_recorder().into_inner(),
-        )
+        PacketSimulator::with_recorder(scn.configs[g].clone(), jobs, fork)
     });
-    let (per_shard, completed) = join_shards(rec, shards);
     ShardRunResult {
         stats: per_shard.into_iter().flatten().collect(),
         completed,
@@ -604,7 +604,8 @@ mod tests {
     }
 
     /// A shard that cannot finish inside the budget reports the run as
-    /// incomplete and stops at the deadline instead of running on.
+    /// incomplete and stops at the deadline instead of running on — the
+    /// same deadline, and the same stream, with a fork barrier on the way.
     #[test]
     fn deadline_bounds_unfinished_shards() {
         let cfg = ShardConfig {
@@ -613,29 +614,44 @@ mod tests {
             ..ShardConfig::small()
         };
         let scn = build_fluid(&cfg);
-        let mut rec = BufferRecorder::new();
-        let res = run_fluid_sharded(&scn, &cfg, &mut rec, 2);
-        assert!(!res.completed);
-        let deadline = Time::ZERO + cfg.budget;
-        assert!(!rec.events().is_empty());
-        assert!(rec.events().iter().all(|e| e.at <= deadline));
+        let forked_cfg = ShardConfig {
+            fork_at: Some(Dur::from_millis(500)),
+            ..cfg.clone()
+        };
+        let mut streams = Vec::new();
+        for cfg in [&cfg, &forked_cfg] {
+            let mut rec = BufferRecorder::new();
+            let res = run_fluid_sharded(&scn, cfg, &mut rec, 2);
+            assert!(!res.completed);
+            let deadline = Time::ZERO + cfg.budget;
+            assert!(!rec.events().is_empty());
+            assert!(rec.events().iter().all(|e| e.at <= deadline));
+            streams.push(rec);
+        }
+        assert_eq!(streams[0].events(), streams[1].events());
     }
 
-    /// Snapshot/restore at a fork barrier is invisible: a sharded run with
-    /// `fork_at` matches the straight sharded run byte-for-byte.
+    /// Snapshot/restore at a fork barrier is invisible: a sharded or
+    /// global run with `fork_at` matches the straight run byte-for-byte.
     #[test]
     fn fork_at_barrier_is_byte_invisible() {
         let cfg = ShardConfig::small();
         let fluid = build_fluid(&cfg);
         let packet = build_packet(&cfg);
-        let mut straight = BufferRecorder::new();
-        run_fluid_sharded(&fluid, &cfg, &mut straight, 2);
-        run_packet_sharded(&packet, &cfg, &mut straight, 2);
         let mut forked_cfg = cfg.clone();
         forked_cfg.fork_at = Some(Dur::from_millis(20));
-        let mut forked = BufferRecorder::new();
-        run_fluid_sharded(&fluid, &forked_cfg, &mut forked, 2);
-        run_packet_sharded(&packet, &forked_cfg, &mut forked, 2);
+        let run = |cfg: &ShardConfig| {
+            let (global, mut rec) = run_fluid_unsharded(&fluid, cfg, BufferRecorder::new());
+            run_fluid_sharded(&fluid, cfg, &mut rec, 2);
+            run_packet_sharded(&packet, cfg, &mut rec, 2);
+            (global.stats, rec)
+        };
+        let (straight_stats, straight) = run(&cfg);
+        let (forked_stats, forked) = run(&forked_cfg);
         assert_eq!(straight.events(), forked.events());
+        assert_eq!(straight.counts(), forked.counts());
+        for (a, b) in straight_stats.iter().zip(&forked_stats) {
+            assert_eq!(median(a).to_bits(), median(b).to_bits(), "{}", a.label);
+        }
     }
 }

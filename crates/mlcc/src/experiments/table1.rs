@@ -21,6 +21,7 @@ use dcqcn::CcVariant;
 use faults::ChaosConfig;
 use geometry::{solve, SolverConfig, Verdict};
 use netsim::rate::{RateJob, RateSimConfig, RateSimulator};
+use netsim::Engine;
 use scheduler::analytic_profile;
 use simtime::{Bandwidth, Dur, Time};
 use telemetry::{Event, ForkableRecorder, NoopRecorder, Recorder};

@@ -151,30 +151,6 @@ where
         .collect()
 }
 
-/// [`map_traced`] for sweeps whose units share a common prefix: `prefix`
-/// runs **once** on the calling thread (typically: drive an engine to a
-/// fork barrier and snapshot it), then every cell fans out across the
-/// worker pool with shared access to the prefix state — restoring the
-/// snapshot instead of re-simulating `0 → fork_at`.
-///
-/// Ordering guarantees are exactly [`map_traced`]'s: results land in item
-/// order and telemetry forks join in item order, so the merged stream is
-/// byte-identical at any `--jobs N`. Each cell must replay the prefix's
-/// recording into its own fork (the snapshot is recorder-free) — see
-/// `netsim::snapshot`.
-pub fn map_forked<R, T, S, U, P, F>(rec: &mut R, items: &[T], prefix: P, cell: F) -> Vec<U>
-where
-    R: ForkableRecorder,
-    T: Sync,
-    S: Sync,
-    U: Send,
-    P: FnOnce() -> S,
-    F: Fn(usize, &T, &S, &mut R::Fork) -> U + Sync,
-{
-    let shared = prefix();
-    map_traced(rec, items, |i, item, fork| cell(i, item, &shared, fork))
-}
-
 /// [`map_traced`] for fallible units. Joins forks in unit order up to and
 /// including the first `Err`, then returns that error — reproducing the
 /// event stream a serial run would have left behind when it stopped at
@@ -253,37 +229,6 @@ mod tests {
         assert_eq!(serial_out, par_out);
         assert_eq!(serial.events(), par.events());
         assert_eq!(serial.counts(), par.counts());
-    }
-
-    #[test]
-    fn map_forked_runs_prefix_once_and_matches_serial() {
-        use std::sync::atomic::AtomicU32;
-        let items: Vec<u32> = (0..6).collect();
-        let run = |jobs: usize| {
-            let prefix_runs = AtomicU32::new(0);
-            let mut rec = BufferRecorder::new();
-            let out = with_jobs(jobs, || {
-                map_forked(
-                    &mut rec,
-                    &items,
-                    || {
-                        prefix_runs.fetch_add(1, Ordering::Relaxed);
-                        100u32
-                    },
-                    |i, &x, &base, fork: &mut BufferRecorder| {
-                        fork.record(Time::from_nanos(x as u64), Event::EcnMark { flow: x });
-                        base + i as u32 + x
-                    },
-                )
-            });
-            assert_eq!(prefix_runs.load(Ordering::Relaxed), 1);
-            (out, rec)
-        };
-        let (serial_out, serial_rec) = run(1);
-        let (par_out, par_rec) = run(4);
-        assert_eq!(serial_out, par_out);
-        assert_eq!(serial_out, vec![100, 102, 104, 106, 108, 110]);
-        assert_eq!(serial_rec.events(), par_rec.events());
     }
 
     #[test]

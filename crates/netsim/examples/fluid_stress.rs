@@ -10,6 +10,7 @@
 //! builds.
 
 use netsim::fluid::{FluidConfig, FluidJob, FluidSimulator, SharingPolicy};
+use netsim::Engine;
 use simtime::{Bandwidth, Dur};
 use topology::builders::dumbbell;
 use workload::{JobSpec, Model};
@@ -39,16 +40,7 @@ fn main() {
     let jobs: Vec<FluidJob> = specs
         .iter()
         .enumerate()
-        .map(|(i, &spec)| {
-            let path = t
-                .route(topology::FlowKey {
-                    src: d.left_hosts[i],
-                    dst: d.right_hosts[i],
-                    tag: 0,
-                })
-                .expect("dumbbell connected");
-            FluidJob::single_path(spec, path.links().to_vec())
-        })
+        .map(|(i, &spec)| FluidJob::single_path(spec, d.pair_links(i)))
         .collect();
 
     let weights: Vec<f64> = (0..n).map(|i| 1.0 + (i % 3) as f64).collect();

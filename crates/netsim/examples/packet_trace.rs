@@ -11,6 +11,7 @@
 
 use dcqcn::CcVariant;
 use netsim::packet::{PacketJob, PacketSimConfig, PacketSimulator, QueueBackend};
+use netsim::Engine;
 use simtime::{Dur, Time};
 use telemetry::{export, BufferRecorder};
 use workload::{JobSpec, Model};

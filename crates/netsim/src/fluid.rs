@@ -22,9 +22,8 @@
 
 use crate::alloc::{strict_priority_into, weighted_max_min_into, AllocScratch, FlowDemand};
 use crate::job::{self, Job};
-use crate::snapshot::{
-    check_barrier, check_version, SnapshotError, Snapshottable, SNAPSHOT_VERSION,
-};
+use crate::snapshot::{check_barrier, check_version, SnapshotError, SNAPSHOT_VERSION};
+use crate::Engine;
 use dcqcn::CcVariant;
 use eventsim::EventQueue;
 use simtime::{Bandwidth, Dur, Time};
@@ -673,32 +672,6 @@ impl<R: Recorder> FluidSimulator<R> {
         }
     }
 
-    /// The attached recorder.
-    pub fn recorder(&self) -> &R {
-        &self.rec
-    }
-
-    /// Consumes the simulator and returns the attached recorder (how a
-    /// shard's fork is recovered for the ordered merge).
-    pub fn into_recorder(self) -> R {
-        self.rec
-    }
-
-    /// Current simulation time.
-    pub fn now(&self) -> Time {
-        self.now
-    }
-
-    /// Iteration bookkeeping of job `j`.
-    pub fn progress(&self, j: usize) -> &JobProgress {
-        &self.jobs[j].job.progress
-    }
-
-    /// Number of jobs in the simulation (including departed ones).
-    pub fn num_jobs(&self) -> usize {
-        self.jobs.len()
-    }
-
     /// Instantaneous utilization of link `l` (allocated rate over
     /// capacity, in `[0, 1]`) under the current allocation.
     ///
@@ -1097,23 +1070,6 @@ impl<R: Recorder> FluidSimulator<R> {
         }
     }
 
-    /// Runs until `t_stop`.
-    pub fn run_until(&mut self, t_stop: Time) {
-        let wall = if R::ENABLED {
-            Some(std::time::Instant::now())
-        } else {
-            None
-        };
-        let (allocs0, popped0) = (self.allocs, self.events_popped);
-        self.run_until_inner(t_stop);
-        if let Some(t0) = wall {
-            self.rec
-                .span("netsim.fluid", t0.elapsed(), self.events_popped - popped0);
-            self.rec
-                .count("fluid_allocations_total", self.allocs - allocs0);
-        }
-    }
-
     /// The event loop. Each turn moves to the next instant anything
     /// happens — the earliest pending event, component completion, or
     /// `t_stop` — and touches only the components with work there: the
@@ -1185,27 +1141,6 @@ impl<R: Recorder> FluidSimulator<R> {
     pub fn run_for(&mut self, span: Dur) {
         let stop = self.now + span;
         self.run_until(stop);
-    }
-
-    /// Runs until every job completed `n` iterations or `max_span` elapses;
-    /// returns `true` on success.
-    pub fn run_until_iterations(&mut self, n: usize, max_span: Dur) -> bool {
-        let reached = |jobs: &[JState]| jobs.iter().all(|j| j.job.done(n));
-        let stop = self.now + max_span;
-        while self.now < stop {
-            if reached(&self.jobs) {
-                return true;
-            }
-            // Run in slices so we can check the predicate.
-            let slice_end = (self.now + Dur::from_millis(10)).min(stop);
-            self.run_until(slice_end);
-        }
-        reached(&self.jobs)
-    }
-
-    /// Whether job `j` has departed the cluster.
-    pub fn departed(&self, j: usize) -> bool {
-        self.jobs[j].job.departed
     }
 }
 
@@ -1282,8 +1217,59 @@ impl FluidSnapshot {
     }
 }
 
-impl<R: Recorder> Snapshottable<R> for FluidSimulator<R> {
+impl<R: Recorder> Engine for FluidSimulator<R> {
+    type Rec = R;
     type Snapshot = FluidSnapshot;
+
+    fn now(&self) -> Time {
+        self.now
+    }
+
+    fn num_jobs(&self) -> usize {
+        self.jobs.len()
+    }
+
+    fn progress(&self, j: usize) -> &JobProgress {
+        &self.jobs[j].job.progress
+    }
+
+    fn departed(&self, j: usize) -> bool {
+        self.jobs[j].job.departed
+    }
+
+    fn run_until(&mut self, t_stop: Time) {
+        let wall = R::ENABLED.then(std::time::Instant::now);
+        let (allocs0, popped0) = (self.allocs, self.events_popped);
+        self.run_until_inner(t_stop);
+        if let Some(t0) = wall {
+            self.rec
+                .span("netsim.fluid", t0.elapsed(), self.events_popped - popped0);
+            self.rec
+                .count("fluid_allocations_total", self.allocs - allocs0);
+        }
+    }
+
+    fn run_until_iterations(&mut self, n: usize, max_span: Dur) -> bool {
+        let reached = |jobs: &[JState]| jobs.iter().all(|j| j.job.done(n));
+        let stop = self.now + max_span;
+        while self.now < stop {
+            if reached(&self.jobs) {
+                return true;
+            }
+            // Run in slices so we can check the predicate.
+            let slice_end = (self.now + Dur::from_millis(10)).min(stop);
+            self.run_until(slice_end);
+        }
+        reached(&self.jobs)
+    }
+
+    fn recorder(&self) -> &R {
+        &self.rec
+    }
+
+    fn into_recorder(self) -> R {
+        self.rec
+    }
 
     fn snapshot(&self) -> Result<FluidSnapshot, SnapshotError> {
         check_barrier(self.events.peek_time(), self.now)?;
@@ -1358,16 +1344,7 @@ mod tests {
     ) -> (FluidSimulator, Topology) {
         let d = dumbbell(2, LINE, LINE, Dur::ZERO);
         let t = d.topology.clone();
-        let path = |i: usize| {
-            t.route(topology::FlowKey {
-                src: d.left_hosts[i],
-                dst: d.right_hosts[i],
-                tag: 0,
-            })
-            .unwrap()
-            .links()
-            .to_vec()
-        };
+        let path = |i: usize| d.pair_links(i);
         let jobs = [
             FluidJob::single_path(spec_a, path(0)),
             FluidJob::single_path(spec_b, path(1)),
@@ -1388,16 +1365,8 @@ mod tests {
     #[test]
     fn solo_job_matches_analytic() {
         let d = dumbbell(1, LINE, LINE, Dur::ZERO);
-        let path = d
-            .topology
-            .route(topology::FlowKey {
-                src: d.left_hosts[0],
-                dst: d.right_hosts[0],
-                tag: 0,
-            })
-            .unwrap();
         let spec = JobSpec::reference(Model::Vgg16, 1400);
-        let job = FluidJob::single_path(spec, path.links().to_vec());
+        let job = FluidJob::single_path(spec, d.pair_links(0));
         let mut sim = FluidSimulator::new(&d.topology, FluidConfig::fair(), &[job]);
         assert!(sim.run_until_iterations(5, Dur::from_secs(3)));
         let expected = spec.iteration_time_at(LINE).as_millis_f64();
@@ -1510,16 +1479,7 @@ mod tests {
         let spec = JobSpec::reference(Model::Vgg19, 1200);
         let d = dumbbell(2, LINE, LINE, Dur::ZERO);
         let t = d.topology.clone();
-        let path = |i: usize| {
-            t.route(topology::FlowKey {
-                src: d.left_hosts[i],
-                dst: d.right_hosts[i],
-                tag: 0,
-            })
-            .unwrap()
-            .links()
-            .to_vec()
-        };
+        let path = |i: usize| d.pair_links(i);
         let stagger = spec.comm_time_at(LINE) / 2;
         let run = |policy: SharingPolicy| {
             let jobs = [
@@ -1615,16 +1575,7 @@ mod tests {
     fn multi_flow_job_completes_on_slowest_flow() {
         let d = dumbbell(2, LINE, LINE, Dur::ZERO);
         let t = d.topology.clone();
-        let path = |i: usize| {
-            t.route(topology::FlowKey {
-                src: d.left_hosts[i],
-                dst: d.right_hosts[i],
-                tag: 0,
-            })
-            .unwrap()
-            .links()
-            .to_vec()
-        };
+        let path = |i: usize| d.pair_links(i);
         let spec = JobSpec::reference(Model::Vgg16, 1400);
         // 70% of bytes on path 0, 30% on path 1; both share the bottleneck,
         // so total transfer time is governed by the aggregate anyway.
@@ -1757,16 +1708,7 @@ mod tests {
         };
         let d = dumbbell(2, LINE, LINE, Dur::ZERO);
         let t = d.topology.clone();
-        let path = |i: usize| {
-            t.route(topology::FlowKey {
-                src: d.left_hosts[i],
-                dst: d.right_hosts[i],
-                tag: 0,
-            })
-            .unwrap()
-            .links()
-            .to_vec()
-        };
+        let path = |i: usize| d.pair_links(i);
         let jobs = [
             FluidJob::single_path(spec, path(0)),
             FluidJob::single_path(spec, path(1)),
@@ -1859,15 +1801,7 @@ mod tests {
         let run = |schedules: Option<(Time, Time, f64)>| {
             let d = dumbbell(1, LINE, LINE, Dur::ZERO);
             let t = d.topology.clone();
-            let path = t
-                .route(topology::FlowKey {
-                    src: d.left_hosts[0],
-                    dst: d.right_hosts[0],
-                    tag: 0,
-                })
-                .unwrap()
-                .links()
-                .to_vec();
+            let path = d.pair_links(0);
             let mut cfg = FluidConfig::fair();
             if let Some((from, to, factor)) = schedules {
                 cfg.link_schedules = (0..t.links().len())
@@ -1920,16 +1854,7 @@ mod tests {
         let (mut sim, _t) = {
             let d = dumbbell(2, LINE, LINE, Dur::ZERO);
             let t = d.topology.clone();
-            let path = |i: usize| {
-                t.route(topology::FlowKey {
-                    src: d.left_hosts[i],
-                    dst: d.right_hosts[i],
-                    tag: 0,
-                })
-                .unwrap()
-                .links()
-                .to_vec()
-            };
+            let path = |i: usize| d.pair_links(i);
             let jobs = [
                 FluidJob {
                     depart_at: Some(Time::ZERO + Dur::from_millis(400)),
@@ -1965,15 +1890,7 @@ mod tests {
         let run = || {
             let d = dumbbell(1, LINE, LINE, Dur::ZERO);
             let t = d.topology.clone();
-            let path = t
-                .route(topology::FlowKey {
-                    src: d.left_hosts[0],
-                    dst: d.right_hosts[0],
-                    tag: 0,
-                })
-                .unwrap()
-                .links()
-                .to_vec();
+            let path = d.pair_links(0);
             let job = FluidJob {
                 noise: Some(noise),
                 ..FluidJob::single_path(JobSpec::reference(Model::Vgg19, 1200), path)
@@ -2010,16 +1927,7 @@ mod tests {
         let build = |rec: BufferRecorder| {
             let d = dumbbell(2, LINE, LINE, Dur::ZERO);
             let t = d.topology.clone();
-            let path = |i: usize| {
-                t.route(topology::FlowKey {
-                    src: d.left_hosts[i],
-                    dst: d.right_hosts[i],
-                    tag: 0,
-                })
-                .unwrap()
-                .links()
-                .to_vec()
-            };
+            let path = |i: usize| d.pair_links(i);
             let spec = JobSpec::reference(Model::Vgg19, 1200);
             let jobs = [
                 FluidJob {

@@ -32,9 +32,8 @@
 //! bits as packet-by-packet stepping (see `EXACT_BYTES`).
 
 use crate::job::{self, Job};
-use crate::snapshot::{
-    check_barrier, check_version, SnapshotError, Snapshottable, SNAPSHOT_VERSION,
-};
+use crate::snapshot::{check_barrier, check_version, SnapshotError, SNAPSHOT_VERSION};
+use crate::Engine;
 use dcqcn::{CcAlgorithm, CcVariant, DcqcnParams, NotificationPoint, RedMarker, SignalLoss};
 use eventsim::{queue::reference, EventQueue, Rng, ScheduledEvent};
 use simtime::{Bandwidth, Dur, Time};
@@ -411,11 +410,6 @@ impl<R: Recorder> PacketSimulator<R> {
         }
     }
 
-    /// Whether flow `i` has departed the cluster.
-    pub fn departed(&self, i: usize) -> bool {
-        self.flows[i].job.departed
-    }
-
     /// The bottleneck capacity in bps as of `now`, honouring any fault
     /// schedule. Emits a `LinkCapacity` event when the observed multiplier
     /// changes (capacity is sampled at service start, not on a timer, so
@@ -443,32 +437,6 @@ impl<R: Recorder> PacketSimulator<R> {
         } else {
             base * mult
         }
-    }
-
-    /// The telemetry recorder, for post-run inspection.
-    pub fn recorder(&mut self) -> &mut R {
-        &mut self.rec
-    }
-
-    /// Consumes the simulator and returns the attached recorder (how a
-    /// shard's fork is recovered for the ordered merge).
-    pub fn into_recorder(self) -> R {
-        self.rec
-    }
-
-    /// Current simulation time.
-    pub fn now(&self) -> Time {
-        self.events.now()
-    }
-
-    /// Job bookkeeping for flow `i`.
-    pub fn progress(&self, i: usize) -> &JobProgress {
-        &self.flows[i].job.progress
-    }
-
-    /// Number of jobs (flows) in the simulation (including departed ones).
-    pub fn num_jobs(&self) -> usize {
-        self.flows.len()
     }
 
     /// Total bytes delivered for flow `i`.
@@ -791,40 +759,6 @@ impl<R: Recorder> PacketSimulator<R> {
             self.rec.count("packet_packets_in_runs", in_runs);
         }
     }
-
-    /// Runs until `t_stop`.
-    pub fn run_until(&mut self, t_stop: Time) {
-        let wall = R::ENABLED.then(std::time::Instant::now);
-        let before = (self.events_processed, self.packets_sent);
-        let mut in_runs = 0;
-        while let Some(e) = self.events.pop_until(t_stop) {
-            self.events_processed += 1;
-            self.handle(e.event, e.at, &mut in_runs);
-        }
-        self.record_run(wall, before, in_runs);
-    }
-
-    /// Runs until every job completed `n` iterations or `max_span`
-    /// elapses; returns `true` on success.
-    pub fn run_until_iterations(&mut self, n: usize, max_span: Dur) -> bool {
-        let wall = R::ENABLED.then(std::time::Instant::now);
-        let before = (self.events_processed, self.packets_sent);
-        let mut in_runs = 0;
-        let stop = self.now() + max_span;
-        let reached = |flows: &[FlowState]| flows.iter().all(|f| f.job.done(n));
-        let done = loop {
-            if reached(&self.flows) {
-                break true;
-            }
-            let Some(e) = self.events.pop_until(stop) else {
-                break reached(&self.flows);
-            };
-            self.events_processed += 1;
-            self.handle(e.event, e.at, &mut in_runs);
-        };
-        self.record_run(wall, before, in_runs);
-        done
-    }
 }
 
 /// Complete captured state of a [`PacketSimulator`] at an event barrier:
@@ -875,8 +809,64 @@ impl PacketSnapshot {
     }
 }
 
-impl<R: Recorder> Snapshottable<R> for PacketSimulator<R> {
+impl<R: Recorder> Engine for PacketSimulator<R> {
+    type Rec = R;
     type Snapshot = PacketSnapshot;
+
+    fn now(&self) -> Time {
+        self.events.now()
+    }
+
+    fn num_jobs(&self) -> usize {
+        self.flows.len()
+    }
+
+    fn progress(&self, i: usize) -> &JobProgress {
+        &self.flows[i].job.progress
+    }
+
+    fn departed(&self, i: usize) -> bool {
+        self.flows[i].job.departed
+    }
+
+    fn run_until(&mut self, t_stop: Time) {
+        let wall = R::ENABLED.then(std::time::Instant::now);
+        let before = (self.events_processed, self.packets_sent);
+        let mut in_runs = 0;
+        while let Some(e) = self.events.pop_until(t_stop) {
+            self.events_processed += 1;
+            self.handle(e.event, e.at, &mut in_runs);
+        }
+        self.record_run(wall, before, in_runs);
+    }
+
+    fn run_until_iterations(&mut self, n: usize, max_span: Dur) -> bool {
+        let wall = R::ENABLED.then(std::time::Instant::now);
+        let before = (self.events_processed, self.packets_sent);
+        let mut in_runs = 0;
+        let stop = self.now() + max_span;
+        let reached = |flows: &[FlowState]| flows.iter().all(|f| f.job.done(n));
+        let done = loop {
+            if reached(&self.flows) {
+                break true;
+            }
+            let Some(e) = self.events.pop_until(stop) else {
+                break reached(&self.flows);
+            };
+            self.events_processed += 1;
+            self.handle(e.event, e.at, &mut in_runs);
+        };
+        self.record_run(wall, before, in_runs);
+        done
+    }
+
+    fn recorder(&self) -> &R {
+        &self.rec
+    }
+
+    fn into_recorder(self) -> R {
+        self.rec
+    }
 
     fn snapshot(&self) -> Result<PacketSnapshot, SnapshotError> {
         check_barrier(self.events.peek_time(), self.events.now())?;
@@ -1350,7 +1340,6 @@ mod tests {
     /// backends and with batched trains.
     #[test]
     fn snapshot_round_trip_is_bit_identical() {
-        use crate::snapshot::Snapshottable;
         for queue in [QueueBackend::TimingWheel, QueueBackend::ReferenceHeap] {
             let cfg = PacketSimConfig {
                 queue,
@@ -1367,7 +1356,7 @@ mod tests {
             let mut prefix = PacketSimulator::new(cfg, &jobs);
             prefix.run_until(Time::ZERO + Dur::from_millis(25));
             let snap = prefix.snapshot().unwrap();
-            let mut resumed: PacketSimulator = Snapshottable::restore(snap, NoopRecorder).unwrap();
+            let mut resumed: PacketSimulator = Engine::restore(snap, NoopRecorder).unwrap();
             resumed.run_until(Time::ZERO + Dur::from_millis(60));
 
             assert_eq!(whole.packet_counts(), resumed.packet_counts());
@@ -1388,7 +1377,7 @@ mod tests {
     /// trips the version check.
     #[test]
     fn snapshot_misuse_returns_typed_errors() {
-        use crate::snapshot::{SnapshotError, Snapshottable, SNAPSHOT_VERSION};
+        use crate::snapshot::{SnapshotError, SNAPSHOT_VERSION};
         let mut sim = PacketSimulator::new(
             PacketSimConfig::default(),
             &[PacketJob::new(small_job(), CcVariant::Fair)],

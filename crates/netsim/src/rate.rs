@@ -23,7 +23,8 @@
 //! operations in the same order. Every other step is a full `step`.
 
 use crate::job::{self, Job};
-use crate::snapshot::{check_version, SnapshotError, Snapshottable, SNAPSHOT_VERSION};
+use crate::snapshot::{check_version, SnapshotError, SNAPSHOT_VERSION};
+use crate::Engine;
 use dcqcn::{
     CcAlgorithm, CcVariant, DcqcnParams, NotificationPoint, RedMarker, RpStage, SignalLoss,
 };
@@ -270,37 +271,6 @@ impl<R: Recorder> RateSimulator<R> {
             last_cap_mult: 1.0,
             delivered: vec![0.0; n],
         }
-    }
-
-    /// The attached recorder.
-    pub fn recorder(&self) -> &R {
-        &self.rec
-    }
-
-    /// Consumes the simulator and returns the attached recorder (how a
-    /// shard's fork is recovered for the ordered merge).
-    pub fn into_recorder(self) -> R {
-        self.rec
-    }
-
-    /// Current simulation time.
-    pub fn now(&self) -> Time {
-        self.now
-    }
-
-    /// Iteration bookkeeping of job `i`.
-    pub fn progress(&self, i: usize) -> &JobProgress {
-        &self.jobs[i].job.progress
-    }
-
-    /// Number of jobs in the simulation (including departed ones).
-    pub fn num_jobs(&self) -> usize {
-        self.jobs.len()
-    }
-
-    /// `true` once churn has removed job `i` from the cluster.
-    pub fn departed(&self, i: usize) -> bool {
-        self.jobs[i].job.departed
     }
 
     /// Per-job delivered-throughput trace (Gbps), if tracing is enabled.
@@ -767,33 +737,6 @@ impl<R: Recorder> RateSimulator<R> {
         self.record_run(wall, steps0, split);
     }
 
-    /// Runs until every job has completed `n` iterations, or `max_span`
-    /// elapses. Returns `true` if all jobs reached `n`.
-    pub fn run_until_iterations(&mut self, n: usize, max_span: Dur) -> bool {
-        let wall = R::ENABLED.then(std::time::Instant::now);
-        let steps0 = self.steps;
-        let mut split = StepSplit::default();
-        let end = self.now + max_span;
-        let mut done = false;
-        let reached = |jobs: &[JobState]| jobs.iter().all(|j| j.job.done(n));
-        while self.now < end {
-            if reached(&self.jobs) {
-                done = true;
-                break;
-            }
-            self.advance_toward(end, &mut split);
-        }
-        self.record_run(wall, steps0, split);
-        done || reached(&self.jobs)
-    }
-
-    /// Runs until the clock reaches (or first steps past) `t`. A no-op if
-    /// the clock is already there — the natural way to drive the engine to
-    /// a fork barrier.
-    pub fn run_until(&mut self, t: Time) {
-        self.run_for(t.saturating_since(self.now));
-    }
-
     /// Replaces job `i`'s congestion-control variant with a freshly built
     /// controller, as if the job restarted its transport (rate resets to
     /// line rate on the next phase restart; CNP pacing state clears).
@@ -869,8 +812,55 @@ impl RateSnapshot {
     }
 }
 
-impl<R: Recorder> Snapshottable<R> for RateSimulator<R> {
+impl<R: Recorder> Engine for RateSimulator<R> {
+    type Rec = R;
     type Snapshot = RateSnapshot;
+
+    fn now(&self) -> Time {
+        self.now
+    }
+
+    fn num_jobs(&self) -> usize {
+        self.jobs.len()
+    }
+
+    fn progress(&self, i: usize) -> &JobProgress {
+        &self.jobs[i].job.progress
+    }
+
+    fn departed(&self, i: usize) -> bool {
+        self.jobs[i].job.departed
+    }
+
+    fn run_until(&mut self, t: Time) {
+        self.run_for(t.saturating_since(self.now));
+    }
+
+    fn run_until_iterations(&mut self, n: usize, max_span: Dur) -> bool {
+        let wall = R::ENABLED.then(std::time::Instant::now);
+        let steps0 = self.steps;
+        let mut split = StepSplit::default();
+        let end = self.now + max_span;
+        let mut done = false;
+        let reached = |jobs: &[JobState]| jobs.iter().all(|j| j.job.done(n));
+        while self.now < end {
+            if reached(&self.jobs) {
+                done = true;
+                break;
+            }
+            self.advance_toward(end, &mut split);
+        }
+        self.record_run(wall, steps0, split);
+        done || reached(&self.jobs)
+    }
+
+    fn recorder(&self) -> &R {
+        &self.rec
+    }
+
+    fn into_recorder(self) -> R {
+        self.rec
+    }
 
     fn snapshot(&self) -> Result<RateSnapshot, SnapshotError> {
         Ok(RateSnapshot {
@@ -1336,7 +1326,6 @@ mod tests {
     /// marking jitter, traces, and step counts.
     #[test]
     fn snapshot_round_trip_is_bit_identical() {
-        use crate::snapshot::Snapshottable;
         let jobs = [
             RateJob::new(vgg19(1200), CcVariant::Fair),
             RateJob::new(vgg19(1400), CcVariant::Fair),
@@ -1353,7 +1342,7 @@ mod tests {
         prefix.run_for(Dur::from_millis(300));
         let snap = prefix.snapshot().unwrap();
         assert_eq!(snap.taken_at(), prefix.now());
-        let mut resumed: RateSimulator = Snapshottable::restore(snap, NoopRecorder).unwrap();
+        let mut resumed: RateSimulator = Engine::restore(snap, NoopRecorder).unwrap();
         resumed.run_until(Time::ZERO + Dur::from_millis(800));
 
         assert_eq!(whole.now(), resumed.now());
@@ -1372,7 +1361,7 @@ mod tests {
     /// error, not misread.
     #[test]
     fn snapshot_version_mismatch_is_typed() {
-        use crate::snapshot::{SnapshotError, Snapshottable, SNAPSHOT_VERSION};
+        use crate::snapshot::{SnapshotError, SNAPSHOT_VERSION};
         let mut sim = RateSimulator::new(
             RateSimConfig::default(),
             &[RateJob::new(vgg19(1200), CcVariant::Fair)],

@@ -3,11 +3,12 @@
 //!
 //! Each engine defines its own snapshot type ([`crate::fluid::FluidSnapshot`],
 //! [`crate::rate::RateSnapshot`], [`crate::packet::PacketSnapshot`]) behind
-//! the common [`Snapshottable`] trait. A snapshot captures **everything**
-//! that feeds future behaviour — job progress and controller state, RNG and
-//! chaos stream positions, pending timing-wheel/queue contents (including
-//! the FIFO tie-break counter), span-tracker state, and the accumulated
-//! traces the experiments read back — so that
+//! [`crate::Engine::snapshot`] and [`crate::Engine::restore`]. A snapshot
+//! captures **everything** that feeds future behaviour — job progress and
+//! controller state, RNG and chaos stream positions, pending
+//! timing-wheel/queue contents (including the FIFO tie-break counter),
+//! span-tracker state, and the accumulated traces the experiments read
+//! back — so that
 //!
 //! ```text
 //! run(0 → T)  ≡  run(0 → t) + snapshot + restore + run(t → T)
@@ -16,7 +17,7 @@
 //! holds at the telemetry byte level. The recorder itself is *not* part of
 //! the snapshot: restore takes a fresh recorder, and callers that need the
 //! merged stream replay the prefix recording into it (see
-//! `mlcc::parallel::map_forked`).
+//! `mlcc::forkcache::resume`).
 //!
 //! # Barriers
 //!
@@ -43,7 +44,6 @@
 use simtime::Time;
 use std::error::Error;
 use std::fmt;
-use telemetry::Recorder;
 
 /// Current snapshot layout version, shared by all three engines.
 pub const SNAPSHOT_VERSION: u32 = 3;
@@ -97,25 +97,9 @@ impl fmt::Display for SnapshotError {
 
 impl Error for SnapshotError {}
 
-/// Engines that can capture and resume their complete simulation state.
-///
-/// The type parameter is the recorder the restored engine will record
-/// into; the snapshot itself is recorder-free.
-pub trait Snapshottable<R: Recorder>: Sized {
-    /// The engine-specific state capture.
-    type Snapshot: Clone + Send + 'static;
-
-    /// Captures the engine's complete state at the current simulated-time
-    /// barrier. Cheap: near-memcpy of the engine's vectors plus a clone of
-    /// the pending event queue.
-    fn snapshot(&self) -> Result<Self::Snapshot, SnapshotError>;
-
-    /// Rebuilds an engine from `snap`, recording into `rec`. The restored
-    /// engine's future behaviour — events popped, bytes delivered, RNG
-    /// draws, telemetry emitted — is byte-identical to the engine the
-    /// snapshot was taken from.
-    fn restore(snap: Self::Snapshot, rec: R) -> Result<Self, SnapshotError>;
-}
+/// The snapshot half of [`crate::Engine`], under the name it had before the
+/// engine surface became one trait.
+pub use crate::Engine as Snapshottable;
 
 /// Validates the version field shared by every snapshot type.
 pub(crate) fn check_version(found: u32) -> Result<(), SnapshotError> {

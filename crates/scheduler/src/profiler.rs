@@ -13,6 +13,7 @@
 
 use geometry::{quantize_period, Profile};
 use netsim::fluid::{FluidConfig, FluidJob, FluidSimulator};
+use netsim::Engine;
 use simtime::{Bandwidth, Dur};
 use topology::builders::dumbbell;
 use workload::JobSpec;
@@ -156,15 +157,7 @@ pub fn measured_profile_traced<R: telemetry::Recorder>(
 ) -> Profile {
     assert!(iters > 0, "measured_profile: zero iterations");
     let d = dumbbell(1, nic, nic, Dur::ZERO);
-    let path = d
-        .topology
-        .route(topology::FlowKey {
-            src: d.left_hosts[0],
-            dst: d.right_hosts[0],
-            tag: 0,
-        })
-        .expect("dumbbell is connected");
-    let job = FluidJob::single_path(*spec, path.links().to_vec());
+    let job = FluidJob::single_path(*spec, d.pair_links(0));
     let cfg = FluidConfig {
         nic_rate: nic,
         ..FluidConfig::fair()

@@ -18,6 +18,23 @@ pub struct Dumbbell {
     pub bottleneck_reverse: LinkId,
 }
 
+impl Dumbbell {
+    /// The links of the routed path from left host `i` to right host `i`
+    /// (NIC, bottleneck, NIC): the single-path route of pair `i`.
+    ///
+    /// # Panics
+    /// Panics if `i` is not a host index.
+    pub fn pair_links(&self, i: usize) -> Vec<LinkId> {
+        let flow = crate::FlowKey {
+            src: self.left_hosts[i],
+            dst: self.right_hosts[i],
+            tag: 0,
+        };
+        let path = self.topology.route(flow).expect("dumbbell is connected");
+        path.links().to_vec()
+    }
+}
+
 /// Builds the paper's Fig. 1a testbed shape: `n` hosts on each side of a
 /// single switch-to-switch cable, so that every left→right flow shares the
 /// bottleneck link `L1`.

@@ -15,6 +15,7 @@ use dcqcn::CcVariant;
 use eventsim::Cdf;
 use geometry::{solve_pair, SolverConfig};
 use netsim::rate::{RateJob, RateSimConfig, RateSimulator};
+use netsim::Engine;
 use scheduler::analytic_profile;
 use simtime::{Bandwidth, Dur};
 use workload::{JobSpec, Model};

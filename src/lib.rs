@@ -15,3 +15,7 @@ pub use simtime;
 pub use telemetry;
 pub use topology;
 pub use workload;
+
+/// The engine surface, at the root so `use mlcc_repro::*` brings its
+/// methods into scope.
+pub use netsim::Engine;

@@ -1046,13 +1046,14 @@ fn shard_config(o: &Opts) -> exp::shard::ShardConfig {
 /// packet mix) run three ways — as one global simulator, sharded with one
 /// worker, and sharded with `--shards N` workers. The global simulator
 /// solves each link-disjoint component on its own, so it should cost
-/// about what the one-worker sharded run does (`global_over_sharded1`)
-/// and match it bit for bit (`stats_match`); `speedup` over the global
-/// run is then what the N worker threads buy. Each wall time is the
-/// fastest of three untraced runs. The merged streams at 1 vs
-/// N workers are byte-compared (`byte_identical`). With a recorder
-/// attached (`--trace`), the sharded runs record into it, so traces at
-/// different `--shards` values can be diffed externally.
+/// about what the one-worker sharded run does (`global_over_sharded1`,
+/// reported), take exactly as many max-min solves (`global_solves` ==
+/// `sharded1_solves`), and match it bit for bit (`stats_match`);
+/// `speedup` over the global run is then what the N worker threads buy.
+/// Each wall time is the fastest of three untraced runs. The merged
+/// streams at 1 vs N workers are byte-compared (`byte_identical`). With a
+/// recorder attached (`--trace`), the sharded runs record into it, so
+/// traces at different `--shards` values can be diffed externally.
 fn run_shard_bench(o: &Opts, rec: Option<&mut CliRecorder>, out: &mut dyn Write) -> RunResult {
     let cfg = shard_config(o);
     let threads = mlcc::parallel::shards();
@@ -1107,6 +1108,19 @@ fn run_shard_bench(o: &Opts, rec: Option<&mut CliRecorder>, out: &mut dyn Write)
     exp::shard::run_packet_sharded(&packet, &cfg, &mut many, threads);
     let byte_identical = one.events() == many.events() && one.counts() == many.counts();
 
+    // Solve parity: the global simulator solves each component exactly as
+    // the one-worker sharded run does, so the engine's own solve counts
+    // must be equal. Unlike the wall ratio, host load cannot move them.
+    let solves = |rec: &BufferRecorder| {
+        rec.counts()
+            .get("fluid_allocations_total")
+            .copied()
+            .unwrap_or(0)
+    };
+    let global_solves =
+        solves(&exp::shard::run_fluid_unsharded(&fluid, &cfg, BufferRecorder::new()).1);
+    let sharded1_solves = solves(&one);
+
     // Results parity: sharded and global runs agree on every job's
     // median, bit for bit.
     let stats_match = baseline
@@ -1125,6 +1139,10 @@ fn run_shard_bench(o: &Opts, rec: Option<&mut CliRecorder>, out: &mut dyn Write)
         } else {
             "DIVERGED"
         }
+    )?;
+    writeln!(
+        out,
+        "fluid solves: global {global_solves}, sharded at 1 worker {sharded1_solves}"
     )?;
     writeln!(
         out,
@@ -1158,6 +1176,8 @@ fn run_shard_bench(o: &Opts, rec: Option<&mut CliRecorder>, out: &mut dyn Write)
         ("packet_wall_secs".to_string(), packet_wall.as_secs_f64()),
         ("speedup".to_string(), speedup),
         ("global_over_sharded1".to_string(), global_over_sharded1),
+        ("global_solves".to_string(), global_solves as f64),
+        ("sharded1_solves".to_string(), sharded1_solves as f64),
         ("byte_identical".to_string(), byte_identical as u8 as f64),
         ("stats_match".to_string(), stats_match as u8 as f64),
         (

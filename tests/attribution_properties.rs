@@ -137,16 +137,7 @@ proptest! {
     ) {
         let d = dumbbell(2, LINE, LINE, Dur::ZERO);
         let t = d.topology.clone();
-        let path = |i: usize| {
-            t.route(topology::FlowKey {
-                src: d.left_hosts[i],
-                dst: d.right_hosts[i],
-                tag: 0,
-            })
-            .unwrap()
-            .links()
-            .to_vec()
-        };
+        let path = |i: usize| d.pair_links(i);
         let policy = match policy_pick {
             0 => SharingPolicy::MaxMin,
             1 => SharingPolicy::Weighted(vec![2.0, 1.0]),

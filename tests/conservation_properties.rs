@@ -179,16 +179,7 @@ proptest! {
     ) {
         let d = dumbbell(2, LINE, LINE, Dur::ZERO);
         let t = d.topology.clone();
-        let path = |i: usize| {
-            t.route(topology::FlowKey {
-                src: d.left_hosts[i],
-                dst: d.right_hosts[i],
-                tag: 0,
-            })
-            .unwrap()
-            .links()
-            .to_vec()
-        };
+        let path = |i: usize| d.pair_links(i);
         let policy = match policy_pick {
             0 => SharingPolicy::MaxMin,
             1 => SharingPolicy::Weighted(vec![2.0, 1.0]),
@@ -398,16 +389,7 @@ proptest! {
     ) {
         let d = dumbbell(2, LINE, LINE, Dur::ZERO);
         let t = d.topology.clone();
-        let path = |i: usize| {
-            t.route(topology::FlowKey {
-                src: d.left_hosts[i],
-                dst: d.right_hosts[i],
-                tag: 0,
-            })
-            .unwrap()
-            .links()
-            .to_vec()
-        };
+        let path = |i: usize| d.pair_links(i);
         let per = a.iteration_time_at(LINE).max(b.iteration_time_at(LINE));
         let horizon = per * 10;
         let plan = chaos_cfg.compile(2, t.link_count(), horizon);

@@ -13,6 +13,7 @@
 
 use dcqcn::CcVariant;
 use netsim::rate::{RateJob, RateSimConfig, RateSimulator};
+use netsim::Engine;
 use simtime::{Dur, Time};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};

@@ -9,7 +9,8 @@ use mlcc_repro::*;
 use netsim::fluid::{FluidConfig, FluidJob, FluidSimulator};
 use netsim::packet::{PacketJob, PacketSimConfig, PacketSimulator};
 use netsim::rate::{RateJob, RateSimConfig, RateSimulator};
-use netsim::snapshot::{SnapshotError, Snapshottable, SNAPSHOT_VERSION};
+use netsim::snapshot::{SnapshotError, SNAPSHOT_VERSION};
+use netsim::Engine;
 use simtime::{Bandwidth, Dur, Time};
 use std::error::Error;
 use telemetry::NoopRecorder;
@@ -18,7 +19,7 @@ use workload::{JobSpec, Model};
 
 const BARRIER: Time = Time::from_nanos(50_000_000);
 
-fn rate_snapshot() -> <RateSimulator as Snapshottable<NoopRecorder>>::Snapshot {
+fn rate_snapshot() -> <RateSimulator as Engine>::Snapshot {
     let spec = JobSpec::reference(Model::ResNet50, 400);
     let jobs = [
         RateJob::new(spec, CcVariant::Fair),
@@ -29,7 +30,7 @@ fn rate_snapshot() -> <RateSimulator as Snapshottable<NoopRecorder>>::Snapshot {
     sim.snapshot().expect("clean barrier")
 }
 
-fn packet_snapshot() -> <PacketSimulator as Snapshottable<NoopRecorder>>::Snapshot {
+fn packet_snapshot() -> <PacketSimulator as Engine>::Snapshot {
     let spec = JobSpec::reference(Model::ResNet50, 400);
     let jobs = [
         PacketJob::new(spec, CcVariant::Fair),
@@ -40,24 +41,14 @@ fn packet_snapshot() -> <PacketSimulator as Snapshottable<NoopRecorder>>::Snapsh
     sim.snapshot().expect("clean barrier")
 }
 
-fn fluid_snapshot() -> <FluidSimulator as Snapshottable<NoopRecorder>>::Snapshot {
+fn fluid_snapshot() -> <FluidSimulator as Engine>::Snapshot {
     let line = Bandwidth::from_gbps(50);
     let d = dumbbell(2, line, line, Dur::ZERO);
-    let t = &d.topology;
     let spec = JobSpec::reference(Model::ResNet50, 400);
     let jobs: Vec<FluidJob> = (0..2)
-        .map(|i| {
-            let path = t
-                .route(topology::FlowKey {
-                    src: d.left_hosts[i],
-                    dst: d.right_hosts[i],
-                    tag: 0,
-                })
-                .unwrap();
-            FluidJob::single_path(spec, path.links().to_vec())
-        })
+        .map(|i| FluidJob::single_path(spec, d.pair_links(i)))
         .collect();
-    let mut sim = FluidSimulator::new(t, FluidConfig::fair(), &jobs);
+    let mut sim = FluidSimulator::new(&d.topology, FluidConfig::fair(), &jobs);
     sim.run_until(BARRIER);
     sim.snapshot().expect("clean barrier")
 }

@@ -18,7 +18,7 @@ use mlcc_repro::*;
 use netsim::fluid::{FluidConfig, FluidJob, FluidSimulator};
 use netsim::packet::{PacketJob, PacketSimConfig, PacketSimulator};
 use netsim::rate::{RateJob, RateSimConfig, RateSimulator};
-use netsim::snapshot::Snapshottable;
+use netsim::Engine;
 use simtime::{Bandwidth, Dur, Time};
 use telemetry::BufferRecorder;
 use topology::builders::dumbbell;
@@ -50,46 +50,40 @@ fn noise_plan(profile: &str, seed: u64) -> faults::CompiledChaos {
     chaos.compile(2, 1, Dur::from_secs(1))
 }
 
-/// Asserts uninterrupted ≡ interrupted for one engine. `$build` is a
-/// constructor expression evaluated with `$rec` bound to the recorder the
-/// run records into; both runs construct the engine identically, the
-/// second one stops at the barrier, snapshots, restores, and resumes.
-macro_rules! round_trip {
-    ($sim:ty, $label:expr, $rec:ident, $build:expr) => {
-        round_trip!($sim, $label, $rec, $build, BARRIER, END)
+/// Asserts uninterrupted ≡ interrupted for one engine. `build` makes the
+/// engine recording into the recorder it is given; both runs construct
+/// the engine identically, the second one stops at `barrier`, snapshots,
+/// restores into its own recorder, and resumes.
+fn round_trip<E: Engine<Rec = BufferRecorder>>(
+    label: &str,
+    build: impl Fn(BufferRecorder) -> E,
+    barrier: Time,
+    end: Time,
+) {
+    let times = |sim: &E| -> Vec<Vec<Dur>> {
+        (0..sim.num_jobs())
+            .map(|i| sim.progress(i).iteration_times())
+            .collect()
     };
-    ($sim:ty, $label:expr, $rec:ident, $build:expr, $barrier:expr, $end:expr) => {{
-        // Uninterrupted reference run.
-        let mut base_rec = BufferRecorder::new();
-        let base_times = {
-            let $rec = &mut base_rec;
-            let mut sim: $sim = $build;
-            sim.run_until($end);
-            let t: Vec<Vec<Dur>> = (0..2).map(|i| sim.progress(i).iteration_times()).collect();
-            t
-        };
-        // Interrupted run: stop at the barrier, capture, rebuild, resume.
-        let mut rt_rec = BufferRecorder::new();
-        let rt_times = {
-            let snap = {
-                let $rec = &mut rt_rec;
-                let mut sim: $sim = $build;
-                sim.run_until($barrier);
-                sim.snapshot().expect("run_until leaves a clean barrier")
-            };
-            let mut sim = <$sim>::restore(snap, &mut rt_rec).expect("snapshot restores cleanly");
-            sim.run_until($end);
-            let t: Vec<Vec<Dur>> = (0..2).map(|i| sim.progress(i).iteration_times()).collect();
-            t
-        };
-        assert_eq!(base_times, rt_times, "{}: iteration times diverged", $label);
-        assert_eq!(
-            base_rec.events(),
-            rt_rec.events(),
-            "{}: telemetry stream diverged after restore",
-            $label
-        );
-    }};
+    // Uninterrupted reference run.
+    let mut base = build(BufferRecorder::new());
+    base.run_until(end);
+    // Interrupted run: stop at the barrier, capture, rebuild, resume.
+    let mut cut = build(BufferRecorder::new());
+    cut.run_until(barrier);
+    let snap = cut.snapshot().expect("run_until leaves a clean barrier");
+    let mut resumed = E::restore(snap, cut.into_recorder()).expect("snapshot restores cleanly");
+    resumed.run_until(end);
+    assert_eq!(
+        times(&base),
+        times(&resumed),
+        "{label}: iteration times diverged"
+    );
+    assert_eq!(
+        base.recorder().events(),
+        resumed.recorder().events(),
+        "{label}: telemetry stream diverged after restore"
+    );
 }
 
 #[test]
@@ -109,11 +103,11 @@ fn rate_round_trips_byte_identical_across_seeds_and_profiles() {
         for (j, job) in jobs.iter_mut().enumerate() {
             job.noise = plan.noise[j];
         }
-        round_trip!(
-            RateSimulator<&mut BufferRecorder>,
-            format!("rate/{profile}/s{seed}"),
-            rec,
-            RateSimulator::with_recorder(RateSimConfig::default(), &jobs, rec)
+        round_trip(
+            &format!("rate/{profile}/s{seed}"),
+            |rec| RateSimulator::with_recorder(RateSimConfig::default(), &jobs, rec),
+            BARRIER,
+            END,
         );
     }
 }
@@ -135,11 +129,11 @@ fn packet_round_trips_byte_identical_across_seeds_and_profiles() {
         for (j, job) in jobs.iter_mut().enumerate() {
             job.noise = plan.noise[j];
         }
-        round_trip!(
-            PacketSimulator<&mut BufferRecorder>,
-            format!("packet/{profile}/s{seed}"),
-            rec,
-            PacketSimulator::with_recorder(PacketSimConfig::default(), &jobs, rec)
+        round_trip(
+            &format!("packet/{profile}/s{seed}"),
+            |rec| PacketSimulator::with_recorder(PacketSimConfig::default(), &jobs, rec),
+            BARRIER,
+            END,
         );
     }
 }
@@ -149,28 +143,18 @@ fn fluid_round_trips_byte_identical_across_seeds_and_profiles() {
     for (profile, seed) in GRID {
         let plan = noise_plan(profile, seed);
         let d = dumbbell(2, LINE, LINE, Dur::ZERO);
-        let t = &d.topology;
         let spec = JobSpec::reference(Model::ResNet50, 400);
-        let mut jobs: Vec<FluidJob> = (0..2)
-            .map(|i| {
-                let path = t
-                    .route(topology::FlowKey {
-                        src: d.left_hosts[i],
-                        dst: d.right_hosts[i],
-                        tag: 0,
-                    })
-                    .unwrap();
-                FluidJob::single_path(spec, path.links().to_vec())
+        let jobs: Vec<FluidJob> = (0..2)
+            .map(|i| FluidJob {
+                noise: plan.noise[i],
+                ..FluidJob::single_path(spec, d.pair_links(i))
             })
             .collect();
-        for (j, job) in jobs.iter_mut().enumerate() {
-            job.noise = plan.noise[j];
-        }
-        round_trip!(
-            FluidSimulator<&mut BufferRecorder>,
-            format!("fluid/{profile}/s{seed}"),
-            rec,
-            FluidSimulator::with_recorder(t, FluidConfig::fair(), &jobs, rec)
+        round_trip(
+            &format!("fluid/{profile}/s{seed}"),
+            |rec| FluidSimulator::with_recorder(&d.topology, FluidConfig::fair(), &jobs, rec),
+            BARRIER,
+            END,
         );
     }
 }
@@ -199,13 +183,11 @@ proptest! {
         for (j, job) in jobs.iter_mut().enumerate() {
             job.noise = plan.noise[j];
         }
-        round_trip!(
-            RateSimulator<&mut BufferRecorder>,
-            format!("rate/prop/s{seed}/b{barrier_ms}ms"),
-            rec,
-            RateSimulator::with_recorder(RateSimConfig::default(), &jobs, rec),
+        round_trip(
+            &format!("rate/prop/s{seed}/b{barrier_ms}ms"),
+            |rec| RateSimulator::with_recorder(RateSimConfig::default(), &jobs, rec),
             Time::ZERO + Dur::from_millis(barrier_ms),
-            END
+            END,
         );
     }
 
@@ -217,30 +199,18 @@ proptest! {
     ) {
         let plan = noise_plan(if straggle { "stragglers" } else { "none" }, seed);
         let d = dumbbell(2, LINE, LINE, Dur::ZERO);
-        let t = &d.topology;
         let spec = JobSpec::reference(Model::ResNet50, 400);
-        let mut jobs: Vec<FluidJob> = (0..2)
-            .map(|i| {
-                let path = t
-                    .route(topology::FlowKey {
-                        src: d.left_hosts[i],
-                        dst: d.right_hosts[i],
-                        tag: 0,
-                    })
-                    .unwrap();
-                FluidJob::single_path(spec, path.links().to_vec())
+        let jobs: Vec<FluidJob> = (0..2)
+            .map(|i| FluidJob {
+                noise: plan.noise[i],
+                ..FluidJob::single_path(spec, d.pair_links(i))
             })
             .collect();
-        for (j, job) in jobs.iter_mut().enumerate() {
-            job.noise = plan.noise[j];
-        }
-        round_trip!(
-            FluidSimulator<&mut BufferRecorder>,
-            format!("fluid/prop/s{seed}/b{barrier_ms}ms"),
-            rec,
-            FluidSimulator::with_recorder(t, FluidConfig::fair(), &jobs, rec),
+        round_trip(
+            &format!("fluid/prop/s{seed}/b{barrier_ms}ms"),
+            |rec| FluidSimulator::with_recorder(&d.topology, FluidConfig::fair(), &jobs, rec),
             Time::ZERO + Dur::from_millis(barrier_ms),
-            END
+            END,
         );
     }
 }
@@ -277,22 +247,22 @@ fn zoo_variant_controllers_round_trip_byte_identical() {
             RateJob::new(spec, variants[1]),
         ];
         jobs[1].start_offset = Dur::from_millis(15);
-        round_trip!(
-            RateSimulator<&mut BufferRecorder>,
-            format!("rate/zoo-pair{p}"),
-            rec,
-            RateSimulator::with_recorder(RateSimConfig::default(), &jobs, rec)
+        round_trip(
+            &format!("rate/zoo-pair{p}"),
+            |rec| RateSimulator::with_recorder(RateSimConfig::default(), &jobs, rec),
+            BARRIER,
+            END,
         );
         let mut jobs = [
             PacketJob::new(spec, variants[0]),
             PacketJob::new(spec, variants[1]),
         ];
         jobs[1].start_offset = Dur::from_millis(15);
-        round_trip!(
-            PacketSimulator<&mut BufferRecorder>,
-            format!("packet/zoo-pair{p}"),
-            rec,
-            PacketSimulator::with_recorder(PacketSimConfig::default(), &jobs, rec)
+        round_trip(
+            &format!("packet/zoo-pair{p}"),
+            |rec| PacketSimulator::with_recorder(PacketSimConfig::default(), &jobs, rec),
+            BARRIER,
+            END,
         );
     }
     // Swift is rate-engine only (delay-based; no packet marking model).
@@ -300,11 +270,11 @@ fn zoo_variant_controllers_round_trip_byte_identical() {
         target_delay: Dur::from_micros(30),
     };
     let jobs = [RateJob::new(spec, swift), RateJob::new(spec, swift)];
-    round_trip!(
-        RateSimulator<&mut BufferRecorder>,
+    round_trip(
         "rate/zoo-swift",
-        rec,
-        RateSimulator::with_recorder(RateSimConfig::default(), &jobs, rec)
+        |rec| RateSimulator::with_recorder(RateSimConfig::default(), &jobs, rec),
+        BARRIER,
+        END,
     );
 }
 
