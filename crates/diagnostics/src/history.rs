@@ -18,6 +18,7 @@
 
 use crate::summary::{fmt_f64, RunSummary};
 use std::collections::BTreeMap;
+use telemetry::export::JsonEscaped;
 use telemetry::replay::{parse_flat_object, JsonValue};
 
 /// One appended run: which experiment, what produced it, and its metrics.
@@ -57,11 +58,11 @@ impl HistoryRecord {
     pub fn to_line(&self) -> String {
         let mut out = format!(
             "{{\"experiment\":\"{}\",\"kind\":\"{}\"",
-            esc(&self.experiment),
-            esc(&self.kind)
+            JsonEscaped(&self.experiment),
+            JsonEscaped(&self.kind)
         );
         for (k, v) in &self.metrics {
-            out.push_str(&format!(",\"{}\":{}", esc(k), fmt_f64(*v)));
+            out.push_str(&format!(",\"{}\":{}", JsonEscaped(k), fmt_f64(*v)));
         }
         out.push_str("}\n");
         out
@@ -89,10 +90,6 @@ impl HistoryRecord {
         }
         Ok(rec)
     }
-}
-
-fn esc(s: &str) -> String {
-    s.replace('\\', "\\\\").replace('"', "\\\"")
 }
 
 /// Parses a whole HISTORY.jsonl text (blank lines skipped), preserving
@@ -307,6 +304,15 @@ mod tests {
         assert_eq!(line, back.to_line(), "serialization is a fixed point");
         assert!(HistoryRecord::from_line("{\"kind\":\"bench\"}").is_err());
         assert!(HistoryRecord::from_line("{\"experiment\":3}").is_err());
+    }
+
+    #[test]
+    fn names_with_control_characters_round_trip() {
+        let mut r = HistoryRecord::new("chaos\nlinks\t\u{1} \"q\" \\", "summary");
+        r.metrics.insert("m\n\t\u{1}".to_string(), 1.5);
+        let text = r.to_line();
+        assert_eq!(text.lines().count(), 1, "{text:?}");
+        assert_eq!(parse_history(&text), Ok(vec![r]));
     }
 
     #[test]

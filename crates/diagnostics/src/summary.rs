@@ -7,6 +7,7 @@
 //! files and `diff(a, a)` is exactly clean.
 
 use std::collections::BTreeMap;
+use telemetry::export::JsonEscaped;
 use telemetry::replay::{parse_flat_object, JsonValue};
 
 /// A run's name plus a flat map of metric name → value.
@@ -44,10 +45,10 @@ impl RunSummary {
     pub fn to_json(&self) -> String {
         let mut out = String::with_capacity(64 + self.metrics.len() * 48);
         out.push_str("{\n");
-        out.push_str(&format!("\"name\":\"{}\"", esc(&self.name)));
+        out.push_str(&format!("\"name\":\"{}\"", JsonEscaped(&self.name)));
         for (k, v) in &self.metrics {
             out.push_str(",\n");
-            out.push_str(&format!("\"{}\":{}", esc(k), fmt_f64(*v)));
+            out.push_str(&format!("\"{}\":{}", JsonEscaped(k), fmt_f64(*v)));
         }
         out.push_str("\n}\n");
         out
@@ -80,10 +81,6 @@ pub(crate) fn fmt_f64(v: f64) -> String {
     } else {
         format!("{v}")
     }
-}
-
-fn esc(s: &str) -> String {
-    s.replace('\\', "\\\\").replace('"', "\\\"")
 }
 
 /// Tolerances for [`diff`]. A metric shift is flagged when it exceeds
@@ -211,6 +208,15 @@ mod tests {
         let back = RunSummary::from_json(&text).unwrap();
         assert_eq!(s, back);
         assert_eq!(text, back.to_json(), "serialization is a fixed point");
+    }
+
+    #[test]
+    fn names_with_control_characters_round_trip() {
+        let mut s = RunSummary::new("fig1/\"fair\"\n\t\u{1}\\");
+        s.put("a\nb\tc\u{1}", 2.5);
+        let text = s.to_json();
+        assert_eq!(text.lines().count(), 4, "{text:?}");
+        assert_eq!(RunSummary::from_json(&text), Ok(s));
     }
 
     #[test]
