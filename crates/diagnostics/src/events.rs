@@ -14,6 +14,21 @@ pub struct ScenarioSlice<'a> {
     pub events: &'a [TimedEvent],
 }
 
+/// Pairs every event with the scenario it belongs to: the latest
+/// `Scenario` marker at or before it (a marker opens its own scenario),
+/// or `"run"` before the first marker, the attribution of
+/// [`split_scenarios`]. Consumers that keep per-scenario state over a
+/// whole stream (the SLO watchdog, the flight dump) walk it with this.
+pub fn label_scenarios(events: &[TimedEvent]) -> impl Iterator<Item = (&str, &TimedEvent)> {
+    let mut current = "run";
+    events.iter().map(move |te| {
+        if let Event::Scenario { name } = &te.event {
+            current = name;
+        }
+        (current, te)
+    })
+}
+
 /// Splits a recorded stream at its `Scenario` markers.
 ///
 /// Events before the first marker (or the whole stream, if no markers

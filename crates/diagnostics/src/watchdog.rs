@@ -1,7 +1,7 @@
-//! Online SLO watchdog: the offline analyzers (rate health, Jain
-//! fairness, interleaving recovery) repackaged as incremental monitors
-//! that run *while* a simulation streams events, firing typed [`Alert`]s
-//! the moment a declarative rule is breached.
+//! SLO watchdog: the offline analyzers (rate health, Jain fairness,
+//! interleaving recovery) repackaged as incremental monitors that walk a
+//! recorded event stream once, in recording order, firing typed
+//! [`Alert`]s at the simulated instant a declarative rule is breached.
 //!
 //! Rules load from a flat TOML file ([`slo_from_toml_str`]):
 //!
@@ -21,13 +21,13 @@
 //!
 //! Every monitor is windowed on *simulated* time, so verdicts are
 //! deterministic: the same event stream produces the same alerts in the
-//! same order regardless of wall clock, thread count, or arrival jitter
-//! (a [`WatchdogBank`] keys monitors by scenario, and each scenario's
-//! stream is deterministic by construction). Each alert captures the
-//! scenario's flight-recorder ring at the moment it fired — the last-N
-//! events per category around the trigger.
+//! same order regardless of wall clock (a [`WatchdogBank`] keys monitors
+//! by the stream's `Scenario` markers, and a recording is the same at
+//! any worker count). Each alert captures the scenario's
+//! flight-recorder ring at the moment it fired — the last-N events per
+//! category around the trigger.
 
-use crate::events::median_dur;
+use crate::events::{label_scenarios, median_dur};
 use crate::fairness::jain_index;
 use crate::summary::fmt_f64;
 use simtime::{Dur, Time};
@@ -557,11 +557,10 @@ impl Watchdog {
 
 /// A set of per-scenario [`Watchdog`]s sharing one rule set.
 ///
-/// Feed it `(scenario, event)` pairs in any cross-scenario interleaving —
-/// per-scenario order is all that matters — or a whole recorded stream
-/// via [`WatchdogBank::observe_stream`], which tracks `Scenario` markers
-/// itself. [`WatchdogBank::into_alerts`] returns every alert in a
-/// deterministic order regardless of how scenarios' batches interleaved.
+/// Feed it a recorded stream via [`WatchdogBank::observe_stream`], which
+/// splits it on `Scenario` markers like
+/// [`crate::events::split_scenarios`]; [`WatchdogBank::into_alerts`]
+/// returns every alert in a deterministic order.
 pub struct WatchdogBank {
     rules: SloRules,
     dogs: BTreeMap<String, Watchdog>,
@@ -575,37 +574,23 @@ impl WatchdogBank {
         }
     }
 
-    pub fn observe(&mut self, scenario: &str, te: &TimedEvent) {
-        if let Some(dog) = self.dogs.get_mut(scenario) {
-            dog.observe(te);
-        } else {
-            let mut dog = Watchdog::new(scenario, self.rules.clone());
-            dog.observe(te);
-            self.dogs.insert(scenario.to_string(), dog);
-        }
-    }
-
-    /// Feeds a recorded stream, splitting on `Scenario` markers (events
-    /// before the first marker land in a scenario named `"run"`, matching
-    /// [`crate::events::split_scenarios`]).
+    /// Feeds a recorded stream, each event to its scenario's watchdog
+    /// (events before the first marker land in a scenario named `"run"`).
     pub fn observe_stream(&mut self, events: &[TimedEvent]) {
-        let mut current = "run".to_string();
-        for te in events {
-            if let Event::Scenario { name } = &te.event {
-                current = name.clone();
+        for (scenario, te) in label_scenarios(events) {
+            match self.dogs.get_mut(scenario) {
+                Some(dog) => dog.observe(te),
+                None => {
+                    let mut dog = Watchdog::new(scenario, self.rules.clone());
+                    dog.observe(te);
+                    self.dogs.insert(scenario.to_string(), dog);
+                }
             }
-            self.observe(&current, te);
         }
-    }
-
-    /// Alerts fired so far (monitoring may still be in flight).
-    pub fn alert_count(&self) -> usize {
-        self.dogs.values().map(|d| d.alerts.len()).sum()
     }
 
     /// Finishes every watchdog and returns all alerts, sorted by
-    /// (scenario, time, kind, subject) — a deterministic order even when
-    /// scenario batches arrived interleaved from parallel workers.
+    /// (scenario, time, kind, subject).
     pub fn into_alerts(mut self) -> Vec<Alert> {
         let mut out = Vec::new();
         for dog in self.dogs.values_mut() {
@@ -1038,24 +1023,17 @@ mod tests {
                 bytes: 900.0,
             },
         );
-        // Arrival order b-then-a; output is scenario-sorted a-then-b.
-        let mut bank = WatchdogBank::new(rules.clone());
-        bank.observe("b", &stream_b);
-        bank.observe("a", &stream_a);
+        // Stream order b-then-a; output is scenario-sorted a-then-b.
+        let mut bank = WatchdogBank::new(rules);
+        bank.observe_stream(&[
+            te(0, Event::Scenario { name: "b".into() }),
+            stream_b,
+            te(0, Event::Scenario { name: "a".into() }),
+            stream_a,
+        ]);
         let alerts = bank.into_alerts();
         let order: Vec<&str> = alerts.iter().map(|a| a.scenario.as_str()).collect();
         assert_eq!(order, vec!["a", "b"]);
-
-        let mut bank2 = WatchdogBank::new(rules);
-        bank2.observe_stream(&[
-            te(0, Event::Scenario { name: "a".into() }),
-            stream_a.clone(),
-            te(0, Event::Scenario { name: "b".into() }),
-            stream_b.clone(),
-        ]);
-        assert_eq!(bank2.alert_count(), 2);
-        let alerts2 = bank2.into_alerts();
-        assert_eq!(alerts2.len(), 2);
-        assert!(alerts2[0].to_jsonl().contains("\"alert\":\"queue_depth\""));
+        assert!(alerts[0].to_jsonl().contains("\"alert\":\"queue_depth\""));
     }
 }

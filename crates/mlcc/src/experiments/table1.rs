@@ -351,8 +351,8 @@ impl Table1Matrix {
 }
 
 /// Runs the paper's five groups under an arbitrary list of variant
-/// schemes, streaming telemetry into `rec` with a per-group
-/// [`Event::Scenario`] marker on each group's first scheme. Every
+/// schemes, streaming telemetry into `rec` with an [`Event::Scenario`]
+/// marker (`table1/group<N>/<scheme>`) leading each unit. Every
 /// group × scheme measurement is an independent simulation, so all run
 /// in parallel under [`parallel::jobs`] workers; markers and event
 /// stream come out identical to a serial run.
@@ -368,13 +368,13 @@ pub fn run_matrix_traced<R: ForkableRecorder>(
         .collect();
     let measured = parallel::map_traced(&mut rec, &units, |_, &(i, s), fork| {
         let group = &groups[i];
-        if R::ENABLED && s == 0 {
-            // The group marker leads the group's first unit, exactly
-            // where the serial loop records it.
+        if R::ENABLED {
+            // Every unit is a simulation of its own that starts at t = 0,
+            // so each opens its own scenario.
             fork.record(
                 Time::ZERO,
                 Event::Scenario {
-                    name: format!("table1/group{}", i + 1),
+                    name: format!("table1/group{}/{}", i + 1, schemes[s].label()),
                 },
             );
         }

@@ -13,7 +13,9 @@
 //!   JSON timeline ([`export::chrome_trace`]) viewable in Perfetto or
 //!   `chrome://tracing`;
 //! - folded into a [`Profiler`] that reports wall-clock and events/sec per
-//!   engine/component.
+//!   engine/component;
+//! - replayed from JSONL ([`parse_jsonl`]) for offline analysis, or cut
+//!   down to a [`FlightRing`] of the last events per category.
 //!
 //! Only simulation time ever enters the event stream; wall-clock readings
 //! stay in profiler spans, so recorded runs remain bit-deterministic.
@@ -29,7 +31,7 @@ pub mod span;
 pub mod table;
 
 pub use event::{span_id, span_parent, CcState, Event, Phase, SpanKind, TimedEvent};
-pub use live::{FlightRing, LiveConfig, LiveHandle, TapRecorder};
+pub use live::FlightRing;
 pub use metrics::MetricsRegistry;
 pub use profiler::Profiler;
 pub use recorder::{BufferRecorder, ForkableRecorder, NoopRecorder, Recorder, RemapRecorder};

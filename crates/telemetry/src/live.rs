@@ -1,107 +1,15 @@
-//! Live flight-recorder tap: bounded rings of recent events, mirrored out
-//! of running recorders without disturbing them.
+//! Flight recorder: a bounded ring of recent events.
 //!
-//! A [`TapRecorder`] wraps any inner [`Recorder`] and forwards every call
-//! unchanged, so the inner recording (and therefore every export, summary,
-//! and diff built from it) stays byte-identical whether or not the tap is
-//! active. When a live sink is installed ([`install`]), the tap
-//! additionally mirrors events — batched, over an [`std::sync::mpsc`]
-//! channel — to a [`LiveHandle`] that an observer thread polls while the
-//! simulation runs.
-//!
-//! The handle keeps one [`FlightRing`] per scenario: a bounded,
-//! allocation-frugal ring that retains the last N events *per category*
-//! (event kind) with deterministic oldest-first eviction, so a rare
+//! A [`FlightRing`] retains the last N events *per category* (event
+//! kind) with deterministic oldest-first eviction, so a rare
 //! `link_capacity` change survives next to thousands of `rate_change`
-//! samples. [`LiveHandle::snapshot_jsonl`] dumps the rings as JSONL on
-//! demand — the black-box flight recording around whatever just happened.
-//!
-//! Forks minted by [`ForkableRecorder::fork`] have no access to their
-//! parent (that is what makes parallel runs byte-identical), so taps
-//! discover the sink through a process-global registry: `fork()` on a
-//! worker thread picks up the installed sender exactly like the parent
-//! did. Per-sender channel FIFO keeps every scenario's mirrored stream in
-//! recording order; cross-scenario arrival order is wall-clock dependent,
-//! which is why the handle buckets by scenario before anything consumes
-//! the batches.
+//! samples. [`FlightRing::snapshot`] returns what it kept in push order:
+//! the black-box recording around whatever just happened. The SLO
+//! watchdog keeps one per scenario for alert context, and the CLI's
+//! `--flight` dump builds one per scenario over the recorded stream.
 
-use crate::event::{Event, TimedEvent};
-use crate::export;
-use crate::recorder::{ForkableRecorder, Recorder};
-use simtime::Time;
+use crate::event::TimedEvent;
 use std::collections::{BTreeMap, VecDeque};
-use std::sync::mpsc::{channel, Receiver, RecvTimeoutError, Sender, TryRecvError};
-use std::sync::Mutex;
-use std::time::Duration;
-
-/// One batch fanned in from a tap: the scenario the events belong to and
-/// the events recorded since the tap's last flush, in recording order.
-pub type Batch = (String, Vec<TimedEvent>);
-
-/// Scenario label used for events recorded before any `Scenario` marker.
-pub const UNSCOPED: &str = "run";
-
-#[derive(Clone)]
-struct SinkShared {
-    tx: Sender<Batch>,
-    flush_every: usize,
-}
-
-static SINK: Mutex<Option<SinkShared>> = Mutex::new(None);
-
-/// Tuning for an installed live sink.
-#[derive(Debug, Clone, Copy)]
-pub struct LiveConfig {
-    /// Ring capacity per event category (per scenario).
-    pub per_category: usize,
-    /// Tap-side batch size: how many mirrored events accumulate locally
-    /// before one channel send. Scenario boundaries always flush.
-    pub flush_every: usize,
-}
-
-impl Default for LiveConfig {
-    fn default() -> LiveConfig {
-        LiveConfig {
-            per_category: 64,
-            flush_every: 256,
-        }
-    }
-}
-
-/// Installs a process-global live sink and returns the receiving handle.
-///
-/// Taps created (or forked) after this call mirror into the handle.
-/// Installing replaces any previous sink; its handle starts reporting
-/// disconnection once existing taps drop.
-pub fn install(cfg: LiveConfig) -> LiveHandle {
-    let (tx, rx) = channel();
-    *SINK.lock().unwrap() = Some(SinkShared {
-        tx,
-        flush_every: cfg.flush_every.max(1),
-    });
-    LiveHandle {
-        rx,
-        per_category: cfg.per_category.max(1),
-        rings: BTreeMap::new(),
-        progress: BTreeMap::new(),
-        total: 0,
-    }
-}
-
-/// Removes the global sink. Existing taps keep their cloned senders and
-/// drain harmlessly; new taps are created inactive.
-pub fn uninstall() {
-    *SINK.lock().unwrap() = None;
-}
-
-/// Whether a live sink is currently installed.
-pub fn is_installed() -> bool {
-    SINK.lock().unwrap().is_some()
-}
-
-fn current() -> Option<SinkShared> {
-    SINK.lock().unwrap().clone()
-}
 
 /// Bounded per-category ring of recent events with deterministic
 /// oldest-first eviction.
@@ -160,253 +68,16 @@ impl FlightRing {
         tagged.sort_by_key(|(n, _)| *n);
         tagged.into_iter().map(|(_, te)| te.clone()).collect()
     }
-
-    /// The retained events as JSONL (the same format as
-    /// [`crate::export::jsonl`]).
-    pub fn snapshot_jsonl(&self) -> String {
-        export::jsonl(&self.snapshot())
-    }
-}
-
-struct TapState {
-    tx: Sender<Batch>,
-    flush_every: usize,
-    scenario: String,
-    pending: Vec<TimedEvent>,
-}
-
-impl TapState {
-    fn push(&mut self, te: TimedEvent) {
-        if let Event::Scenario { name } = &te.event {
-            // Ship the previous scenario's tail before relabeling, so a
-            // batch never spans a scenario boundary.
-            let name = name.clone();
-            self.flush();
-            self.scenario = name;
-        }
-        self.pending.push(te);
-        if self.pending.len() >= self.flush_every {
-            self.flush();
-        }
-    }
-
-    fn flush(&mut self) {
-        if self.pending.is_empty() {
-            return;
-        }
-        // A dropped receiver (sink uninstalled mid-run) just discards.
-        let _ = self
-            .tx
-            .send((self.scenario.clone(), std::mem::take(&mut self.pending)));
-    }
-}
-
-impl Drop for TapState {
-    fn drop(&mut self) {
-        self.flush();
-    }
-}
-
-/// A [`Recorder`] adapter that forwards to `inner` unchanged and, when a
-/// live sink is installed, mirrors every event into it.
-///
-/// The tap is observational only: `inner` sees the identical call
-/// sequence, so recordings are byte-identical with the tap on or off.
-/// With no sink installed the tap is a plain passthrough that performs no
-/// allocation of its own.
-pub struct TapRecorder<R> {
-    inner: R,
-    tap: Option<TapState>,
-}
-
-impl<R> TapRecorder<R> {
-    /// Wraps `inner`, attaching to the currently installed sink (if any).
-    pub fn new(inner: R) -> TapRecorder<R> {
-        let tap = current().map(|sink| TapState {
-            tx: sink.tx,
-            flush_every: sink.flush_every,
-            scenario: UNSCOPED.to_string(),
-            pending: Vec::new(),
-        });
-        TapRecorder { inner, tap }
-    }
-
-    /// Whether this tap is mirroring into a sink.
-    pub fn is_live(&self) -> bool {
-        self.tap.is_some()
-    }
-
-    pub fn inner(&self) -> &R {
-        &self.inner
-    }
-
-    /// Flushes any mirrored tail and returns the inner recorder.
-    pub fn into_inner(mut self) -> R {
-        self.tap.take(); // TapState::drop flushes
-        self.inner
-    }
-}
-
-impl<R: Recorder> Recorder for TapRecorder<R> {
-    const ENABLED: bool = R::ENABLED;
-
-    fn record(&mut self, at: Time, event: Event) {
-        if let Some(tap) = &mut self.tap {
-            tap.push(TimedEvent {
-                at,
-                event: event.clone(),
-            });
-        }
-        self.inner.record(at, event);
-    }
-
-    fn count(&mut self, name: &'static str, n: u64) {
-        self.inner.count(name, n);
-    }
-
-    fn span(&mut self, component: &'static str, wall: Duration, events: u64) {
-        self.inner.span(component, wall, events);
-    }
-}
-
-impl<R: ForkableRecorder> ForkableRecorder for TapRecorder<R>
-where
-    R::Fork: Send,
-{
-    type Fork = TapRecorder<R::Fork>;
-
-    /// Forks attach to the sink installed at fork time — forks are minted
-    /// on worker threads with no parent access, so the global registry is
-    /// the only way a parallel sweep's scenarios reach the live view.
-    fn fork() -> TapRecorder<R::Fork> {
-        TapRecorder::new(R::fork())
-    }
-
-    fn join(&mut self, fork: TapRecorder<R::Fork>) {
-        self.inner.join(fork.into_inner());
-    }
-
-    fn join_merged(&mut self, forks: Vec<TapRecorder<R::Fork>>) {
-        self.inner
-            .join_merged(forks.into_iter().map(TapRecorder::into_inner).collect());
-    }
-}
-
-/// Live progress counters for one scenario.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct ScenarioProgress {
-    /// Mirrored events seen so far.
-    pub events: u64,
-    /// Largest simulation timestamp seen so far.
-    pub last_at: Time,
-}
-
-/// Receiving end of the live sink: drains tap batches, maintains
-/// per-scenario flight rings and progress counters.
-pub struct LiveHandle {
-    rx: Receiver<Batch>,
-    per_category: usize,
-    rings: BTreeMap<String, FlightRing>,
-    progress: BTreeMap<String, ScenarioProgress>,
-    total: u64,
-}
-
-impl LiveHandle {
-    fn absorb(&mut self, batch: &Batch) {
-        let (scenario, events) = batch;
-        let ring = self
-            .rings
-            .entry(scenario.clone())
-            .or_insert_with(|| FlightRing::new(self.per_category));
-        let prog = self.progress.entry(scenario.clone()).or_default();
-        for te in events {
-            ring.push(te.clone());
-            prog.events += 1;
-            prog.last_at = prog.last_at.max(te.at);
-            self.total += 1;
-        }
-    }
-
-    /// Drains every batch currently queued without blocking. Returns the
-    /// drained batches (for downstream consumers such as a watchdog) and
-    /// whether every sender is gone and the channel is exhausted.
-    pub fn poll(&mut self) -> (Vec<Batch>, bool) {
-        let mut out = Vec::new();
-        loop {
-            match self.rx.try_recv() {
-                Ok(batch) => {
-                    self.absorb(&batch);
-                    out.push(batch);
-                }
-                Err(TryRecvError::Empty) => return (out, false),
-                Err(TryRecvError::Disconnected) => return (out, true),
-            }
-        }
-    }
-
-    /// Like [`LiveHandle::poll`], but blocks up to `wait` for the first
-    /// batch — the idle-friendly shape for an observer loop.
-    pub fn poll_timeout(&mut self, wait: Duration) -> (Vec<Batch>, bool) {
-        match self.rx.recv_timeout(wait) {
-            Ok(batch) => {
-                self.absorb(&batch);
-                let (mut rest, done) = self.poll();
-                rest.insert(0, batch);
-                (rest, done)
-            }
-            Err(RecvTimeoutError::Timeout) => (Vec::new(), false),
-            Err(RecvTimeoutError::Disconnected) => (Vec::new(), true),
-        }
-    }
-
-    /// Total mirrored events absorbed so far.
-    pub fn total_events(&self) -> u64 {
-        self.total
-    }
-
-    /// Per-scenario progress counters, keyed by scenario name.
-    pub fn progress(&self) -> &BTreeMap<String, ScenarioProgress> {
-        &self.progress
-    }
-
-    /// Per-scenario flight rings, keyed by scenario name.
-    pub fn rings(&self) -> &BTreeMap<String, FlightRing> {
-        &self.rings
-    }
-
-    /// The flight recording: every scenario's retained events (scenarios
-    /// in name order, events in recording order within each). Scenario
-    /// marker events live in the rings themselves, so the dump is a valid,
-    /// scenario-attributable JSONL stream.
-    pub fn snapshot(&self) -> Vec<TimedEvent> {
-        let mut out = Vec::new();
-        for ring in self.rings.values() {
-            out.extend(ring.snapshot());
-        }
-        out
-    }
-
-    /// [`LiveHandle::snapshot`] rendered as JSONL.
-    pub fn snapshot_jsonl(&self) -> String {
-        export::jsonl(&self.snapshot())
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::recorder::BufferRecorder;
-
-    // The sink registry is process-global; tests that install one take
-    // this lock so parallel test threads don't steal each other's taps.
-    static TEST_LOCK: Mutex<()> = Mutex::new(());
+    use crate::event::Event;
+    use simtime::Time;
 
     fn ev(flow: u32) -> Event {
         Event::EcnMark { flow }
-    }
-
-    fn scenario(name: &str) -> Event {
-        Event::Scenario { name: name.into() }
     }
 
     #[test]
@@ -435,66 +106,5 @@ mod tests {
         assert_eq!(snap.last().unwrap().event.kind(), "link_capacity");
         // Snapshot is in push order and stable across calls.
         assert_eq!(ring.snapshot(), ring.snapshot());
-    }
-
-    #[test]
-    fn tap_without_sink_is_pure_passthrough() {
-        let _guard = TEST_LOCK.lock().unwrap();
-        uninstall();
-        let mut tap = TapRecorder::new(BufferRecorder::new());
-        assert!(!tap.is_live());
-        tap.record(Time::ZERO, ev(1));
-        let inner = tap.into_inner();
-        assert_eq!(inner.len(), 1);
-    }
-
-    #[test]
-    fn tap_mirrors_batches_by_scenario_and_preserves_inner() {
-        let _guard = TEST_LOCK.lock().unwrap();
-        let mut handle = install(LiveConfig {
-            per_category: 8,
-            flush_every: 2,
-        });
-        let mut tap = TapRecorder::new(BufferRecorder::new());
-        assert!(tap.is_live());
-        tap.record(Time::ZERO, scenario("a"));
-        tap.record(Time::from_nanos(1), ev(0));
-        tap.record(Time::from_nanos(2), scenario("b"));
-        tap.record(Time::from_nanos(3), ev(1));
-        let inner = tap.into_inner(); // flushes the tail
-        uninstall();
-
-        let (batches, done) = handle.poll();
-        assert!(done, "all senders dropped, channel must report exhaustion");
-        assert!(batches.iter().all(|(s, _)| s == "a" || s == "b"));
-        assert_eq!(handle.total_events(), 4);
-        assert_eq!(handle.progress()["a"].events, 2);
-        assert_eq!(handle.progress()["b"].events, 2);
-        // The mirrored stream per scenario equals the inner recording.
-        let mirrored = handle.snapshot();
-        assert_eq!(mirrored, inner.events());
-    }
-
-    #[test]
-    fn forked_taps_attach_to_the_installed_sink() {
-        let _guard = TEST_LOCK.lock().unwrap();
-        let mut handle = install(LiveConfig::default());
-        let mut parent: TapRecorder<BufferRecorder> = TapRecorder::new(BufferRecorder::new());
-        let mut fork = <TapRecorder<BufferRecorder> as ForkableRecorder>::fork();
-        fork.record(Time::ZERO, scenario("forked"));
-        fork.record(Time::from_nanos(5), ev(3));
-        parent.join(fork);
-        let inner = parent.into_inner();
-        uninstall();
-
-        let (_, done) = handle.poll();
-        assert!(done);
-        assert_eq!(handle.total_events(), 2);
-        assert_eq!(inner.len(), 2);
-        let jsonl = handle.snapshot_jsonl();
-        assert!(jsonl.contains("forked"));
-        // The dump parses back as a normal event stream.
-        let parsed = crate::replay::parse_jsonl(&jsonl).unwrap();
-        assert_eq!(parsed.len(), 2);
     }
 }

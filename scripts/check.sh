@@ -149,21 +149,23 @@ awk -v s="$SPEEDUP" -v i="$IDENT" -v b="$SNAP_BUDGET" 'BEGIN { exit !(s >= b && 
 }
 echo "forked sweep ${SPEEDUP}x faster than replaying the prefix, byte-identical"
 
-echo "== live tap byte-identity gate (--watch --slo leaves outputs untouched) =="
-mkdir -p "$GATE/tap_plain" "$GATE/tap_live"
+echo "== watch byte-identity gate (--watch --slo --flight leave outputs untouched) =="
+# The watchdog and the flight dump read the recording after the run, so
+# turning them on must not change the trace, the summary or stdout.
+mkdir -p "$GATE/watch_off" "$GATE/watch_on"
 "$BIN" fig1 --iterations 10 \
-    --trace "$GATE/tap_plain/run.jsonl" --summary "$GATE/tap_plain/run.json" \
-    | sed "s#$GATE/tap_plain#OUT#g" > "$GATE/tap_plain/stdout.txt"
+    --trace "$GATE/watch_off/run.jsonl" --summary "$GATE/watch_off/run.json" \
+    | sed "s#$GATE/watch_off#OUT#g" > "$GATE/watch_off/stdout.txt"
 "$BIN" fig1 --iterations 10 \
-    --trace "$GATE/tap_live/run.jsonl" --summary "$GATE/tap_live/run.json" \
+    --trace "$GATE/watch_on/run.jsonl" --summary "$GATE/watch_on/run.json" \
     --watch --slo scripts/slo_default.toml --flight "$GATE/flight.jsonl" \
     2> /dev/null \
-    | sed "s#$GATE/tap_live#OUT#g" > "$GATE/tap_live/stdout.txt"
-cmp "$GATE/tap_plain/run.jsonl" "$GATE/tap_live/run.jsonl"
-diff "$GATE/tap_plain/run.json" "$GATE/tap_live/run.json"
-diff "$GATE/tap_plain/stdout.txt" "$GATE/tap_live/stdout.txt"
+    | sed "s#$GATE/watch_on#OUT#g" > "$GATE/watch_on/stdout.txt"
+cmp "$GATE/watch_off/run.jsonl" "$GATE/watch_on/run.jsonl"
+diff "$GATE/watch_off/run.json" "$GATE/watch_on/run.json"
+diff "$GATE/watch_off/stdout.txt" "$GATE/watch_on/stdout.txt"
 test -s "$GATE/flight.jsonl"
-echo "trace, summary, and stdout byte-identical with the live tap on; flight dump written"
+echo "trace, summary, and stdout byte-identical with --watch --slo --flight on; flight dump written"
 
 echo "== SLO-gated chaos run (recovery alerts within golden count) =="
 SLO_CODE=0
@@ -239,6 +241,9 @@ mkdir -p "$GATE/shard"
 cmp "$GATE/shard/s1.jsonl" "$GATE/shard/s4.jsonl"
 cmp "$GATE/shard/s1.jsonl" "$GATE/shard/s4_composed.jsonl"
 echo "sharded trace byte-identical across --shards 1/4, --jobs, --fork-at"
+# The fluid and packet runs each open a scenario, so the trace replays.
+"$BIN" report "$GATE/shard/s1.jsonl" --out "$GATE/shard/s1.html" > /dev/null
+echo "report replays the sharded trace"
 
 echo "== shard cost gate (paper-scale decomposition, BENCH_shard) =="
 "$BIN" shard --shards 4 --summary-dir "$GATE/bench" > /dev/null

@@ -64,20 +64,21 @@
 //! Results, telemetry, and every output file are byte-identical for any
 //! `N` — only the wall-clock changes. `--jobs 1` forces a serial run.
 //!
-//! ## Live observability
+//! ## Watching a run
 //!
-//! `--watch` streams periodic progress lines to **stderr** while the run
-//! executes (events mirrored, scenarios seen, alerts fired) — including
-//! for `--jobs N` parallel sweeps, whose per-scenario status fans in over
-//! the live channel. `--slo FILE.toml` loads declarative SLO rules
-//! (schema in `crates/diagnostics/src/watchdog.rs`) and evaluates them
-//! online against the event stream; any violation fires a typed alert
-//! carrying the flight-recorder context around the trigger, and the
-//! process exits with code 4. `--alerts FILE` dumps the fired alerts and
-//! their context as JSONL; `--flight FILE` dumps the full flight-recorder
-//! snapshot (last-N events per category per scenario). The live tap is
-//! purely observational: stdout and every output file stay byte-identical
-//! with or without these flags.
+//! `--slo FILE.toml` loads declarative SLO rules (schema in
+//! `crates/diagnostics/src/watchdog.rs`) and, once the experiments
+//! finish, evaluates them over the recorded event stream, one watchdog
+//! per `Scenario` marker; any violation fires a typed alert carrying the
+//! flight-recorder context around the trigger, and the process exits
+//! with code 4. `--alerts FILE` dumps the fired alerts and their context
+//! as JSONL; `--flight FILE` dumps the flight-recorder snapshot (last 64
+//! events per category per scenario). `--watch` prints a progress line
+//! to **stderr** as each experiment finishes (events recorded, scenarios
+//! seen, furthest simulated time) and a closing alert count. Both dumps
+//! read the same recording as `--trace`, so they are byte-identical at
+//! any `--jobs`, and stdout and every other output file are
+//! byte-identical with or without these flags.
 //!
 //! ```text
 //! mlcc-repro report trace.jsonl --out report.html [--summary run.json]
@@ -110,13 +111,7 @@ use std::io::Write;
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 use std::time::{Duration, Instant};
-use telemetry::live::{self, LiveConfig, LiveHandle};
-use telemetry::{BufferRecorder, Profiler, TapRecorder, TimedEvent};
-
-/// The CLI's recorder: a buffering recorder wrapped in a live tap, so the
-/// flight recorder / watchdog observe the stream as it is produced.
-/// When no live sink is installed the tap is inert passthrough.
-type CliRecorder = TapRecorder<BufferRecorder>;
+use telemetry::{BufferRecorder, Event, FlightRing, Profiler, Recorder, TimedEvent};
 
 struct Opts {
     /// Every flag given, in order, for the honoured-option check.
@@ -147,20 +142,20 @@ struct Opts {
 }
 
 impl Opts {
-    /// Any flag that needs the live event channel up.
-    fn live_enabled(&self) -> bool {
+    /// Any flag that reads the recording once the experiments finish.
+    fn watching(&self) -> bool {
         self.watch || self.slo.is_some() || self.alerts.is_some() || self.flight.is_some()
     }
 
     /// A recorder when any observability flag asked for one.
-    fn recorder(&self) -> Option<CliRecorder> {
+    fn recorder(&self) -> Option<BufferRecorder> {
         (self.trace.is_some()
             || self.metrics
             || self.profile
             || self.report.is_some()
             || self.summary.is_some()
-            || self.live_enabled())
-        .then(|| TapRecorder::new(BufferRecorder::new()))
+            || self.watching())
+        .then(BufferRecorder::new)
     }
 
     /// Sizes the worker pools `--jobs` and `--shards` ask for.
@@ -358,7 +353,7 @@ struct Experiment {
     /// Whether `all` runs it.
     in_all: bool,
     /// Runs it, writing its report to the writer.
-    run: fn(&Opts, Option<&mut CliRecorder>, &mut dyn Write) -> RunResult,
+    run: fn(&Opts, Option<&mut BufferRecorder>, &mut dyn Write) -> RunResult,
 }
 
 /// Every experiment command, in usage order; `all` runs the rows marked
@@ -600,7 +595,7 @@ fn fig1_config(o: &Opts) -> exp::fig1::Fig1Config {
     }
 }
 
-fn run_fig1(o: &Opts, rec: Option<&mut CliRecorder>, out: &mut dyn Write) -> RunResult {
+fn run_fig1(o: &Opts, rec: Option<&mut BufferRecorder>, out: &mut dyn Write) -> RunResult {
     let cfg = fig1_config(o);
     match o.fork_at {
         Some(at) => writeln!(
@@ -640,7 +635,7 @@ fn run_fig1(o: &Opts, rec: Option<&mut CliRecorder>, out: &mut dyn Write) -> Run
     Ok(m)
 }
 
-fn run_fig2(o: &Opts, rec: Option<&mut CliRecorder>, out: &mut dyn Write) -> RunResult {
+fn run_fig2(o: &Opts, rec: Option<&mut BufferRecorder>, out: &mut dyn Write) -> RunResult {
     let cfg = exp::fig2::Fig2Config {
         iterations: o.iterations.unwrap_or(6),
         ..Default::default()
@@ -661,7 +656,7 @@ fn run_fig2(o: &Opts, rec: Option<&mut CliRecorder>, out: &mut dyn Write) -> Run
     )])
 }
 
-fn run_table1(o: &Opts, rec: Option<&mut CliRecorder>, out: &mut dyn Write) -> RunResult {
+fn run_table1(o: &Opts, rec: Option<&mut BufferRecorder>, out: &mut dyn Write) -> RunResult {
     let cfg = exp::table1::Table1Config {
         iterations: o.iterations.unwrap_or(30),
         chaos: o.chaos,
@@ -712,7 +707,7 @@ fn run_table1(o: &Opts, rec: Option<&mut CliRecorder>, out: &mut dyn Write) -> R
     Ok(m)
 }
 
-fn run_variants(o: &Opts, rec: Option<&mut CliRecorder>, out: &mut dyn Write) -> RunResult {
+fn run_variants(o: &Opts, rec: Option<&mut BufferRecorder>, out: &mut dyn Write) -> RunResult {
     let mut cfg = exp::variants::VariantsConfig::default();
     cfg.fig1.iterations = o.iterations.unwrap_or(30);
     cfg.fig1.chaos = o.chaos;
@@ -761,7 +756,7 @@ fn run_variants(o: &Opts, rec: Option<&mut CliRecorder>, out: &mut dyn Write) ->
     Ok(m)
 }
 
-fn run_geometry(_: &Opts, _: Option<&mut CliRecorder>, out: &mut dyn Write) -> RunResult {
+fn run_geometry(_: &Opts, _: Option<&mut BufferRecorder>, out: &mut dyn Write) -> RunResult {
     writeln!(out, "== Figs. 3–5 ==")?;
     let f3 = exp::geometry_demo::fig3(6);
     writeln!(
@@ -798,7 +793,7 @@ fn run_geometry(_: &Opts, _: Option<&mut CliRecorder>, out: &mut dyn Write) -> R
     ])
 }
 
-fn run_ablations(_: &Opts, _: Option<&mut CliRecorder>, out: &mut dyn Write) -> RunResult {
+fn run_ablations(_: &Opts, _: Option<&mut BufferRecorder>, out: &mut dyn Write) -> RunResult {
     let r = exp::ablation::run();
     write!(out, "{}", r.render())?;
     let compatible_at = exp::ablation::SECTORS
@@ -825,7 +820,7 @@ fn run_ablations(_: &Opts, _: Option<&mut CliRecorder>, out: &mut dyn Write) -> 
     Ok(m)
 }
 
-fn run_adaptive(o: &Opts, rec: Option<&mut CliRecorder>, out: &mut dyn Write) -> RunResult {
+fn run_adaptive(o: &Opts, rec: Option<&mut BufferRecorder>, out: &mut dyn Write) -> RunResult {
     let cfg = exp::adaptive::AdaptiveConfig {
         iterations: o.iterations.unwrap_or(24),
         ..Default::default()
@@ -843,7 +838,7 @@ fn run_adaptive(o: &Opts, rec: Option<&mut CliRecorder>, out: &mut dyn Write) ->
     Ok(m)
 }
 
-fn run_priority(o: &Opts, rec: Option<&mut CliRecorder>, out: &mut dyn Write) -> RunResult {
+fn run_priority(o: &Opts, rec: Option<&mut BufferRecorder>, out: &mut dyn Write) -> RunResult {
     let cfg = exp::priority::PriorityConfig {
         iterations: o.iterations.unwrap_or(20),
         ..Default::default()
@@ -863,7 +858,7 @@ fn run_priority(o: &Opts, rec: Option<&mut CliRecorder>, out: &mut dyn Write) ->
     Ok(m)
 }
 
-fn run_flowsched(o: &Opts, rec: Option<&mut CliRecorder>, out: &mut dyn Write) -> RunResult {
+fn run_flowsched(o: &Opts, rec: Option<&mut BufferRecorder>, out: &mut dyn Write) -> RunResult {
     let cfg = exp::flowsched::FlowschedConfig {
         iterations: o.iterations.unwrap_or(20),
         ..Default::default()
@@ -880,7 +875,7 @@ fn run_flowsched(o: &Opts, rec: Option<&mut CliRecorder>, out: &mut dyn Write) -
     Ok(m)
 }
 
-fn run_pipelining(o: &Opts, rec: Option<&mut CliRecorder>, out: &mut dyn Write) -> RunResult {
+fn run_pipelining(o: &Opts, rec: Option<&mut BufferRecorder>, out: &mut dyn Write) -> RunResult {
     let cfg = exp::pipelining::PipeliningConfig {
         iterations: o.iterations.unwrap_or(16),
         ..Default::default()
@@ -894,7 +889,7 @@ fn run_pipelining(o: &Opts, rec: Option<&mut CliRecorder>, out: &mut dyn Write) 
     ])
 }
 
-fn run_cluster(o: &Opts, rec: Option<&mut CliRecorder>, out: &mut dyn Write) -> RunResult {
+fn run_cluster(o: &Opts, rec: Option<&mut BufferRecorder>, out: &mut dyn Write) -> RunResult {
     let cfg = exp::cluster::ClusterConfig {
         iterations: o.iterations.unwrap_or(16),
         ..Default::default()
@@ -922,7 +917,7 @@ fn chaos_config(o: &Opts) -> exp::chaos::ChaosSweepConfig {
     }
 }
 
-fn run_chaos(o: &Opts, rec: Option<&mut CliRecorder>, out: &mut dyn Write) -> RunResult {
+fn run_chaos(o: &Opts, rec: Option<&mut BufferRecorder>, out: &mut dyn Write) -> RunResult {
     let cfg = chaos_config(o);
     writeln!(
         out,
@@ -972,7 +967,7 @@ fn run_chaos(o: &Opts, rec: Option<&mut CliRecorder>, out: &mut dyn Write) -> Ru
 /// two telemetry streams, and reports the wall-clock speedup. The
 /// `speedup` and `byte_identical` metrics in `BENCH_snapshot.json` are
 /// the gate for the snapshot/restore machinery.
-fn run_snapshot_bench(o: &Opts, _: Option<&mut CliRecorder>, out: &mut dyn Write) -> RunResult {
+fn run_snapshot_bench(o: &Opts, _: Option<&mut BufferRecorder>, out: &mut dyn Write) -> RunResult {
     let cfg = exp::chaos::ChaosSweepConfig {
         seeds: vec![6, 16, 25, 33],
         profiles: ["none", "stragglers", "links", "signal"]
@@ -1054,7 +1049,7 @@ fn shard_config(o: &Opts) -> exp::shard::ShardConfig {
 /// streams at 1 vs N workers are byte-compared (`byte_identical`). With a
 /// recorder attached (`--trace`), the sharded runs record into it, so
 /// traces at different `--shards` values can be diffed externally.
-fn run_shard_bench(o: &Opts, rec: Option<&mut CliRecorder>, out: &mut dyn Write) -> RunResult {
+fn run_shard_bench(o: &Opts, rec: Option<&mut BufferRecorder>, out: &mut dyn Write) -> RunResult {
     let cfg = shard_config(o);
     let threads = mlcc::parallel::shards();
     let fluid = exp::shard::build_fluid(&cfg);
@@ -1155,10 +1150,17 @@ fn run_shard_bench(o: &Opts, rec: Option<&mut CliRecorder>, out: &mut dyn Write)
         one.events().len(),
     )?;
 
-    // With observability flags up, feed the sharded runs through the tap
-    // so --trace/--summary reflect exactly what `--shards N` produces.
+    // With observability flags up, record the sharded runs so
+    // --trace/--summary reflect exactly what `--shards N` produces. Both
+    // start at t = 0, so each opens a scenario of its own.
     if let Some(rec) = rec {
+        let mark = |rec: &mut BufferRecorder, name: &str| {
+            let name = format!("shard/{name}");
+            rec.record(simtime::Time::ZERO, Event::Scenario { name });
+        };
+        mark(rec, "fluid");
         exp::shard::run_fluid_sharded(&fluid, &cfg, rec, threads);
+        mark(rec, "packet");
         exp::shard::run_packet_sharded(&packet, &cfg, rec, threads);
     }
 
@@ -1226,7 +1228,7 @@ fn cmd_report(args: &[String]) -> Result<(), String> {
     let out = out.unwrap_or_else(|| trace.with_extension("html"));
     // Offline reports hash the trace content itself — there is no CLI run
     // configuration to hash — and feed the same cross-run warehouse as
-    // live `--summary` runs, so trend analysis sees both.
+    // experiment `--summary` runs, so trend analysis sees both.
     write_analysis(
         &run_name,
         &events,
@@ -1268,9 +1270,9 @@ fn cmd_explain(args: &[String]) -> Result<bool, String> {
     let events: Vec<TimedEvent>;
     let name: String;
     if let Some(row) = row {
-        let mut rec = TapRecorder::new(BufferRecorder::new());
+        let mut rec = BufferRecorder::new();
         (row.run)(&opts, Some(&mut rec), &mut std::io::sink()).map_err(|e| e.to_string())?;
-        events = rec.into_inner().events().to_vec();
+        events = rec.events().to_vec();
         name = target.clone();
         if row.name == "fig1" {
             let p = exp::fig1::predicted_overlap(&fig1_config(&opts));
@@ -1570,101 +1572,96 @@ fn cmd_trend(args: &[String]) -> Result<bool, String> {
     }
 }
 
-/// What the watcher thread hands back once the live channel drains: the
-/// flight-recorder state and every alert the watchdog fired.
-struct WatchOutcome {
-    handle: LiveHandle,
-    alerts: Vec<Alert>,
+/// Events per category per scenario that the `--flight` dump keeps.
+const FLIGHT_PER_CATEGORY: usize = 64;
+
+/// The flight recording of a stream: one [`FlightRing`] per scenario
+/// (split on `Scenario` markers, each marker inside the scenario it
+/// opens), scenarios in name order, events in recording order within
+/// each.
+fn flight_recording(events: &[TimedEvent]) -> Vec<TimedEvent> {
+    let mut rings: std::collections::BTreeMap<&str, FlightRing> = Default::default();
+    for (scenario, te) in diagnostics::events::label_scenarios(events) {
+        rings
+            .entry(scenario)
+            .or_insert_with(|| FlightRing::new(FLIGHT_PER_CATEGORY))
+            .push(te.clone());
+    }
+    rings.values().flat_map(FlightRing::snapshot).collect()
 }
 
-/// Spawns the observer thread: drains live batches, feeds the watchdog,
-/// and (in `--watch` mode) prints periodic progress lines to stderr.
-/// Returns when every tap sender is gone and the channel is exhausted.
-fn spawn_watcher(
-    mut handle: LiveHandle,
-    mut bank: Option<WatchdogBank>,
-    watch: bool,
-) -> std::thread::JoinHandle<WatchOutcome> {
-    std::thread::Builder::new()
-        .name("mlcc-watch".to_string())
-        .spawn(move || {
-            let mut last_line = Instant::now();
-            let started = Instant::now();
-            loop {
-                let (batches, done) = handle.poll_timeout(Duration::from_millis(50));
-                if let Some(bank) = bank.as_mut() {
-                    for (scenario, events) in &batches {
-                        for te in events {
-                            bank.observe(scenario, te);
-                        }
-                    }
-                }
-                if watch && (done || last_line.elapsed() >= Duration::from_millis(200)) {
-                    last_line = Instant::now();
-                    let furthest = handle
-                        .progress()
-                        .iter()
-                        .max_by(|(_, a), (_, b)| a.last_at.cmp(&b.last_at))
-                        .map(|(name, p)| {
-                            format!(" · furthest {name} @ {:.1}ms", p.last_at.as_millis_f64())
-                        })
-                        .unwrap_or_default();
-                    let alerts = match bank.as_ref().map(|b| b.alert_count()) {
-                        Some(n) => format!(" · {n} alert(s)"),
-                        None => String::new(),
-                    };
-                    eprintln!(
-                        "[watch {:5.1}s] {} events · {} scenarios{furthest}{alerts}",
-                        started.elapsed().as_secs_f64(),
-                        handle.total_events(),
-                        handle.progress().len(),
-                    );
-                }
-                if done {
-                    break;
-                }
-            }
-            let alerts = bank.map(WatchdogBank::into_alerts).unwrap_or_default();
-            WatchOutcome { handle, alerts }
-        })
-        .expect("spawn watcher thread")
+/// How far a recording has got: its scenario count and the scenario
+/// holding the furthest simulated timestamp.
+fn progress(events: &[TimedEvent]) -> (usize, Option<(&str, simtime::Time)>) {
+    let mut scenarios = std::collections::BTreeSet::new();
+    let mut furthest: Option<(&str, simtime::Time)> = None;
+    for (scenario, te) in diagnostics::events::label_scenarios(events) {
+        scenarios.insert(scenario);
+        if furthest.is_none_or(|(_, at)| te.at >= at) {
+            furthest = Some((scenario, te.at));
+        }
+    }
+    (scenarios.len(), furthest)
 }
 
-/// Finalizes the live side of a run: writes `--flight` / `--alerts`
-/// dumps, renders alerts to stderr, and says whether an SLO was breached.
-fn finish_live(opts: &Opts, outcome: &WatchOutcome) -> Result<bool, String> {
-    for alert in &outcome.alerts {
+/// The `--watch` line for a finished experiment row.
+fn watch_line(started: Instant, row: &str, rec: &BufferRecorder) {
+    let (scenarios, furthest) = progress(rec.events());
+    let furthest = furthest
+        .map(|(name, at)| format!(" · furthest {name} @ {:.1}ms", at.as_millis_f64()))
+        .unwrap_or_default();
+    eprintln!(
+        "[watch {:5.1}s] {row} done: {} events · {scenarios} scenarios{furthest}",
+        started.elapsed().as_secs_f64(),
+        rec.len(),
+    );
+}
+
+/// Runs the `--slo` watchdog over the recording, writes the `--flight`
+/// and `--alerts` dumps, and renders alerts to stderr. Returns the
+/// number of SLO breaches.
+fn finish_watch(opts: &Opts, rec: &BufferRecorder) -> Result<usize, String> {
+    let alerts: Vec<Alert> = match &opts.slo {
+        Some(rules) => {
+            let mut bank = WatchdogBank::new(rules.clone());
+            bank.observe_stream(rec.events());
+            bank.into_alerts()
+        }
+        None => Vec::new(),
+    };
+    for alert in &alerts {
         eprintln!("ALERT {}", alert.render());
     }
     if opts.watch {
         eprintln!(
             "[watch] done: {} events across {} scenarios, {} alert(s)",
-            outcome.handle.total_events(),
-            outcome.handle.progress().len(),
-            outcome.alerts.len()
+            rec.len(),
+            progress(rec.events()).0,
+            alerts.len()
         );
     }
     if let Some(path) = &opts.flight {
-        write_file(path, &outcome.handle.snapshot_jsonl())?;
+        let flight = flight_recording(rec.events());
+        write_file(path, &telemetry::export::jsonl(&flight))?;
         eprintln!(
             "wrote {} (flight-recorder snapshot, {} events)",
             path.display(),
-            outcome.handle.snapshot().len()
+            flight.len()
         );
     }
     if let Some(path) = &opts.alerts {
         let mut content = String::new();
-        for alert in &outcome.alerts {
+        for alert in &alerts {
             content.push_str(&alert.to_jsonl());
         }
         write_file(path, &content)?;
         eprintln!(
             "wrote {} ({} alert(s) with flight-recorder context)",
             path.display(),
-            outcome.alerts.len()
+            alerts.len()
         );
     }
-    Ok(opts.slo.is_some() && !outcome.alerts.is_empty())
+    Ok(alerts.len())
 }
 
 fn usage() -> ExitCode {
@@ -1767,18 +1764,10 @@ fn main() -> ExitCode {
         }
     };
     opts.apply_parallelism();
-    // The live sink must be installed before the recorder is created (and
-    // before any worker forks), so every tap picks it up.
-    let watcher = if opts.live_enabled() {
-        let handle = live::install(LiveConfig::default());
-        let bank = opts.slo.clone().map(WatchdogBank::new);
-        Some(spawn_watcher(handle, bank, opts.watch))
-    } else {
-        None
-    };
     let mut rec = opts.recorder();
     // Runs each experiment, timing it and writing its bench summary. A
     // failed experiment stops `all`; the first error sets the exit code.
+    let started = Instant::now();
     let mut failure: Option<String> = None;
     for row in &rows {
         let start = Instant::now();
@@ -1796,43 +1785,26 @@ fn main() -> ExitCode {
                 break;
             }
         }
-    }
-    // Unwrap the tap (flushing its final batch), tear down the global
-    // sink so the channel disconnects, then collect the watcher's
-    // verdict. Order matters: the watcher only exits once every sender —
-    // the tap's and the global registration's — is gone.
-    let rec: Option<BufferRecorder> = rec.map(TapRecorder::into_inner);
-    let outcome = match watcher {
-        Some(w) => {
-            live::uninstall();
-            match w.join() {
-                Ok(outcome) => Some(outcome),
-                Err(_) => {
-                    eprintln!("error: watcher thread panicked");
-                    return ExitCode::FAILURE;
-                }
-            }
+        if let Some(rec) = rec.as_ref().filter(|_| opts.watch) {
+            watch_line(started, row.name, rec);
         }
-        None => None,
-    };
+    }
     if let Some(e) = failure {
         eprintln!("error: {e}");
         return ExitCode::FAILURE;
     }
-    if let Some(rec) = &rec {
-        if let Err(e) = report(cmd, &opts, rec) {
-            eprintln!("error: {e}");
-            return ExitCode::FAILURE;
-        }
+    let Some(rec) = &rec else {
+        return ExitCode::SUCCESS;
+    };
+    if let Err(e) = report(cmd, &opts, rec) {
+        eprintln!("error: {e}");
+        return ExitCode::FAILURE;
     }
-    if let Some(outcome) = &outcome {
-        match finish_live(&opts, outcome) {
-            Ok(false) => {}
-            Ok(true) => {
-                eprintln!(
-                    "SLO breach: {} alert(s); exiting with code 4",
-                    outcome.alerts.len()
-                );
+    if opts.watching() {
+        match finish_watch(&opts, rec) {
+            Ok(0) => {}
+            Ok(breaches) => {
+                eprintln!("SLO breach: {breaches} alert(s); exiting with code 4");
                 return ExitCode::from(4);
             }
             Err(e) => {

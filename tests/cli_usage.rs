@@ -4,7 +4,8 @@
 //! statistics from, an option the experiment does not honour, a fork
 //! point at or past the run's horizon, a `--chaos-seed` with no fault
 //! profile to seed, and a `--chaos` or `--slo` file with a value that
-//! would panic later or quietly mean nothing.
+//! would panic later or quietly mean nothing. What it does run, it
+//! records deterministically: the `--slo` dumps match at any `--jobs`.
 
 use std::process::{Command, Output};
 
@@ -248,5 +249,64 @@ fn unwritable_csv_dir_is_an_error_not_a_panic() {
     assert!(
         stderr.contains("error:") && stderr.contains(blocker.to_str().unwrap()),
         "{stderr}"
+    );
+}
+
+/// `--alerts` and `--flight` are read off the recording, so they are
+/// byte-identical at any `--jobs`, and every Table 1 simulation opens a
+/// scenario of its own, so `report` replays the same run's trace.
+#[test]
+fn table1_slo_dumps_match_across_jobs_and_its_trace_replays() {
+    let dir = std::env::temp_dir().join(format!("mlcc_cli_slo_{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let slo = dir.join("slo.toml");
+    std::fs::write(
+        &slo,
+        "rate_cv_max = 0.3\nmin_jain = 0.9\nmax_queue_bytes = 100000\n\
+         max_time_to_reinterleave_s = 0.05\n",
+    )
+    .unwrap();
+    let path = |name: &str| dir.join(name).to_str().unwrap().to_string();
+    let run = |jobs: &str| {
+        let out = mlcc_repro(&[
+            "table1",
+            "--iterations",
+            "1",
+            "--jobs",
+            jobs,
+            "--slo",
+            &path("slo.toml"),
+            "--alerts",
+            &path(&format!("alerts_j{jobs}.jsonl")),
+            "--flight",
+            &path(&format!("flight_j{jobs}.jsonl")),
+            "--trace",
+            &path(&format!("trace_j{jobs}.jsonl")),
+        ]);
+        let stderr = String::from_utf8_lossy(&out.stderr).into_owned();
+        assert_eq!(out.status.code(), Some(4), "--jobs {jobs}: {stderr}");
+    };
+    run("1");
+    run("4");
+    let read = |name: &str| std::fs::read(dir.join(name)).unwrap();
+    let (alerts, flight) = (read("alerts_j1.jsonl"), read("flight_j1.jsonl"));
+    let report = mlcc_repro(&[
+        "report",
+        &path("trace_j1.jsonl"),
+        "--out",
+        &path("report.html"),
+    ]);
+    let same = (
+        alerts == read("alerts_j4.jsonl"),
+        flight == read("flight_j4.jsonl"),
+    );
+    let _ = std::fs::remove_dir_all(&dir);
+    assert!(!alerts.is_empty() && !flight.is_empty());
+    assert_eq!(same, (true, true), "(alerts, flight) equal at --jobs 1/4");
+    assert_eq!(
+        report.status.code(),
+        Some(0),
+        "{}",
+        String::from_utf8_lossy(&report.stderr)
     );
 }
