@@ -323,3 +323,59 @@ fn fork_at_composes_with_sharding_under_chaos() {
         );
     }
 }
+
+/// FNV-1a over a fluid recording's JSONL export, then over every job's
+/// phase exits in recording order (job, iteration, nanosecond).
+fn fluid_fingerprint(rec: &BufferRecorder) -> u64 {
+    let mut h = simtime::hash::Fnv64::new();
+    h.write(telemetry::export::jsonl(rec.events()).as_bytes());
+    for e in rec.events() {
+        if let Event::PhaseExit { job, iteration, .. } = e.event {
+            h.write_u64(u64::from(job));
+            h.write_u64(iteration);
+            h.write_u64(e.at.as_nanos());
+        }
+    }
+    h.finish()
+}
+
+/// Pins the fluid engine's output bit for bit on three sources: small
+/// `build_fluid` clusters quiet and under chaos, and the `cluster` and
+/// `pipelining` experiments' recorded runs. The two-second budget puts
+/// the `links` profile's capacity windows inside the run, so some links
+/// change capacity while jobs communicate. An engine speedup that claims
+/// to perform the same float operations must leave every hash as it is.
+#[test]
+fn fluid_recordings_are_pinned() {
+    let mut got = Vec::new();
+    for profile in ["none", "stragglers", "links"] {
+        let cfg = ShardConfig {
+            budget: Dur::from_secs(2),
+            ..small(profile, 3, 3, 4)
+        };
+        let (res, rec) = run_fluid_unsharded(&build_fluid(&cfg), &cfg, BufferRecorder::new());
+        assert!(res.completed, "{profile}");
+        let changes = rec
+            .events()
+            .iter()
+            .filter(|e| matches!(e.event, Event::LinkCapacity { .. }))
+            .count();
+        assert_eq!(changes > 0, profile == "links", "{profile}: {changes}");
+        got.push((profile, fluid_fingerprint(&rec)));
+    }
+    let mut rec = BufferRecorder::new();
+    mlcc::experiments::cluster::try_run_traced(&Default::default(), &mut rec)
+        .expect("the default cluster stream places");
+    got.push(("cluster", fluid_fingerprint(&rec)));
+    let mut rec = BufferRecorder::new();
+    mlcc::experiments::pipelining::run_traced(&Default::default(), &mut rec);
+    got.push(("pipelining", fluid_fingerprint(&rec)));
+    let want = [
+        ("none", 1299286059613309693),
+        ("stragglers", 14993265665067887224),
+        ("links", 9049110715791890895),
+        ("cluster", 17206948253286027140),
+        ("pipelining", 1955189470609050227),
+    ];
+    assert_eq!(got, want);
+}
