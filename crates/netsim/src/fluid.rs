@@ -214,6 +214,11 @@ struct FlowArena {
     /// `links[link_off[f] .. link_off[f+1]]`.
     links: Vec<usize>,
     link_off: Vec<u32>,
+    /// The same lists cut to the links the owning component's solves run
+    /// over, numbered by position in [`Component::solved`]; flow `f`
+    /// crosses `solve_links[solve_off[f] .. solve_off[f+1]]`.
+    solve_links: Vec<usize>,
+    solve_off: Vec<u32>,
 }
 
 impl FlowArena {
@@ -223,6 +228,10 @@ impl FlowArena {
 
     fn links_of(&self, f: usize) -> &[usize] {
         &self.links[self.link_off[f] as usize..self.link_off[f + 1] as usize]
+    }
+
+    fn solve_links_of(&self, f: usize) -> &[usize] {
+        &self.solve_links[self.solve_off[f] as usize..self.solve_off[f + 1] as usize]
     }
 
     fn flow_count(&self) -> usize {
@@ -247,13 +256,18 @@ impl FlowArena {
                 what: "flow arena column lengths disagree",
             });
         }
-        if self.link_off.len() != n + 1
-            || *self.link_off.last().unwrap() as usize != self.links.len()
-            || self.link_off.windows(2).any(|w| w[0] > w[1])
-        {
-            return Err(SnapshotError::Malformed {
-                what: "flow arena link offsets",
-            });
+        for (off, links) in [
+            (&self.link_off, &self.links),
+            (&self.solve_off, &self.solve_links),
+        ] {
+            if off.len() != n + 1
+                || *off.last().unwrap() as usize != links.len()
+                || off.windows(2).any(|w| w[0] > w[1])
+            {
+                return Err(SnapshotError::Malformed {
+                    what: "flow arena link offsets",
+                });
+            }
         }
         Ok(())
     }
@@ -265,6 +279,22 @@ impl FlowArena {
 /// traced and cached on its own, performing exactly the float operations
 /// a simulator holding only its jobs would — so a global run and a
 /// per-component sharded run agree bit for bit.
+///
+/// Its solves run over [`Component::solved`], the links that can bind:
+/// [`binding_links`] drops each link whose flows all cross another link
+/// of the same capacity, neither with a capacity schedule. Progressive
+/// filling raises both links' flows by the same level each round. The
+/// dropped link's sum of unfrozen weights stays at or below the other's
+/// (always for identical flow sets, and for nested ones when the weights
+/// are whole, see [`exact_weight_sums`]), so, float rounding being
+/// monotone, its residual stays at or above the other's. Its share is
+/// then never the minimum, and with equal saturation thresholds it
+/// cannot saturate unless the other link does: the rates are those of
+/// the full solve, bit for bit. `Priority` keeps every link, since each
+/// class re-derives thresholds from residuals, which then differ. A
+/// `MaxMin` component left with one link skips the kernel: each flow on
+/// it gets `(cap / n).min(nic).max(0.0)`, the one round
+/// `progressive_fill` performs on that input.
 #[derive(Debug, Clone)]
 struct Component {
     /// Member jobs, ascending global index.
@@ -275,6 +305,9 @@ struct Component {
     links: Vec<usize>,
     /// Current capacity of each local link, bits/s.
     capacities: Vec<f64>,
+    /// Local ids of the links the solves run over, ascending; solve link
+    /// `i` is local link `solved[i]`.
+    solved: Vec<usize>,
     /// The fluid clock: the instant this component's flows were last
     /// advanced to (never ahead of the simulator's clock).
     clock: Time,
@@ -307,6 +340,8 @@ struct Component {
     scratch: AllocScratch,
     /// Reusable solver output buffer, parallel to `active`.
     rate_buf: Vec<f64>,
+    /// Reusable capacities of the `solved` links, rebuilt per solve.
+    solve_caps: Vec<f64>,
 }
 
 impl Component {
@@ -315,6 +350,7 @@ impl Component {
             jobs,
             links,
             capacities,
+            solved: Vec::new(),
             clock: Time::ZERO,
             dirty: true,
             force_resolve: true,
@@ -324,8 +360,98 @@ impl Component {
             next_completion: None,
             scratch: AllocScratch::new(),
             rate_buf: Vec::new(),
+            solve_caps: Vec::new(),
         }
     }
+}
+
+/// The rate each of `n > 0` unit-weight flows capped at `nic` gets on one
+/// link of capacity `cap`: the single round of `progressive_fill` on that
+/// input (share `cap / n`, cut to the cap, floored at zero, added to a
+/// zero rate), after which every flow freezes at once.
+fn one_link_share(cap: f64, n: usize, nic: f64) -> f64 {
+    (cap / n as f64).min(nic).max(0.0)
+}
+
+/// Whether every weight `policy` gives `members` is a whole number no
+/// larger than 2^20, so that any sum or difference of a link's weights
+/// (fewer than 2^33 terms) is exact. With rounded weights, a flow
+/// freezing off the larger of two nested links can leave that link's
+/// weight a few ulps below the smaller one's; only identical link sets
+/// stay bit-exact then.
+fn exact_weight_sums(policy: &SharingPolicy, members: &[usize]) -> bool {
+    let whole = |w: f64| w.fract() == 0.0 && w <= 1_048_576.0;
+    match policy {
+        SharingPolicy::MaxMin => true,
+        SharingPolicy::Weighted(w) => members.iter().all(|&j| whole(w[j])),
+        SharingPolicy::Priority(_) => false,
+        SharingPolicy::Cc(vs) => members
+            .iter()
+            .all(|&j| !vs[j].wants_progress() && whole(vs[j].fluid_weight(0.0))),
+    }
+}
+
+/// The local ids of the links `comp`'s solves must run over, ascending.
+///
+/// Drops link `k` when another link `d` of equal capacity carries every
+/// flow `k` carries, neither link has a capacity schedule
+/// (`scheduled`, by global id) and no flow crosses `k` twice: if both
+/// carry the same flows, the higher id goes; if `d` carries more, `k` goes
+/// only when `strict` (see [`exact_weight_sums`]). Each dropped link has a
+/// kept link carrying all its flows, since every chain of drops ends at a
+/// link that nothing drops. Every superset of `k`'s flows contains its
+/// first flow's links, so only those are tried: with the link → flow
+/// incidence in two flat buffers (`off`, `flows`), the pass costs the
+/// incidence count times the square of the longest route.
+fn binding_links(
+    comp: &Component,
+    arena: &FlowArena,
+    scheduled: impl Fn(usize) -> bool,
+    strict: bool,
+    off: &mut Vec<u32>,
+    flows: &mut Vec<u32>,
+) -> Vec<usize> {
+    let m = comp.links.len();
+    let comp_flows = || comp.jobs.iter().flat_map(|&j| arena.job_range(j));
+    off.clear();
+    off.resize(m + 1, 0);
+    for f in comp_flows() {
+        for &k in arena.links_of(f) {
+            off[k + 1] += 1;
+        }
+    }
+    for k in 0..m {
+        off[k + 1] += off[k];
+    }
+    flows.clear();
+    flows.resize(off[m] as usize, 0);
+    // Fill each link's run through its start offset, then shift back.
+    for f in comp_flows() {
+        for &k in arena.links_of(f) {
+            flows[off[k] as usize] = f as u32;
+            off[k] += 1;
+        }
+    }
+    for k in (0..m).rev() {
+        off[k + 1] = off[k];
+    }
+    off[0] = 0;
+    let on = |k: usize| &flows[off[k] as usize..off[k + 1] as usize];
+    let dominated = |k: usize| {
+        let fs = on(k);
+        if fs.is_empty() || scheduled(comp.links[k]) || fs.windows(2).any(|w| w[0] == w[1]) {
+            return false;
+        }
+        arena.links_of(fs[0] as usize).iter().any(|&d| {
+            let wider = on(d).len() > fs.len();
+            d != k
+                && (if wider { strict } else { d < k })
+                && comp.capacities[d] == comp.capacities[k]
+                && !scheduled(comp.links[d])
+                && fs.iter().all(|&f| arena.links_of(f as usize).contains(&d))
+        })
+    };
+    (0..m).filter(|&k| !dominated(k)).collect()
 }
 
 /// Each job's component, and each link's `(component, local id)`.
@@ -623,7 +749,7 @@ impl<R: Recorder> FluidSimulator<R> {
             .iter()
             .map(|job| job.flows.iter().flat_map(|f| f.links.clone()).collect())
             .collect();
-        let comps: Vec<Component> = partition(&link_sets)
+        let mut comps: Vec<Component> = partition(&link_sets)
             .components()
             .iter()
             .map(|members| {
@@ -650,6 +776,30 @@ impl<R: Recorder> FluidSimulator<R> {
                     .binary_search(l)
                     .expect("link inside its component");
             }
+        }
+        // Cut each component to the links that can bind its solves, and
+        // each flow's list to those links, renumbered.
+        let scheduled = |l: usize| link_schedules.get(l).is_some_and(|s| !s.is_identity());
+        let (mut off, mut inc) = (Vec::new(), Vec::new());
+        for comp in &mut comps {
+            comp.solved = match &cfg.policy {
+                SharingPolicy::Priority(_) => (0..comp.links.len()).collect(),
+                policy => {
+                    let strict = exact_weight_sums(policy, &comp.jobs);
+                    binding_links(comp, &arena, scheduled, strict, &mut off, &mut inc)
+                }
+            };
+        }
+        arena.solve_off.push(0);
+        for f in 0..arena.flow_count() {
+            let comp = &comps[comp_of_job[arena.job_of[f] as usize] as usize];
+            let span = arena.link_off[f] as usize..arena.link_off[f + 1] as usize;
+            for k in &arena.links[span] {
+                if let Ok(i) = comp.solved.binary_search(k) {
+                    arena.solve_links.push(i);
+                }
+            }
+            arena.solve_off.push(arena.solve_links.len() as u32);
         }
         FluidSimulator {
             capacities,
@@ -808,16 +958,32 @@ impl<R: Recorder> FluidSimulator<R> {
     /// clock.
     ///
     /// Demands are borrowed straight from the flow states (no link-list
-    /// clones) and solved into the component's reusable scratch buffers.
-    /// If the active set is identical to the one the last solve ran over,
-    /// the rates cannot have changed and the solver is skipped entirely —
-    /// only the telemetry/trace bookkeeping below runs, so observed
-    /// streams are identical either way.
+    /// clones) over the component's [`Component::solved`] links and
+    /// solved into its reusable scratch buffers; a one-link `MaxMin`
+    /// component takes its closed form instead. If the active set is
+    /// identical to the one the last solve ran over, the rates cannot
+    /// have changed and the solver is skipped entirely — only the
+    /// telemetry/trace bookkeeping below runs, so observed streams are
+    /// identical either way.
     fn recompute_rates(&mut self, c: usize) {
         let comp = &mut self.comps[c];
         if comp.force_resolve || comp.dynamic || comp.active != comp.solved_active {
             comp.force_resolve = false;
-            {
+            for &f in &comp.solved_active {
+                self.arena.rate[f as usize] = 0.0;
+            }
+            if matches!(self.policy, SharingPolicy::MaxMin) && comp.solved.len() <= 1 {
+                let arena = &mut self.arena;
+                let on_link = |f: &&u32| !arena.solve_links_of(**f as usize).is_empty();
+                let n = comp.active.iter().filter(on_link).count();
+                let share = comp.solved.first().map_or(0.0, |&k| {
+                    one_link_share(comp.capacities[k], n, self.nic_rate)
+                });
+                for &f in &comp.active {
+                    let linked = !arena.solve_links_of(f as usize).is_empty();
+                    arena.rate[f as usize] = if linked { share } else { self.nic_rate };
+                }
+            } else {
                 let arena = &self.arena;
                 let jobs = &self.jobs;
                 let mut demands: Vec<FlowDemand<'_>> = Vec::with_capacity(comp.active.len());
@@ -832,32 +998,28 @@ impl<R: Recorder> FluidSimulator<R> {
                         }
                     };
                     demands.push(FlowDemand {
-                        links: arena.links_of(f as usize),
+                        links: arena.solve_links_of(f as usize),
                         weight,
                         priority,
                         rate_cap: self.nic_rate,
                     });
                 }
-                match &self.policy {
-                    SharingPolicy::Priority(_) => strict_priority_into(
-                        &demands,
-                        &comp.capacities,
-                        &mut comp.scratch,
-                        &mut comp.rate_buf,
-                    ),
-                    _ => weighted_max_min_into(
-                        &demands,
-                        &comp.capacities,
-                        &mut comp.scratch,
-                        &mut comp.rate_buf,
-                    ),
+                comp.solve_caps.clear();
+                let caps = comp.solved.iter().map(|&k| comp.capacities[k]);
+                comp.solve_caps.extend(caps);
+                let solve = match &self.policy {
+                    SharingPolicy::Priority(_) => strict_priority_into,
+                    _ => weighted_max_min_into,
+                };
+                solve(
+                    &demands,
+                    &comp.solve_caps,
+                    &mut comp.scratch,
+                    &mut comp.rate_buf,
+                );
+                for (k, &f) in comp.active.iter().enumerate() {
+                    self.arena.rate[f as usize] = comp.rate_buf[k];
                 }
-            }
-            for &f in &comp.solved_active {
-                self.arena.rate[f as usize] = 0.0;
-            }
-            for (k, &f) in comp.active.iter().enumerate() {
-                self.arena.rate[f as usize] = comp.rate_buf[k];
             }
             comp.solved_active.clone_from(&comp.active);
         }
@@ -1205,9 +1367,19 @@ impl FluidSnapshot {
                     return malformed("component active index unsorted or foreign");
                 }
             }
+            if comp.solved.windows(2).any(|w| w[0] >= w[1])
+                || comp.solved.last().is_some_and(|&k| k >= comp.links.len())
+            {
+                return malformed("component solve links unsorted or out of range");
+            }
             for &j in &comp.jobs {
                 for f in arena.job_range(j) {
-                    if arena.links_of(f).iter().any(|&k| k >= comp.links.len()) {
+                    if arena.links_of(f).iter().any(|&k| k >= comp.links.len())
+                        || arena
+                            .solve_links_of(f)
+                            .iter()
+                            .any(|&i| i >= comp.solved.len())
+                    {
                         return malformed("flow link outside its component");
                     }
                 }
@@ -2032,5 +2204,352 @@ mod tests {
             }
             other => panic!("wrong error: {other}"),
         }
+    }
+
+    /// One job per route, one flow each, over local links `0..caps.len()`
+    /// (global ids equal to local ones).
+    fn incidence(routes: &[Vec<usize>], caps: &[f64]) -> (Component, FlowArena) {
+        let n = routes.len();
+        let comp = Component::new(
+            (0..n).collect(),
+            (0..caps.len()).collect(),
+            caps.to_vec(),
+            false,
+        );
+        let mut arena = FlowArena {
+            flow_off: (0..=n as u32).collect(),
+            job_of: (0..n as u32).collect(),
+            link_off: vec![0],
+            ..FlowArena::default()
+        };
+        for r in routes {
+            arena.links.extend(r);
+            arena.link_off.push(arena.links.len() as u32);
+        }
+        (comp, arena)
+    }
+
+    /// Each job's allocation weight under `policy` at a random phase
+    /// progress (which only progress-sensitive variants read).
+    fn policy_weights(policy: &SharingPolicy, n: usize, rng: &mut eventsim::Rng) -> Vec<f64> {
+        (0..n)
+            .map(|j| match policy {
+                SharingPolicy::MaxMin | SharingPolicy::Priority(_) => 1.0,
+                SharingPolicy::Weighted(w) => w[j],
+                SharingPolicy::Cc(vs) => vs[j].fluid_weight(rng.f64()),
+            })
+            .collect()
+    }
+
+    /// The policies the differential test draws: plain max-min, whole and
+    /// rounded weights, and congestion-control variants (static whole,
+    /// static rounded, progress-weighted).
+    fn random_policy(n: usize, rng: &mut eventsim::Rng) -> SharingPolicy {
+        let variant = |rng: &mut eventsim::Rng| match rng.below(5) {
+            0 => CcVariant::Fair,
+            1 => CcVariant::StaticUnfair {
+                timer: Dur::from_micros(rng.range(50, 200)),
+            },
+            2 => CcVariant::Policy {
+                policy: dcqcn::FairnessPolicy::Proportional {
+                    weight: rng.range(1, 4) as f64,
+                },
+            },
+            3 => CcVariant::Mltcp { bonus: 4.0 },
+            _ => CcVariant::AdaptiveUnfair,
+        };
+        match rng.below(5) {
+            0 => SharingPolicy::MaxMin,
+            1 => SharingPolicy::Weighted((0..n).map(|_| rng.range(1, 5) as f64).collect()),
+            2 => SharingPolicy::Weighted((0..n).map(|_| rng.f64_range(0.1, 3.0)).collect()),
+            3 => SharingPolicy::Cc((0..n).map(|_| CcVariant::Fair).collect()),
+            _ => SharingPolicy::Cc((0..n).map(|_| variant(rng)).collect()),
+        }
+    }
+
+    fn demands_over<'a>(
+        lists: &'a [Vec<usize>],
+        active: &[usize],
+        weights: &[f64],
+        nic: f64,
+    ) -> Vec<FlowDemand<'a>> {
+        active
+            .iter()
+            .map(|&f| FlowDemand {
+                links: &lists[f],
+                weight: weights[f],
+                priority: 0,
+                rate_cap: nic,
+            })
+            .collect()
+    }
+
+    /// Solves random active subsets of `routes` over every link and over
+    /// the links [`binding_links`] keeps under `policy`, and requires the
+    /// same bits for every flow; a one-link `MaxMin` cut must also equal
+    /// [`one_link_share`]. Returns how many links were dropped.
+    fn assert_cut_is_exact(
+        routes: &[Vec<usize>],
+        caps: &[f64],
+        policy: &SharingPolicy,
+        nic: f64,
+        rng: &mut eventsim::Rng,
+        what: &str,
+    ) -> usize {
+        let n = routes.len();
+        let (comp, arena) = incidence(routes, caps);
+        let strict = exact_weight_sums(policy, &comp.jobs);
+        let solved = binding_links(
+            &comp,
+            &arena,
+            |_| false,
+            strict,
+            &mut Vec::new(),
+            &mut Vec::new(),
+        );
+        let cut: Vec<Vec<usize>> = routes
+            .iter()
+            .map(|r| {
+                r.iter()
+                    .filter_map(|k| solved.binary_search(k).ok())
+                    .collect()
+            })
+            .collect();
+        let cut_caps: Vec<f64> = solved.iter().map(|&k| caps[k]).collect();
+        let (mut scratch, mut full, mut pruned) = (AllocScratch::new(), Vec::new(), Vec::new());
+        for trial in 0..4 {
+            let active: Vec<usize> = (0..n)
+                .filter(|_| trial == 0 || rng.bernoulli(0.6))
+                .collect();
+            let weights = policy_weights(policy, n, rng);
+            let demands = |lists| demands_over(lists, &active, &weights, nic);
+            weighted_max_min_into(&demands(routes), caps, &mut scratch, &mut full);
+            weighted_max_min_into(&demands(&cut), &cut_caps, &mut scratch, &mut pruned);
+            let bits = |r: &[f64]| r.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+            assert_eq!(
+                bits(&full),
+                bits(&pruned),
+                "{what}: kept {solved:?} of {caps:?}"
+            );
+            if matches!(policy, SharingPolicy::MaxMin) && solved.len() == 1 {
+                let linked = active.iter().filter(|&&f| !cut[f].is_empty()).count();
+                for (k, &f) in active.iter().enumerate() {
+                    let closed = if cut[f].is_empty() {
+                        nic
+                    } else {
+                        one_link_share(cut_caps[0], linked, nic)
+                    };
+                    assert_eq!(full[k].to_bits(), closed.to_bits(), "{what}: closed form");
+                }
+            }
+        }
+        caps.len() - solved.len()
+    }
+
+    /// Random link subsets, funnels, fat-tree routes and duplicated links,
+    /// with equal and unequal capacities (some zero) under every weight
+    /// kind: the cut solve equals the full one bit for bit.
+    #[test]
+    fn cut_solves_equal_full_solves_bit_for_bit() {
+        let ft = topology::builders::fat_tree(4, LINE, Dur::ZERO);
+        let hosts: Vec<_> = ft.hosts.iter().flatten().flatten().copied().collect();
+        let mut dropped = [0usize; 4];
+        for seed in 0..300u64 {
+            let mut rng = eventsim::Rng::new(seed);
+            let cap =
+                |rng: &mut eventsim::Rng| [10e9, 10e9, 10e9, 25e9, 0.0][rng.below(5) as usize];
+            let nic = [5e9, 50e9, 1e12][rng.below(3) as usize];
+            // Random subsets of a few links.
+            let m = rng.range(1, 7) as usize;
+            let caps: Vec<f64> = (0..m).map(|_| cap(&mut rng)).collect();
+            let routes: Vec<Vec<usize>> = (0..rng.range(1, 11))
+                .map(|_| {
+                    let mask = rng.range(1, 1 << m);
+                    (0..m).filter(|k| mask >> k & 1 == 1).collect()
+                })
+                .collect();
+            // Funnels: up-link, shared link, down-link per job.
+            let jobs = rng.range(1, 17) as usize;
+            let funnel: Vec<Vec<usize>> =
+                (0..jobs).map(|j| vec![1 + 2 * j, 0, 2 + 2 * j]).collect();
+            let mut funnel_caps = vec![50e9; 1 + 2 * jobs];
+            if rng.bernoulli(0.5) {
+                funnel_caps[0] = [10e9, 100e9][rng.below(2) as usize];
+            }
+            // Fat-tree ECMP routes, renumbered densely.
+            let paths: Vec<Vec<usize>> = (0..rng.range(1, 13))
+                .map(|_| {
+                    let src = hosts[rng.below(hosts.len() as u64) as usize];
+                    let dst = hosts[rng.below(hosts.len() as u64) as usize];
+                    let all = ft.topology.ecmp_paths(src, dst);
+                    let p = &all[rng.below(all.len() as u64) as usize];
+                    p.links().iter().map(|l| l.0 as usize).collect()
+                })
+                .collect();
+            let mut used: Vec<usize> = paths.iter().flatten().copied().collect();
+            used.sort_unstable();
+            used.dedup();
+            let tree: Vec<Vec<usize>> = paths
+                .iter()
+                .map(|p| p.iter().map(|l| used.binary_search(l).unwrap()).collect())
+                .collect();
+            let tree_caps: Vec<f64> = used.iter().map(|_| cap(&mut rng)).collect();
+            // Copies of random links: same flows, same or other capacity.
+            let mut twins = routes.clone();
+            let mut twin_caps = caps.clone();
+            for _ in 0..rng.range(1, 4) {
+                let k = rng.below(m as u64) as usize;
+                let copy = twin_caps.len();
+                twin_caps.push(if rng.bernoulli(0.7) {
+                    caps[k]
+                } else {
+                    cap(&mut rng)
+                });
+                for r in &mut twins {
+                    if r.contains(&k) {
+                        r.push(copy);
+                    }
+                }
+            }
+            let shapes = [
+                ("subsets", &routes, &caps),
+                ("funnel", &funnel, &funnel_caps),
+                ("fat-tree", &tree, &tree_caps),
+                ("twins", &twins, &twin_caps),
+            ];
+            for (s, (name, routes, caps)) in shapes.into_iter().enumerate() {
+                let policy = random_policy(routes.len(), &mut rng);
+                let what = format!("seed {seed} {name} {policy:?}");
+                dropped[s] += assert_cut_is_exact(routes, caps, &policy, nic, &mut rng, &what);
+            }
+        }
+        // Every shape exercises the cut.
+        assert!(
+            dropped.iter().all(|&d| d > 0),
+            "links dropped per shape: {dropped:?}"
+        );
+    }
+
+    /// The closed form is the kernel's answer on one link for every flow
+    /// count up to 1024, with the share above and below the NIC cap and
+    /// on a dead link.
+    #[test]
+    fn one_link_share_equals_the_kernel() {
+        let mut scratch = AllocScratch::new();
+        let mut rates = Vec::new();
+        for n in 1..=1024usize {
+            for (cap, nic) in [
+                (50e9, 50e9),
+                (50e9, 1e9),
+                (0.0, 50e9),
+                (7e9, 1e12),
+                (1e12, 3e9),
+            ] {
+                let demands = vec![
+                    FlowDemand {
+                        links: &[0],
+                        weight: 1.0,
+                        priority: 0,
+                        rate_cap: nic,
+                    };
+                    n
+                ];
+                weighted_max_min_into(&demands, &[cap], &mut scratch, &mut rates);
+                let closed = one_link_share(cap, n, nic).to_bits();
+                assert!(
+                    rates.iter().all(|r| r.to_bits() == closed),
+                    "n {n} cap {cap} nic {nic}"
+                );
+            }
+        }
+    }
+
+    /// Why strict subsets need whole weights: flows 0 and 2 cross links
+    /// `A` and `B`, flow 1 crosses `B` and the dead link `C`. Once flow 1
+    /// freezes on `C`, `B`'s weight `(0.1 + 0.7 + 0.1) - 0.7` rounds below
+    /// `A`'s `0.1 + 0.1`, so `A`'s share is the smaller, and a solve
+    /// without `A` grants 5000000000.000001 where the full one grants
+    /// 5e9. [`binding_links`] keeps `A` here.
+    #[test]
+    fn nested_links_under_rounded_weights_stay_in_the_solve() {
+        let routes = vec![vec![0, 1], vec![1, 2], vec![0, 1]];
+        let caps = [10e9, 10e9, 0.0];
+        let flow = |links, weight| FlowDemand {
+            links,
+            weight,
+            priority: 0,
+            rate_cap: 1e12,
+        };
+        let full = [
+            flow(&[0, 1][..], 0.1),
+            flow(&[1, 2], 0.7),
+            flow(&[0, 1], 0.1),
+        ];
+        let cut = [flow(&[0][..], 0.1), flow(&[0, 1], 0.7), flow(&[0], 0.1)];
+        let (a, b) = (
+            crate::alloc::weighted_max_min(&full, &caps),
+            crate::alloc::weighted_max_min(&cut, &caps[1..]),
+        );
+        assert_eq!((a[0], b[0]), (5e9, 5000000000.000001));
+        let (comp, arena) = incidence(&routes, &caps);
+        let policy = SharingPolicy::Weighted(vec![0.1, 0.7, 0.1]);
+        assert!(!exact_weight_sums(&policy, &comp.jobs));
+        let keep = |strict| {
+            binding_links(
+                &comp,
+                &arena,
+                |_| false,
+                strict,
+                &mut Vec::new(),
+                &mut Vec::new(),
+            )
+        };
+        assert_eq!(keep(false), vec![0, 1, 2]);
+        assert_eq!(keep(true), vec![1, 2]);
+    }
+
+    /// A link with a capacity schedule neither goes nor keeps another out:
+    /// in a funnel whose shared link is scheduled, every up-link stays
+    /// (its twin down-link, unscheduled, still goes), and a scheduled
+    /// down-link stays beside its up-link.
+    #[test]
+    fn scheduled_links_are_never_cut_or_cutting() {
+        let routes: Vec<Vec<usize>> = (0..3).map(|j| vec![1 + 2 * j, 0, 2 + 2 * j]).collect();
+        let (comp, arena) = incidence(&routes, &[50e9; 7]);
+        let keep = |sched: &[usize]| {
+            binding_links(
+                &comp,
+                &arena,
+                |l| sched.contains(&l),
+                true,
+                &mut Vec::new(),
+                &mut Vec::new(),
+            )
+        };
+        assert_eq!(keep(&[]), vec![0]);
+        assert_eq!(keep(&[0]), vec![0, 1, 3, 5]);
+        assert_eq!(keep(&[0, 4]), vec![0, 1, 3, 4, 5]);
+    }
+
+    /// The engine cuts `fluid_cluster`'s funnel to its shared link and
+    /// keeps every link under strict priority.
+    #[test]
+    fn engine_solves_a_funnel_over_its_shared_link() {
+        let d = dumbbell(3, LINE, LINE, Dur::ZERO);
+        let spec = JobSpec::reference(Model::Vgg16, 1200);
+        let jobs: Vec<FluidJob> = (0..3)
+            .map(|i| FluidJob::single_path(spec, d.pair_links(i)))
+            .collect();
+        let fair = FluidSimulator::new(&d.topology, FluidConfig::fair(), &jobs);
+        assert_eq!(fair.comps.len(), 1);
+        assert_eq!(fair.comps[0].solved.len(), 1);
+        assert!(fair.arena.solve_links.iter().all(|&i| i == 0));
+        let cfg = FluidConfig {
+            policy: SharingPolicy::Priority(vec![0, 1, 2]),
+            ..FluidConfig::fair()
+        };
+        let prio = FluidSimulator::new(&d.topology, cfg, &jobs);
+        assert_eq!(prio.comps[0].solved.len(), prio.comps[0].links.len());
+        assert_eq!(prio.arena.solve_links, prio.arena.links);
     }
 }

@@ -33,7 +33,7 @@ cargo run --release --offline --quiet --manifest-path mlcc-bench/Cargo.toml --bi
 # stay readable by the current schema; the verdicts are printed, not
 # gated, since the records come from different runs of a shared host.
 cargo run --release --offline --quiet --manifest-path mlcc-bench/Cargo.toml --bin mlcc-bench -- \
-    compare perf/mlcc-bench-seed1.json perf/mlcc-bench-seed1-pr22.json
+    compare perf/mlcc-bench-seed1.json perf/mlcc-bench-seed1-pr24.json
 
 echo "== parallel determinism gate (--jobs 1 vs --jobs 4 byte-identical) =="
 cargo build --release -q

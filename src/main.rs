@@ -73,7 +73,8 @@
 //! flight-recorder context around the trigger, and the process exits
 //! with code 4. `--alerts FILE` dumps the fired alerts and their context
 //! as JSONL; `--flight FILE` dumps the flight-recorder snapshot (last 64
-//! events per category per scenario). `--watch` prints a progress line
+//! events per category per scenario, cut to whole spans so that `report`
+//! replays it). `--watch` prints a progress line
 //! to **stderr** as each experiment finishes (events recorded, scenarios
 //! seen, furthest simulated time) and a closing alert count. Both dumps
 //! read the same recording as `--trace`, so they are byte-identical at
@@ -1577,8 +1578,8 @@ const FLIGHT_PER_CATEGORY: usize = 64;
 
 /// The flight recording of a stream: one [`FlightRing`] per scenario
 /// (split on `Scenario` markers, each marker inside the scenario it
-/// opens), scenarios in name order, events in recording order within
-/// each.
+/// opens), each cut to whole spans so that `report` reads the dump,
+/// scenarios in name order, events in recording order within each.
 fn flight_recording(events: &[TimedEvent]) -> Vec<TimedEvent> {
     let mut rings: std::collections::BTreeMap<&str, FlightRing> = Default::default();
     for (scenario, te) in diagnostics::events::label_scenarios(events) {
@@ -1587,7 +1588,10 @@ fn flight_recording(events: &[TimedEvent]) -> Vec<TimedEvent> {
             .or_insert_with(|| FlightRing::new(FLIGHT_PER_CATEGORY))
             .push(te.clone());
     }
-    rings.values().flat_map(FlightRing::snapshot).collect()
+    rings
+        .values()
+        .flat_map(FlightRing::replayable_snapshot)
+        .collect()
 }
 
 /// How far a recording has got: its scenario count and the scenario

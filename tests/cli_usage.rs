@@ -5,7 +5,8 @@
 //! point at or past the run's horizon, a `--chaos-seed` with no fault
 //! profile to seed, and a `--chaos` or `--slo` file with a value that
 //! would panic later or quietly mean nothing. What it does run, it
-//! records deterministically: the `--slo` dumps match at any `--jobs`.
+//! records deterministically: the `--slo` dumps match at any `--jobs`,
+//! and the `--flight` dump replays.
 
 use std::process::{Command, Output};
 
@@ -309,4 +310,28 @@ fn table1_slo_dumps_match_across_jobs_and_its_trace_replays() {
         "{}",
         String::from_utf8_lossy(&report.stderr)
     );
+}
+
+/// The `--flight` dump is event JSONL that `report` reads back: its
+/// per-category rings evict span begins and ends on their own, so the
+/// dump keeps only whole spans. Without that cut, each of these dumps
+/// fails the replay's span check.
+#[test]
+fn flight_dumps_replay() {
+    let dir = std::env::temp_dir().join(format!("mlcc_cli_flight_{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    for (experiment, iterations) in [("chaos", "10"), ("table1", "5"), ("cluster", "5")] {
+        let path = dir.join(format!("{experiment}.jsonl"));
+        let path = path.to_str().unwrap();
+        let run = mlcc_repro(&[experiment, "--iterations", iterations, "--flight", path]);
+        assert!(run.status.success(), "{experiment}: {run:?}");
+        let report = mlcc_repro(&["report", path]);
+        assert_eq!(
+            report.status.code(),
+            Some(0),
+            "{experiment}: {}",
+            String::from_utf8_lossy(&report.stderr)
+        );
+    }
+    let _ = std::fs::remove_dir_all(&dir);
 }
