@@ -18,7 +18,8 @@ pub struct ScenarioSlice<'a> {
 /// `Scenario` marker at or before it (a marker opens its own scenario),
 /// or `"run"` before the first marker, the attribution of
 /// [`split_scenarios`]. Consumers that keep per-scenario state over a
-/// whole stream (the SLO watchdog, the flight dump) walk it with this.
+/// whole stream (the flight dump, the `--watch` progress line) walk it
+/// with this.
 pub fn label_scenarios(events: &[TimedEvent]) -> impl Iterator<Item = (&str, &TimedEvent)> {
     let mut current = "run";
     events.iter().map(move |te| {

@@ -27,7 +27,11 @@
 //!   serialization, diffable against a previous run with tolerance
 //!   ([`summary::diff`]) as a regression gate;
 //! - a self-contained HTML page ([`report::html`]) with SVG phase
-//!   timelines, rate sparklines, and verdict tables.
+//!   timelines, rate sparklines, and verdict tables;
+//! - SLO alerts ([`watchdog::judge`]): declarative thresholds on the
+//!   summary's own metrics and the [`recovery`] analyzer's fault
+//!   windows, so an alert cannot disagree with the summary it sits
+//!   beside.
 
 pub mod analyze;
 pub mod attribution;
@@ -53,4 +57,4 @@ pub use interleave::{audit, InterleaveReport, LinkAudit};
 pub use recovery::{recovery, FaultWindow, Incident, JobRecovery, RecoveryConfig, RecoveryReport};
 pub use report::html;
 pub use summary::{diff, DiffConfig, DiffReport, MetricShift, RunSummary};
-pub use watchdog::{slo_from_toml_str, Alert, AlertKind, SloRules, Watchdog, WatchdogBank};
+pub use watchdog::{judge, slo_from_toml_str, Alert, AlertKind, SloRules};

@@ -175,8 +175,10 @@ impl ChaosSweepConfig {
 
     /// The simulated span a cell's chaos plan covers (two nominal
     /// iterations per iteration run). A fork point must fall before it.
+    /// Saturates at [`Dur::MAX`] for absurd iteration counts.
     pub fn horizon(&self) -> Dur {
-        self.per_iter() * (self.iterations as u64 * 2)
+        let iterations = (self.iterations as u64).saturating_mul(2);
+        self.per_iter().checked_mul(iterations).unwrap_or(Dur::MAX)
     }
 
     /// Simulated-time budget of a cell perturbed by `chaos`.

@@ -82,8 +82,10 @@ impl Fig1Config {
 
     /// The simulated span a run's chaos plan covers (two nominal
     /// iterations per iteration run). A fork point must fall before it.
+    /// Saturates at [`Dur::MAX`] for absurd iteration counts.
     pub fn horizon(&self) -> Dur {
-        self.per_iter() * (self.iterations as u64 * 2)
+        let iterations = (self.iterations as u64).saturating_mul(2);
+        self.per_iter().checked_mul(iterations).unwrap_or(Dur::MAX)
     }
 
     /// Simulated-time budget of one run (scaled up under chaos).

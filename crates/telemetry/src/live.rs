@@ -4,10 +4,11 @@
 //! kind) with deterministic oldest-first eviction, so a rare
 //! `link_capacity` change survives next to thousands of `rate_change`
 //! samples. [`FlightRing::snapshot`] returns what it kept in push order:
-//! the black-box recording around whatever just happened. The SLO
-//! watchdog keeps one per scenario for alert context, and the CLI's
-//! `--flight` dump builds one per scenario over the recorded stream and
-//! takes [`FlightRing::replayable_snapshot`], which `report` can read.
+//! the black-box recording around whatever just happened. SLO verdicts
+//! walk one per scenario and snapshot it at each alert's instant for
+//! its context, and the CLI's `--flight` dump builds one per scenario
+//! over the recorded stream and takes
+//! [`FlightRing::replayable_snapshot`], which `report` can read.
 
 use crate::event::{Event, SpanKind, TimedEvent};
 use std::collections::{BTreeMap, VecDeque};

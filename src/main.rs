@@ -68,15 +68,16 @@
 //!
 //! `--slo FILE.toml` loads declarative SLO rules (schema in
 //! `crates/diagnostics/src/watchdog.rs`) and, once the experiments
-//! finish, evaluates them over the recorded event stream, one watchdog
-//! per `Scenario` marker; any violation fires a typed alert carrying the
-//! flight-recorder context around the trigger, and the process exits
-//! with code 4. `--alerts FILE` dumps the fired alerts and their context
-//! as JSONL; `--flight FILE` dumps the flight-recorder snapshot (last 64
-//! events per category per scenario, cut to whole spans so that `report`
-//! replays it). `--watch` prints a progress line
-//! to **stderr** as each experiment finishes (events recorded, scenarios
-//! seen, furthest simulated time) and a closing alert count. Both dumps
+//! finish, judges them against the analysis `--summary` writes and the
+//! recovery analyzer's fault windows, per `Scenario` marker; any
+//! violation fires a typed alert carrying the flight-recorder context up
+//! to the breach, and the process exits with code 4. `--alerts FILE`
+//! dumps the fired alerts and their context as JSONL; `--flight FILE`
+//! dumps the flight-recorder snapshot (last 64 events per category per
+//! scenario, cut to whole spans so that `report` replays it). `--watch`
+//! prints a progress line to **stderr** as each experiment finishes
+//! (events recorded, scenarios seen, furthest simulated time) and a
+//! closing alert count. Both dumps
 //! read the same recording as `--trace`, so they are byte-identical at
 //! any `--jobs`, and stdout and every other output file are
 //! byte-identical with or without these flags.
@@ -101,7 +102,7 @@
 //! quality regression beyond tolerance.
 
 use diagnostics::history::{self, HistoryRecord, TrendConfig};
-use diagnostics::watchdog::{slo_from_toml_str, Alert, SloRules, WatchdogBank};
+use diagnostics::watchdog::{slo_from_toml_str, Alert, SloRules};
 use diagnostics::{AnalysisConfig, DiffConfig, RunAnalysis, RunSummary};
 use faults::ChaosConfig;
 use mlcc::experiments as exp;
@@ -482,24 +483,19 @@ fn cli_config(cmd: &str, opts: &Opts) -> String {
     )
 }
 
-/// Analyses the events of run `name`. Writes the HTML report to `html`,
-/// announced with `html_note`, and the `RunSummary` to `summary`, stamped
-/// with the hash of `config` and appended to the HISTORY.jsonl beside it.
+/// Writes the HTML report of `analysis` to `html`, announced with
+/// `html_note`, and its `RunSummary` to `summary`, stamped with the hash
+/// of `config` and appended to the HISTORY.jsonl beside it.
 fn write_analysis(
-    name: &str,
-    events: &[TimedEvent],
+    analysis: &RunAnalysis,
     config: &str,
     html: Option<&Path>,
     summary: Option<&Path>,
-    html_note: &dyn Fn(&RunAnalysis) -> String,
+    html_note: &str,
 ) -> Result<(), String> {
-    if html.is_none() && summary.is_none() {
-        return Ok(());
-    }
-    let analysis = diagnostics::analyze(name, events, &AnalysisConfig::default());
     if let Some(path) = html {
-        write_file(path, &diagnostics::html(&analysis))?;
-        println!("wrote {} ({})", path.display(), html_note(&analysis));
+        write_file(path, &diagnostics::html(analysis))?;
+        println!("wrote {} ({html_note})", path.display());
     }
     if let Some(path) = summary {
         let mut s = analysis.summary();
@@ -512,8 +508,14 @@ fn write_analysis(
 }
 
 /// Writes the trace file, HTML report, and summary, and prints the
-/// metrics / profiler reports the flags asked for.
-fn report(cmd: &str, opts: &Opts, rec: &BufferRecorder) -> Result<(), String> {
+/// metrics / profiler reports the flags asked for. `analysis` is there
+/// when `--report`, `--summary` or `--slo` asked for one.
+fn report(
+    cmd: &str,
+    opts: &Opts,
+    rec: &BufferRecorder,
+    analysis: Option<&RunAnalysis>,
+) -> Result<(), String> {
     if let Some(path) = &opts.trace {
         let jsonl = path.extension().is_some_and(|e| e == "jsonl");
         let content = if jsonl {
@@ -533,14 +535,15 @@ fn report(cmd: &str, opts: &Opts, rec: &BufferRecorder) -> Result<(), String> {
             }
         );
     }
-    write_analysis(
-        cmd,
-        rec.events(),
-        &cli_config(cmd, opts),
-        opts.report.as_deref(),
-        opts.summary.as_deref(),
-        &|_| "HTML run report".to_string(),
-    )?;
+    if let Some(analysis) = analysis {
+        write_analysis(
+            analysis,
+            &cli_config(cmd, opts),
+            opts.report.as_deref(),
+            opts.summary.as_deref(),
+            "HTML run report",
+        )?;
+    }
     if opts.metrics {
         println!("== metrics ==");
         println!("{}", rec.metrics().render());
@@ -1195,7 +1198,8 @@ fn run_shard_bench(o: &Opts, rec: Option<&mut BufferRecorder>, out: &mut dyn Wri
 }
 
 /// `mlcc-repro report TRACE.jsonl --out FILE [--summary FILE] [--name N]`
-fn cmd_report(args: &[String]) -> Result<(), String> {
+/// — Ok(true) once written.
+fn cmd_report(args: &[String]) -> Result<bool, String> {
     let mut trace: Option<PathBuf> = None;
     let mut out: Option<PathBuf> = None;
     let mut summary: Option<PathBuf> = None;
@@ -1230,14 +1234,14 @@ fn cmd_report(args: &[String]) -> Result<(), String> {
     // Offline reports hash the trace content itself — there is no CLI run
     // configuration to hash — and feed the same cross-run warehouse as
     // experiment `--summary` runs, so trend analysis sees both.
-    write_analysis(
-        &run_name,
-        &events,
-        &text,
-        Some(&out),
-        summary.as_deref(),
-        &|a| format!("{} events, {} scenarios", events.len(), a.scenarios.len()),
-    )
+    let analysis = diagnostics::analyze(&run_name, &events, &AnalysisConfig::default());
+    let note = format!(
+        "{} events, {} scenarios",
+        events.len(),
+        analysis.scenarios.len()
+    );
+    write_analysis(&analysis, &text, Some(&out), summary.as_deref(), &note)?;
+    Ok(true)
 }
 
 /// `mlcc-repro explain <experiment|TRACE.jsonl> [run options]`
@@ -1246,7 +1250,8 @@ fn cmd_report(args: &[String]) -> Result<(), String> {
 /// JSONL trace) and prints the causal-attribution report: per-job blame
 /// tables, top contended links, the conservation check, and the verdict
 /// against the geometry prediction. Ok(true) when every scenario's blame
-/// components sum to the measured iteration times within 1%.
+/// components sum to the measured iteration times within 1%; Ok(false)
+/// says so on stderr.
 fn cmd_explain(args: &[String]) -> Result<bool, String> {
     let [target, rest @ ..] = args else {
         return Err("explain needs an experiment name or a JSONL trace file".to_string());
@@ -1296,16 +1301,20 @@ fn cmd_explain(args: &[String]) -> Result<bool, String> {
         ..AnalysisConfig::default()
     };
     let analysis = diagnostics::analyze(&name, &events, &cfg);
-    print_explain(&analysis)
+    let conserved = print_explain(&analysis);
+    if !conserved {
+        eprintln!("explain: conservation check FAILED");
+    }
+    Ok(conserved)
 }
 
 /// Conservation tolerance: blame components must sum to the measured
 /// iteration time within this relative error.
 const EXPLAIN_RESIDUAL_TOL: f64 = 0.01;
 
-/// Prints the attribution report; Ok(true) when conservation holds in
-/// every scenario that produced a ledger.
-fn print_explain(analysis: &diagnostics::RunAnalysis) -> Result<bool, String> {
+/// Prints the attribution report; true when conservation holds in every
+/// scenario that produced a ledger.
+fn print_explain(analysis: &RunAnalysis) -> bool {
     use mlcc::metrics::text_table;
     println!("== explain: {} ==", analysis.name);
     let mut all_conserved = true;
@@ -1410,7 +1419,7 @@ fn print_explain(analysis: &diagnostics::RunAnalysis) -> Result<bool, String> {
         println!();
         println!("no attribution possible: the trace carries no span events");
     }
-    Ok(all_conserved)
+    all_conserved
 }
 
 /// Event-stream diff: compares two JSONL traces line by line and reports
@@ -1621,17 +1630,17 @@ fn watch_line(started: Instant, row: &str, rec: &BufferRecorder) {
     );
 }
 
-/// Runs the `--slo` watchdog over the recording, writes the `--flight`
-/// and `--alerts` dumps, and renders alerts to stderr. Returns the
-/// number of SLO breaches.
-fn finish_watch(opts: &Opts, rec: &BufferRecorder) -> Result<usize, String> {
-    let alerts: Vec<Alert> = match &opts.slo {
-        Some(rules) => {
-            let mut bank = WatchdogBank::new(rules.clone());
-            bank.observe_stream(rec.events());
-            bank.into_alerts()
-        }
-        None => Vec::new(),
+/// Judges the `--slo` rules against `analysis` of the recording, writes
+/// the `--flight` and `--alerts` dumps, and renders alerts to stderr.
+/// Returns the number of SLO breaches.
+fn finish_watch(
+    opts: &Opts,
+    rec: &BufferRecorder,
+    analysis: Option<&RunAnalysis>,
+) -> Result<usize, String> {
+    let alerts: Vec<Alert> = match (&opts.slo, analysis) {
+        (Some(rules), Some(analysis)) => diagnostics::judge(rec.events(), analysis, rules),
+        _ => Vec::new(),
     };
     for alert in &alerts {
         eprintln!("ALERT {}", alert.render());
@@ -1667,6 +1676,15 @@ fn finish_watch(opts: &Opts, rec: &BufferRecorder) -> Result<usize, String> {
     }
     Ok(alerts.len())
 }
+
+/// The analysis subcommands: Ok(true) when clean.
+type Tool = fn(&[String]) -> Result<bool, String>;
+const TOOLS: [(&str, Tool); 4] = [
+    ("report", cmd_report),
+    ("diff", cmd_diff),
+    ("trend", cmd_trend),
+    ("explain", cmd_explain),
+];
 
 fn usage() -> ExitCode {
     let names: Vec<&str> = EXPERIMENTS.iter().map(|e| e.name).collect();
@@ -1706,51 +1724,17 @@ fn main() -> ExitCode {
     let Some((cmd, rest)) = args.split_first() else {
         return usage();
     };
-    // Analysis subcommands take their own arguments.
-    match cmd.as_str() {
-        "report" => {
-            return match cmd_report(rest) {
-                Ok(()) => ExitCode::SUCCESS,
-                Err(e) => {
-                    eprintln!("error: {e}");
-                    ExitCode::FAILURE
-                }
-            };
-        }
-        "diff" => {
-            return match cmd_diff(rest) {
-                Ok(true) => ExitCode::SUCCESS,
-                Ok(false) => ExitCode::FAILURE,
-                Err(e) => {
-                    eprintln!("error: {e}");
-                    ExitCode::FAILURE
-                }
-            };
-        }
-        "trend" => {
-            return match cmd_trend(rest) {
-                Ok(true) => ExitCode::SUCCESS,
-                Ok(false) => ExitCode::FAILURE,
-                Err(e) => {
-                    eprintln!("error: {e}");
-                    ExitCode::FAILURE
-                }
-            };
-        }
-        "explain" => {
-            return match cmd_explain(rest) {
-                Ok(true) => ExitCode::SUCCESS,
-                Ok(false) => {
-                    eprintln!("explain: conservation check FAILED");
-                    ExitCode::FAILURE
-                }
-                Err(e) => {
-                    eprintln!("error: {e}");
-                    ExitCode::FAILURE
-                }
-            };
-        }
-        _ => {}
+    // Analysis subcommands take their own arguments; Ok(false) is a
+    // finding, exit 1 like an error.
+    if let Some((_, tool)) = TOOLS.iter().find(|(name, _)| name == cmd) {
+        return match tool(rest) {
+            Ok(true) => ExitCode::SUCCESS,
+            Ok(false) => ExitCode::FAILURE,
+            Err(e) => {
+                eprintln!("error: {e}");
+                ExitCode::FAILURE
+            }
+        };
     }
     let rows: Vec<&Experiment> = EXPERIMENTS
         .iter()
@@ -1800,12 +1784,15 @@ fn main() -> ExitCode {
     let Some(rec) = &rec else {
         return ExitCode::SUCCESS;
     };
-    if let Err(e) = report(cmd, &opts, rec) {
+    // One analysis serves `--report`, `--summary` and `--slo`.
+    let analysis = (opts.report.is_some() || opts.summary.is_some() || opts.slo.is_some())
+        .then(|| diagnostics::analyze(cmd, rec.events(), &AnalysisConfig::default()));
+    if let Err(e) = report(cmd, &opts, rec, analysis.as_ref()) {
         eprintln!("error: {e}");
         return ExitCode::FAILURE;
     }
     if opts.watching() {
-        match finish_watch(&opts, rec) {
+        match finish_watch(&opts, rec, analysis.as_ref()) {
             Ok(0) => {}
             Ok(breaches) => {
                 eprintln!("SLO breach: {breaches} alert(s); exiting with code 4");
@@ -1823,6 +1810,7 @@ fn main() -> ExitCode {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     /// Every row honours only run options, takes `--chaos-seed` with
     /// `--chaos`, and has a horizon exactly when it honours `--fork-at`.
@@ -1846,6 +1834,81 @@ mod tests {
                 "{}",
                 e.name
             );
+        }
+    }
+
+    /// Every flag any command takes: the honour lists, [`ALWAYS`] and
+    /// [`RECORDING`].
+    fn all_flags() -> Vec<&'static str> {
+        let mut flags: Vec<&str> = EXPERIMENTS
+            .iter()
+            .flat_map(|e| e.honours.split_whitespace())
+            .chain(ALWAYS.split(' '))
+            .chain(RECORDING.split(' '))
+            .collect();
+        flags.sort_unstable();
+        flags.dedup();
+        flags
+    }
+
+    /// Values at and past the edges of what a flag accepts, plus junk. No
+    /// value names a file, so `--chaos` and `--slo` fail their read.
+    const VALUES: [&str; 12] = [
+        "0",
+        "1",
+        "-1",
+        "",
+        "18446744073709551615",
+        "18446744073709551616s",
+        "18446744073709551615ns",
+        "120ms",
+        "999s",
+        "links",
+        "none",
+        "no-such-file.toml",
+    ];
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(100_000))]
+
+        /// Any argv of known flags, mostly ones the command takes, each
+        /// with its value dropped, given once or given twice, parses and
+        /// checks to `Ok` or `Err` for every command and for `explain`,
+        /// without a panic.
+        #[test]
+        fn mangled_argv_is_parsed_or_rejected(
+            picks in proptest::collection::vec((0usize..64, 0usize..12, 0u8..3), 0..8),
+            row in 0usize..15,
+        ) {
+            let (cmd, rows): (&str, Vec<&Experiment>) = match EXPERIMENTS.get(row) {
+                Some(e) => (e.name, vec![e]),
+                None => ("all", EXPERIMENTS.iter().filter(|e| e.in_all).collect()),
+            };
+            let recording = if rows.iter().any(|r| r.records) { RECORDING } else { "" };
+            let own: Vec<&str> = rows
+                .iter()
+                .flat_map(|r| r.honours.split_whitespace())
+                .chain(ALWAYS.split(' '))
+                .chain(recording.split_whitespace())
+                .collect();
+            let all = all_flags();
+            let mut argv = Vec::new();
+            for (flag, value, shape) in picks {
+                let flag = match flag % 4 {
+                    0 => all[flag % all.len()],
+                    _ => own[flag % own.len()],
+                };
+                for _ in 0..shape.max(1) {
+                    argv.push(flag.to_string());
+                    if shape != 0 {
+                        argv.push(VALUES[value].to_string());
+                    }
+                }
+            }
+            if let Ok(opts) = parse_opts(&argv) {
+                let _ = check_opts(cmd, &rows, &opts, false);
+                let _ = check_opts(cmd, &rows, &opts, true);
+            }
         }
     }
 }

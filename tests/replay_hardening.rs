@@ -9,10 +9,12 @@
 //! and `diagnostics::parse_history`, get the same mangling and must
 //! return `Err`, never panic. So do the two TOML loaders behind
 //! `--chaos` and `--slo`: a mangled file either loads, and then compiles
-//! (chaos) or runs a watchdog over a stream (SLO) without a panic, or is
-//! an `Err`.
+//! (chaos) or judges a stream's analysis (SLO) without a panic, or is an
+//! `Err`.
 
-use diagnostics::{parse_history, slo_from_toml_str, HistoryRecord, RunSummary, Watchdog};
+use diagnostics::{
+    analyze, judge, parse_history, slo_from_toml_str, AnalysisConfig, HistoryRecord, RunSummary,
+};
 use proptest::prelude::*;
 use telemetry::export::jsonl;
 use telemetry::replay::ReplayErrorKind;
@@ -403,9 +405,8 @@ const CHAOS_TOML: &str = "seed = 42\n\n[phase]\ncompute_jitter = 0.1\ncomm_jitte
     straggler_prob = 0.03\nstraggler_factor = 4.0\n\n[links]\ndegrade_prob = 0.35\n\
     degrade_factor = 0.25\nflap_prob = 0.15\nflap_count = 2\n\n[churn]\narrival_prob = 0.15\n\
     max_arrival_frac = 0.2\ndeparture_prob = 0.1\n\n[signal]\nmark_loss = 0.02\ncnp_loss = 0.02\n";
-const SLO_TOML: &str = "window_ms = 10\nrate_cv_max = 0.8\nmin_jain = 0.3\n\
-    max_queue_bytes = 2000000\nmax_time_to_reinterleave_s = 0.2\nslow_factor = 1.4\n\
-    min_rate_samples = 4\ncontext_events = 32\n";
+const SLO_TOML: &str = "rate_cv_max = 0.8\nmin_jain = 0.3\nmax_queue_bytes = 2000000\n\
+    max_time_to_reinterleave_s = 0.2\nslow_factor = 1.4\ncontext_events = 32\n";
 
 /// What a mangled TOML number can gain: non-finite spellings, signs,
 /// exponents that overflow a duration or underflow it to zero, and
@@ -498,8 +499,8 @@ proptest! {
         }
     }
 
-    /// A mangled SLO file either loads and runs a watchdog over a stream
-    /// with every event kind, or is an `Err`.
+    /// A mangled SLO file either loads and judges the analysis of a
+    /// stream with every event kind, or is an `Err`.
     #[test]
     fn mangled_slo_files_run_or_are_rejected(
         words in words(),
@@ -508,14 +509,10 @@ proptest! {
         replacement in 0u64..5,
     ) {
         let events = stream_from(&words);
+        let analysis = analyze("mangled", &events, &AnalysisConfig::default());
         for text in mangled_tomls(SLO_TOML, pos, piece, replacement) {
             if let Ok(rules) = slo_from_toml_str(&text) {
-                let mut dog = Watchdog::new("mangled", rules);
-                for te in &events {
-                    dog.observe(te);
-                }
-                dog.finish();
-                for alert in dog.alerts() {
+                for alert in judge(&events, &analysis, &rules) {
                     let _ = alert.to_jsonl();
                 }
             }

@@ -50,6 +50,30 @@ fn small(profile: &str, seed: u64, groups: usize, jobs_per_group: usize) -> Shar
     }
 }
 
+/// [`small`], except that `links` runs at seed 4 on a 1 s budget: at the
+/// 10 s budget its chaos horizon puts every capacity window after the
+/// jobs finish, so no link would change capacity under load. The shorter
+/// budget scales the windows into the run: 12–17 capacity changes at the
+/// shapes tested here.
+fn small_loaded(profile: &str, seed: u64, groups: usize, jobs_per_group: usize) -> ShardConfig {
+    match profile {
+        "links" => ShardConfig {
+            budget: Dur::from_secs(1),
+            ..small(profile, 4, groups, jobs_per_group)
+        },
+        _ => small(profile, seed, groups, jobs_per_group),
+    }
+}
+
+/// `LinkCapacity` events in the global fluid run of `cfg`.
+fn capacity_changes(cfg: &ShardConfig) -> usize {
+    let (_, rec) = run_fluid_unsharded(&build_fluid(cfg), cfg, BufferRecorder::new());
+    rec.events()
+        .iter()
+        .filter(|e| matches!(e.event, Event::LinkCapacity { .. }))
+        .count()
+}
+
 /// One merged fluid + packet stream at the given worker count.
 fn merged_stream(cfg: &ShardConfig, threads: usize) -> BufferRecorder {
     let fluid = build_fluid(cfg);
@@ -112,7 +136,10 @@ fn sharded_matches_unsharded_stats_across_profiles() {
 fn fluid_cases() -> Vec<(&'static str, FluidScenario, ShardConfig)> {
     let mut cases = Vec::new();
     for profile in ["none", "stragglers", "links"] {
-        let cfg = small(profile, 11, 3, 3);
+        let cfg = small_loaded(profile, 11, 3, 3);
+        if profile == "links" {
+            assert!(capacity_changes(&cfg) > 0, "no capacity change");
+        }
         cases.push((profile, build_fluid(&cfg), cfg));
     }
     let cfg = small("none", 11, 3, 3);
@@ -308,7 +335,10 @@ fn fluid_worker_count_is_invisible() {
 #[test]
 fn fork_at_composes_with_sharding_under_chaos() {
     for profile in ["none", "stragglers", "links"] {
-        let cfg = small(profile, 23, 2, 2);
+        let cfg = small_loaded(profile, 23, 2, 2);
+        if profile == "links" {
+            assert!(capacity_changes(&cfg) > 0, "no capacity change");
+        }
         let straight = merged_stream(&cfg, 2);
         let forked_cfg = ShardConfig {
             fork_at: Some(Dur::from_millis(15)),
