@@ -6,9 +6,8 @@
 //! * [`EventQueue`] — a time-ordered priority queue of typed events with a
 //!   **deterministic tie-break**: events scheduled for the same instant pop
 //!   in scheduling order, so a simulation is a pure function of its inputs.
-//!   Backed by a hierarchical timing wheel; the original binary-heap
-//!   implementation survives as [`queue::reference::EventQueue`] for
-//!   differential testing.
+//!   A binary heap keyed by time and scheduling order: the engines hold at
+//!   most a few hundred events pending, where a heap beats a timing wheel.
 //! * [`Rng`] — a seeded xoshiro256++ generator. All stochastic behaviour
 //!   (ECN marking coin flips, randomized solver restarts) draws from here;
 //!   the same seed reproduces a byte-identical run on any platform.
@@ -25,7 +24,7 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod queue;
+mod queue;
 mod rng;
 mod trace;
 

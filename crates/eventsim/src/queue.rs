@@ -1,20 +1,14 @@
 //! Time-ordered event queue with deterministic tie-breaking.
 //!
-//! The production [`EventQueue`] is a hierarchical timing wheel (Varghese &
-//! Lauck): [`LEVELS`] levels of [`SLOTS`] slots each, level `k` covering
-//! `64^k` ns per slot, with a sorted overflow map for events beyond the
-//! wheel's ~68 s horizon. Scheduling and popping are O(1) amortized instead
-//! of the binary heap's O(log n), which is what makes packet-level
-//! simulations with 10⁵–10⁶ pending events affordable.
-//!
-//! The original heap-backed implementation survives unchanged as
-//! [`reference::EventQueue`] — the differential oracle (mirroring
-//! `netsim::alloc::reference`): property tests drive both queues with the
-//! same interleaving of schedules and pops and assert identical output,
-//! including same-instant FIFO ties.
+//! A binary heap keyed by `(at, seq)`: the timestamp first, then a
+//! per-queue sequence number that makes same-instant events pop in
+//! scheduling order. The engines keep few events pending (the packet
+//! engine at most a handful, the fluid engine a few hundred), so the
+//! heap's O(log n) is a few comparisons and no bucket bookkeeping.
 
 use simtime::{Dur, Time};
-use std::collections::{BTreeMap, VecDeque};
+use std::cmp::Ordering;
+use std::collections::BinaryHeap;
 use std::fmt;
 
 /// Error returned by [`EventQueue::try_schedule_at`] when the requested
@@ -62,31 +56,31 @@ struct Entry<E> {
     event: E,
 }
 
-/// log2 of the slot count per wheel level.
-const SLOT_BITS: u32 = 6;
-/// Slots per wheel level.
-const SLOTS: usize = 1 << SLOT_BITS;
-/// Wheel levels. Level `k` slots are `64^k` ns wide; the whole wheel spans
-/// `64^LEVELS` ns ≈ 68.7 s past the cursor. Events farther out go to the
-/// sorted overflow map and are pulled in by timestamp comparison at pop.
-const LEVELS: usize = 6;
-
-/// The wheel level an event `diff = at ^ cursor` belongs to: the highest
-/// 6-bit digit in which the timestamps differ. `LEVELS` or more means the
-/// event is beyond the wheel horizon (overflow).
-#[inline]
-fn level_of(diff: u64) -> usize {
-    if diff == 0 {
-        0
-    } else {
-        ((63 - diff.leading_zeros()) / SLOT_BITS) as usize
+// Order for a *max*-heap: inverted so the earliest time pops first, and
+// among equal times the lowest sequence number (scheduled first) pops
+// first.
+impl<E> Ord for Entry<E> {
+    fn cmp(&self, other: &Self) -> Ordering {
+        other
+            .at
+            .cmp(&self.at)
+            .then_with(|| other.seq.cmp(&self.seq))
     }
 }
 
-#[inline]
-fn slot_of(at: u64, level: usize) -> usize {
-    ((at >> (SLOT_BITS * level as u32)) & (SLOTS as u64 - 1)) as usize
+impl<E> PartialOrd for Entry<E> {
+    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
+        Some(self.cmp(other))
+    }
 }
+
+impl<E> PartialEq for Entry<E> {
+    fn eq(&self, other: &Self) -> bool {
+        self.at == other.at && self.seq == other.seq
+    }
+}
+
+impl<E> Eq for Entry<E> {}
 
 /// A priority queue of future events, keyed by simulation time.
 ///
@@ -102,9 +96,6 @@ fn slot_of(at: u64, level: usize) -> usize {
 /// panics (an event sourced from stale state is a logic bug, not a
 /// recoverable condition).
 ///
-/// Internally a hierarchical timing wheel; behaviourally identical (by
-/// contract and by differential property test) to [`reference::EventQueue`].
-///
 /// Cloning (for `E: Clone`) captures the complete queue state — clock,
 /// pending events, *and* the internal sequence counter — so a clone pops
 /// the exact same event order as the original, including same-instant
@@ -112,22 +103,9 @@ fn slot_of(at: u64, level: usize) -> usize {
 /// what engine snapshots lean on.
 #[derive(Clone)]
 pub struct EventQueue<E> {
-    /// Remaining entries of the timestamp group currently being popped,
-    /// FIFO by sequence number. All share one timestamp.
-    head: VecDeque<Entry<E>>,
-    /// `LEVELS × SLOTS` wheel slots, flattened.
-    slots: Vec<Vec<Entry<E>>>,
-    /// Per-level slot-occupancy bitmask (bit `j` = slot `j` non-empty).
-    occupancy: [u64; LEVELS],
-    /// Events beyond the wheel horizon, sorted by timestamp; each bucket
-    /// holds its entries in scheduling order.
-    overflow: BTreeMap<u64, Vec<Entry<E>>>,
-    /// Wheel alignment instant. Equals `now` whenever control is outside
-    /// `pop` — every entry's wheel placement is relative to it.
-    cursor: u64,
+    heap: BinaryHeap<Entry<E>>,
     now: Time,
     next_seq: u64,
-    len: usize,
 }
 
 impl<E> Default for EventQueue<E> {
@@ -140,14 +118,9 @@ impl<E> EventQueue<E> {
     /// An empty queue with the clock at [`Time::ZERO`].
     pub fn new() -> EventQueue<E> {
         EventQueue {
-            head: VecDeque::new(),
-            slots: (0..LEVELS * SLOTS).map(|_| Vec::new()).collect(),
-            occupancy: [0; LEVELS],
-            overflow: BTreeMap::new(),
-            cursor: 0,
+            heap: BinaryHeap::new(),
             now: Time::ZERO,
             next_seq: 0,
-            len: 0,
         }
     }
 
@@ -160,13 +133,13 @@ impl<E> EventQueue<E> {
     /// The number of pending events.
     #[inline]
     pub fn len(&self) -> usize {
-        self.len
+        self.heap.len()
     }
 
     /// `true` if no events are pending.
     #[inline]
     pub fn is_empty(&self) -> bool {
-        self.len == 0
+        self.heap.is_empty()
     }
 
     /// Schedules `event` to fire at absolute time `at`.
@@ -190,8 +163,7 @@ impl<E> EventQueue<E> {
         }
         let seq = self.next_seq;
         self.next_seq += 1;
-        self.len += 1;
-        self.insert(Entry { at, seq, event });
+        self.heap.push(Entry { at, seq, event });
         Ok(())
     }
 
@@ -200,131 +172,15 @@ impl<E> EventQueue<E> {
         self.schedule_at(self.now + delay, event);
     }
 
-    /// Places an entry into the wheel or overflow, relative to the cursor.
-    fn insert(&mut self, e: Entry<E>) {
-        let at = e.at.as_nanos();
-        debug_assert!(at >= self.cursor, "insert behind the wheel cursor");
-        let level = level_of(at ^ self.cursor);
-        if level >= LEVELS {
-            self.overflow.entry(at).or_default().push(e);
-        } else {
-            let slot = slot_of(at, level);
-            self.slots[level * SLOTS + slot].push(e);
-            self.occupancy[level] |= 1 << slot;
-        }
-    }
-
-    /// The earliest pending wheel timestamp, without mutating anything.
-    ///
-    /// Correctness rests on the refill invariant: every wheel entry sits at
-    /// its true level relative to the current cursor, so levels scan in
-    /// time order and within a level the first occupied slot at or past the
-    /// cursor's own index is the earliest.
-    fn wheel_min(&self) -> Option<u64> {
-        for level in 0..LEVELS {
-            let idx = slot_of(self.cursor, level);
-            let pending = self.occupancy[level] & (u64::MAX << idx);
-            if pending != 0 {
-                let j = pending.trailing_zeros() as usize;
-                if level == 0 {
-                    // A level-0 slot holds exactly one timestamp.
-                    let window = self.cursor & !(SLOTS as u64 - 1);
-                    return Some(window | j as u64);
-                }
-                // Coarse slots span 64^level ns: scan for the earliest.
-                return self.slots[level * SLOTS + j]
-                    .iter()
-                    .map(|e| e.at.as_nanos())
-                    .min();
-            }
-        }
-        None
-    }
-
-    /// Drains the earliest pending timestamp group into `head` (FIFO by
-    /// sequence number) and advances the cursor to it. Caller guarantees
-    /// the queue is non-empty and `head` is empty.
-    fn refill(&mut self) {
-        let t = match (self.wheel_min(), self.overflow.keys().next().copied()) {
-            (Some(w), Some(o)) => w.min(o),
-            (Some(w), None) => w,
-            (None, Some(o)) => o,
-            (None, None) => unreachable!("refill on an empty queue"),
-        };
-        let jump = level_of(self.cursor ^ t);
-        self.cursor = t;
-        if jump >= LEVELS {
-            // The clock leapt past the whole wheel horizon: every remaining
-            // wheel entry is now beyond it too. Re-key them into overflow.
-            for level in 0..LEVELS {
-                let mut occ = self.occupancy[level];
-                self.occupancy[level] = 0;
-                while occ != 0 {
-                    let j = occ.trailing_zeros() as usize;
-                    occ &= occ - 1;
-                    for e in self.slots[level * SLOTS + j].drain(..) {
-                        self.overflow.entry(e.at.as_nanos()).or_default().push(e);
-                    }
-                }
-            }
-        } else {
-            // Cascade the cursor's own slot at each coarse level: entries
-            // that have drifted into `t`'s windows re-land at their true
-            // level relative to the new cursor (always strictly lower, so
-            // this terminates and restores the placement invariant).
-            for level in (1..LEVELS).rev() {
-                let slot = slot_of(t, level);
-                if self.occupancy[level] & (1 << slot) == 0 {
-                    continue;
-                }
-                self.occupancy[level] &= !(1 << slot);
-                let entries = std::mem::take(&mut self.slots[level * SLOTS + slot]);
-                for e in entries {
-                    debug_assert!(level_of(e.at.as_nanos() ^ t) < level);
-                    self.insert(e);
-                }
-            }
-        }
-        // After the cascade, every entry at exactly `t` sits in the level-0
-        // slot; merge with any overflow bucket at `t` and restore FIFO.
-        let slot = slot_of(t, 0);
-        let mut group = std::mem::take(&mut self.slots[slot]);
-        self.occupancy[0] &= !(1 << slot);
-        if let Some(extra) = self.overflow.remove(&t) {
-            group.extend(extra);
-        }
-        debug_assert!(group.iter().all(|e| e.at.as_nanos() == t));
-        group.sort_by_key(|e| e.seq);
-        self.head.extend(group);
-        debug_assert!(!self.head.is_empty());
-    }
-
     /// The timestamp of the next event without popping it.
     pub fn peek_time(&self) -> Option<Time> {
-        if let Some(front) = self.head.front() {
-            return Some(front.at);
-        }
-        let wheel = self.wheel_min();
-        let over = self.overflow.keys().next().copied();
-        match (wheel, over) {
-            (Some(w), Some(o)) => Some(Time::from_nanos(w.min(o))),
-            (Some(w), None) => Some(Time::from_nanos(w)),
-            (None, Some(o)) => Some(Time::from_nanos(o)),
-            (None, None) => None,
-        }
+        self.heap.peek().map(|e| e.at)
     }
 
     /// Pops the next event and advances the clock to its timestamp.
     pub fn pop(&mut self) -> Option<ScheduledEvent<E>> {
-        if self.len == 0 {
-            return None;
-        }
-        if self.head.is_empty() {
-            self.refill();
-        }
-        let entry = self.head.pop_front()?;
-        debug_assert!(entry.at >= self.now, "wheel returned an out-of-order event");
-        self.len -= 1;
+        let entry = self.heap.pop()?;
+        debug_assert!(entry.at >= self.now, "heap returned an out-of-order event");
         self.now = entry.at;
         Some(ScheduledEvent {
             at: entry.at,
@@ -342,160 +198,7 @@ impl<E> EventQueue<E> {
 
     /// Drops all pending events, keeping the clock.
     pub fn clear(&mut self) {
-        self.head.clear();
-        for v in &mut self.slots {
-            v.clear();
-        }
-        self.occupancy = [0; LEVELS];
-        self.overflow.clear();
-        self.len = 0;
-    }
-}
-
-pub mod reference {
-    //! The original binary-heap [`EventQueue`], kept verbatim as the
-    //! differential oracle for the timing wheel: same API, same documented
-    //! contract, O(log n) operations.
-
-    use super::{ScheduleError, ScheduledEvent};
-    use simtime::{Dur, Time};
-    use std::cmp::Ordering;
-    use std::collections::BinaryHeap;
-
-    #[derive(Clone)]
-    struct Entry<E> {
-        at: Time,
-        seq: u64,
-        event: E,
-    }
-
-    // Order for a *max*-heap: we invert so the earliest time pops first, and
-    // among equal times the lowest sequence number (scheduled first) pops
-    // first.
-    impl<E> Ord for Entry<E> {
-        fn cmp(&self, other: &Self) -> Ordering {
-            other
-                .at
-                .cmp(&self.at)
-                .then_with(|| other.seq.cmp(&self.seq))
-        }
-    }
-
-    impl<E> PartialOrd for Entry<E> {
-        fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
-            Some(self.cmp(other))
-        }
-    }
-
-    impl<E> PartialEq for Entry<E> {
-        fn eq(&self, other: &Self) -> bool {
-            self.at == other.at && self.seq == other.seq
-        }
-    }
-
-    impl<E> Eq for Entry<E> {}
-
-    /// Heap-backed event queue with the same determinism contract as the
-    /// wheel-backed [`super::EventQueue`]. Clones carry the sequence
-    /// counter too, so a clone's pop order matches the original exactly.
-    #[derive(Clone)]
-    pub struct EventQueue<E> {
-        heap: BinaryHeap<Entry<E>>,
-        now: Time,
-        next_seq: u64,
-    }
-
-    impl<E> Default for EventQueue<E> {
-        fn default() -> Self {
-            Self::new()
-        }
-    }
-
-    impl<E> EventQueue<E> {
-        /// An empty queue with the clock at [`Time::ZERO`].
-        pub fn new() -> EventQueue<E> {
-            EventQueue {
-                heap: BinaryHeap::new(),
-                now: Time::ZERO,
-                next_seq: 0,
-            }
-        }
-
-        /// The current simulation time (timestamp of the last popped event).
-        #[inline]
-        pub fn now(&self) -> Time {
-            self.now
-        }
-
-        /// The number of pending events.
-        #[inline]
-        pub fn len(&self) -> usize {
-            self.heap.len()
-        }
-
-        /// `true` if no events are pending.
-        #[inline]
-        pub fn is_empty(&self) -> bool {
-            self.heap.is_empty()
-        }
-
-        /// Schedules `event` to fire at absolute time `at`.
-        ///
-        /// # Panics
-        /// Panics if `at` is earlier than the current clock. Use
-        /// [`EventQueue::try_schedule_at`] to get a typed error instead.
-        pub fn schedule_at(&mut self, at: Time, event: E) {
-            if let Err(e) = self.try_schedule_at(at, event) {
-                panic!("{e}");
-            }
-        }
-
-        /// Schedules `event` to fire at absolute time `at`, rejecting past
-        /// timestamps with a typed [`ScheduleError`] instead of panicking.
-        /// On error the queue is unchanged.
-        pub fn try_schedule_at(&mut self, at: Time, event: E) -> Result<(), ScheduleError> {
-            if at < self.now {
-                return Err(ScheduleError { at, now: self.now });
-            }
-            let seq = self.next_seq;
-            self.next_seq += 1;
-            self.heap.push(Entry { at, seq, event });
-            Ok(())
-        }
-
-        /// Schedules `event` to fire `delay` after the current clock.
-        pub fn schedule_in(&mut self, delay: Dur, event: E) {
-            self.schedule_at(self.now + delay, event);
-        }
-
-        /// The timestamp of the next event without popping it.
-        pub fn peek_time(&self) -> Option<Time> {
-            self.heap.peek().map(|e| e.at)
-        }
-
-        /// Pops the next event and advances the clock to its timestamp.
-        pub fn pop(&mut self) -> Option<ScheduledEvent<E>> {
-            let entry = self.heap.pop()?;
-            debug_assert!(entry.at >= self.now, "heap returned an out-of-order event");
-            self.now = entry.at;
-            Some(ScheduledEvent {
-                at: entry.at,
-                event: entry.event,
-            })
-        }
-
-        /// Pops the next event only if it fires at or before `horizon`.
-        pub fn pop_until(&mut self, horizon: Time) -> Option<ScheduledEvent<E>> {
-            match self.peek_time() {
-                Some(t) if t <= horizon => self.pop(),
-                _ => None,
-            }
-        }
-
-        /// Drops all pending events, keeping the clock.
-        pub fn clear(&mut self) {
-            self.heap.clear();
-        }
+        self.heap.clear();
     }
 }
 
@@ -547,42 +250,24 @@ mod tests {
         q.schedule_at(Time::from_nanos(50), ());
     }
 
-    #[test]
-    #[should_panic(expected = "scheduling into the past")]
-    fn reference_scheduling_into_past_panics() {
-        let mut q = reference::EventQueue::new();
-        q.schedule_at(Time::from_nanos(100), ());
-        q.pop();
-        q.schedule_at(Time::from_nanos(50), ());
-    }
-
     /// Regression: a past timestamp surfaces as a typed error (not a panic,
-    /// not a silently misordered event), leaves the queue untouched, and
-    /// both backends agree on the error value.
+    /// not a silently misordered event) and leaves the queue untouched.
     #[test]
     fn try_schedule_into_past_returns_typed_error() {
-        let mut wheel = EventQueue::new();
-        let mut heap = reference::EventQueue::new();
-        wheel.schedule_at(Time::from_nanos(100), 0u32);
-        wheel.pop();
-        heap.schedule_at(Time::from_nanos(100), 0u32);
-        heap.pop();
+        let mut q = EventQueue::new();
+        q.schedule_at(Time::from_nanos(100), 0u32);
+        q.pop();
         let expected = ScheduleError {
             at: Time::from_nanos(50),
             now: Time::from_nanos(100),
         };
-        assert_eq!(
-            wheel.try_schedule_at(Time::from_nanos(50), 1),
-            Err(expected)
-        );
-        assert_eq!(heap.try_schedule_at(Time::from_nanos(50), 1), Err(expected));
+        assert_eq!(q.try_schedule_at(Time::from_nanos(50), 1), Err(expected));
         // The failed attempt enqueued nothing and did not burn a sequence
         // number: a subsequent valid schedule still pops first among ties.
-        assert!(wheel.is_empty());
-        assert!(heap.is_empty());
-        wheel.try_schedule_at(Time::from_nanos(200), 2).unwrap();
-        wheel.schedule_at(Time::from_nanos(200), 3);
-        let order: Vec<u32> = std::iter::from_fn(|| wheel.pop().map(|e| e.event)).collect();
+        assert!(q.is_empty());
+        q.try_schedule_at(Time::from_nanos(200), 2).unwrap();
+        q.schedule_at(Time::from_nanos(200), 3);
+        let order: Vec<u32> = std::iter::from_fn(|| q.pop().map(|e| e.event)).collect();
         assert_eq!(order, vec![2, 3]);
         assert!(expected.to_string().contains("scheduling into the past"));
     }
@@ -610,12 +295,12 @@ mod tests {
         assert_eq!(q.now(), Time::from_nanos(10));
     }
 
-    /// Events beyond the wheel horizon live in the overflow level and still
-    /// pop in order, including mixes of near and far timestamps.
+    /// Events far in the future (200 s ahead) pop in order, including
+    /// mixes of near and far timestamps and ties among the far ones.
     #[test]
-    fn overflow_level_preserves_order() {
+    fn far_future_events_preserve_order() {
         let mut q = EventQueue::new();
-        let far = 200_000_000_000; // 200 s, past the ~68.7 s wheel span
+        let far = 200_000_000_000;
         q.schedule_at(Time::from_nanos(far), "far");
         q.schedule_at(Time::from_nanos(10), "near");
         q.schedule_at(Time::from_nanos(far + 1), "far+1");
@@ -625,17 +310,14 @@ mod tests {
         assert_eq!(q.now(), Time::from_nanos(far + 1));
     }
 
-    /// A jump past the whole wheel horizon re-keys pending wheel entries
-    /// into overflow without losing or reordering them.
+    /// Clock leaps of tens of seconds between consecutive pops lose or
+    /// reorder nothing.
     #[test]
-    fn horizon_jump_rekeys_wheel() {
+    fn clock_leaps_preserve_order() {
         let mut q = EventQueue::new();
         let far = 100_000_000_000u64;
-        // One event soon, several clustered far out (they sit in the wheel
-        // relative to cursor 0? no — far beyond the span, so overflow), and
-        // one in between that lands in a high wheel level.
         q.schedule_at(Time::from_nanos(5), 0u64);
-        q.schedule_at(Time::from_nanos(60_000_000_000), 1); // level 5
+        q.schedule_at(Time::from_nanos(60_000_000_000), 1);
         q.schedule_at(Time::from_nanos(far), 2);
         q.schedule_at(Time::from_nanos(far + 70_000_000_000), 3);
         let mut got = Vec::new();
@@ -701,45 +383,73 @@ mod tests {
         assert_eq!(q.now(), t);
     }
 
-    // Drive the wheel and the reference heap with an identical interleaving
-    // of schedules and pops; every observable (pop order, timestamps,
-    // clock, peek, length) must match exactly — including same-instant
-    // FIFO ties, which the generator makes likely by quantizing delays.
+    /// The contract as a model: a `Vec` of `(at, payload)` kept stably
+    /// sorted by time, so same-instant entries stay in scheduling order.
+    #[derive(Default)]
+    struct Model {
+        pending: Vec<(Time, u64)>,
+        now: Time,
+    }
+
+    impl Model {
+        fn schedule_at(&mut self, at: Time, payload: u64) {
+            let i = self.pending.partition_point(|&(t, _)| t <= at);
+            self.pending.insert(i, (at, payload));
+        }
+
+        fn peek_time(&self) -> Option<Time> {
+            self.pending.first().map(|&(t, _)| t)
+        }
+
+        fn pop(&mut self) -> Option<ScheduledEvent<u64>> {
+            if self.pending.is_empty() {
+                return None;
+            }
+            let (at, event) = self.pending.remove(0);
+            self.now = at;
+            Some(ScheduledEvent { at, event })
+        }
+    }
+
+    // Drive the queue and the model with an identical interleaving of
+    // schedules and pops; every observable (pop order, timestamps, clock,
+    // peek, length) must match exactly — including same-instant FIFO ties,
+    // which the generator makes likely by quantizing delays.
     proptest! {
         #[test]
-        fn wheel_matches_reference_on_arbitrary_interleavings(
+        fn queue_matches_model_on_arbitrary_interleavings(
             ops in proptest::collection::vec((0u64..100, 0u64..50), 1..400),
         ) {
-            let mut wheel = EventQueue::new();
-            let mut heap = reference::EventQueue::new();
+            let mut q = EventQueue::new();
+            let mut model = Model::default();
             let mut payload = 0u64;
             for &(kind, delay) in &ops {
                 if kind < 70 {
                     // Quantized delays force plenty of exact ties; the
-                    // occasional huge delay exercises the overflow level.
+                    // occasional huge delay is a clock leap of over 70 s.
                     let ns = match kind % 7 {
                         0 => 0,
                         1..=4 => delay * 64,
                         5 => delay * 4096,
                         _ => 70_000_000_000 + delay,
                     };
-                    let at = Time::from_nanos(wheel.now().as_nanos() + ns);
-                    wheel.schedule_at(at, payload);
-                    heap.schedule_at(at, payload);
+                    let at = Time::from_nanos(q.now().as_nanos() + ns);
+                    q.schedule_at(at, payload);
+                    model.schedule_at(at, payload);
                     payload += 1;
                 } else {
-                    prop_assert_eq!(wheel.peek_time(), heap.peek_time());
-                    let a = wheel.pop();
-                    let b = heap.pop();
+                    prop_assert_eq!(q.peek_time(), model.peek_time());
+                    let a = q.pop();
+                    let b = model.pop();
                     prop_assert_eq!(a, b);
-                    prop_assert_eq!(wheel.now(), heap.now());
+                    prop_assert_eq!(q.now(), model.now);
                 }
-                prop_assert_eq!(wheel.len(), heap.len());
+                prop_assert_eq!(q.len(), model.pending.len());
             }
             // Drain both completely; order must stay identical.
             loop {
-                let a = wheel.pop();
-                let b = heap.pop();
+                let a = q.pop();
+                let b = model.pop();
                 prop_assert_eq!(&a, &b);
                 if a.is_none() {
                     break;

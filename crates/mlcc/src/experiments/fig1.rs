@@ -89,8 +89,13 @@ impl Fig1Config {
     }
 
     /// Simulated-time budget of one run (scaled up under chaos).
+    /// Saturates at [`Dur::MAX`] for absurd iteration counts.
     fn budget(&self) -> Dur {
-        self.per_iter() * ((self.iterations as u64 * 4 + 40) * chaos::budget_slack(&self.chaos))
+        let iterations = (self.iterations as u64)
+            .saturating_mul(4)
+            .saturating_add(40)
+            .saturating_mul(chaos::budget_slack(&self.chaos));
+        self.per_iter().checked_mul(iterations).unwrap_or(Dur::MAX)
     }
 }
 
@@ -570,6 +575,21 @@ mod tests {
         }
         // Render has a row per job plus header/rule.
         assert_eq!(r.render().lines().count(), 4);
+    }
+
+    /// The horizon and the budget saturate instead of wrapping, and are
+    /// unchanged for every real count.
+    #[test]
+    fn absurd_iteration_counts_saturate() {
+        let cfg = Fig1Config {
+            iterations: usize::MAX,
+            ..Fig1Config::default()
+        };
+        assert_eq!(cfg.horizon(), Dur::MAX);
+        assert_eq!(cfg.budget(), Dur::MAX);
+        let cfg = quick_cfg();
+        assert_eq!(cfg.horizon(), cfg.per_iter() * 20);
+        assert_eq!(cfg.budget(), cfg.per_iter() * 80);
     }
 
     #[test]

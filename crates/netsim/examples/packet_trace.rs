@@ -2,15 +2,16 @@
 //! scenario, telemetry streamed to a JSONL file.
 //!
 //! ```text
-//! cargo run --release -p netsim --example packet_trace -- <wheel|heap> <train_packets> <out.jsonl>
+//! cargo run --release -p netsim --example packet_trace -- <train_packets> <out.jsonl>
 //! ```
 //!
-//! `scripts/check.sh` runs this once per event-queue backend at
-//! `train_packets = 1` and again at 64, and diffs each pair byte-for-byte:
-//! the timing wheel must reproduce the reference heap's run exactly.
+//! `scripts/check.sh` runs this at `train_packets = 1` (the per-packet
+//! engine) and at 64 (full trains), and requires each JSONL's sha256 and
+//! the printed `N telemetry events (P packets, M marked)` line to equal
+//! pinned values.
 
 use dcqcn::CcVariant;
-use netsim::packet::{PacketJob, PacketSimConfig, PacketSimulator, QueueBackend};
+use netsim::packet::{PacketJob, PacketSimConfig, PacketSimulator};
 use netsim::Engine;
 use simtime::{Dur, Time};
 use telemetry::{export, BufferRecorder};
@@ -18,12 +19,7 @@ use workload::{JobSpec, Model};
 
 fn main() {
     let mut args = std::env::args().skip(1);
-    let usage = "usage: packet_trace <wheel|heap> <train_packets> <out.jsonl>";
-    let backend = match args.next().expect(usage).as_str() {
-        "wheel" => QueueBackend::TimingWheel,
-        "heap" => QueueBackend::ReferenceHeap,
-        other => panic!("unknown backend {other:?}; {usage}"),
-    };
+    let usage = "usage: packet_trace <train_packets> <out.jsonl>";
     let train_packets: u32 = args.next().expect(usage).parse().expect("train_packets");
     let out = args.next().expect(usage);
 
@@ -40,7 +36,6 @@ fn main() {
     let mut sim = PacketSimulator::with_recorder(
         PacketSimConfig {
             train_packets,
-            queue: backend,
             ..PacketSimConfig::default()
         },
         &jobs,

@@ -35,7 +35,7 @@ use crate::job::{self, Job};
 use crate::snapshot::{check_barrier, check_version, SnapshotError, SNAPSHOT_VERSION};
 use crate::Engine;
 use dcqcn::{CcAlgorithm, CcVariant, DcqcnParams, NotificationPoint, RedMarker, SignalLoss};
-use eventsim::{queue::reference, EventQueue, Rng, ScheduledEvent};
+use eventsim::{EventQueue, Rng};
 use simtime::{Bandwidth, Dur, Time};
 use telemetry::{CcState, Event, NoopRecorder, Recorder, SpanTracker};
 use topology::LinkSchedule;
@@ -67,8 +67,6 @@ pub struct PacketSimConfig {
     /// [`MAX_TRAIN_PACKETS`], and per train to one CNP interval of
     /// airtime).
     pub train_packets: u32,
-    /// Which event-queue implementation drives the simulation.
-    pub queue: QueueBackend,
     /// Fault injection: a time-varying multiplier on the bottleneck
     /// capacity. Service times are sampled at each train start, so a
     /// degradation stretches serialization from the next train onwards.
@@ -138,67 +136,8 @@ impl Default for PacketSimConfig {
             seed: 1,
             restart_on_phase: true,
             train_packets: 1,
-            queue: QueueBackend::default(),
             capacity_schedule: None,
             signal_loss: None,
-        }
-    }
-}
-
-/// Event-queue backend selector, for differential determinism checks: the
-/// timing wheel is the production queue; the reference heap
-/// ([`eventsim::queue::reference`]) is the oracle it must match
-/// event-for-event (see the wheel-swap gate in `scripts/check.sh`).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum QueueBackend {
-    /// Hierarchical timing wheel (`eventsim::EventQueue`), the default.
-    #[default]
-    TimingWheel,
-    /// Binary-heap oracle (`eventsim::queue::reference::EventQueue`).
-    ReferenceHeap,
-}
-
-/// The two queue implementations behind one seam, so a config knob can
-/// swap them without making the simulator generic over the queue type.
-#[derive(Clone)]
-enum Queue<E: Clone> {
-    Wheel(EventQueue<E>),
-    Heap(reference::EventQueue<E>),
-}
-
-impl<E: Clone> Queue<E> {
-    fn new(backend: QueueBackend) -> Queue<E> {
-        match backend {
-            QueueBackend::TimingWheel => Queue::Wheel(EventQueue::new()),
-            QueueBackend::ReferenceHeap => Queue::Heap(reference::EventQueue::new()),
-        }
-    }
-
-    fn now(&self) -> Time {
-        match self {
-            Queue::Wheel(q) => q.now(),
-            Queue::Heap(q) => q.now(),
-        }
-    }
-
-    fn peek_time(&self) -> Option<Time> {
-        match self {
-            Queue::Wheel(q) => q.peek_time(),
-            Queue::Heap(q) => q.peek_time(),
-        }
-    }
-
-    fn schedule_at(&mut self, at: Time, event: E) {
-        match self {
-            Queue::Wheel(q) => q.schedule_at(at, event),
-            Queue::Heap(q) => q.schedule_at(at, event),
-        }
-    }
-
-    fn pop_until(&mut self, horizon: Time) -> Option<ScheduledEvent<E>> {
-        match self {
-            Queue::Wheel(q) => q.pop_until(horizon),
-            Queue::Heap(q) => q.pop_until(horizon),
         }
     }
 }
@@ -292,7 +231,7 @@ struct Train {
 /// The per-packet simulator over one bottleneck link.
 pub struct PacketSimulator<R: Recorder = NoopRecorder> {
     cfg: PacketSimConfig,
-    events: Queue<Ev>,
+    events: EventQueue<Ev>,
     flows: Vec<FlowState>,
     rng: Rng,
     /// Queue occupancy in bytes (instantaneous, at the switch).
@@ -348,7 +287,7 @@ impl<R: Recorder> PacketSimulator<R> {
             (1..=MAX_TRAIN_PACKETS).contains(&cfg.train_packets),
             "PacketSimulator: train_packets must be in 1..={MAX_TRAIN_PACKETS}"
         );
-        let mut events = Queue::new(cfg.queue);
+        let mut events = EventQueue::new();
         let flows: Vec<FlowState> = jobs
             .iter()
             .enumerate()
@@ -762,14 +701,14 @@ impl<R: Recorder> PacketSimulator<R> {
 }
 
 /// Complete captured state of a [`PacketSimulator`] at an event barrier:
-/// the full timing-wheel (or heap) contents including the FIFO tie-break
-/// counter, switch FIFO and queue depth, per-flow RP/NP state, RNG and
-/// chaos stream positions, and span-tracker state. Recorder-free.
+/// the full event-queue contents including the FIFO tie-break counter,
+/// switch FIFO and queue depth, per-flow RP/NP state, RNG and chaos
+/// stream positions, and span-tracker state. Recorder-free.
 #[derive(Clone)]
 pub struct PacketSnapshot {
     version: u32,
     cfg: PacketSimConfig,
-    events: Queue<Ev>,
+    events: EventQueue<Ev>,
     flows: Vec<FlowState>,
     rng: Rng,
     queue_bytes: u64,
@@ -1065,32 +1004,6 @@ mod tests {
     }
 
     #[test]
-    fn wheel_and_heap_backends_are_event_identical() {
-        use telemetry::BufferRecorder;
-        let jobs = [
-            PacketJob::new(small_job(), CcVariant::Fair),
-            PacketJob::new(small_job(), CcVariant::Fair),
-        ];
-        let mut streams = Vec::new();
-        for queue in [QueueBackend::TimingWheel, QueueBackend::ReferenceHeap] {
-            let cfg = PacketSimConfig {
-                queue,
-                ..PacketSimConfig::default()
-            };
-            let mut rec = BufferRecorder::new();
-            let mut sim = PacketSimulator::with_recorder(cfg, &jobs, &mut rec);
-            sim.run_until(Time::ZERO + Dur::from_millis(60));
-            let counts = sim.packet_counts();
-            streams.push((rec.events().to_vec(), counts));
-        }
-        assert_eq!(streams[0].1, streams[1].1, "packet counts diverge");
-        assert_eq!(
-            streams[0].0, streams[1].0,
-            "telemetry streams diverge between queue backends"
-        );
-    }
-
-    #[test]
     fn batched_trains_speed_up_without_changing_outcome() {
         // Same scenario per-packet and with 32-packet trains: delivered
         // bytes and congestion signals must agree within a few percent,
@@ -1336,39 +1249,35 @@ mod tests {
 
     /// Snapshot/restore splices invisibly: run(0→T) matches
     /// run(0→t) + snapshot + restore + run(t→T) exactly — packet counts,
-    /// delivered bytes, CNPs, and events processed — on both queue
-    /// backends and with batched trains.
+    /// delivered bytes, CNPs, and events processed — with batched trains.
     #[test]
     fn snapshot_round_trip_is_bit_identical() {
-        for queue in [QueueBackend::TimingWheel, QueueBackend::ReferenceHeap] {
-            let cfg = PacketSimConfig {
-                queue,
-                train_packets: 8,
-                ..PacketSimConfig::default()
-            };
-            let jobs = [
-                PacketJob::new(small_job(), CcVariant::Fair),
-                PacketJob::new(small_job(), CcVariant::Fair),
-            ];
-            let mut whole = PacketSimulator::new(cfg.clone(), &jobs);
-            whole.run_until(Time::ZERO + Dur::from_millis(60));
+        let cfg = PacketSimConfig {
+            train_packets: 8,
+            ..PacketSimConfig::default()
+        };
+        let jobs = [
+            PacketJob::new(small_job(), CcVariant::Fair),
+            PacketJob::new(small_job(), CcVariant::Fair),
+        ];
+        let mut whole = PacketSimulator::new(cfg.clone(), &jobs);
+        whole.run_until(Time::ZERO + Dur::from_millis(60));
 
-            let mut prefix = PacketSimulator::new(cfg, &jobs);
-            prefix.run_until(Time::ZERO + Dur::from_millis(25));
-            let snap = prefix.snapshot().unwrap();
-            let mut resumed: PacketSimulator = Engine::restore(snap, NoopRecorder).unwrap();
-            resumed.run_until(Time::ZERO + Dur::from_millis(60));
+        let mut prefix = PacketSimulator::new(cfg, &jobs);
+        prefix.run_until(Time::ZERO + Dur::from_millis(25));
+        let snap = prefix.snapshot().unwrap();
+        let mut resumed: PacketSimulator = Engine::restore(snap, NoopRecorder).unwrap();
+        resumed.run_until(Time::ZERO + Dur::from_millis(60));
 
-            assert_eq!(whole.packet_counts(), resumed.packet_counts());
-            assert_eq!(whole.cnps_sent(), resumed.cnps_sent());
-            assert_eq!(whole.events_processed(), resumed.events_processed());
-            for i in 0..2 {
-                assert_eq!(whole.delivered(i), resumed.delivered(i));
-                assert_eq!(
-                    whole.progress(i).iteration_times(),
-                    resumed.progress(i).iteration_times()
-                );
-            }
+        assert_eq!(whole.packet_counts(), resumed.packet_counts());
+        assert_eq!(whole.cnps_sent(), resumed.cnps_sent());
+        assert_eq!(whole.events_processed(), resumed.events_processed());
+        for i in 0..2 {
+            assert_eq!(whole.delivered(i), resumed.delivered(i));
+            assert_eq!(
+                whole.progress(i).iteration_times(),
+                resumed.progress(i).iteration_times()
+            );
         }
     }
 

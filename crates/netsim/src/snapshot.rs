@@ -6,7 +6,7 @@
 //! [`crate::Engine::snapshot`] and [`crate::Engine::restore`]. A snapshot
 //! captures **everything** that feeds future behaviour — job progress and
 //! controller state, RNG and chaos stream positions, pending
-//! timing-wheel/queue contents (including the FIFO tie-break counter),
+//! event-queue contents (including the FIFO tie-break counter),
 //! span-tracker state, and the accumulated traces the experiments read
 //! back — so that
 //!

@@ -33,7 +33,7 @@ cargo run --release --offline --quiet --manifest-path mlcc-bench/Cargo.toml --bi
 # stay readable by the current schema; the verdicts are printed, not
 # gated, since the records come from different runs of a shared host.
 cargo run --release --offline --quiet --manifest-path mlcc-bench/Cargo.toml --bin mlcc-bench -- \
-    compare perf/mlcc-bench-seed1.json perf/mlcc-bench-seed1-pr24.json
+    compare perf/mlcc-bench-seed1.json perf/mlcc-bench-seed1-pr26.json
 
 echo "== parallel determinism gate (--jobs 1 vs --jobs 4 byte-identical) =="
 cargo build --release -q
@@ -53,16 +53,28 @@ diff "$GATE/j1/run.json" "$GATE/j4/run.json"
 diff "$GATE/j1/stdout.txt" "$GATE/j4/stdout.txt"
 echo "byte-identical across --jobs 1 and --jobs 4"
 
-echo "== timing-wheel determinism gate (wheel vs heap JSONL byte-diff) =="
+echo "== packet-engine determinism pin (traced JSONL sha256 + counts) =="
 # train_packets=1 is the per-packet engine; 64 runs full trains, whose
-# packets the engine steps in runs.
-for t in 1 64; do
-    for b in wheel heap; do
-        cargo run -q --release -p netsim --example packet_trace -- "$b" "$t" "$GATE/trace_${b}_$t.jsonl"
-    done
-    cmp "$GATE/trace_wheel_$t.jsonl" "$GATE/trace_heap_$t.jsonl"
-    echo "traced packet run byte-identical across queue backends at train_packets=$t"
-done
+# packets the engine steps in runs. Each traced run must reproduce the
+# pinned digest and telemetry/packet counts exactly. The pins were taken
+# when two event-queue implementations (a timing wheel and a binary heap)
+# still produced these bytes identically; a queue or engine change that
+# moves them is a determinism break, not a new pin.
+while read -r t sha counts; do
+    OUT=$(cargo run -q --release -p netsim --example packet_trace -- "$t" "$GATE/trace_$t.jsonl" < /dev/null)
+    GOT_SHA=$(sha256sum "$GATE/trace_$t.jsonl" | cut -d' ' -f1)
+    GOT_COUNTS=${OUT#"$GATE/trace_$t.jsonl: "}
+    if [ "$GOT_SHA" != "$sha" ] || [ "$GOT_COUNTS" != "$counts" ]; then
+        echo "packet trace at train_packets=$t drifted:" >&2
+        echo "  sha256 $GOT_SHA (pinned $sha)" >&2
+        echo "  \"$GOT_COUNTS\" (pinned \"$counts\")" >&2
+        exit 1
+    fi
+    echo "traced packet run at train_packets=$t matches its pin: $GOT_COUNTS"
+done <<'PINS'
+1 e03002510ba3ff73f6923cb406e82fab6cf1d88c71b7ba3eb603705557858a65 12456 telemetry events (292066 packets, 6071 marked)
+64 1fb1febad94f5ac946c929c7a7e0eba4e48e611e72f8d3d4df421f4bee48415a 13348 telemetry events (256692 packets, 6517 marked)
+PINS
 
 echo "== paper-scale packet validation wall-clock budget smoke =="
 PAPER_T0=$(date +%s.%N)

@@ -29,7 +29,8 @@
 //!
 //! Every experiment command is one row of [`EXPERIMENTS`], which lists the
 //! run options it honours. An option the command does not honour is a
-//! usage error (exit 2), never silently ignored.
+//! usage error (exit 2), never silently ignored, and so is an
+//! `--iterations` of 0 or above [`MAX_ITERATIONS`] (1,000,000).
 //!
 //! `--csv DIR` additionally writes the raw data series (traces, CDFs,
 //! tables) as CSV files for plotting.
@@ -114,6 +115,12 @@ use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 use std::time::{Duration, Instant};
 use telemetry::{BufferRecorder, Event, FlightRing, Profiler, Recorder, TimedEvent};
+
+/// The largest `--iterations` any experiment accepts: 1,000× the paper's
+/// 1,000-iteration Fig. 1d, and far below the counts at which the
+/// experiments' simulated-time budgets (a few nominal iterations per
+/// requested one) overflow a [`Dur`]. Larger counts are usage errors.
+const MAX_ITERATIONS: usize = 1_000_000;
 
 struct Opts {
     /// Every flag given, in order, for the honoured-option check.
@@ -236,6 +243,9 @@ fn parse_opts(args: &[String]) -> Result<Opts, String> {
                 let n: usize = v.parse().map_err(|_| format!("bad iteration count {v}"))?;
                 if n == 0 {
                     return Err("--iterations must be at least 1".to_string());
+                }
+                if n > MAX_ITERATIONS {
+                    return Err(format!("--iterations must be at most {MAX_ITERATIONS}"));
                 }
                 opts.iterations = Some(n);
             }

@@ -40,6 +40,21 @@ fn zero_iterations_is_a_usage_error() {
     }
 }
 
+/// Counts above the cap are rejected before anything runs: unbounded,
+/// fig1's and table1's simulated-time budgets overflowed and the run
+/// panicked, and shard ran on for ever.
+#[test]
+fn iterations_above_the_cap_are_usage_errors() {
+    for experiment in ["fig1", "table1", "shard"] {
+        for n in ["1000001", "18446744073709551615"] {
+            assert_usage_error(
+                &[experiment, "--iterations", n],
+                "--iterations must be at most 1000000",
+            );
+        }
+    }
+}
+
 /// Experiments that discard warmup iterations need at least one more.
 #[test]
 fn iterations_within_warmup_are_usage_errors() {
