@@ -102,13 +102,21 @@ pub fn apply_rate_at_barrier<R: Recorder>(
 
 /// Simulation-budget multiplier for a perturbed run: degraded links and
 /// stragglers legitimately stretch iterations well past the clean-run
-/// budget. `1` (no change) when chaos is off.
+/// budget. `1` (no change) when chaos is off; otherwise the phase layer's
+/// worst compute stretch, `(1 + compute_jitter) × straggler_factor`
+/// (whole part), and never below 4, which every builtin profile gets.
 pub fn budget_slack(chaos: &ChaosConfig) -> u64 {
     if chaos.is_none() {
-        1
-    } else {
-        4
+        return 1;
     }
+    let phase = &chaos.phase;
+    let straggle = if phase.straggler_prob > 0.0 {
+        phase.straggler_factor
+    } else {
+        1.0
+    };
+    // The loader bounds jitter to [0, 1] and the factor to [1, 100].
+    (((1.0 + phase.compute_jitter) * straggle) as u64).max(4)
 }
 
 /// Job statistics with a degraded-run fallback: a perturbed job that
@@ -453,6 +461,24 @@ mod tests {
             profiles: vec!["stragglers".to_string(), "links".to_string()],
             ..ChaosSweepConfig::default()
         }
+    }
+
+    /// `none` keeps the clean budget, every builtin profile keeps 4, and
+    /// a phase layer that stretches compute further raises the slack to
+    /// its worst stretch.
+    #[test]
+    fn budget_slack_covers_the_worst_stretch() {
+        assert_eq!(budget_slack(&ChaosConfig::none()), 1);
+        for name in ["signal", "stragglers", "links", "mixed"] {
+            let cfg = ChaosConfig::profile(name).unwrap();
+            assert_eq!(budget_slack(&cfg), 4, "{name}");
+        }
+        let mut heavy = ChaosConfig::profile("stragglers").unwrap();
+        heavy.phase.straggler_prob = 1.0;
+        heavy.phase.straggler_factor = 100.0;
+        assert_eq!(budget_slack(&heavy), 110);
+        heavy.phase.straggler_prob = 0.0;
+        assert_eq!(budget_slack(&heavy), 4);
     }
 
     #[test]

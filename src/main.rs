@@ -1,15 +1,15 @@
 //! `mlcc-repro` — command-line driver for every reproduction experiment.
 //!
-//! ```text
-//! mlcc-repro <command> [--iterations N] [--jobs N] [--csv DIR]
-//!                      [--trace FILE] [--metrics] [--profile]
-//!                      [--report FILE] [--summary FILE] [--summary-dir DIR]
-//!                      [--chaos PROFILE|FILE.toml] [--chaos-seed N]
+//! `mlcc-repro` with no arguments prints every command's synopsis and the
+//! options each experiment takes, generated from the flag tables
+//! ([`FLAGS`], [`REPORT_FLAGS`], [`DIFF_FLAGS`], [`TREND_FLAGS`]) and
+//! [`EXPERIMENTS`] that the parser and the option checks read. Commands:
 //!
-//! commands:
+//! ```text
 //!   fig1       Fig. 1: bandwidth shares + iteration-time CDFs
 //!   fig2       Fig. 2: the sliding effect
 //!   table1     Table 1: five job groups, measured + predicted
+//!   variants   the congestion-control zoo on the Fig. 1 pair
 //!   geometry   Figs. 3–5: circles, rotations, unified circle
 //!   adaptive   §4.i  adaptively unfair congestion control
 //!   priority   §4.ii switch priority queues
@@ -19,7 +19,10 @@
 //!   ablations  A1–A3: sector resolution, unfairness strength, placement
 //!   chaos      fault-injection sweep: seeds × profiles through the
 //!              recovery analyzer
-//!   all        everything above, in order
+//!   snapshot   fork-from-prefix benchmark: forked vs replayed chaos grid
+//!   shard      sharding benchmark: paper-scale fluid + packet runs
+//!   all        every row of EXPERIMENTS marked `in_all`, in order
+//!   explain    causal attribution of an experiment or a JSONL trace
 //!   report     analyze a recorded JSONL trace into an HTML report
 //!   diff       compare two RunSummary JSON files (regression gate),
 //!              or two JSONL traces (first divergent event)
@@ -78,18 +81,9 @@
 //! scenario, cut to whole spans so that `report` replays it). `--watch`
 //! prints a progress line to **stderr** as each experiment finishes
 //! (events recorded, scenarios seen, furthest simulated time) and a
-//! closing alert count. Both dumps
-//! read the same recording as `--trace`, so they are byte-identical at
-//! any `--jobs`, and stdout and every other output file are
-//! byte-identical with or without these flags.
-//!
-//! ```text
-//! mlcc-repro report trace.jsonl --out report.html [--summary run.json]
-//! mlcc-repro diff a.json b.json [--tolerance 0.05]
-//! mlcc-repro diff a.jsonl b.jsonl
-//! mlcc-repro trend [bench/HISTORY.jsonl] [--last K] [--tolerance F]
-//!                  [--wall-tolerance F] [--experiment NAME]
-//! ```
+//! closing alert count. Both dumps read the same recording as `--trace`,
+//! so they are byte-identical at any `--jobs`, and stdout and every other
+//! output file are byte-identical with or without these flags.
 //!
 //! `diff` exits 0 when every shared metric agrees within tolerance and the
 //! key sets match, non-zero otherwise — wire it into CI against committed
@@ -122,9 +116,11 @@ use telemetry::{BufferRecorder, Event, FlightRing, Profiler, Recorder, TimedEven
 /// requested one) overflow a [`Dur`]. Larger counts are usage errors.
 const MAX_ITERATIONS: usize = 1_000_000;
 
+/// The typed value of every experiment flag. An option not given is
+/// `None` (or `false`), so the flags given are read back from these
+/// fields through [`FLAGS`]; a flag given with its default value counts.
+#[derive(Default)]
 struct Opts {
-    /// Every flag given, in order, for the honoured-option check.
-    given: Vec<String>,
     iterations: Option<usize>,
     jobs: Option<usize>,
     /// Worker threads for intra-scenario sharding. Only affects wall
@@ -138,33 +134,35 @@ struct Opts {
     report: Option<PathBuf>,
     summary: Option<PathBuf>,
     summary_dir: Option<PathBuf>,
-    chaos: ChaosConfig,
-    watch: bool,
-    slo: Option<SloRules>,
-    alerts: Option<PathBuf>,
-    flight: Option<PathBuf>,
+    chaos: Option<ChaosConfig>,
+    chaos_seed: Option<u64>,
     /// Fork the sweep from a shared clean prefix at this simulated time.
     fork_at: Option<Dur>,
     /// Re-simulate the prefix in every cell instead of restoring the
     /// snapshot — the byte-identity baseline for `--fork-at`.
     fork_replay: bool,
+    watch: bool,
+    slo: Option<SloRules>,
+    alerts: Option<PathBuf>,
+    flight: Option<PathBuf>,
 }
 
 impl Opts {
-    /// Any flag that reads the recording once the experiments finish.
-    fn watching(&self) -> bool {
-        self.watch || self.slo.is_some() || self.alerts.is_some() || self.flight.is_some()
+    /// The flags given, in [`FLAGS`] order.
+    fn given(&self) -> impl Iterator<Item = &'static ExperimentFlag> + '_ {
+        FLAGS.iter().filter(|f| (f.given)(self))
     }
 
-    /// A recorder when any observability flag asked for one.
-    fn recorder(&self) -> Option<BufferRecorder> {
-        (self.trace.is_some()
-            || self.metrics
-            || self.profile
-            || self.report.is_some()
-            || self.summary.is_some()
-            || self.watching())
-        .then(BufferRecorder::new)
+    /// Whether a flag of one of `classes` was given.
+    fn gives(&self, classes: &[Class]) -> bool {
+        self.given().any(|f| classes.contains(&f.class))
+    }
+
+    /// The `--chaos` config (none by default), re-seeded by `--chaos-seed`.
+    fn chaos(&self) -> ChaosConfig {
+        let chaos = self.chaos.unwrap_or_else(ChaosConfig::none);
+        let seed = self.chaos_seed.unwrap_or(chaos.seed);
+        ChaosConfig { seed, ..chaos }
     }
 
     /// Sizes the worker pools `--jobs` and `--shards` ask for.
@@ -178,171 +176,218 @@ impl Opts {
     }
 }
 
+/// One flag of a command: its name (`""` for the bare argument), its
+/// value's metavar (`None` for a switch) and the parser that stores the
+/// typed value in the options `O`, given the flag's name for its errors
+/// and its value (`""` for a switch).
+struct Flag<O> {
+    name: &'static str,
+    value: Option<&'static str>,
+    set: fn(&mut O, &'static str, &str) -> Result<(), String>,
+}
+
+/// Which experiment commands take a flag.
+#[derive(Clone, Copy, PartialEq)]
+enum Class {
+    /// A run option: taken by the rows whose `honours` list names it.
+    Run,
+    /// Taken by every experiment command.
+    Always,
+    /// Taken by the rows that record telemetry; it asks for a recorder.
+    Recording,
+    /// A recording flag read once the experiments finish.
+    Watching,
+}
+use Class::*;
+
+/// One experiment flag: which commands take it, and whether [`Opts`]
+/// holds it.
+struct ExperimentFlag {
+    class: Class,
+    given: fn(&Opts) -> bool,
+    flag: Flag<Opts>,
+}
+
+/// A [`FLAGS`] row whose parser stores `$parse(flag, value)` (the value
+/// as a path without `$parse`) in the `Option` field `Opts::$field`, which
+/// then says whether it was given. A switch (no metavar) sets a `bool`.
+#[rustfmt::skip]
+macro_rules! flag {
+    ($class:ident, $name:literal, $value:literal, $field:ident) => {
+        flag!($class, $name, $value, $field, |_, v: &str| Ok::<PathBuf, String>(v.into()))
+    };
+    ($class:ident, $name:literal, $field:ident) => {
+        ExperimentFlag { class: $class, given: |o| o.$field,
+            flag: Flag { name: $name, value: None, set: |o, _, _| put(&mut o.$field, true) } }
+    };
+    ($class:ident, $name:literal, $value:literal, $field:ident, $parse:expr) => {
+        ExperimentFlag { class: $class, given: |o| o.$field.is_some(), flag: Flag { name: $name,
+            value: Some($value), set: |o, f, v| put(&mut o.$field, Some(($parse)(f, v)?)) } }
+    };
+}
+
+/// Every experiment flag, in usage order. The parser, the option checks,
+/// the recorder and the usage text all read this table.
+#[rustfmt::skip]
+static FLAGS: [ExperimentFlag; 18] = [
+    flag!(Run, "--iterations", "N", iterations, |f, v| count(f, v, "iteration", 1, MAX_ITERATIONS)),
+    flag!(Always, "--jobs", "N", jobs, |f, v| count(f, v, "job", 1, usize::MAX)),
+    flag!(Run, "--shards", "N", shards, |f, v| count(f, v, "shard", 1, usize::MAX)),
+    flag!(Run, "--csv", "DIR", csv),
+    flag!(Recording, "--trace", "FILE", trace),
+    flag!(Recording, "--metrics", metrics),
+    flag!(Recording, "--profile", profile),
+    flag!(Recording, "--report", "FILE", report),
+    flag!(Recording, "--summary", "FILE", summary),
+    flag!(Always, "--summary-dir", "DIR", summary_dir),
+    flag!(Run, "--chaos", "PROFILE|FILE.toml", chaos, parse_chaos),
+    flag!(Run, "--chaos-seed", "N", chaos_seed, |_, v: &str| v.parse().map_err(|_| format!("bad chaos seed {v}"))),
+    flag!(Run, "--fork-at", "DUR", fork_at, duration),
+    flag!(Run, "--fork-replay", fork_replay),
+    flag!(Watching, "--watch", watch),
+    flag!(Watching, "--slo", "RULES.toml", slo, parse_slo),
+    flag!(Watching, "--alerts", "FILE", alerts),
+    flag!(Watching, "--flight", "FILE", flight),
+];
+
+/// Stores a parsed value.
+fn put<T>(slot: &mut T, value: T) -> Result<(), String> {
+    *slot = value;
+    Ok(())
+}
+
+/// Parses `flag`'s count `v` (of `noun`s), which must lie in `min..=max`.
+fn count(flag: &str, v: &str, noun: &str, min: usize, max: usize) -> Result<usize, String> {
+    let n: usize = v.parse().map_err(|_| format!("bad {noun} count {v}"))?;
+    match n {
+        _ if n < min => Err(format!("{flag} must be at least {min}")),
+        _ if n > max => Err(format!("{flag} must be at most {max}")),
+        _ => Ok(n),
+    }
+}
+
+/// Parses `flag`'s positive simulated duration `v`, with a unit suffix:
+/// `250us`, `120ms`, `2s`, or bare nanoseconds (`500000ns` or `500000`).
+fn duration(flag: &str, v: &str) -> Result<Dur, String> {
+    let units = [
+        ("us", 1_000u64),
+        ("ms", 1_000_000),
+        ("ns", 1),
+        ("s", 1_000_000_000),
+    ];
+    let unit = |&(suffix, mult)| Some((v.strip_suffix(suffix)?, mult));
+    let (digits, mult) = units.iter().find_map(unit).unwrap_or((v, 1));
+    let n: u64 = digits
+        .parse()
+        .map_err(|_| format!("{flag} {v}: expected a duration like 250us, 120ms or 2s"))?;
+    match n.checked_mul(mult) {
+        None => Err(format!("{flag} {v}: duration overflows")),
+        Some(0) => Err(format!("{flag} must be positive")),
+        Some(ns) => Ok(Dur::from_nanos(ns)),
+    }
+}
+
+/// Parses `flag`'s relative tolerance `v`. A NaN tolerance would pass
+/// every comparison and an infinite one every shift, turning the gate it
+/// feeds off; a negative one would flag every metric.
+fn tolerance(flag: &str, v: &str) -> Result<f64, String> {
+    let t: f64 = v.parse().map_err(|_| format!("bad tolerance {v}"))?;
+    let gate = t.is_finite() && t >= 0.0;
+    gate.then_some(t)
+        .ok_or_else(|| format!("{flag} must be finite and not negative, not {v}"))
+}
+
 /// Resolves a `--chaos` argument: a builtin profile name
 /// ([`ChaosConfig::profile`]) or a path to a chaos TOML file.
-fn parse_chaos(value: &str) -> Result<ChaosConfig, String> {
+fn parse_chaos(flag: &str, value: &str) -> Result<ChaosConfig, String> {
     if let Some(cfg) = ChaosConfig::profile(value) {
         return Ok(cfg);
     }
     let text = std::fs::read_to_string(value).map_err(|e| {
-        format!("--chaos {value}: not a builtin profile, and reading it failed: {e}")
+        format!("{flag} {value}: not a builtin profile, and reading it failed: {e}")
     })?;
-    faults::from_toml_str(&text).map_err(|e| format!("--chaos {value}: {e}"))
+    faults::from_toml_str(&text).map_err(|e| format!("{flag} {value}: {e}"))
 }
 
-/// Parses a simulated duration with a unit suffix: `250us`, `120ms`,
-/// `2s`, or bare nanoseconds (`500000ns` or `500000`).
-fn parse_dur(s: &str) -> Result<Dur, String> {
-    let (digits, mult) = if let Some(d) = s.strip_suffix("us") {
-        (d, 1_000u64)
-    } else if let Some(d) = s.strip_suffix("ms") {
-        (d, 1_000_000)
-    } else if let Some(d) = s.strip_suffix("ns") {
-        (d, 1)
-    } else if let Some(d) = s.strip_suffix('s') {
-        (d, 1_000_000_000)
-    } else {
-        (s, 1)
-    };
-    let n: u64 = digits
-        .parse()
-        .map_err(|_| format!("{s}: expected a duration like 250us, 120ms or 2s"))?;
-    n.checked_mul(mult)
-        .map(Dur::from_nanos)
-        .ok_or_else(|| format!("{s}: duration overflows"))
+/// Loads the `--slo` rules file `value`.
+fn parse_slo(flag: &str, value: &str) -> Result<SloRules, String> {
+    let text = std::fs::read_to_string(value)
+        .map_err(|e| format!("{flag} {value}: reading it failed: {e}"))?;
+    slo_from_toml_str(&text).map_err(|e| format!("{flag} {value}: {e}"))
+}
+
+/// What the error for a flag given without its value says it needs.
+fn needs(metavar: &str) -> &'static str {
+    match metavar {
+        "DIR" => "a directory",
+        "FILE" => "a file path",
+        "DUR" => "a duration (e.g. 120ms)",
+        "PROFILE|FILE.toml" => "a profile name or file",
+        "RULES.toml" => "a rules TOML file",
+        "EXPERIMENT" => "a name",
+        _ => "a value",
+    }
+}
+
+/// Parses `args` over a command's flag table. A flag's value is the
+/// next argument (none for a switch); a bare argument is the value of the
+/// row named `""`, if the command takes one.
+fn parse<'a, O: Default + 'a>(
+    args: &[String],
+    flags: impl Iterator<Item = &'a Flag<O>> + Clone,
+) -> Result<O, String> {
+    let mut o = O::default();
+    let mut it = args.iter().map(String::as_str);
+    while let Some(a) = it.next() {
+        let bare = !a.starts_with("--");
+        let f = (flags.clone().find(|f| f.name == if bare { "" } else { a }))
+            .ok_or_else(|| format!("unknown option {a}"))?;
+        let v = match f.value {
+            _ if bare => a,
+            Some(metavar) => (it.next()).ok_or_else(|| format!("{a} needs {}", needs(metavar)))?,
+            None => "",
+        };
+        (f.set)(&mut o, f.name, v)?;
+    }
+    Ok(o)
+}
+
+/// The synopsis of a flag table after `head`, wrapped at 80 columns: a
+/// bare argument as its metavar, each flag as `[--flag VALUE]`.
+fn synopsis<'a, O: 'a>(head: &str, flags: impl Iterator<Item = &'a Flag<O>>) -> String {
+    let mut out = head.to_string();
+    for f in flags {
+        let item = match f.value {
+            Some(v) if f.name.is_empty() => v.to_string(),
+            Some(v) => format!("[{} {v}]", f.name),
+            None => format!("[{}]", f.name),
+        };
+        let line = out.len() - out.rfind('\n').map_or(0, |i| i + 1);
+        let wrap = line + item.len() >= 80;
+        out += if wrap { "\n       " } else { " " };
+        out += &item;
+    }
+    out
 }
 
 fn parse_opts(args: &[String]) -> Result<Opts, String> {
-    let mut opts = Opts {
-        given: Vec::new(),
-        iterations: None,
-        jobs: None,
-        shards: None,
-        csv: None,
-        trace: None,
-        metrics: false,
-        profile: false,
-        report: None,
-        summary: None,
-        summary_dir: None,
-        chaos: ChaosConfig::none(),
-        watch: false,
-        slo: None,
-        alerts: None,
-        flight: None,
-        fork_at: None,
-        fork_replay: false,
-    };
-    let mut chaos_seed: Option<u64> = None;
-    let mut it = args.iter();
-    while let Some(a) = it.next() {
-        opts.given.push(a.clone());
-        match a.as_str() {
-            "--iterations" => {
-                let v = it.next().ok_or("--iterations needs a value")?;
-                let n: usize = v.parse().map_err(|_| format!("bad iteration count {v}"))?;
-                if n == 0 {
-                    return Err("--iterations must be at least 1".to_string());
-                }
-                if n > MAX_ITERATIONS {
-                    return Err(format!("--iterations must be at most {MAX_ITERATIONS}"));
-                }
-                opts.iterations = Some(n);
-            }
-            "--jobs" => {
-                let v = it.next().ok_or("--jobs needs a value")?;
-                let n: usize = v.parse().map_err(|_| format!("bad job count {v}"))?;
-                if n == 0 {
-                    return Err("--jobs must be at least 1".to_string());
-                }
-                opts.jobs = Some(n);
-            }
-            "--shards" => {
-                let v = it.next().ok_or("--shards needs a value")?;
-                let n: usize = v.parse().map_err(|_| format!("bad shard count {v}"))?;
-                if n == 0 {
-                    return Err("--shards must be at least 1".to_string());
-                }
-                opts.shards = Some(n);
-            }
-            "--csv" => {
-                let v = it.next().ok_or("--csv needs a directory")?;
-                opts.csv = Some(PathBuf::from(v));
-            }
-            "--trace" => {
-                let v = it.next().ok_or("--trace needs a file path")?;
-                opts.trace = Some(PathBuf::from(v));
-            }
-            "--metrics" => opts.metrics = true,
-            "--profile" => opts.profile = true,
-            "--report" => {
-                let v = it.next().ok_or("--report needs a file path")?;
-                opts.report = Some(PathBuf::from(v));
-            }
-            "--summary" => {
-                let v = it.next().ok_or("--summary needs a file path")?;
-                opts.summary = Some(PathBuf::from(v));
-            }
-            "--summary-dir" => {
-                let v = it.next().ok_or("--summary-dir needs a directory")?;
-                opts.summary_dir = Some(PathBuf::from(v));
-            }
-            "--chaos" => {
-                let v = it.next().ok_or("--chaos needs a profile name or file")?;
-                opts.chaos = parse_chaos(v)?;
-            }
-            "--chaos-seed" => {
-                let v = it.next().ok_or("--chaos-seed needs a value")?;
-                chaos_seed = Some(v.parse().map_err(|_| format!("bad chaos seed {v}"))?);
-            }
-            "--watch" => opts.watch = true,
-            "--slo" => {
-                let v = it.next().ok_or("--slo needs a rules TOML file")?;
-                let text = std::fs::read_to_string(v)
-                    .map_err(|e| format!("--slo {v}: reading it failed: {e}"))?;
-                opts.slo = Some(slo_from_toml_str(&text).map_err(|e| format!("--slo {v}: {e}"))?);
-            }
-            "--alerts" => {
-                let v = it.next().ok_or("--alerts needs a file path")?;
-                opts.alerts = Some(PathBuf::from(v));
-            }
-            "--flight" => {
-                let v = it.next().ok_or("--flight needs a file path")?;
-                opts.flight = Some(PathBuf::from(v));
-            }
-            "--fork-at" => {
-                let v = it.next().ok_or("--fork-at needs a duration (e.g. 120ms)")?;
-                let d = parse_dur(v).map_err(|e| format!("--fork-at {e}"))?;
-                if d.is_zero() {
-                    return Err("--fork-at must be positive".to_string());
-                }
-                opts.fork_at = Some(d);
-            }
-            "--fork-replay" => opts.fork_replay = true,
-            other => return Err(format!("unknown option {other}")),
-        }
+    let o = parse(args, FLAGS.iter().map(|f| &f.flag))?;
+    if o.chaos_seed.is_some() && o.chaos.is_none_or(|c| c.is_none()) {
+        return Err("--chaos-seed needs a --chaos profile that injects faults".to_string());
     }
-    if let Some(seed) = chaos_seed {
-        if opts.chaos.is_none() {
-            return Err("--chaos-seed needs a --chaos profile that injects faults".to_string());
-        }
-        opts.chaos.seed = seed;
-    }
-    if opts.fork_replay && opts.fork_at.is_none() {
+    if o.fork_replay && o.fork_at.is_none() {
         return Err("--fork-replay requires --fork-at".to_string());
     }
-    Ok(opts)
+    Ok(o)
 }
-
-/// Flags every experiment command takes.
-const ALWAYS: &str = "--jobs --summary-dir";
-
-/// Flags that need an experiment that records telemetry.
-const RECORDING: &str =
-    "--trace --metrics --profile --report --summary --watch --slo --alerts --flight";
 
 /// Bench metrics one experiment contributes to its `BENCH_<name>.json`.
 type BenchMetrics = Vec<(String, f64)>;
+
+/// Bench metrics from `(key, value)` pairs.
+fn metrics<'a>(pairs: impl IntoIterator<Item = (&'a str, f64)>) -> BenchMetrics {
+    pairs.into_iter().map(|(k, v)| (k.to_string(), v)).collect()
+}
 
 /// What running an experiment (or one of its steps) yields.
 type RunResult<T = BenchMetrics> = Result<T, Box<dyn Error>>;
@@ -354,13 +399,14 @@ struct Experiment {
     /// experiment falls back to every completed iteration).
     warmup: fn() -> usize,
     /// The run options it honours, as a space-separated flag list. It
-    /// also takes [`ALWAYS`], and [`RECORDING`] when it records.
+    /// also takes the `Always` flags of [`FLAGS`], and the `Recording`
+    /// and `Watching` ones when it records.
     honours: &'static str,
     /// The run's simulated horizon, which `--fork-at` must fall before;
     /// set exactly when `honours` lists `--fork-at`.
     horizon: Option<fn(&Opts) -> Dur>,
-    /// Whether it records telemetry: it takes the [`RECORDING`] flags,
-    /// and `explain` can attribute it.
+    /// Whether it records telemetry: it takes the recording flags, and
+    /// `explain` can attribute it.
     records: bool,
     /// Whether `all` runs it.
     in_all: bool,
@@ -407,21 +453,27 @@ static EXPERIMENTS: [Experiment; 14] = [
         horizon: Some(|o| shard_config(o).horizon()) },
 ];
 
-/// Checks the options given for `cmd` against the experiments it runs.
-/// Each flag must be taken by at least one of `rows`; `explain` takes
-/// only the run options and `--jobs`, no output flag. `--iterations`
-/// must exceed every warmup, and `--fork-at` fall before every horizon.
+/// Whether one of `rows` takes flag `f`. `explain` takes the run options
+/// and `--jobs`, but no recording flag and no flag that names an output
+/// directory.
+fn takes(rows: &[&Experiment], f: &ExperimentFlag, explain: bool) -> bool {
+    let taken = match f.class {
+        Run => rows
+            .iter()
+            .any(|r| r.honours.split(' ').any(|h| h == f.flag.name)),
+        Always => true,
+        Recording | Watching => !explain && rows.iter().any(|r| r.records),
+    };
+    taken && !(explain && f.flag.value == Some("DIR"))
+}
+
+/// Checks the options given for `cmd` against the experiments it runs:
+/// one of `rows` must take each flag, `--iterations` must exceed every
+/// warmup, and `--fork-at` fall before every horizon.
 fn check_opts(cmd: &str, rows: &[&Experiment], o: &Opts, explain: bool) -> Result<(), String> {
-    for flag in &o.given {
-        let lists = |flags: &str| flags.split(' ').any(|f| f == flag);
-        let honoured = rows.iter().any(|r| lists(r.honours));
-        let taken = if explain {
-            flag == "--jobs" || (flag != "--csv" && honoured)
-        } else {
-            honoured || lists(ALWAYS) || (lists(RECORDING) && rows.iter().any(|r| r.records))
-        };
-        if !taken {
-            return Err(format!("{cmd} does not take {flag}"));
+    for f in o.given() {
+        if !takes(rows, f, explain) {
+            return Err(format!("{cmd} does not take {}", f.flag.name));
         }
     }
     let warmup = rows.iter().map(|r| (r.warmup)()).max().unwrap_or(0);
@@ -441,8 +493,21 @@ fn check_opts(cmd: &str, rows: &[&Experiment], o: &Opts, explain: bool) -> Resul
                 r.name
             ));
         }
+        // fig1 applies its chaos at the fork barrier, after every job has
+        // started (`shard` applies it from t = 0 and takes late arrivals).
+        if r.name == "fig1" && o.chaos().churn.arrival_prob > 0.0 {
+            let late = "a --chaos config with late arrivals (arrival_prob > 0)";
+            return Err(format!(
+                "fig1: --fork-at cannot apply {late} at the fork barrier"
+            ));
+        }
     }
     Ok(())
+}
+
+/// Reads the text file at `path`.
+fn read(path: &Path) -> Result<String, String> {
+    std::fs::read_to_string(path).map_err(|e| format!("reading {}: {e}", path.display()))
 }
 
 /// Writes `content` to `path`, creating parent directories as needed.
@@ -489,7 +554,10 @@ fn append_history(beside: &Path, record: &HistoryRecord) -> Result<(), String> {
 fn cli_config(cmd: &str, opts: &Opts) -> String {
     format!(
         "{cmd}|iterations={:?}|chaos={:?}|fork_at={:?}|fork_replay={}",
-        opts.iterations, opts.chaos, opts.fork_at, opts.fork_replay
+        opts.iterations,
+        opts.chaos(),
+        opts.fork_at,
+        opts.fork_replay
     )
 }
 
@@ -528,22 +596,17 @@ fn report(
 ) -> Result<(), String> {
     if let Some(path) = &opts.trace {
         let jsonl = path.extension().is_some_and(|e| e == "jsonl");
-        let content = if jsonl {
-            telemetry::export::jsonl(rec.events())
+        let (content, kind) = if jsonl {
+            (telemetry::export::jsonl(rec.events()), "JSONL")
         } else {
-            telemetry::export::chrome_trace(rec.events())
+            let chrome = telemetry::export::chrome_trace(rec.events());
+            (
+                chrome,
+                "Chrome trace — open in Perfetto or chrome://tracing",
+            )
         };
         write_file(path, &content)?;
-        println!(
-            "wrote {} ({} events, {})",
-            path.display(),
-            rec.len(),
-            if jsonl {
-                "JSONL"
-            } else {
-                "Chrome trace — open in Perfetto or chrome://tracing"
-            }
-        );
+        println!("wrote {} ({} events, {kind})", path.display(), rec.len());
     }
     if let Some(analysis) = analysis {
         write_analysis(
@@ -604,7 +667,7 @@ macro_rules! with_recorder {
 fn fig1_config(o: &Opts) -> exp::fig1::Fig1Config {
     exp::fig1::Fig1Config {
         iterations: o.iterations.unwrap_or(100),
-        chaos: o.chaos,
+        chaos: o.chaos(),
         ..Default::default()
     }
 }
@@ -664,16 +727,16 @@ fn run_fig2(o: &Opts, rec: Option<&mut BufferRecorder>, out: &mut dyn Write) -> 
             write_csv(out, dir, &format!("fig2_{name}_rates.csv"), &csv)?;
         }
     }
-    Ok(vec![(
-        "interleaved_at_iteration".to_string(),
-        r.interleaved_at().map_or(-1.0, |i| i as f64),
-    )])
+    // Left out when the pair never interleaved.
+    let interleaved = r.interleaved_at();
+    let m = interleaved.map(|i| ("interleaved_at_iteration".to_string(), i as f64));
+    Ok(m.into_iter().collect())
 }
 
 fn run_table1(o: &Opts, rec: Option<&mut BufferRecorder>, out: &mut dyn Write) -> RunResult {
     let cfg = exp::table1::Table1Config {
         iterations: o.iterations.unwrap_or(30),
-        chaos: o.chaos,
+        chaos: o.chaos(),
         ..Default::default()
     };
     writeln!(
@@ -684,13 +747,8 @@ fn run_table1(o: &Opts, rec: Option<&mut BufferRecorder>, out: &mut dyn Write) -
     let r = with_recorder!(rec, |rec| exp::table1::run_traced(&cfg, rec));
     writeln!(out, "{}", r.render())?;
     if let Some(dir) = &o.csv {
-        let mut rows = vec![vec![
-            "job".to_string(),
-            "fair_ms".to_string(),
-            "unfair_ms".to_string(),
-            "speedup".to_string(),
-            "group_compatible".to_string(),
-        ]];
+        let header = "job,fair_ms,unfair_ms,speedup,group_compatible";
+        let mut rows = vec![header.split(',').map(String::from).collect()];
         for g in &r.groups {
             for row in &g.rows {
                 rows.push(vec![
@@ -707,15 +765,13 @@ fn run_table1(o: &Opts, rec: Option<&mut BufferRecorder>, out: &mut dyn Write) -
     let mut m = BenchMetrics::new();
     for (gi, g) in r.groups.iter().enumerate() {
         for (ri, row) in g.rows.iter().enumerate() {
-            m.push((
-                format!("group{gi}.job{ri}.fair_ms"),
-                row.fair.as_millis_f64(),
-            ));
-            m.push((
-                format!("group{gi}.job{ri}.unfair_ms"),
-                row.unfair.as_millis_f64(),
-            ));
-            m.push((format!("group{gi}.job{ri}.speedup"), row.speedup.0));
+            let (fair, unfair) = (row.fair.as_millis_f64(), row.unfair.as_millis_f64());
+            let cells = [
+                ("fair_ms", fair),
+                ("unfair_ms", unfair),
+                ("speedup", row.speedup.0),
+            ];
+            m.extend(cells.map(|(k, v)| (format!("group{gi}.job{ri}.{k}"), v)));
         }
     }
     Ok(m)
@@ -724,7 +780,7 @@ fn run_table1(o: &Opts, rec: Option<&mut BufferRecorder>, out: &mut dyn Write) -
 fn run_variants(o: &Opts, rec: Option<&mut BufferRecorder>, out: &mut dyn Write) -> RunResult {
     let mut cfg = exp::variants::VariantsConfig::default();
     cfg.fig1.iterations = o.iterations.unwrap_or(30);
-    cfg.fig1.chaos = o.chaos;
+    cfg.fig1.chaos = o.chaos();
     writeln!(
         out,
         "== Congestion-control zoo ({} cells, {} iterations each) ==",
@@ -734,13 +790,8 @@ fn run_variants(o: &Opts, rec: Option<&mut BufferRecorder>, out: &mut dyn Write)
     let r = with_recorder!(rec, |rec| exp::variants::run_traced(&cfg, rec));
     writeln!(out, "{}", r.render())?;
     if let Some(dir) = &o.csv {
-        let mut rows = vec![vec![
-            "variant".to_string(),
-            "mean_iter_ms".to_string(),
-            "median_iter_ms".to_string(),
-            "jain".to_string(),
-            "time_to_interleave_ms".to_string(),
-        ]];
+        let header = "variant,mean_iter_ms,median_iter_ms,jain,time_to_interleave_ms";
+        let mut rows = vec![header.split(',').map(String::from).collect()];
         for v in &r.outcomes {
             rows.push(vec![
                 v.name.clone(),
@@ -755,17 +806,18 @@ fn run_variants(o: &Opts, rec: Option<&mut BufferRecorder>, out: &mut dyn Write)
     }
     let mut m = BenchMetrics::new();
     for v in &r.outcomes {
-        m.push((format!("{}.mean_iter_ms", v.name), v.mean_iter_ms));
-        m.push((format!("{}.median_iter_ms", v.name), v.median_iter_ms));
-        m.push((format!("{}.jain", v.name), v.jain));
-        if let Some(ms) = v.time_to_interleave_ms {
-            m.push((format!("{}.time_to_interleave_ms", v.name), ms));
-        }
-        if v.name != "fair" {
-            if let Some(s) = r.speedup_vs_fair(&v.name) {
-                m.push((format!("{}.speedup_vs_fair", v.name), s));
-            }
-        }
+        // `time_to_interleave_ms` and `speedup_vs_fair` are left out where
+        // they do not exist.
+        let speedup = r.speedup_vs_fair(&v.name).filter(|_| v.name != "fair");
+        let cells = [
+            ("mean_iter_ms", Some(v.mean_iter_ms)),
+            ("median_iter_ms", Some(v.median_iter_ms)),
+            ("jain", Some(v.jain)),
+            ("time_to_interleave_ms", v.time_to_interleave_ms),
+            ("speedup_vs_fair", speedup),
+        ];
+        let present = cells.into_iter().filter_map(|(k, x)| Some((k, x?)));
+        m.extend(present.map(|(k, x)| (format!("{}.{k}", v.name), x)));
     }
     Ok(m)
 }
@@ -798,24 +850,22 @@ fn run_geometry(_: &Opts, _: Option<&mut BufferRecorder>, out: &mut dyn Write) -
         "Fig. 5: unified circle {}, reps {:?}, J2 rotation {j2_rotation:.1}°",
         f5.perimeter, f5.repetitions,
     )?;
-    Ok(vec![
-        (
-            "fig4.compatible".to_string(),
-            f4.verdict.is_compatible() as u8 as f64,
-        ),
-        ("fig5.rotation_degrees".to_string(), j2_rotation),
-    ])
+    Ok(metrics([
+        ("fig4.compatible", f4.verdict.is_compatible() as u8 as f64),
+        ("fig5.rotation_degrees", j2_rotation),
+    ]))
 }
 
 fn run_ablations(_: &Opts, _: Option<&mut BufferRecorder>, out: &mut dyn Write) -> RunResult {
     let r = exp::ablation::run();
     write!(out, "{}", r.render())?;
+    // Left out when no sector count is compatible.
     let compatible_at = exp::ablation::SECTORS
         .iter()
         .zip(&r.sectors)
         .find(|(_, v)| v.is_compatible())
-        .map_or(-1.0, |(&n, _)| n as f64);
-    let mut m = vec![("a1.min_compatible_sectors".to_string(), compatible_at)];
+        .map(|(&n, _)| ("a1.min_compatible_sectors".to_string(), n as f64));
+    let mut m: BenchMetrics = compatible_at.into_iter().collect();
     for (t_us, f) in exp::ablation::TIMERS_US.iter().zip(&r.unfairness) {
         for (i, s) in f.speedups().iter().enumerate() {
             m.push((format!("a2.t{t_us}us.speedup.job{i}"), s.0));
@@ -863,10 +913,8 @@ fn run_priority(o: &Opts, rec: Option<&mut BufferRecorder>, out: &mut dyn Write)
     let mut m = BenchMetrics::new();
     for (i, s) in r.speedups().iter().enumerate() {
         m.push((format!("job{i}.fair_ms"), r.fair[i].median_ms()));
-        m.push((
-            format!("job{i}.prioritized_ms"),
-            r.prioritized[i].median_ms(),
-        ));
+        let prioritized = r.prioritized[i].median_ms();
+        m.push((format!("job{i}.prioritized_ms"), prioritized));
         m.push((format!("job{i}.speedup"), s.0));
     }
     Ok(m)
@@ -897,10 +945,10 @@ fn run_pipelining(o: &Opts, rec: Option<&mut BufferRecorder>, out: &mut dyn Writ
     writeln!(out, "== pipelining extension ==")?;
     let r = with_recorder!(rec, |rec| exp::pipelining::run_traced(&cfg, rec));
     writeln!(out, "{}", r.render())?;
-    Ok(vec![
-        ("monolithic.max_tax".to_string(), r.monolithic.max_tax()),
-        ("pipelined.max_tax".to_string(), r.pipelined.max_tax()),
-    ])
+    Ok(metrics([
+        ("monolithic.max_tax", r.monolithic.max_tax()),
+        ("pipelined.max_tax", r.pipelined.max_tax()),
+    ]))
 }
 
 fn run_cluster(o: &Opts, rec: Option<&mut BufferRecorder>, out: &mut dyn Write) -> RunResult {
@@ -912,16 +960,13 @@ fn run_cluster(o: &Opts, rec: Option<&mut BufferRecorder>, out: &mut dyn Write) 
     let r = with_recorder!(rec, |rec| exp::cluster::try_run_traced(&cfg, rec))?;
     writeln!(out, "{}", r.render())?;
     let mean = |v: &[f64]| v.iter().sum::<f64>() / v.len().max(1) as f64;
-    Ok(vec![
+    Ok(metrics([
+        ("locality.mean_slowdown", mean(&r.locality.slowdowns)),
         (
-            "locality.mean_slowdown".to_string(),
-            mean(&r.locality.slowdowns),
-        ),
-        (
-            "compatibility.mean_slowdown".to_string(),
+            "compatibility.mean_slowdown",
             mean(&r.compatibility.slowdowns),
         ),
-    ])
+    ]))
 }
 
 fn chaos_config(o: &Opts) -> exp::chaos::ChaosSweepConfig {
@@ -956,20 +1001,14 @@ fn run_chaos(o: &Opts, rec: Option<&mut BufferRecorder>, out: &mut dyn Write) ->
         for (i, med) in c.medians_ms.iter().enumerate() {
             m.push((format!("{key}.job{i}.median_ms"), *med));
         }
-        m.push((
-            format!("{key}.fault_windows"),
-            c.recovery.fault_windows.len() as f64,
-        ));
-        m.push((format!("{key}.incidents"), c.incidents() as f64));
-        m.push((format!("{key}.worst_recovery_ms"), c.worst_recovery_ms()));
-        m.push((
-            format!("{key}.recovered"),
-            c.recovery.all_recovered() as u8 as f64,
-        ));
-        m.push((
-            format!("{key}.compat_break"),
-            c.recovery.compatibility_break as u8 as f64,
-        ));
+        let cell = [
+            ("fault_windows", c.recovery.fault_windows.len() as f64),
+            ("incidents", c.incidents() as f64),
+            ("worst_recovery_ms", c.worst_recovery_ms()),
+            ("recovered", c.recovery.all_recovered() as u8 as f64),
+            ("compat_break", c.recovery.compatibility_break as u8 as f64),
+        ];
+        m.extend(cell.map(|(k, v)| (format!("{key}.{k}"), v)));
     }
     m.push(("all_recovered".to_string(), r.all_recovered() as u8 as f64));
     Ok(m)
@@ -1027,24 +1066,21 @@ fn run_snapshot_bench(o: &Opts, _: Option<&mut BufferRecorder>, out: &mut dyn Wr
             "STREAMS DIVERGED"
         }
     )?;
-    Ok(vec![
-        ("cells".to_string(), forked.cells.len() as f64),
-        ("fork_at_ms".to_string(), fork_at.as_millis_f64()),
-        ("forked_wall_secs".to_string(), forked_wall.as_secs_f64()),
-        ("replay_wall_secs".to_string(), replay_wall.as_secs_f64()),
-        ("speedup".to_string(), speedup),
-        ("byte_identical".to_string(), byte_identical as u8 as f64),
-        (
-            "all_recovered".to_string(),
-            forked.all_recovered() as u8 as f64,
-        ),
-    ])
+    Ok(metrics([
+        ("cells", forked.cells.len() as f64),
+        ("fork_at_ms", fork_at.as_millis_f64()),
+        ("forked_wall_secs", forked_wall.as_secs_f64()),
+        ("replay_wall_secs", replay_wall.as_secs_f64()),
+        ("speedup", speedup),
+        ("byte_identical", byte_identical as u8 as f64),
+        ("all_recovered", forked.all_recovered() as u8 as f64),
+    ]))
 }
 
 fn shard_config(o: &Opts) -> exp::shard::ShardConfig {
     exp::shard::ShardConfig {
         iterations: o.iterations.unwrap_or(4),
-        chaos: o.chaos,
+        chaos: o.chaos(),
         fork_at: o.fork_at,
         ..exp::shard::ShardConfig::paper_scale()
     }
@@ -1178,69 +1214,60 @@ fn run_shard_bench(o: &Opts, rec: Option<&mut BufferRecorder>, out: &mut dyn Wri
         exp::shard::run_packet_sharded(&packet, &cfg, rec, threads);
     }
 
-    let mut m = vec![
-        ("config.shards".to_string(), threads as f64),
-        (
-            "unsharded_wall_secs".to_string(),
-            unsharded_wall.as_secs_f64(),
-        ),
-        ("sharded_wall_secs".to_string(), sharded_wall.as_secs_f64()),
-        (
-            "sharded1_wall_secs".to_string(),
-            sharded1_wall.as_secs_f64(),
-        ),
-        ("packet_wall_secs".to_string(), packet_wall.as_secs_f64()),
-        ("speedup".to_string(), speedup),
-        ("global_over_sharded1".to_string(), global_over_sharded1),
-        ("global_solves".to_string(), global_solves as f64),
-        ("sharded1_solves".to_string(), sharded1_solves as f64),
-        ("byte_identical".to_string(), byte_identical as u8 as f64),
-        ("stats_match".to_string(), stats_match as u8 as f64),
-        (
-            "completed".to_string(),
-            (baseline.completed && sharded.completed) as u8 as f64,
-        ),
+    let completed = baseline.completed && sharded.completed;
+    let m = [
+        ("config.shards", threads as f64),
+        ("unsharded_wall_secs", unsharded_wall.as_secs_f64()),
+        ("sharded_wall_secs", sharded_wall.as_secs_f64()),
+        ("sharded1_wall_secs", sharded1_wall.as_secs_f64()),
+        ("packet_wall_secs", packet_wall.as_secs_f64()),
+        ("speedup", speedup),
+        ("global_over_sharded1", global_over_sharded1),
+        ("global_solves", global_solves as f64),
+        ("sharded1_solves", sharded1_solves as f64),
+        ("byte_identical", byte_identical as u8 as f64),
+        ("stats_match", stats_match as u8 as f64),
+        ("completed", completed as u8 as f64),
     ];
-    for (k, v) in exp::shard::plan_metrics(&fluid.plan) {
-        m.push((k.to_string(), v));
-    }
-    Ok(m)
+    Ok(metrics(
+        m.into_iter().chain(exp::shard::plan_metrics(&fluid.plan)),
+    ))
 }
+
+/// `report`'s options: the trace it reads, then its flags.
+#[derive(Default)]
+struct ReportArgs {
+    trace: Option<PathBuf>,
+    out: Option<PathBuf>,
+    summary: Option<PathBuf>,
+    name: Option<String>,
+}
+
+#[rustfmt::skip]
+static REPORT_FLAGS: [Flag<ReportArgs>; 4] = [
+    Flag { name: "", value: Some("TRACE.jsonl"), set: |a, _, v| match a.trace {
+        None => put(&mut a.trace, Some(v.into())),
+        Some(_) => Err(format!("unknown option {v}")),
+    } },
+    Flag { name: "--out", value: Some("FILE"), set: |a, _, v| put(&mut a.out, Some(v.into())) },
+    Flag { name: "--summary", value: Some("FILE"), set: |a, _, v| put(&mut a.summary, Some(v.into())) },
+    Flag { name: "--name", value: Some("NAME"), set: |a, _, v| put(&mut a.name, Some(v.into())) },
+];
 
 /// `mlcc-repro report TRACE.jsonl --out FILE [--summary FILE] [--name N]`
 /// — Ok(true) once written.
 fn cmd_report(args: &[String]) -> Result<bool, String> {
-    let mut trace: Option<PathBuf> = None;
-    let mut out: Option<PathBuf> = None;
-    let mut summary: Option<PathBuf> = None;
-    let mut name: Option<String> = None;
-    let mut it = args.iter();
-    while let Some(a) = it.next() {
-        match a.as_str() {
-            "--out" => out = Some(PathBuf::from(it.next().ok_or("--out needs a file path")?)),
-            "--summary" => {
-                summary = Some(PathBuf::from(
-                    it.next().ok_or("--summary needs a file path")?,
-                ))
-            }
-            "--name" => name = Some(it.next().ok_or("--name needs a value")?.clone()),
-            other if !other.starts_with("--") && trace.is_none() => {
-                trace = Some(PathBuf::from(other))
-            }
-            other => return Err(format!("unknown option {other}")),
-        }
-    }
-    let trace = trace.ok_or("report needs a JSONL trace file")?;
-    let text =
-        std::fs::read_to_string(&trace).map_err(|e| format!("reading {}: {e}", trace.display()))?;
+    let a = parse(args, REPORT_FLAGS.iter())?;
+    let trace = a.trace.ok_or("report needs a JSONL trace file")?;
+    let text = read(&trace)?;
     let events = telemetry::parse_jsonl(&text).map_err(|e| e.to_string())?;
-    let run_name = name.unwrap_or_else(|| {
+    let run_name = a.name.unwrap_or_else(|| {
         trace
             .file_stem()
             .map(|s| s.to_string_lossy().into_owned())
             .unwrap_or_else(|| "run".to_string())
     });
-    let out = out.unwrap_or_else(|| trace.with_extension("html"));
+    let out = a.out.unwrap_or_else(|| trace.with_extension("html"));
     // Offline reports hash the trace content itself — there is no CLI run
     // configuration to hash — and feed the same cross-run warehouse as
     // experiment `--summary` runs, so trend analysis sees both.
@@ -1250,7 +1277,7 @@ fn cmd_report(args: &[String]) -> Result<bool, String> {
         events.len(),
         analysis.scenarios.len()
     );
-    write_analysis(&analysis, &text, Some(&out), summary.as_deref(), &note)?;
+    write_analysis(&analysis, &text, Some(&out), a.summary.as_deref(), &note)?;
     Ok(true)
 }
 
@@ -1297,8 +1324,7 @@ fn cmd_explain(args: &[String]) -> Result<bool, String> {
         }
     } else {
         let path = PathBuf::from(target);
-        let text = std::fs::read_to_string(&path)
-            .map_err(|e| format!("reading {}: {e}", path.display()))?;
+        let text = read(&path)?;
         events = telemetry::parse_jsonl(&text).map_err(|e| e.to_string())?;
         name = path
             .file_stem()
@@ -1338,16 +1364,9 @@ fn print_explain(analysis: &RunAnalysis) -> bool {
             continue;
         }
         any_ledger = true;
-        let mut rows = vec![vec![
-            "job".to_string(),
-            "wall ms".to_string(),
-            "compute ms".to_string(),
-            "wait ms".to_string(),
-            "solo ms".to_string(),
-            "inflation ms".to_string(),
-            "inflation %".to_string(),
-            "critical path".to_string(),
-        ]];
+        let header =
+            "job,wall ms,compute ms,wait ms,solo ms,inflation ms,inflation %,critical path";
+        let mut rows = vec![header.split(',').map(String::from).collect()];
         for (job, jl) in &ledger.jobs {
             let critical = if jl.bound_by_comm > jl.bound_by_compute {
                 let link = jl
@@ -1359,32 +1378,21 @@ fn print_explain(analysis: &RunAnalysis) -> bool {
             } else {
                 format!("compute ({}/{})", jl.bound_by_compute, jl.iterations.len())
             };
-            rows.push(vec![
-                format!("job{job}"),
-                format!("{:.3}", jl.wall * 1e3),
-                format!("{:.3}", jl.compute * 1e3),
-                format!("{:.3}", jl.wait * 1e3),
-                format!("{:.3}", jl.solo * 1e3),
-                format!("{:.3}", jl.inflation * 1e3),
-                format!("{:.1}", jl.inflation_share() * 100.0),
-                critical,
-            ]);
+            let secs = [jl.wall, jl.compute, jl.wait, jl.solo, jl.inflation];
+            let ms = secs.map(|s| format!("{:.3}", s * 1e3));
+            let share = format!("{:.1}", jl.inflation_share() * 100.0);
+            rows.push([&[format!("job{job}")][..], &ms, &[share, critical]].concat());
         }
         for line in text_table(&rows).lines() {
             println!("  {line}");
         }
-        let blames: Vec<String> = ledger
-            .jobs
-            .iter()
-            .flat_map(|(job, jl)| {
-                jl.top_blame()
-                    .into_iter()
-                    .map(move |((link, other), secs)| {
-                        format!(
-                            "  job{job} <- job{other} on link{link}: {:.3} ms",
-                            secs * 1e3
-                        )
-                    })
+        let blames: Vec<String> = (ledger.jobs.iter())
+            .flat_map(|(job, jl)| jl.top_blame().into_iter().map(move |b| (job, b)))
+            .map(|(job, ((link, other), secs))| {
+                format!(
+                    "  job{job} <- job{other} on link{link}: {:.3} ms",
+                    secs * 1e3
+                )
             })
             .collect();
         if blames.is_empty() {
@@ -1436,9 +1444,6 @@ fn print_explain(analysis: &RunAnalysis) -> bool {
 /// the first divergent event — its sequence number and both payloads.
 /// Ok(true) when the streams are byte-identical.
 fn diff_jsonl(a_path: &Path, b_path: &Path) -> Result<bool, String> {
-    let read = |p: &Path| -> Result<String, String> {
-        std::fs::read_to_string(p).map_err(|e| format!("reading {}: {e}", p.display()))
-    };
     let a = read(a_path)?;
     let b = read(b_path)?;
     let a_lines: Vec<&str> = a.lines().collect();
@@ -1481,22 +1486,23 @@ fn diff_jsonl(a_path: &Path, b_path: &Path) -> Result<bool, String> {
     Ok(true)
 }
 
+/// `diff`'s options: the files it compares, then its flags.
+#[derive(Default)]
+struct DiffArgs {
+    files: Vec<PathBuf>,
+    cfg: DiffConfig,
+}
+
+#[rustfmt::skip]
+static DIFF_FLAGS: [Flag<DiffArgs>; 2] = [
+    Flag { name: "", value: Some("A.json B.json"), set: |a, _, v| { a.files.push(v.into()); Ok(()) } },
+    Flag { name: "--tolerance", value: Some("F"), set: |a, f, v| put(&mut a.cfg.rel_tol, tolerance(f, v)?) },
+];
+
 /// `mlcc-repro diff A.json B.json [--tolerance F]` — Ok(true) when clean.
 /// Two `.jsonl` arguments select the event-stream diff instead.
 fn cmd_diff(args: &[String]) -> Result<bool, String> {
-    let mut files: Vec<PathBuf> = Vec::new();
-    let mut cfg = DiffConfig::default();
-    let mut it = args.iter();
-    while let Some(a) = it.next() {
-        match a.as_str() {
-            "--tolerance" => {
-                let v = it.next().ok_or("--tolerance needs a value")?;
-                cfg.rel_tol = v.parse().map_err(|_| format!("bad tolerance {v}"))?;
-            }
-            other if !other.starts_with("--") => files.push(PathBuf::from(other)),
-            other => return Err(format!("unknown option {other}")),
-        }
-    }
+    let DiffArgs { files, cfg } = parse(args, DIFF_FLAGS.iter())?;
     let [a_path, b_path] = files.as_slice() else {
         return Err("diff needs exactly two RunSummary JSON files".to_string());
     };
@@ -1505,9 +1511,7 @@ fn cmd_diff(args: &[String]) -> Result<bool, String> {
         return diff_jsonl(a_path, b_path);
     }
     let load = |p: &PathBuf| -> Result<RunSummary, String> {
-        let text =
-            std::fs::read_to_string(p).map_err(|e| format!("reading {}: {e}", p.display()))?;
-        RunSummary::from_json(&text).map_err(|e| format!("parsing {}: {e}", p.display()))
+        RunSummary::from_json(&read(p)?).map_err(|e| format!("parsing {}: {e}", p.display()))
     };
     let a = load(a_path)?;
     let b = load(b_path)?;
@@ -1534,42 +1538,33 @@ fn cmd_diff(args: &[String]) -> Result<bool, String> {
     }
 }
 
+/// `trend`'s options: the warehouse it reads, then its flags.
+#[derive(Default)]
+struct TrendArgs {
+    history: Option<PathBuf>,
+    cfg: TrendConfig,
+    experiment: Option<String>,
+}
+
+#[rustfmt::skip]
+static TREND_FLAGS: [Flag<TrendArgs>; 5] = [
+    Flag { name: "", value: Some("[HISTORY.jsonl]"), set: |a, _, v| put(&mut a.history, Some(v.into())) },
+    Flag { name: "--last", value: Some("K"), set: |a, f, v| put(&mut a.cfg.last, count(f, v, "record", 2, usize::MAX)?) },
+    Flag { name: "--tolerance", value: Some("F"), set: |a, f, v| put(&mut a.cfg.rel_tol, tolerance(f, v)?) },
+    Flag { name: "--wall-tolerance", value: Some("F"),
+        set: |a, f, v| put(&mut a.cfg.wall_rel_tol, tolerance(f, v)?) },
+    Flag { name: "--experiment", value: Some("EXPERIMENT"), set: |a, _, v| put(&mut a.experiment, Some(v.into())) },
+];
+
 /// `mlcc-repro trend [HISTORY.jsonl] [--last K] [--tolerance F]
-/// [--wall-tolerance F] [--experiment NAME]` — Ok(true) when clean.
+/// [--wall-tolerance F] [--experiment EXPERIMENT]` — Ok(true) when clean.
 fn cmd_trend(args: &[String]) -> Result<bool, String> {
-    let mut path = PathBuf::from("bench/HISTORY.jsonl");
-    let mut cfg = TrendConfig::default();
-    let mut experiment: Option<String> = None;
-    let mut it = args.iter();
-    while let Some(a) = it.next() {
-        match a.as_str() {
-            "--last" => {
-                let v = it.next().ok_or("--last needs a value")?;
-                cfg.last = v.parse().map_err(|_| format!("bad record count {v}"))?;
-                if cfg.last < 2 {
-                    return Err("--last must be at least 2".to_string());
-                }
-            }
-            "--tolerance" => {
-                let v = it.next().ok_or("--tolerance needs a value")?;
-                cfg.rel_tol = v.parse().map_err(|_| format!("bad tolerance {v}"))?;
-            }
-            "--wall-tolerance" => {
-                let v = it.next().ok_or("--wall-tolerance needs a value")?;
-                cfg.wall_rel_tol = v.parse().map_err(|_| format!("bad tolerance {v}"))?;
-            }
-            "--experiment" => {
-                experiment = Some(it.next().ok_or("--experiment needs a name")?.clone())
-            }
-            other if !other.starts_with("--") => path = PathBuf::from(other),
-            other => return Err(format!("unknown option {other}")),
-        }
-    }
-    let text =
-        std::fs::read_to_string(&path).map_err(|e| format!("reading {}: {e}", path.display()))?;
+    let a = parse(args, TREND_FLAGS.iter())?;
+    let path = a.history.unwrap_or_else(|| "bench/HISTORY.jsonl".into());
+    let text = read(&path)?;
     let mut records =
         history::parse_history(&text).map_err(|e| format!("{}: {e}", path.display()))?;
-    if let Some(exp) = &experiment {
+    if let Some(exp) = &a.experiment {
         records.retain(|r| &r.experiment == exp);
         if records.is_empty() {
             return Err(format!(
@@ -1581,7 +1576,7 @@ fn cmd_trend(args: &[String]) -> Result<bool, String> {
     if records.is_empty() {
         return Err(format!("{}: no records", path.display()));
     }
-    let report = history::trend(&records, &cfg);
+    let report = history::trend(&records, &a.cfg);
     print!("{}", report.render());
     if report.is_clean() {
         println!("trend clean");
@@ -1673,10 +1668,7 @@ fn finish_watch(
         );
     }
     if let Some(path) = &opts.alerts {
-        let mut content = String::new();
-        for alert in &alerts {
-            content.push_str(&alert.to_jsonl());
-        }
+        let content: String = alerts.iter().map(Alert::to_jsonl).collect();
         write_file(path, &content)?;
         eprintln!(
             "wrote {} ({} alert(s) with flight-recorder context)",
@@ -1698,21 +1690,23 @@ const TOOLS: [(&str, Tool); 4] = [
 
 fn usage() -> ExitCode {
     let names: Vec<&str> = EXPERIMENTS.iter().map(|e| e.name).collect();
+    let head = format!("usage: mlcc-repro <{}|all>", names.join("|"));
+    let tool = |name: &str| format!("       mlcc-repro {name}");
+    eprintln!("{}", synopsis(&head, FLAGS.iter().map(|f| &f.flag)));
+    eprintln!("{}", synopsis(&tool("report"), REPORT_FLAGS.iter()));
+    let diff = synopsis(&tool("diff"), DIFF_FLAGS.iter());
+    eprintln!("{diff} | diff A.jsonl B.jsonl");
+    eprintln!("{}", synopsis(&tool("trend"), TREND_FLAGS.iter()));
+    eprintln!("{} <EXPERIMENT|TRACE.jsonl> [run options]", tool("explain"));
+    let of = |classes: &[Class]| -> Vec<&str> {
+        let flags = FLAGS.iter().filter(|f| classes.contains(&f.class));
+        flags.map(|f| f.flag.name).collect()
+    };
     eprintln!(
-        "usage: mlcc-repro <{}|all> [--iterations N] [--jobs N] [--shards N]\n\
-         \x20      [--csv DIR] [--trace FILE]\n\
-         \x20      [--metrics] [--profile] [--report FILE] [--summary FILE] [--summary-dir DIR]\n\
-         \x20      [--chaos PROFILE|FILE.toml] [--chaos-seed N]\n\
-         \x20      [--fork-at DUR] [--fork-replay]\n\
-         \x20      [--watch] [--slo RULES.toml] [--alerts FILE] [--flight FILE]\n\
-         \x20      mlcc-repro report TRACE.jsonl [--out FILE] [--summary FILE] [--name NAME]\n\
-         \x20      mlcc-repro diff A.json B.json [--tolerance F] | diff A.jsonl B.jsonl\n\
-         \x20      mlcc-repro trend [HISTORY.jsonl] [--last K] [--tolerance F]\n\
-         \x20      [--wall-tolerance F] [--experiment NAME]\n\
-         \x20      mlcc-repro explain <EXPERIMENT|TRACE.jsonl> [run options]\n\
-         options by experiment, besides {ALWAYS} (`all` takes an option when a member does):\n\
-         \x20 (recording = {RECORDING})",
-        names.join("|"),
+        "options by experiment, besides {} (`all` takes an option when a member does):\n\
+         \x20 (recording = {})",
+        of(&[Always]).join(" "),
+        of(&[Recording, Watching]).join(" "),
     );
     for e in &EXPERIMENTS {
         let opts = format!("{}{}", e.honours, if e.records { " recording" } else { "" });
@@ -1762,7 +1756,8 @@ fn main() -> ExitCode {
         }
     };
     opts.apply_parallelism();
-    let mut rec = opts.recorder();
+    // Every recording flag asks for a recorder.
+    let mut rec = opts.gives(&[Recording, Watching]).then(BufferRecorder::new);
     // Runs each experiment, timing it and writing its bench summary. A
     // failed experiment stops `all`; the first error sets the exit code.
     let started = Instant::now();
@@ -1801,7 +1796,7 @@ fn main() -> ExitCode {
         eprintln!("error: {e}");
         return ExitCode::FAILURE;
     }
-    if opts.watching() {
+    if opts.gives(&[Watching]) {
         match finish_watch(&opts, rec, analysis.as_ref()) {
             Ok(0) => {}
             Ok(breaches) => {
@@ -1827,11 +1822,14 @@ mod tests {
     #[test]
     fn experiment_rows_are_consistent() {
         let lists = |flags: &str, flag: &str| flags.split(' ').any(|f| f == flag);
-        let run_options =
-            "--iterations --chaos --chaos-seed --fork-at --fork-replay --shards --csv";
+        let run_options: Vec<&str> = FLAGS
+            .iter()
+            .filter(|f| f.class == Run)
+            .map(|f| f.flag.name)
+            .collect();
         for e in &EXPERIMENTS {
             for flag in e.honours.split_whitespace() {
-                assert!(lists(run_options, flag), "{}: {flag}", e.name);
+                assert!(run_options.contains(&flag), "{}: {flag}", e.name);
             }
             let (chaos, seed) = (
                 lists(e.honours, "--chaos"),
@@ -1847,23 +1845,52 @@ mod tests {
         }
     }
 
-    /// Every flag any command takes: the honour lists, [`ALWAYS`] and
-    /// [`RECORDING`].
-    fn all_flags() -> Vec<&'static str> {
-        let mut flags: Vec<&str> = EXPERIMENTS
-            .iter()
-            .flat_map(|e| e.honours.split_whitespace())
-            .chain(ALWAYS.split(' '))
-            .chain(RECORDING.split(' '))
-            .collect();
-        flags.sort_unstable();
-        flags.dedup();
-        flags
+    /// Each flag, given alone with a valid value (its default one where
+    /// it has a default), reads back from the typed options as exactly
+    /// itself: each row's `given` reads the field its parser writes.
+    #[test]
+    fn each_flag_reads_back_as_given() {
+        let slo = std::env::temp_dir().join(format!("mlcc_flags_{}.toml", std::process::id()));
+        std::fs::write(&slo, "min_jain = 0.9\n").unwrap();
+        for f in &FLAGS {
+            let value = match f.flag.value {
+                None => None,
+                Some("N") => Some("3"),
+                Some("DUR") => Some("1ms"),
+                Some("PROFILE|FILE.toml") => Some("none"),
+                Some("RULES.toml") => Some(slo.to_str().unwrap()),
+                Some(_) => Some("out"),
+            };
+            let argv: Vec<String> = [Some(f.flag.name), value]
+                .into_iter()
+                .flatten()
+                .map(String::from)
+                .collect();
+            let o = parse(&argv, FLAGS.iter().map(|f| &f.flag)).unwrap();
+            let given: Vec<&str> = o.given().map(|g| g.flag.name).collect();
+            assert_eq!(given, [f.flag.name], "{argv:?}");
+        }
+        let _ = std::fs::remove_file(&slo);
+    }
+
+    /// `--fork-at` with a chaos config that draws late arrivals is
+    /// rejected where the chaos applies at the fork barrier (fig1) and
+    /// taken where it applies from t = 0 (shard).
+    #[test]
+    fn late_arrivals_fork_only_from_t_zero() {
+        let argv: Vec<String> = ["--chaos", "mixed", "--fork-at", "1ms"]
+            .map(String::from)
+            .to_vec();
+        let opts = parse_opts(&argv).unwrap();
+        let row = |name: &str| EXPERIMENTS.iter().find(|e| e.name == name).unwrap();
+        let err = check_opts("fig1", &[row("fig1")], &opts, false).unwrap_err();
+        assert!(err.contains("late arrivals"), "{err}");
+        check_opts("shard", &[row("shard")], &opts, false).unwrap();
     }
 
     /// Values at and past the edges of what a flag accepts, plus junk. No
     /// value names a file, so `--chaos` and `--slo` fail their read.
-    const VALUES: [&str; 12] = [
+    const VALUES: [&str; 16] = [
         "0",
         "1",
         "-1",
@@ -1876,7 +1903,30 @@ mod tests {
         "links",
         "none",
         "no-such-file.toml",
+        "nan",
+        "inf",
+        "0.05",
+        "b.jsonl",
     ];
+
+    /// Draws an argv from `flags`: each pick is a flag with its value
+    /// dropped, given once or given twice, or a bare value.
+    fn draw(flags: &[&str], picks: &[(usize, usize, u8)]) -> Vec<String> {
+        let mut argv = Vec::new();
+        for &(flag, value, shape) in picks {
+            if shape == 3 {
+                argv.push(VALUES[value].to_string());
+                continue;
+            }
+            for _ in 0..shape.max(1) {
+                argv.push(flags[flag % flags.len()].to_string());
+                if shape != 0 {
+                    argv.push(VALUES[value].to_string());
+                }
+            }
+        }
+        argv
+    }
 
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(100_000))]
@@ -1887,37 +1937,60 @@ mod tests {
         /// without a panic.
         #[test]
         fn mangled_argv_is_parsed_or_rejected(
-            picks in proptest::collection::vec((0usize..64, 0usize..12, 0u8..3), 0..8),
+            picks in proptest::collection::vec((0usize..64, 0usize..VALUES.len(), 0u8..3), 0..8),
             row in 0usize..15,
         ) {
             let (cmd, rows): (&str, Vec<&Experiment>) = match EXPERIMENTS.get(row) {
                 Some(e) => (e.name, vec![e]),
                 None => ("all", EXPERIMENTS.iter().filter(|e| e.in_all).collect()),
             };
-            let recording = if rows.iter().any(|r| r.records) { RECORDING } else { "" };
-            let own: Vec<&str> = rows
+            let all: Vec<&str> = FLAGS.iter().map(|f| f.flag.name).collect();
+            let own: Vec<&str> = FLAGS
                 .iter()
-                .flat_map(|r| r.honours.split_whitespace())
-                .chain(ALWAYS.split(' '))
-                .chain(recording.split_whitespace())
+                .filter(|f| takes(&rows, f, false))
+                .map(|f| f.flag.name)
                 .collect();
-            let all = all_flags();
             let mut argv = Vec::new();
-            for (flag, value, shape) in picks {
-                let flag = match flag % 4 {
-                    0 => all[flag % all.len()],
-                    _ => own[flag % own.len()],
-                };
-                for _ in 0..shape.max(1) {
-                    argv.push(flag.to_string());
-                    if shape != 0 {
-                        argv.push(VALUES[value].to_string());
-                    }
-                }
+            for pick in picks {
+                argv.extend(draw(if pick.0 % 4 == 0 { &all } else { &own }, &[pick]));
             }
             if let Ok(opts) = parse_opts(&argv) {
                 let _ = check_opts(cmd, &rows, &opts, false);
                 let _ = check_opts(cmd, &rows, &opts, true);
+            }
+        }
+
+        /// Any argv of `report`, `diff` or `trend` flags (and an unknown
+        /// one) and bare values parses to `Ok` or `Err` without a panic,
+        /// and every tolerance it accepts is finite and not negative.
+        #[test]
+        fn mangled_tool_argv_is_parsed_or_rejected(
+            picks in proptest::collection::vec((0usize..8, 0usize..VALUES.len(), 0u8..4), 0..8),
+            tool in 0usize..3,
+        ) {
+            let gate = |t: f64| t.is_finite() && t >= 0.0;
+            let mut flags: Vec<&str> = match tool {
+                0 => REPORT_FLAGS.iter().map(|f| f.name).filter(|f| !f.is_empty()).collect(),
+                1 => DIFF_FLAGS.iter().map(|f| f.name).filter(|f| !f.is_empty()).collect(),
+                _ => TREND_FLAGS.iter().map(|f| f.name).filter(|f| !f.is_empty()).collect(),
+            };
+            flags.push("--bogus");
+            let argv = draw(&flags, &picks);
+            match tool {
+                0 => {
+                    let _ = parse(&argv, REPORT_FLAGS.iter());
+                }
+                1 => {
+                    if let Ok(a) = parse(&argv, DIFF_FLAGS.iter()) {
+                        prop_assert!(gate(a.cfg.rel_tol), "{argv:?}");
+                    }
+                }
+                _ => {
+                    if let Ok(a) = parse(&argv, TREND_FLAGS.iter()) {
+                        prop_assert!(gate(a.cfg.rel_tol) && gate(a.cfg.wall_rel_tol), "{argv:?}");
+                        prop_assert!(a.cfg.last >= 2, "{argv:?}");
+                    }
+                }
             }
         }
     }

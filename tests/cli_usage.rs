@@ -346,3 +346,112 @@ fn flight_dumps_replay() {
     }
     let _ = std::fs::remove_dir_all(&dir);
 }
+
+/// fig1 applies its chaos at the fork barrier, after every job started,
+/// so a `--chaos` config that draws late arrivals cannot fork: the run
+/// used to panic (exit 101) for most seeds of `mixed`.
+#[test]
+fn fork_at_with_late_arrivals_is_a_usage_error() {
+    for seed in ["1", "3", "4"] {
+        assert_usage_error(
+            &[
+                "fig1",
+                "--iterations",
+                "10",
+                "--chaos",
+                "mixed",
+                "--chaos-seed",
+                seed,
+                "--fork-at",
+                "150ms",
+            ],
+            "fig1: --fork-at cannot apply a --chaos config with late arrivals",
+        );
+    }
+}
+
+/// A NaN, infinite or negative tolerance would switch the `diff` and
+/// `trend` gates off (or flag everything), so it is an argument error
+/// (exit 1) before any file is read.
+#[test]
+fn non_finite_or_negative_tolerances_are_rejected() {
+    for (args, flag) in [
+        (
+            &["diff", "a.json", "b.json", "--tolerance", "nan"][..],
+            "--tolerance",
+        ),
+        (
+            &["diff", "a.json", "b.json", "--tolerance", "inf"],
+            "--tolerance",
+        ),
+        (
+            &["diff", "a.json", "b.json", "--tolerance", "-0.1"],
+            "--tolerance",
+        ),
+        (&["trend", "h.jsonl", "--tolerance", "nan"], "--tolerance"),
+        (
+            &["trend", "h.jsonl", "--wall-tolerance", "nan"],
+            "--wall-tolerance",
+        ),
+        (
+            &["trend", "h.jsonl", "--wall-tolerance", "-inf"],
+            "--wall-tolerance",
+        ),
+    ] {
+        let out = mlcc_repro(args);
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(1), "{args:?}: {stderr}");
+        let expect = format!("error: {flag} must be finite and not negative");
+        assert!(stderr.contains(&expect), "{args:?}: {stderr}");
+        assert!(out.stdout.is_empty(), "{args:?}: printed a verdict");
+    }
+}
+
+/// The loader accepts a straggler on every iteration at the largest
+/// factor, so the simulated-time budget must cover that stretch: fig1
+/// and table1 used to panic (exit 101) with this file.
+#[test]
+fn worst_case_stragglers_finish() {
+    let dir = std::env::temp_dir().join(format!("mlcc_cli_strag_{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let path = dir.join("stragglers.toml");
+    std::fs::write(
+        &path,
+        "[phase]\nstraggler_prob = 1\nstraggler_factor = 100\n",
+    )
+    .unwrap();
+    let path = path.to_str().unwrap();
+    for (experiment, iterations) in [("fig1", "10"), ("table1", "3")] {
+        let out = mlcc_repro(&[experiment, "--iterations", iterations, "--chaos", path]);
+        assert_eq!(
+            out.status.code(),
+            Some(0),
+            "{experiment}: {}",
+            String::from_utf8_lossy(&out.stderr)
+        );
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A metric that does not exist is left out of the BENCH file, not
+/// written as a sentinel: one Fig. 2 iteration never interleaves.
+#[test]
+fn bench_files_leave_out_metrics_that_do_not_exist() {
+    let dir = std::env::temp_dir().join(format!("mlcc_cli_bench_{}", std::process::id()));
+    let bench = |iterations: &str| {
+        let out = mlcc_repro(&[
+            "fig2",
+            "--iterations",
+            iterations,
+            "--summary-dir",
+            dir.to_str().unwrap(),
+        ]);
+        assert!(out.status.success(), "{out:?}");
+        std::fs::read_to_string(dir.join("BENCH_fig2.json")).unwrap()
+    };
+    let (one, six) = (bench("1"), bench("6"));
+    let _ = std::fs::remove_dir_all(&dir);
+    assert!(!one.contains("interleaved_at_iteration"), "{one}");
+    assert!(!one.contains("-1.0"), "{one}");
+    assert!(six.contains("\"interleaved_at_iteration\":"), "{six}");
+}
