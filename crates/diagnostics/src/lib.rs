@@ -33,6 +33,8 @@
 //!   windows, so an alert cannot disagree with the summary it sits
 //!   beside.
 
+#![forbid(unsafe_code)]
+
 pub mod analyze;
 pub mod attribution;
 pub mod events;

@@ -19,6 +19,8 @@
 //! schedules, no churn, and no loss, and engines run bit-for-bit as if no
 //! chaos plumbing existed.
 
+#![forbid(unsafe_code)]
+
 use dcqcn::SignalLoss;
 use eventsim::Rng;
 use simtime::{Dur, Time};

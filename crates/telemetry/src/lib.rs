@@ -20,6 +20,8 @@
 //! Only simulation time ever enters the event stream; wall-clock readings
 //! stay in profiler spans, so recorded runs remain bit-deterministic.
 
+#![forbid(unsafe_code)]
+
 pub mod event;
 pub mod export;
 pub mod live;
