@@ -43,7 +43,8 @@
 //! extension selects line-delimited JSON, anything else a Chrome trace
 //! viewable in Perfetto / `chrome://tracing`. `--metrics` prints the
 //! aggregated metrics table; `--profile` prints the per-engine wall-clock
-//! breakdown.
+//! breakdown, with a `telemetry.export` row for the trace export when
+//! `--trace` is given.
 //!
 //! `--report FILE` writes a self-contained HTML run report (phase
 //! timelines, rate sparklines, analyzer verdicts); `--summary FILE` writes
@@ -594,8 +595,10 @@ fn report(
     rec: &BufferRecorder,
     analysis: Option<&RunAnalysis>,
 ) -> Result<(), String> {
+    let mut prof = Profiler::new();
     if let Some(path) = &opts.trace {
         let jsonl = path.extension().is_some_and(|e| e == "jsonl");
+        let t0 = std::time::Instant::now();
         let (content, kind) = if jsonl {
             (telemetry::export::jsonl(rec.events()), "JSONL")
         } else {
@@ -605,6 +608,7 @@ fn report(
                 "Chrome trace — open in Perfetto or chrome://tracing",
             )
         };
+        prof.add_span("telemetry.export", t0.elapsed(), rec.len() as u64);
         write_file(path, &content)?;
         println!("wrote {} ({} events, {kind})", path.display(), rec.len());
     }
@@ -622,7 +626,6 @@ fn report(
         println!("{}", rec.metrics().render());
     }
     if opts.profile {
-        let mut prof = Profiler::new();
         prof.absorb(rec);
         println!("== profile ==");
         println!("{}", prof.render());

@@ -455,3 +455,34 @@ fn bench_files_leave_out_metrics_that_do_not_exist() {
     assert!(!one.contains("-1.0"), "{one}");
     assert!(six.contains("\"interleaved_at_iteration\":"), "{six}");
 }
+
+/// `--profile` gives the trace export a row of its own, with the event
+/// count, when `--trace` is given, and no such row without it.
+#[test]
+fn profile_times_the_trace_export() {
+    let dir = std::env::temp_dir().join(format!("mlcc_cli_profile_{}", std::process::id()));
+    let trace = dir.join("run.jsonl");
+    let traced = mlcc_repro(&[
+        "fig1",
+        "--iterations",
+        "5",
+        "--trace",
+        trace.to_str().unwrap(),
+        "--profile",
+    ]);
+    let plain = mlcc_repro(&["fig1", "--iterations", "5", "--profile"]);
+    let _ = std::fs::remove_dir_all(&dir);
+    let stdout = String::from_utf8_lossy(&traced.stdout);
+    assert_eq!(traced.status.code(), Some(0), "{stdout}");
+    let events = stdout
+        .lines()
+        .find_map(|l| l.strip_prefix(&format!("wrote {} (", trace.display())))
+        .and_then(|rest| rest.split(' ').next())
+        .expect("the trace is announced");
+    let row = stdout
+        .lines()
+        .find(|l| l.starts_with("telemetry.export "))
+        .expect("an export row");
+    assert_eq!(row.split_whitespace().nth(4), Some(events), "{row}");
+    assert!(!String::from_utf8_lossy(&plain.stdout).contains("telemetry.export"));
+}
