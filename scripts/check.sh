@@ -345,10 +345,17 @@ echo "zoo sweep byte-identical across --jobs, rejects --shards, mltcp beats fair
 
 echo "== recorded-event work pins (trace line counts + sha256, exact) =="
 # The traces written above by `chaos --iterations 40`, `table1 --iterations
-# 10` and `variants --iterations 12 --jobs 1`: one line per recorded event,
-# so the count is work that host load cannot move, and the digest pins the
-# exporter's bytes. An engine change that records more or fewer events, or
-# an exporter change that moves a byte, fails here.
+# 10` and `variants --iterations 12 --jobs 1`, and a fig1 run under signal
+# loss: one line per recorded event, so the count is work that host load
+# cannot move, and the digest pins the exporter's bytes. An engine change
+# that records more or fewer events, or an exporter change that moves a
+# byte, fails here. The signal run is the only pin on the rate engine's
+# mark-loss and CNP-loss rolls, and must also match across --jobs.
+for j in 1 4; do
+    "$BIN" fig1 --iterations 10 --chaos signal --chaos-seed 3 --jobs "$j" \
+        --trace "$GATE/signal_j$j.jsonl" > /dev/null
+done
+cmp "$GATE/signal_j1.jsonl" "$GATE/signal_j4.jsonl"
 while read -r file lines sha; do
     GOT_LINES=$(wc -l < "$GATE/$file")
     GOT_SHA=$(sha256sum "$GATE/$file" | cut -d' ' -f1)
@@ -362,6 +369,7 @@ done <<'PINS'
 chaos_trace.jsonl 495309 a24130edccfa9fa99c57e7636f458c2017bf3bfeee5ef73d4766df03a93bbd81
 table1_plain.jsonl 420986 7e58f1b0978c53cd6fd22b5d6902b67e540ef6c7e617391c6b2c1364460ce81e
 var/j1.jsonl 102431 0a6b501b834ab756afa8333ce4e40cce0bcbae66b517d59532726ed14341eac3
+signal_j1.jsonl 25308 f417f06627779d5a35d0359f7f2d08b6ea4f58492ac14b69601c252de0319d6d
 PINS
 
 echo "OK"
