@@ -18,8 +18,9 @@ use crate::forkcache;
 use crate::metrics::{text_table, JobStats};
 use crate::parallel;
 use dcqcn::CcVariant;
+use dcqcn::SignalLoss;
 use diagnostics::{recovery, RecoveryConfig, RecoveryReport};
-use faults::ChaosConfig;
+use faults::{ChaosConfig, CompiledChaos};
 use netsim::rate::{RateJob, RateSimConfig, RateSimulator, RateSnapshot};
 use netsim::Engine;
 use simtime::{Dur, Time};
@@ -45,16 +46,40 @@ pub fn apply_rate(
     }
     // The rate engine models a single shared bottleneck: one link.
     let plan = chaos.compile(jobs.len(), 1, horizon);
+    apply_plan(
+        &plan,
+        jobs,
+        0,
+        0,
+        &mut sim.capacity_schedule,
+        &mut sim.signal_loss,
+    );
+}
+
+/// Lands a compiled plan on one DCQCN bottleneck, rate or packet engine:
+/// `jobs` are the plan's jobs from `first` on, and their bottleneck is
+/// plan link `link`. Per-job noise, arrival delays (added to the existing
+/// start offsets) and departures land on `jobs`; the link's capacity
+/// schedule, unless it is the identity, and the signal loss land on
+/// `schedule` and `loss`.
+pub(crate) fn apply_plan(
+    plan: &CompiledChaos,
+    jobs: &mut [RateJob],
+    first: usize,
+    link: usize,
+    schedule: &mut Option<LinkSchedule>,
+    loss: &mut Option<SignalLoss>,
+) {
     for (i, job) in jobs.iter_mut().enumerate() {
-        job.noise = plan.noise[i];
-        job.start_offset += plan.arrivals[i];
-        job.depart_at = plan.departures[i];
+        job.noise = plan.noise[first + i];
+        job.start_offset += plan.arrivals[first + i];
+        job.depart_at = plan.departures[first + i];
     }
-    match plan.link_schedules.first() {
-        Some(s) if !s.is_identity() => sim.capacity_schedule = Some(s.clone()),
+    match plan.link_schedules.get(link) {
+        Some(s) if !s.is_identity() => *schedule = Some(s.clone()),
         _ => {}
     }
-    sim.signal_loss = plan.signal_loss;
+    *loss = plan.signal_loss;
 }
 
 /// Shifts a compiled link schedule's change points forward by `by`, so a

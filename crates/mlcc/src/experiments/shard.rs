@@ -29,7 +29,8 @@ use crate::parallel;
 use dcqcn::CcVariant;
 use faults::ChaosConfig;
 use netsim::fluid::{FluidConfig, FluidJob, FluidSimulator, SharingPolicy};
-use netsim::packet::{PacketJob, PacketSimConfig, PacketSimulator};
+use netsim::packet::{PacketSimConfig, PacketSimulator};
+use netsim::rate::RateJob;
 use netsim::Engine;
 use simtime::{Bandwidth, Dur, Time};
 use telemetry::{ForkableRecorder, Recorder, RemapRecorder};
@@ -392,13 +393,13 @@ pub struct PacketScenario {
     /// Per-group engine configs (chaos schedules applied per group link).
     pub configs: Vec<PacketSimConfig>,
     /// Per-group job lists; global job index = `g * mix_len + local`.
-    pub groups: Vec<Vec<PacketJob>>,
+    pub groups: Vec<Vec<RateJob>>,
     /// One component per group (each group shares one bottleneck).
     pub plan: ShardPlan,
 }
 
 /// The Table-1-derived rotation mix each group runs.
-fn packet_mix() -> Vec<PacketJob> {
+fn packet_mix() -> Vec<RateJob> {
     let mix: [(JobSpec, CcVariant, Dur); 4] = [
         (
             JobSpec::reference(Model::Vgg19, 1400),
@@ -428,9 +429,9 @@ fn packet_mix() -> Vec<PacketJob> {
         ),
     ];
     mix.iter()
-        .map(|&(spec, variant, start_offset)| PacketJob {
+        .map(|&(spec, variant, start_offset)| RateJob {
             start_offset,
-            ..PacketJob::new(spec, variant)
+            ..RateJob::new(spec, variant)
         })
         .collect()
 }
@@ -457,17 +458,14 @@ pub fn build_packet(cfg: &ShardConfig) -> PacketScenario {
         let mut jobs = mix.clone();
         let mut pc = base.clone();
         if let Some(plan) = &plan {
-            for (local, job) in jobs.iter_mut().enumerate() {
-                let i = g * mix.len() + local;
-                job.noise = plan.noise[i];
-                job.start_offset += plan.arrivals[i];
-                job.depart_at = plan.departures[i];
-            }
-            match plan.link_schedules.get(g) {
-                Some(s) if !s.is_identity() => pc.capacity_schedule = Some(s.clone()),
-                _ => {}
-            }
-            pc.signal_loss = plan.signal_loss;
+            chaos::apply_plan(
+                plan,
+                &mut jobs,
+                g * mix.len(),
+                g,
+                &mut pc.capacity_schedule,
+                &mut pc.signal_loss,
+            );
         }
         configs.push(pc);
         groups.push(jobs);

@@ -11,7 +11,8 @@
 //! pinned values.
 
 use dcqcn::CcVariant;
-use netsim::packet::{PacketJob, PacketSimConfig, PacketSimulator};
+use netsim::packet::{PacketSimConfig, PacketSimulator};
+use netsim::rate::RateJob;
 use netsim::Engine;
 use simtime::{Dur, Time};
 use telemetry::{export, BufferRecorder};
@@ -25,8 +26,8 @@ fn main() {
 
     let spec = JobSpec::reference(Model::ResNet50, 400);
     let jobs = [
-        PacketJob::new(spec, CcVariant::Fair),
-        PacketJob::new(
+        RateJob::new(spec, CcVariant::Fair),
+        RateJob::new(
             spec,
             CcVariant::StaticUnfair {
                 timer: Dur::from_micros(100),

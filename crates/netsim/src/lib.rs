@@ -24,6 +24,10 @@
 //!   marking, CNP round trips): the ground truth the fluid abstraction is
 //!   validated against on short scenarios.
 //!
+//! The two DCQCN engines take one job type, [`rate::RateJob`], and share
+//! one private model of their bottleneck's faults (capacity schedule,
+//! mark and CNP loss), so a job list or chaos plan drives either.
+//!
 //! [`Engine`] is everything a caller needs to treat them as
 //! interchangeable: the clock, per-job progress, the run loops, the
 //! recorder, and [`snapshot`]/restore. Code that wants "any engine" — the
@@ -40,6 +44,7 @@
 #![warn(missing_docs)]
 
 pub mod alloc;
+mod fault;
 pub mod fluid;
 mod job;
 pub mod packet;

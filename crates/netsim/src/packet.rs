@@ -31,15 +31,17 @@
 //! its own timestamp, NP pacing check and CNP. Both steps give the same
 //! bits as packet-by-packet stepping (see `EXACT_BYTES`).
 
+use crate::fault::BottleneckFaults;
 use crate::job::{self, Job};
+use crate::rate::RateJob;
 use crate::snapshot::{check_barrier, check_version, SnapshotError, SNAPSHOT_VERSION};
 use crate::Engine;
-use dcqcn::{CcAlgorithm, CcVariant, DcqcnParams, NotificationPoint, RedMarker, SignalLoss};
+use dcqcn::{CcAlgorithm, DcqcnParams, NotificationPoint, RedMarker, SignalLoss};
 use eventsim::{EventQueue, Rng};
 use simtime::{Bandwidth, Dur, Time};
 use telemetry::{CcState, Event, NoopRecorder, Recorder, SpanTracker};
 use topology::LinkSchedule;
-use workload::{JobProgress, JobSpec, PhaseNoise};
+use workload::JobProgress;
 
 /// Configuration of the packet engine.
 #[derive(Debug, Clone)]
@@ -142,39 +144,6 @@ impl Default for PacketSimConfig {
     }
 }
 
-/// A job in the packet simulation.
-#[derive(Debug, Clone)]
-pub struct PacketJob {
-    /// The training job.
-    pub spec: JobSpec,
-    /// Its congestion control (DCQCN variants only).
-    pub variant: CcVariant,
-    /// When the job's first compute phase starts. Staggered offsets are
-    /// how paper-style rotation schedules are expressed (mirrors
-    /// [`crate::rate::RateJob::start_offset`]).
-    pub start_offset: Dur,
-    /// Fault injection: per-iteration phase jitter and stragglers.
-    /// `None` keeps the unperturbed iteration plan.
-    pub noise: Option<PhaseNoise>,
-    /// Fault injection: the job leaves the cluster at the first compute
-    /// instant at or after this time (an in-flight communication phase
-    /// finishes first).
-    pub depart_at: Option<Time>,
-}
-
-impl PacketJob {
-    /// A job starting at t = 0 with the given variant.
-    pub fn new(spec: JobSpec, variant: CcVariant) -> PacketJob {
-        PacketJob {
-            spec,
-            variant,
-            start_offset: Dur::ZERO,
-            noise: None,
-            depart_at: None,
-        }
-    }
-}
-
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum Ev {
     /// A job's compute deadline may have passed.
@@ -192,11 +161,11 @@ enum Ev {
 struct FlowState {
     job: Job,
     /// The flow's live congestion controller, built from its
-    /// [`CcVariant`] spec (mark-reactive family only — see the
+    /// [`dcqcn::CcVariant`] spec (mark-reactive family only — see the
     /// constructor's delay-based rejection).
     rp: Box<dyn CcAlgorithm>,
     /// Whether the controller consumes communication-phase progress
-    /// ([`CcVariant::wants_progress`]).
+    /// ([`dcqcn::CcVariant::wants_progress`]).
     wants_progress: bool,
     np: NotificationPoint,
     /// Bytes of the current phase not yet emitted as packets.
@@ -230,6 +199,15 @@ struct Train {
 
 /// The per-packet simulator over one bottleneck link.
 pub struct PacketSimulator<R: Recorder = NoopRecorder> {
+    st: PacketState,
+    rec: R,
+}
+
+/// Everything a [`PacketSimulator`] holds but its recorder. A
+/// [`PacketSnapshot`] is a clone of it.
+#[derive(Clone)]
+struct PacketState {
+    /// The configuration; its fault fields live in `faults`.
     cfg: PacketSimConfig,
     events: EventQueue<Ev>,
     flows: Vec<FlowState>,
@@ -244,15 +222,11 @@ pub struct PacketSimulator<R: Recorder = NoopRecorder> {
     packets_sent: u64,
     packets_marked: u64,
     cnps_sent: u64,
-    rec: R,
     /// Typed-span emission state (empty when `R` is disabled).
     spans: SpanTracker,
     events_processed: u64,
-    /// Dedicated fault RNG: only ever drawn when `cfg.signal_loss` has a
-    /// positive probability, so the mark stream is untouched otherwise.
-    chaos_rng: Rng,
-    /// Last capacity multiplier observed (for change telemetry).
-    last_cap_mult: f64,
+    /// The bottleneck's capacity schedule and signal loss.
+    faults: BottleneckFaults,
 }
 
 impl PacketSimulator {
@@ -260,7 +234,7 @@ impl PacketSimulator {
     ///
     /// # Panics
     /// Panics as [`PacketSimulator::with_recorder`] does.
-    pub fn new(cfg: PacketSimConfig, jobs: &[PacketJob]) -> PacketSimulator {
+    pub fn new(cfg: PacketSimConfig, jobs: &[RateJob]) -> PacketSimulator {
         PacketSimulator::with_recorder(cfg, jobs, NoopRecorder)
     }
 }
@@ -274,8 +248,8 @@ impl<R: Recorder> PacketSimulator<R> {
     /// uses the delay-based variant (the packet engine models DCQCN's
     /// ECN/CNP path).
     pub fn with_recorder(
-        cfg: PacketSimConfig,
-        jobs: &[PacketJob],
+        mut cfg: PacketSimConfig,
+        jobs: &[RateJob],
         mut rec: R,
     ) -> PacketSimulator<R> {
         assert!(!jobs.is_empty(), "PacketSimulator: no jobs");
@@ -328,78 +302,56 @@ impl<R: Recorder> PacketSimulator<R> {
             // offline attribution can blame contention on a link.
             job::record_start(&mut rec, &mut spans, Time::ZERO + j.start_offset, i, &[0]);
         }
-        let rng = Rng::new(cfg.seed);
-        let chaos_rng = Rng::new(cfg.signal_loss.map_or(0, |l| l.seed));
-        PacketSimulator {
+        let faults = BottleneckFaults::new(cfg.capacity_schedule.take(), cfg.signal_loss.take());
+        let st = PacketState {
+            rng: Rng::new(cfg.seed),
             cfg,
             events,
             flows,
-            rng,
             queue_bytes: 0,
             fifo: std::collections::VecDeque::new(),
             busy: false,
             packets_sent: 0,
             packets_marked: 0,
             cnps_sent: 0,
-            rec,
             spans,
             events_processed: 0,
-            chaos_rng,
-            last_cap_mult: 1.0,
-        }
+            faults,
+        };
+        PacketSimulator { st, rec }
     }
 
     /// The bottleneck capacity in bps as of `now`, honouring any fault
-    /// schedule. Emits a `LinkCapacity` event when the observed multiplier
-    /// changes (capacity is sampled at service start, not on a timer, so
-    /// the event lands at the first transmission under the new capacity).
+    /// schedule. Capacity is sampled at service start, not on a timer, so
+    /// a `LinkCapacity` event lands at the first transmission under the
+    /// new capacity.
     fn effective_capacity_bps(&mut self, now: Time) -> f64 {
-        let base = self.cfg.capacity.as_bps_f64();
-        let Some(schedule) = &self.cfg.capacity_schedule else {
-            return base;
-        };
-        let mult = schedule.multiplier_at(now);
-        if mult != self.last_cap_mult {
-            self.last_cap_mult = mult;
-            if R::ENABLED {
-                self.rec.record(
-                    now,
-                    Event::LinkCapacity {
-                        link: 0,
-                        fraction: mult,
-                    },
-                );
-            }
-        }
-        if mult == 1.0 {
-            base
-        } else {
-            base * mult
-        }
+        let base = self.st.cfg.capacity.as_bps_f64();
+        self.st.faults.capacity_bps(&mut self.rec, now, base)
     }
 
     /// Total bytes delivered for flow `i`.
     pub fn delivered(&self, i: usize) -> f64 {
-        self.flows[i].delivered
+        self.st.flows[i].delivered
     }
 
     /// `(sent, marked)` packet totals.
     pub fn packet_counts(&self) -> (u64, u64) {
-        (self.packets_sent, self.packets_marked)
+        (self.st.packets_sent, self.st.packets_marked)
     }
 
     /// CNPs the notification points emitted.
     pub fn cnps_sent(&self) -> u64 {
-        self.cnps_sent
+        self.st.cnps_sent
     }
 
     /// Events processed so far (the cost batching exists to reduce).
     pub fn events_processed(&self) -> u64 {
-        self.events_processed
+        self.st.events_processed
     }
 
     fn advance_rp(&mut self, i: usize, now: Time) {
-        let f = &mut self.flows[i];
+        let f = &mut self.st.flows[i];
         let dt = now.saturating_since(f.rp_clock);
         if !dt.is_zero() {
             if f.wants_progress && f.job.progress.is_communicating() {
@@ -414,12 +366,12 @@ impl<R: Recorder> PacketSimulator<R> {
     }
 
     fn arm_sender(&mut self, i: usize, now: Time) {
-        if self.flows[i].wake_armed || self.flows[i].to_send < 1.0 {
+        if self.st.flows[i].wake_armed || self.st.flows[i].to_send < 1.0 {
             return;
         }
         self.advance_rp(i, now);
-        let mtu = self.cfg.mtu_bytes as f64;
-        let f = &mut self.flows[i];
+        let mtu = self.st.cfg.mtu_bytes as f64;
+        let f = &mut self.st.flows[i];
         // Pacing: the next packet leaves one serialization interval (at
         // the *controlled* rate) after now.
         let gap_secs = mtu * 8.0 / f.rp.rate().max(1.0);
@@ -429,43 +381,44 @@ impl<R: Recorder> PacketSimulator<R> {
         // current rate. A rate change between arm and wake keeps the
         // planned schedule (pacing error of one train, exactly as a
         // single packet's pending wake kept its schedule before).
-        let mut n = self.cfg.train_packets as u64;
+        let mut n = self.st.cfg.train_packets as u64;
         if n > 1 {
             let packets_left = (f.to_send / mtu).ceil() as u64;
             n = n.min(packets_left.max(1));
-            let airtime_cap = (self.cfg.base_params.cnp_interval.as_secs_f64() / gap_secs) as u64;
+            let airtime_cap =
+                (self.st.cfg.base_params.cnp_interval.as_secs_f64() / gap_secs) as u64;
             n = n.min(airtime_cap.max(1));
         }
         let gap = Dur::from_secs_f64(gap_secs * n as f64).max(Dur::NANOSECOND);
         f.pending_train = n as u32;
         f.wake_armed = true;
-        self.events.schedule_at(now + gap, Ev::SenderWake(i));
+        self.st.events.schedule_at(now + gap, Ev::SenderWake(i));
     }
 
     /// Schedules an `Ev::Poll` for flow `i` unless one is already pending.
     /// The poll handler re-arms if it fires before the actual transition,
     /// so suppressing a redundant poll never loses a deadline.
     fn arm_poll(&mut self, i: usize, at: Time) {
-        if self.flows[i].poll_armed {
+        if self.st.flows[i].poll_armed {
             return;
         }
-        self.flows[i].poll_armed = true;
-        self.events.schedule_at(at, Ev::Poll(i));
+        self.st.flows[i].poll_armed = true;
+        self.st.events.schedule_at(at, Ev::Poll(i));
     }
 
     fn start_service_if_idle(&mut self, now: Time) {
-        if self.busy {
+        if self.st.busy {
             return;
         }
-        let Some(front) = self.fifo.front() else {
+        let Some(front) = self.st.fifo.front() else {
             return;
         };
-        self.busy = true;
+        self.st.busy = true;
         let packets = front.packets;
         let bps = self.effective_capacity_bps(now);
-        let pkt_service = Dur::from_secs_f64(self.cfg.mtu_bytes as f64 * 8.0 / bps);
+        let pkt_service = Dur::from_secs_f64(self.st.cfg.mtu_bytes as f64 * 8.0 / bps);
         let service = Dur::from_nanos(pkt_service.as_nanos() * packets as u64);
-        self.events.schedule_at(now + service, Ev::Dequeue);
+        self.st.events.schedule_at(now + service, Ev::Dequeue);
     }
 
     /// Handles one event. `run_packets` tallies the packets enqueued in
@@ -473,15 +426,15 @@ impl<R: Recorder> PacketSimulator<R> {
     fn handle(&mut self, ev: Ev, now: Time, run_packets: &mut u64) {
         match ev {
             Ev::Poll(i) => {
-                self.flows[i].poll_armed = false;
+                self.st.flows[i].poll_armed = false;
                 // The flow arms no further events once it has departed.
-                if self.flows[i].job.departs(&mut self.rec, now, i) {
+                if self.st.flows[i].job.departs(&mut self.rec, now, i) {
                     return;
                 }
-                let f = &mut self.flows[i];
-                if f.job.poll(&mut self.rec, &mut self.spans, now, i) {
+                let f = &mut self.st.flows[i];
+                if f.job.poll(&mut self.rec, &mut self.st.spans, now, i) {
                     f.to_send = f.job.progress.remaining_bytes();
-                    if self.cfg.restart_on_phase {
+                    if self.st.cfg.restart_on_phase {
                         f.rp.restart();
                         f.np.reset();
                         if R::ENABLED {
@@ -503,55 +456,48 @@ impl<R: Recorder> PacketSimulator<R> {
                 }
             }
             Ev::SenderWake(i) => {
-                self.flows[i].wake_armed = false;
-                if !self.flows[i].job.progress.is_communicating() || self.flows[i].to_send < 1.0 {
+                let st = &mut self.st;
+                st.flows[i].wake_armed = false;
+                if !st.flows[i].job.progress.is_communicating() || st.flows[i].to_send < 1.0 {
                     return;
                 }
                 // Emit the planned train into the queue, marking each
                 // packet against the instantaneous depth as it lands.
-                let mtu = self.cfg.mtu_bytes as f64;
-                let planned = self.flows[i].pending_train.max(1);
+                let mtu = st.cfg.mtu_bytes as f64;
+                let planned = st.flows[i].pending_train.max(1);
                 // The depth only grows during the wake, so only the leading
                 // packets can land at ≤ kmin, where no coin is drawn. Those
                 // that carry a full MTU are enqueued in one exact step
                 // (`EXACT_BYTES`).
-                let f = &mut self.flows[i];
+                let f = &mut st.flows[i];
                 let mut emitted = 0u32;
                 if whole_below_exact(f.sent_since_advance) {
-                    let mtu_bytes = self.cfg.mtu_bytes as u64;
-                    let unmarked = self.cfg.marker.unmarked_run(self.queue_bytes, mtu_bytes);
+                    let mtu_bytes = st.cfg.mtu_bytes as u64;
+                    let unmarked = st.cfg.marker.unmarked_run(st.queue_bytes, mtu_bytes);
                     let run = whole_mtus(f.to_send, mtu).min(planned as u64).min(unmarked);
                     let bytes = run as f64 * mtu;
                     f.to_send -= bytes;
                     f.sent_since_advance += bytes;
-                    self.packets_sent += run;
-                    self.queue_bytes += run * mtu_bytes;
+                    st.packets_sent += run;
+                    st.queue_bytes += run * mtu_bytes;
                     emitted = run as u32;
                     if R::ENABLED {
                         *run_packets += run;
                     }
                 }
                 let mut mask = 0u64;
-                while emitted < planned && self.flows[i].to_send >= 1.0 {
-                    let payload = mtu.min(self.flows[i].to_send);
-                    self.flows[i].to_send -= payload;
-                    self.flows[i].sent_since_advance += payload;
-                    let p_mark = self.cfg.marker.mark_probability(self.queue_bytes as f64);
-                    let mut marked = self.rng.bernoulli(p_mark);
+                while emitted < planned && st.flows[i].to_send >= 1.0 {
+                    let payload = mtu.min(st.flows[i].to_send);
+                    st.flows[i].to_send -= payload;
+                    st.flows[i].sent_since_advance += payload;
+                    let p_mark = st.cfg.marker.mark_probability(st.queue_bytes as f64);
                     // Fault injection: the mark may be stripped in flight
                     // and is then invisible everywhere downstream. The
-                    // chaos RNG is only consulted for marked packets.
+                    // loss is only rolled for marked packets.
+                    let marked = st.rng.bernoulli(p_mark) && !st.faults.mark_lost();
+                    st.packets_sent += 1;
                     if marked {
-                        match &self.cfg.signal_loss {
-                            Some(l) if l.mark_loss > 0.0 => {
-                                marked = !self.chaos_rng.bernoulli(l.mark_loss);
-                            }
-                            _ => {}
-                        }
-                    }
-                    self.packets_sent += 1;
-                    if marked {
-                        self.packets_marked += 1;
+                        st.packets_marked += 1;
                         mask |= 1 << emitted;
                         if R::ENABLED {
                             self.rec.record(now, Event::EcnMark { flow: i as u32 });
@@ -559,16 +505,16 @@ impl<R: Recorder> PacketSimulator<R> {
                                 now,
                                 Event::QueueDepth {
                                     link: 0,
-                                    bytes: self.queue_bytes as f64,
+                                    bytes: st.queue_bytes as f64,
                                 },
                             );
                         }
                     }
-                    self.queue_bytes += payload as u64;
+                    st.queue_bytes += payload as u64;
                     emitted += 1;
                 }
                 if emitted > 0 {
-                    self.fifo.push_back(Train {
+                    st.fifo.push_back(Train {
                         flow: i,
                         packets: emitted,
                         marked: mask,
@@ -578,11 +524,12 @@ impl<R: Recorder> PacketSimulator<R> {
                 self.arm_sender(i, now);
             }
             Ev::Dequeue => {
-                self.busy = false;
-                let train = self.fifo.pop_front().expect("dequeue from empty FIFO");
+                self.st.busy = false;
+                let train = self.st.fifo.pop_front().expect("dequeue from empty FIFO");
                 let i = train.flow;
-                let mtu = self.cfg.mtu_bytes as f64;
-                self.queue_bytes = self
+                let mtu = self.st.cfg.mtu_bytes as f64;
+                self.st.queue_bytes = self
+                    .st
                     .queue_bytes
                     .saturating_sub(mtu as u64 * train.packets as u64);
                 self.start_service_if_idle(now);
@@ -594,7 +541,7 @@ impl<R: Recorder> PacketSimulator<R> {
                 let pkt_ns = Dur::from_secs_f64(mtu * 8.0 / bps).as_nanos();
                 let last = train.packets - 1;
                 let runs = {
-                    let f = &self.flows[i];
+                    let f = &self.st.flows[i];
                     f.delivered < EXACT_BYTES && f.job.progress.remaining_bytes() < EXACT_BYTES
                 };
                 let mut j = 0;
@@ -609,7 +556,7 @@ impl<R: Recorder> PacketSimulator<R> {
                     };
                     if next > j {
                         let bytes = (next - j) as f64 * mtu;
-                        let f = &mut self.flows[i];
+                        let f = &mut self.st.flows[i];
                         f.delivered += bytes;
                         let ended = f.job.progress.deliver(bytes, now).is_some()
                             || !f.job.progress.is_communicating();
@@ -618,28 +565,24 @@ impl<R: Recorder> PacketSimulator<R> {
                     }
                     let lag = pkt_ns * (last - j) as u64;
                     let exit = Time::from_nanos(now.as_nanos().saturating_sub(lag));
-                    let deliver_at = exit + self.cfg.prop_delay;
+                    let deliver_at = exit + self.st.cfg.prop_delay;
                     let marked = train.marked >> j & 1 == 1;
-                    let f = &mut self.flows[i];
+                    let f = &mut self.st.flows[i];
                     f.delivered += mtu;
                     if marked && f.np.on_marked_arrival(deliver_at) {
-                        self.cnps_sent += 1;
+                        self.st.cnps_sent += 1;
                         if R::ENABLED {
                             self.rec.record(now, Event::CnpSent { flow: i as u32 });
                         }
                         // Fault injection: the CNP may be dropped on the
                         // reverse path — the NP has still consumed its
                         // pacing slot, but the RP never reacts.
-                        let cnp_lost = match &self.cfg.signal_loss {
-                            Some(l) if l.cnp_loss > 0.0 => self.chaos_rng.bernoulli(l.cnp_loss),
-                            _ => false,
-                        };
-                        if !cnp_lost {
+                        if !self.st.faults.cnp_lost() {
                             // CNP travels back one hop (never into the past:
                             // early packets of a long train may have
                             // delivered before `now`).
-                            self.events.schedule_at(
-                                (deliver_at + self.cfg.prop_delay).max(now),
+                            self.st.events.schedule_at(
+                                (deliver_at + self.st.cfg.prop_delay).max(now),
                                 Ev::Cnp(i),
                             );
                         }
@@ -658,7 +601,7 @@ impl<R: Recorder> PacketSimulator<R> {
                             .next_self_transition()
                             .expect("job computes after communicating");
                         f.job
-                            .record_compute(&mut self.rec, &mut self.spans, now, i, finished);
+                            .record_compute(&mut self.rec, &mut self.st.spans, now, i, finished);
                         self.arm_poll(i, poll_at.max(now));
                     }
                     j += 1;
@@ -666,14 +609,14 @@ impl<R: Recorder> PacketSimulator<R> {
             }
             Ev::Cnp(i) => {
                 self.advance_rp(i, now);
-                self.flows[i].rp.on_cnp();
+                self.st.flows[i].rp.on_cnp();
                 if R::ENABLED {
                     self.rec.record(now, Event::CnpReceived { flow: i as u32 });
                     self.rec.record(
                         now,
                         Event::RateChange {
                             flow: i as u32,
-                            bps: self.flows[i].rp.rate(),
+                            bps: self.st.flows[i].rp.rate(),
                             state: CcState::Cut,
                         },
                     );
@@ -690,43 +633,29 @@ impl<R: Recorder> PacketSimulator<R> {
     /// in one-step runs.
     fn record_run(&mut self, wall: Option<std::time::Instant>, before: (u64, u64), in_runs: u64) {
         if let Some(start) = wall {
-            let events = self.events_processed - before.0;
+            let events = self.st.events_processed - before.0;
             self.rec.span("netsim.packet", start.elapsed(), events);
             self.rec.count("packet_events_total", events);
             self.rec
-                .count("packet_packets_total", self.packets_sent - before.1);
+                .count("packet_packets_total", self.st.packets_sent - before.1);
             self.rec.count("packet_packets_in_runs", in_runs);
         }
     }
 }
 
 /// Complete captured state of a [`PacketSimulator`] at an event barrier:
-/// the full event-queue contents including the FIFO tie-break counter,
-/// switch FIFO and queue depth, per-flow RP/NP state, RNG and chaos
-/// stream positions, and span-tracker state. Recorder-free.
+/// everything the engine holds but its recorder, the pending event queue
+/// and its FIFO tie-break counter included.
 #[derive(Clone)]
 pub struct PacketSnapshot {
     version: u32,
-    cfg: PacketSimConfig,
-    events: EventQueue<Ev>,
-    flows: Vec<FlowState>,
-    rng: Rng,
-    queue_bytes: u64,
-    fifo: std::collections::VecDeque<Train>,
-    busy: bool,
-    packets_sent: u64,
-    packets_marked: u64,
-    cnps_sent: u64,
-    spans: SpanTracker,
-    events_processed: u64,
-    chaos_rng: Rng,
-    last_cap_mult: f64,
+    state: PacketState,
 }
 
 impl PacketSnapshot {
     /// The simulated instant the snapshot was taken at.
     pub fn taken_at(&self) -> Time {
-        self.events.now()
+        self.state.events.now()
     }
 
     /// Overrides the version tag — test hook for the
@@ -742,8 +671,8 @@ impl PacketSnapshot {
     /// [`SnapshotError::MidEventBarrier`] path.
     #[doc(hidden)]
     pub fn with_stale_event(mut self) -> PacketSnapshot {
-        let at = self.events.now();
-        self.events.schedule_at(at, Ev::Dequeue);
+        let at = self.state.events.now();
+        self.state.events.schedule_at(at, Ev::Dequeue);
         self
     }
 }
@@ -753,27 +682,27 @@ impl<R: Recorder> Engine for PacketSimulator<R> {
     type Snapshot = PacketSnapshot;
 
     fn now(&self) -> Time {
-        self.events.now()
+        self.st.events.now()
     }
 
     fn num_jobs(&self) -> usize {
-        self.flows.len()
+        self.st.flows.len()
     }
 
     fn progress(&self, i: usize) -> &JobProgress {
-        &self.flows[i].job.progress
+        &self.st.flows[i].job.progress
     }
 
     fn departed(&self, i: usize) -> bool {
-        self.flows[i].job.departed
+        self.st.flows[i].job.departed
     }
 
     fn run_until(&mut self, t_stop: Time) {
         let wall = R::ENABLED.then(std::time::Instant::now);
-        let before = (self.events_processed, self.packets_sent);
+        let before = (self.st.events_processed, self.st.packets_sent);
         let mut in_runs = 0;
-        while let Some(e) = self.events.pop_until(t_stop) {
-            self.events_processed += 1;
+        while let Some(e) = self.st.events.pop_until(t_stop) {
+            self.st.events_processed += 1;
             self.handle(e.event, e.at, &mut in_runs);
         }
         self.record_run(wall, before, in_runs);
@@ -781,18 +710,18 @@ impl<R: Recorder> Engine for PacketSimulator<R> {
 
     fn run_until_iterations(&mut self, n: usize, max_span: Dur) -> bool {
         let wall = R::ENABLED.then(std::time::Instant::now);
-        let before = (self.events_processed, self.packets_sent);
+        let before = (self.st.events_processed, self.st.packets_sent);
         let mut in_runs = 0;
         let stop = self.now() + max_span;
         let reached = |flows: &[FlowState]| flows.iter().all(|f| f.job.done(n));
         let done = loop {
-            if reached(&self.flows) {
+            if reached(&self.st.flows) {
                 break true;
             }
-            let Some(e) = self.events.pop_until(stop) else {
-                break reached(&self.flows);
+            let Some(e) = self.st.events.pop_until(stop) else {
+                break reached(&self.st.flows);
             };
-            self.events_processed += 1;
+            self.st.events_processed += 1;
             self.handle(e.event, e.at, &mut in_runs);
         };
         self.record_run(wall, before, in_runs);
@@ -808,61 +737,34 @@ impl<R: Recorder> Engine for PacketSimulator<R> {
     }
 
     fn snapshot(&self) -> Result<PacketSnapshot, SnapshotError> {
-        check_barrier(self.events.peek_time(), self.events.now())?;
+        check_barrier(self.st.events.peek_time(), self.st.events.now())?;
         Ok(PacketSnapshot {
             version: SNAPSHOT_VERSION,
-            cfg: self.cfg.clone(),
-            events: self.events.clone(),
-            flows: self.flows.clone(),
-            rng: self.rng.clone(),
-            queue_bytes: self.queue_bytes,
-            fifo: self.fifo.clone(),
-            busy: self.busy,
-            packets_sent: self.packets_sent,
-            packets_marked: self.packets_marked,
-            cnps_sent: self.cnps_sent,
-            spans: self.spans.clone(),
-            events_processed: self.events_processed,
-            chaos_rng: self.chaos_rng.clone(),
-            last_cap_mult: self.last_cap_mult,
+            state: self.st.clone(),
         })
     }
 
     fn restore(snap: PacketSnapshot, rec: R) -> Result<PacketSimulator<R>, SnapshotError> {
         check_version(snap.version)?;
-        check_barrier(snap.events.peek_time(), snap.events.now())?;
-        if snap.flows.is_empty() {
+        let st = snap.state;
+        check_barrier(st.events.peek_time(), st.events.now())?;
+        if st.flows.is_empty() {
             return Err(SnapshotError::Malformed { what: "no flows" });
         }
-        if snap.busy && snap.fifo.is_empty() {
+        if st.busy && st.fifo.is_empty() {
             return Err(SnapshotError::Malformed {
                 what: "link busy with an empty FIFO",
             });
         }
-        Ok(PacketSimulator {
-            cfg: snap.cfg,
-            events: snap.events,
-            flows: snap.flows,
-            rng: snap.rng,
-            queue_bytes: snap.queue_bytes,
-            fifo: snap.fifo,
-            busy: snap.busy,
-            packets_sent: snap.packets_sent,
-            packets_marked: snap.packets_marked,
-            cnps_sent: snap.cnps_sent,
-            rec,
-            spans: snap.spans,
-            events_processed: snap.events_processed,
-            chaos_rng: snap.chaos_rng,
-            last_cap_mult: snap.last_cap_mult,
-        })
+        Ok(PacketSimulator { st, rec })
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use workload::Model;
+    use dcqcn::CcVariant;
+    use workload::{JobSpec, Model, PhaseNoise};
 
     /// A deliberately small job so packet-level tests stay fast: ResNet50
     /// at batch 400 → 30.4 ms compute + 21 ms comm ≈ 51 ms iterations.
@@ -874,7 +776,7 @@ mod tests {
     fn solo_job_runs_at_line_rate() {
         let mut sim = PacketSimulator::new(
             PacketSimConfig::default(),
-            &[PacketJob::new(small_job(), CcVariant::Fair)],
+            &[RateJob::new(small_job(), CcVariant::Fair)],
         );
         assert!(sim.run_until_iterations(3, Dur::from_secs(2)));
         let solo = small_job()
@@ -896,8 +798,8 @@ mod tests {
     #[test]
     fn two_fair_flows_split_evenly() {
         let jobs = [
-            PacketJob::new(small_job(), CcVariant::Fair),
-            PacketJob::new(small_job(), CcVariant::Fair),
+            RateJob::new(small_job(), CcVariant::Fair),
+            RateJob::new(small_job(), CcVariant::Fair),
         ];
         let mut sim = PacketSimulator::new(PacketSimConfig::default(), &jobs);
         // Run through the overlapped first communication phase only.
@@ -921,13 +823,13 @@ mod tests {
         // sustained contention lets the T asymmetry accumulate.
         let heavy = JobSpec::reference(Model::ResNet50, 100);
         let jobs = [
-            PacketJob::new(
+            RateJob::new(
                 heavy,
                 CcVariant::StaticUnfair {
                     timer: Dur::from_micros(100),
                 },
             ),
-            PacketJob::new(heavy, CcVariant::Fair),
+            RateJob::new(heavy, CcVariant::Fair),
         ];
         let mut sim = PacketSimulator::new(PacketSimConfig::default(), &jobs);
         sim.run_until(Time::ZERO + Dur::from_millis(400));
@@ -944,8 +846,8 @@ mod tests {
         use telemetry::BufferRecorder;
 
         let jobs = [
-            PacketJob::new(small_job(), CcVariant::Fair),
-            PacketJob::new(small_job(), CcVariant::Fair),
+            RateJob::new(small_job(), CcVariant::Fair),
+            RateJob::new(small_job(), CcVariant::Fair),
         ];
         let mut rec = BufferRecorder::new();
         let mut sim = PacketSimulator::with_recorder(PacketSimConfig::default(), &jobs, &mut rec);
@@ -989,8 +891,8 @@ mod tests {
     #[test]
     fn recorder_does_not_perturb_packet_dynamics() {
         let jobs = [
-            PacketJob::new(small_job(), CcVariant::Fair),
-            PacketJob::new(small_job(), CcVariant::Fair),
+            RateJob::new(small_job(), CcVariant::Fair),
+            RateJob::new(small_job(), CcVariant::Fair),
         ];
         let mut plain = PacketSimulator::new(PacketSimConfig::default(), &jobs);
         plain.run_until(Time::ZERO + Dur::from_millis(60));
@@ -1013,8 +915,8 @@ mod tests {
         // batching error (compute→comm transitions are compute-driven and
         // land at identical instants in both runs).
         let jobs = [
-            PacketJob::new(small_job(), CcVariant::Fair),
-            PacketJob::new(small_job(), CcVariant::Fair),
+            RateJob::new(small_job(), CcVariant::Fair),
+            RateJob::new(small_job(), CcVariant::Fair),
         ];
         let run = |train_packets: u32| {
             let cfg = PacketSimConfig {
@@ -1058,8 +960,8 @@ mod tests {
             seed in 1u64..1_000,
         ) {
             let jobs = [
-                PacketJob::new(small_job(), CcVariant::Fair),
-                PacketJob::new(small_job(), CcVariant::Fair),
+                RateJob::new(small_job(), CcVariant::Fair),
+                RateJob::new(small_job(), CcVariant::Fair),
             ];
             let run = |train_packets: u32| {
                 let cfg = PacketSimConfig {
@@ -1131,7 +1033,7 @@ mod tests {
             mtu_bytes: 0,
             ..PacketSimConfig::default()
         };
-        let _ = PacketSimulator::new(cfg, &[PacketJob::new(small_job(), CcVariant::Fair)]);
+        let _ = PacketSimulator::new(cfg, &[RateJob::new(small_job(), CcVariant::Fair)]);
     }
 
     #[test]
@@ -1139,7 +1041,7 @@ mod tests {
     fn swift_rejected() {
         let _ = PacketSimulator::new(
             PacketSimConfig::default(),
-            &[PacketJob::new(
+            &[RateJob::new(
                 small_job(),
                 CcVariant::Swift {
                     target_delay: Dur::from_micros(30),
@@ -1155,8 +1057,7 @@ mod tests {
                 capacity_schedule: schedule,
                 ..PacketSimConfig::default()
             };
-            let mut sim =
-                PacketSimulator::new(cfg, &[PacketJob::new(small_job(), CcVariant::Fair)]);
+            let mut sim = PacketSimulator::new(cfg, &[RateJob::new(small_job(), CcVariant::Fair)]);
             assert!(sim.run_until_iterations(6, Dur::from_secs(4)));
             sim.progress(0)
                 .iteration_times()
@@ -1196,8 +1097,8 @@ mod tests {
                 ..PacketSimConfig::default()
             };
             let jobs = [
-                PacketJob::new(heavy, CcVariant::Fair),
-                PacketJob::new(heavy, CcVariant::Fair),
+                RateJob::new(heavy, CcVariant::Fair),
+                RateJob::new(heavy, CcVariant::Fair),
             ];
             let mut sim = PacketSimulator::new(cfg, &jobs);
             sim.run_until(Time::ZERO + Dur::from_millis(300));
@@ -1222,11 +1123,11 @@ mod tests {
     #[test]
     fn departed_flow_frees_the_link() {
         let jobs = [
-            PacketJob {
+            RateJob {
                 depart_at: Some(Time::ZERO + Dur::from_millis(120)),
-                ..PacketJob::new(small_job(), CcVariant::Fair)
+                ..RateJob::new(small_job(), CcVariant::Fair)
             },
-            PacketJob::new(small_job(), CcVariant::Fair),
+            RateJob::new(small_job(), CcVariant::Fair),
         ];
         let mut sim = PacketSimulator::new(PacketSimConfig::default(), &jobs);
         assert!(sim.run_until_iterations(8, Dur::from_secs(4)));
@@ -1257,8 +1158,8 @@ mod tests {
             ..PacketSimConfig::default()
         };
         let jobs = [
-            PacketJob::new(small_job(), CcVariant::Fair),
-            PacketJob::new(small_job(), CcVariant::Fair),
+            RateJob::new(small_job(), CcVariant::Fair),
+            RateJob::new(small_job(), CcVariant::Fair),
         ];
         let mut whole = PacketSimulator::new(cfg.clone(), &jobs);
         whole.run_until(Time::ZERO + Dur::from_millis(60));
@@ -1289,7 +1190,7 @@ mod tests {
         use crate::snapshot::{SnapshotError, SNAPSHOT_VERSION};
         let mut sim = PacketSimulator::new(
             PacketSimConfig::default(),
-            &[PacketJob::new(small_job(), CcVariant::Fair)],
+            &[RateJob::new(small_job(), CcVariant::Fair)],
         );
         sim.run_until(Time::ZERO + Dur::from_millis(40));
         let clean = sim.snapshot().unwrap();
@@ -1325,9 +1226,9 @@ mod tests {
             straggler_factor: 1.0,
         };
         let run = || {
-            let job = PacketJob {
+            let job = RateJob {
                 noise: Some(noise),
-                ..PacketJob::new(small_job(), CcVariant::Fair)
+                ..RateJob::new(small_job(), CcVariant::Fair)
             };
             let mut sim = PacketSimulator::new(PacketSimConfig::default(), &[job]);
             assert!(sim.run_until_iterations(5, Dur::from_secs(4)));

@@ -3,12 +3,15 @@
 //!
 //! Each engine defines its own snapshot type ([`crate::fluid::FluidSnapshot`],
 //! [`crate::rate::RateSnapshot`], [`crate::packet::PacketSnapshot`]) behind
-//! [`crate::Engine::snapshot`] and [`crate::Engine::restore`]. A snapshot
-//! captures **everything** that feeds future behaviour — job progress and
-//! controller state, RNG and chaos stream positions, pending
-//! event-queue contents (including the FIFO tie-break counter),
-//! span-tracker state, and the accumulated traces the experiments read
-//! back — so that
+//! [`crate::Engine::snapshot`] and [`crate::Engine::restore`]. Each
+//! simulator is its recorder plus one private state struct, and its
+//! snapshot is a version tag plus a clone of that struct. A snapshot
+//! therefore captures **everything** that feeds future behaviour by
+//! construction — job progress and controller state, RNG and chaos stream
+//! positions, capacity multipliers, pending event-queue contents
+//! (including the FIFO tie-break counter), span-tracker state, and the
+//! accumulated traces the experiments read back: a field added to an
+//! engine is in its snapshot without a second list to update. So
 //!
 //! ```text
 //! run(0 → T)  ≡  run(0 → t) + snapshot + restore + run(t → T)
@@ -46,7 +49,7 @@ use std::error::Error;
 use std::fmt;
 
 /// Current snapshot layout version, shared by all three engines.
-pub const SNAPSHOT_VERSION: u32 = 3;
+pub const SNAPSHOT_VERSION: u32 = 4;
 
 /// Why a snapshot could not be taken or restored. All misuse surfaces as
 /// one of these — never a panic.

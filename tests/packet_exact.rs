@@ -14,7 +14,8 @@
 use dcqcn::{CcVariant, SignalLoss};
 use mlcc::experiments::shard::{build_packet, ShardConfig};
 use mlcc_repro::*;
-use netsim::packet::{PacketJob, PacketSimConfig, PacketSimulator};
+use netsim::packet::{PacketSimConfig, PacketSimulator};
+use netsim::rate::RateJob;
 use simtime::{Dur, Time};
 use telemetry::{export, BufferRecorder};
 use topology::LinkSchedule;
@@ -47,7 +48,7 @@ enum Stop {
     At(Dur),
 }
 
-fn fingerprint(cfg: PacketSimConfig, jobs: &[PacketJob], stop: Stop) -> Fingerprint {
+fn fingerprint(cfg: PacketSimConfig, jobs: &[RateJob], stop: Stop) -> Fingerprint {
     let mut sim = PacketSimulator::with_recorder(cfg, jobs, BufferRecorder::new());
     match stop {
         Stop::Iterations(n, span) => assert!(sim.run_until_iterations(n, span)),
@@ -97,13 +98,13 @@ fn rotation_replica(train_packets: u32) -> Fingerprint {
 fn contended_pair(train_packets: u32) -> Fingerprint {
     let heavy = JobSpec::reference(Model::ResNet50, 100);
     let jobs = [
-        PacketJob::new(
+        RateJob::new(
             heavy,
             CcVariant::StaticUnfair {
                 timer: Dur::from_micros(100),
             },
         ),
-        PacketJob::new(heavy, CcVariant::Fair),
+        RateJob::new(heavy, CcVariant::Fair),
     ];
     fingerprint(
         with_trains(PacketSimConfig::default(), train_packets),
@@ -123,15 +124,15 @@ fn chaos_pair(train_packets: u32) -> Fingerprint {
         straggler_factor: 1.0,
     };
     let jobs = [
-        PacketJob {
+        RateJob {
             noise: Some(noise(0)),
             depart_at: Some(Time::ZERO + Dur::from_millis(170)),
-            ..PacketJob::new(spec, CcVariant::Fair)
+            ..RateJob::new(spec, CcVariant::Fair)
         },
-        PacketJob {
+        RateJob {
             noise: Some(noise(1)),
             start_offset: Dur::from_micros(1_500),
-            ..PacketJob::new(
+            ..RateJob::new(
                 spec,
                 CcVariant::StaticUnfair {
                     timer: Dur::from_micros(100),

@@ -5,7 +5,7 @@
 use dcqcn::CcVariant;
 use eventsim::Cdf;
 use mlcc_repro::*;
-use netsim::packet::{PacketJob, PacketSimConfig, PacketSimulator};
+use netsim::packet::{PacketSimConfig, PacketSimulator};
 use netsim::rate::{RateJob, RateSimConfig, RateSimulator};
 use simtime::{Bandwidth, Dur};
 use workload::{JobSpec, Model};
@@ -28,7 +28,7 @@ fn solo_iteration_times_agree() {
     let spec = small_job();
     let mut pkt = PacketSimulator::new(
         PacketSimConfig::default(),
-        &[PacketJob::new(spec, CcVariant::Fair)],
+        &[RateJob::new(spec, CcVariant::Fair)],
     );
     assert!(pkt.run_until_iterations(4, Dur::from_secs(2)));
     let mut fluid = RateSimulator::new(
@@ -59,8 +59,8 @@ fn solo_iteration_times_agree() {
 fn fair_contention_agrees_initially_then_noise_slides() {
     let spec = small_job();
     let jobs_pkt = [
-        PacketJob::new(spec, CcVariant::Fair),
-        PacketJob::new(spec, CcVariant::Fair),
+        RateJob::new(spec, CcVariant::Fair),
+        RateJob::new(spec, CcVariant::Fair),
     ];
     let mut pkt = PacketSimulator::new(PacketSimConfig::default(), &jobs_pkt);
     assert!(pkt.run_until_iterations(8, Dur::from_secs(3)));
@@ -169,11 +169,11 @@ fn paper_scale_mix_agrees_with_batching() {
         "rotation should be busy but feasible, got {total_fraction:.2}"
     );
 
-    let pkt_jobs: Vec<PacketJob> = mix
+    let pkt_jobs: Vec<RateJob> = mix
         .iter()
-        .map(|&(spec, variant, start_offset)| PacketJob {
+        .map(|&(spec, variant, start_offset)| RateJob {
             start_offset,
-            ..PacketJob::new(spec, variant)
+            ..RateJob::new(spec, variant)
         })
         .collect();
     let mut pkt = PacketSimulator::new(
@@ -227,13 +227,13 @@ fn paper_scale_mix_agrees_with_batching() {
 fn unfair_slide_agrees() {
     let spec = small_job();
     let jobs = [
-        PacketJob::new(
+        RateJob::new(
             spec,
             CcVariant::StaticUnfair {
                 timer: Dur::from_micros(100),
             },
         ),
-        PacketJob::new(spec, CcVariant::Fair),
+        RateJob::new(spec, CcVariant::Fair),
     ];
     let mut sim = PacketSimulator::new(PacketSimConfig::default(), &jobs);
     assert!(sim.run_until_iterations(10, Dur::from_secs(4)));

@@ -7,7 +7,7 @@
 use dcqcn::CcVariant;
 use mlcc_repro::*;
 use netsim::fluid::{FluidConfig, FluidJob, FluidSimulator};
-use netsim::packet::{PacketJob, PacketSimConfig, PacketSimulator};
+use netsim::packet::{PacketSimConfig, PacketSimulator};
 use netsim::rate::{RateJob, RateSimConfig, RateSimulator};
 use netsim::snapshot::{SnapshotError, SNAPSHOT_VERSION};
 use netsim::Engine;
@@ -33,8 +33,8 @@ fn rate_snapshot() -> <RateSimulator as Engine>::Snapshot {
 fn packet_snapshot() -> <PacketSimulator as Engine>::Snapshot {
     let spec = JobSpec::reference(Model::ResNet50, 400);
     let jobs = [
-        PacketJob::new(spec, CcVariant::Fair),
-        PacketJob::new(spec, CcVariant::Fair),
+        RateJob::new(spec, CcVariant::Fair),
+        RateJob::new(spec, CcVariant::Fair),
     ];
     let mut sim = PacketSimulator::new(PacketSimConfig::default(), &jobs);
     sim.run_until(BARRIER);
