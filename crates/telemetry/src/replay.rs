@@ -855,6 +855,18 @@ impl<'a> Reader<'a> {
             _ => Err(invalid(key)),
         }
     }
+
+    /// The string field `key` read as one of the labels `from` knows;
+    /// any other label is an `unknown {what} "label"` field error.
+    fn named<T>(self, key: Key, what: &str, from: fn(&str) -> Option<T>) -> Result<T, ParseError> {
+        let label = self.str(key)?;
+        from(&label).ok_or_else(|| {
+            perr(
+                ReplayErrorKind::BadField,
+                format!("unknown {what} {label:?}"),
+            )
+        })
+    }
 }
 
 #[cold]
@@ -894,21 +906,11 @@ fn event_from(fields: &Fields, line: &str) -> Result<TimedEvent, ParseError> {
         "rate_change" => Event::RateChange {
             flow: r.u32(Key::Flow)?,
             bps: r.f64(Key::Bps)?,
-            state: cc_state_from(&r.str(Key::State)?).ok_or_else(|| {
-                perr(
-                    ReplayErrorKind::BadField,
-                    format!("unknown cc state {:?}", r.str(Key::State)),
-                )
-            })?,
+            state: r.named(Key::State, "cc state", cc_state_from)?,
         },
         "phase_enter" | "phase_exit" => {
             let job = r.u32(Key::Job)?;
-            let phase = phase_from(&r.str(Key::Phase)?).ok_or_else(|| {
-                perr(
-                    ReplayErrorKind::BadField,
-                    format!("unknown phase {:?}", r.str(Key::Phase)),
-                )
-            })?;
+            let phase = r.named(Key::Phase, "phase", phase_from)?;
             let iteration = r.u64(Key::Iteration)?;
             if kind == "phase_enter" {
                 Event::PhaseEnter {
@@ -960,12 +962,7 @@ fn event_from(fields: &Fields, line: &str) -> Result<TimedEvent, ParseError> {
         // ignored here and round-trips stay exact.
         "span_begin" | "span_end" => {
             let job = r.u32(Key::Job)?;
-            let skind = span_kind_from(&r.str(Key::Kind)?).ok_or_else(|| {
-                perr(
-                    ReplayErrorKind::BadField,
-                    format!("unknown span kind {:?}", r.str(Key::Kind)),
-                )
-            })?;
+            let skind = r.named(Key::Kind, "span kind", span_kind_from)?;
             let iteration = r.u64(Key::Iteration)?;
             if kind == "span_begin" {
                 Event::SpanBegin {

@@ -44,7 +44,9 @@ const CORPUS: &[(&str, usize, K, &str)] = &[
     (r#"{"type":"ecn_mark","flow":0}"#, 1, K::MissingField, r#"missing field "t_ns""#),
     (r#"{"t_ns":0,"type":"ecn_mark","flow":4294967296}"#, 1, K::BadField, r#"invalid field "flow""#),
     (r#"{"t_ns":-1,"type":"ecn_mark","flow":0}"#, 1, K::BadField, r#"invalid field "t_ns""#),
-    (r#"{"t_ns":0,"type":"rate_change","flow":0,"bps":1.0,"state":"zoom"}"#, 1, K::BadField, r#"unknown cc state Ok("zoom")"#),
+    (r#"{"t_ns":0,"type":"rate_change","flow":0,"bps":1.0,"state":"zoom"}"#, 1, K::BadField, r#"unknown cc state "zoom""#),
+    (r#"{"t_ns":0,"type":"phase_exit","job":0,"phase":"nap","iteration":0}"#, 1, K::BadField, r#"unknown phase "nap""#),
+    (r#"{"t_ns":0,"type":"span_begin","job":0,"kind":"ü\"","iteration":0}"#, 1, K::BadField, r#"unknown span kind "ü\"""#),
     (r#"{"seq":1.5,"t_ns":0,"type":"ecn_mark","flow":0}"#, 1, K::BadSeq, "seq must be a non-negative integer"),
     ("{\"seq\":3,\"t_ns\":0,\"type\":\"ecn_mark\",\"flow\":0}\n{\"seq\":3,\"t_ns\":1,\"type\":\"ecn_mark\",\"flow\":1}", 2, K::BadSeq, "seq 3 does not increase past 3"),
     (r#"{"t_ns":0,"type":"span_end","job":0,"kind":"compute","iteration":0}"#, 1, K::BadSpan, "orphan span end (compute of iteration 0) for job 0 with no open span"),
