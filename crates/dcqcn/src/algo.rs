@@ -57,7 +57,12 @@ pub trait CcAlgorithm: std::fmt::Debug + Send + Sync {
     /// Idle spans coalesce: `advance(k·dt, 0.0, Dur::ZERO)` must leave the
     /// controller exactly as `k` calls of `advance(dt, 0.0, Dur::ZERO)`
     /// would. The rate engine relies on it to jump idle stretches and to
-    /// catch computing jobs' controllers up after a solo window.
+    /// catch computing jobs' controllers up after a stepping window.
+    ///
+    /// A controller whose [`reacts_to_marks`](CcAlgorithm::reacts_to_marks)
+    /// is `true` ignores `queue_delay`: its state after the call does not
+    /// depend on it. The rate engine then skips computing the delay, and
+    /// catches such a controller up across a window whose queue stood.
     fn advance(&mut self, dt: Dur, bytes_sent: f64, queue_delay: Dur);
 
     /// Resets the flow to a fresh line-rate state (new communication
@@ -569,6 +574,73 @@ mod tests {
                 assert_eq!(once.stage(), stepped.stage(), "{v:?}");
             }
         }
+    }
+
+    /// The queue-delay rule of `advance`, for every controller the
+    /// variants build that reacts to marks: the delay it is handed leaves
+    /// no trace, in a sending step or coalesced over an idle span.
+    #[test]
+    fn mark_reactive_controllers_ignore_queue_delay() {
+        use crate::CcVariant;
+        let variants = [
+            CcVariant::Fair,
+            CcVariant::StaticUnfair {
+                timer: Dur::from_micros(100),
+            },
+            CcVariant::AdaptiveUnfair,
+            CcVariant::Swift {
+                target_delay: Dur::from_micros(30),
+            },
+            CcVariant::Mltcp { bonus: 1.0 },
+            CcVariant::Policy {
+                policy: FairnessPolicy::BonusDecay {
+                    bonus: 1.0,
+                    decay: 3.0,
+                },
+            },
+        ];
+        let delays = [Dur::ZERO, Dur::from_micros(2), Dur::from_millis(1)];
+        let dt = Dur::from_micros(5);
+        let mut checked = 0;
+        for v in variants {
+            let mut base = v.build(params());
+            if !base.reacts_to_marks() {
+                continue;
+            }
+            checked += 1;
+            for _ in 0..3 {
+                base.on_cnp();
+                base.advance(Dur::from_micros(7), 3.1e4, Dur::ZERO);
+            }
+            base.on_phase_progress(0.4);
+            let state = |cc: &dyn CcAlgorithm| {
+                let rp = cc
+                    .as_dcqcn()
+                    .expect("a mark-reactive controller wraps DCQCN");
+                (format!("{rp:?}"), cc.rate().to_bits(), cc.stage())
+            };
+            for k in [1u64, 7, 4_001] {
+                let mut quiet = base.clone();
+                quiet.advance(dt * k, 0.0, Dur::ZERO);
+                for d in delays {
+                    let mut sent = base.clone();
+                    sent.advance(dt, 2.9e4 * k as f64, d);
+                    let mut reference = base.clone();
+                    reference.advance(dt, 2.9e4 * k as f64, Dur::ZERO);
+                    assert_eq!(state(&*sent), state(&*reference), "{v:?} sent, {d:?}");
+
+                    let mut stepped = base.clone();
+                    for _ in 0..k {
+                        stepped.advance(dt, 0.0, d);
+                    }
+                    let mut once = base.clone();
+                    once.advance(dt * k, 0.0, d);
+                    assert_eq!(state(&*stepped), state(&*quiet), "{v:?} x{k}, {d:?}");
+                    assert_eq!(state(&*once), state(&*quiet), "{v:?} {k}dt, {d:?}");
+                }
+            }
+        }
+        assert_eq!(checked, 5);
     }
 
     #[test]

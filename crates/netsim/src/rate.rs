@@ -15,12 +15,19 @@
 //! Scope: one bottleneck link (the paper's experiments are all
 //! single-bottleneck; multi-link topologies are the fluid engine's job).
 //!
-//! The run loops take two kinds of steps faster than [`RateSimulator::step`]
-//! without changing a bit of output: idle stretches (every job computing,
-//! queue empty) are jumped in one controller advance, and solo
-//! communication (one job sending into an empty queue, everyone else
-//! computing) is stepped for that job alone, repeating `step`'s float
-//! operations in the same order. Every other step is a full `step`.
+//! A step is three parts: the compute-deadline and departure polls, one
+//! traffic kernel (injection, pro-rata FIFO service, marking and CNPs,
+//! controller advance, delivery) over the jobs that communicate or hold
+//! queued bytes, and the trace and telemetry samples. The run loops take
+//! most steps faster than [`RateSimulator::step`] without changing a bit
+//! of output: idle stretches (every job computing, queue empty) are
+//! jumped in one controller advance, and any other stretch in which no
+//! poll or sample falls due is a stepping window that runs the kernel
+//! alone, however many jobs communicate, until a phase ends. Inside a
+//! window a computing job's controller only moves its clock, so it
+//! catches up once afterwards, except that a delay-sensing one is
+//! advanced through each step whose queue stands. Every other step is a
+//! full `step`.
 
 use crate::fault::BottleneckFaults;
 use crate::job::{self, Job};
@@ -145,14 +152,23 @@ struct JobState {
     /// The job's live congestion controller, built from its
     /// [`CcVariant`] spec.
     cc: Box<dyn CcAlgorithm>,
+    /// `cc.reacts_to_marks()`, cached: refreshed whenever `cc` is replaced.
+    marks: bool,
     np: NotificationPoint,
     /// Whether the controller consumes communication-phase progress
     /// ([`CcVariant::wants_progress`]).
     adaptive: bool,
+    /// The iteration's communication bytes, taken when a phase starts:
+    /// [`JobProgress::comm_bytes_per_iteration`] holds until the iteration
+    /// rolls over.
+    phase_bytes: f64,
     /// Bytes of the current phase not yet placed into the link queue.
     to_inject: f64,
     /// This job's bytes sitting in the link queue.
     backlog: f64,
+    /// Bytes the link delivered for this job in the current step: scratch
+    /// that every step of an active job overwrites.
+    delivered: f64,
     /// Bytes delivered since the last trace sample.
     traced_bytes: f64,
     /// Expected marked packets accumulated since the last CNP decision.
@@ -161,11 +177,26 @@ struct JobState {
     mark_threshold: f64,
 }
 
-/// Steps a run loop took on each fast path (the rest were full steps).
+/// Steps a run loop took in each mode (the rest were full steps).
 #[derive(Default)]
 struct StepSplit {
+    /// Jumped while every job computed.
     idle: u64,
+    /// Window steps with one job sending into an empty, unmarked queue.
     solo: u64,
+    /// The other window steps.
+    contended: u64,
+}
+
+/// What one step of [`RateState::traffic`] leaves behind.
+struct Traffic {
+    /// Bytes still queued after the step's service.
+    standing: f64,
+    /// The queueing delay the controllers observed: zero unless the queue
+    /// stands and some controller senses delay.
+    delay: Dur,
+    /// Whether a job's communication phase (or pipelined segment) ended.
+    ended: bool,
 }
 
 /// The rate-based simulator over one bottleneck link.
@@ -197,9 +228,220 @@ struct RateState {
     steps: u64,
     /// The bottleneck's capacity schedule and signal loss.
     faults: BottleneckFaults,
-    /// Per-job bytes delivered in the current step: scratch space kept
-    /// across steps so stepping never allocates. Each step overwrites it.
-    delivered: Vec<f64>,
+    /// Whether some controller senses queueing delay (does not react to
+    /// marks), so that a standing queue's delay must be computed.
+    senses_delay: bool,
+    /// The jobs that communicate or hold queued bytes, in job order, and
+    /// the rest: scratch that [`RateState::sort_jobs`] refills, kept
+    /// across steps so stepping never allocates.
+    active: Vec<usize>,
+    idle: Vec<usize>,
+}
+
+impl RateState {
+    /// Splits the jobs for the next step: `active` gets those that
+    /// communicate or still hold queued bytes, `idle` the rest, both in
+    /// job order. Returns how many communicate.
+    fn sort_jobs(&mut self) -> usize {
+        self.active.clear();
+        self.idle.clear();
+        let mut communicating = 0;
+        for (i, js) in self.jobs.iter().enumerate() {
+            if js.job.progress.is_communicating() {
+                communicating += 1;
+                self.active.push(i);
+            } else if js.backlog != 0.0 {
+                self.active.push(i);
+            } else {
+                self.idle.push(i);
+            }
+        }
+        communicating
+    }
+
+    /// The traffic kernel: one step of the `active` jobs' traffic, with
+    /// `service` bytes of link service at capacity `bps`. Injection, FIFO
+    /// service shared pro-rata by backlog, ECN marking and CNPs, the
+    /// controllers' advance, and delivery to the jobs, in job order within
+    /// each stage. An idle job's backlog is 0, so it would be served 0 and
+    /// marked never; its controller is left to the caller. Does not move
+    /// `now`.
+    fn traffic<R: Recorder>(&mut self, rec: &mut R, service: f64, bps: f64) -> Traffic {
+        let RateState {
+            cfg,
+            now,
+            jobs,
+            rng,
+            spans,
+            faults,
+            senses_delay,
+            active,
+            ..
+        } = self;
+        let dt = cfg.dt;
+        let dt_secs = dt.as_secs_f64();
+        let t_end = *now + dt;
+
+        // 1. Injection at the controllers' rates (capped by the phase
+        // residual), summing the link's backlog.
+        let mut total_backlog = 0.0;
+        for &i in active.iter() {
+            let js = &mut jobs[i];
+            if js.job.progress.is_communicating() {
+                let offered = js.cc.rate() * dt_secs / 8.0; // bytes
+                let a = offered.min(js.to_inject);
+                js.backlog += a;
+                js.to_inject -= a;
+            }
+            total_backlog += js.backlog;
+        }
+
+        // 2. FIFO service at the (possibly degraded) link capacity, shared
+        // pro-rata by backlog, then ECN marking on the standing queue →
+        // CNPs (paced per flow; DCQCN controllers only — delay-based flows
+        // observe the queue directly in stage 3).
+        // Fluid marking: accumulate the expected number of marked packets
+        // and fire when it crosses the threshold. Marks suppressed by CNP
+        // pacing are dropped, as NP hardware coalesces them. At zero
+        // marking probability no accumulator moves and, with `mark_noise`
+        // in `[0, 1)` (checked at construction), every threshold is
+        // positive, so no mark can fire: the marking is skipped.
+        let served_total = total_backlog.min(service);
+        let standing = total_backlog - served_total;
+        let mark_p = cfg.marker.mark_probability(standing);
+        for &i in active.iter() {
+            let js = &mut jobs[i];
+            js.delivered = 0.0;
+            if total_backlog > 0.0 {
+                // Clamp against float dust: pro-rata shares can overshoot a
+                // job's backlog by an ulp, and a negative backlog would
+                // poison the next step's totals.
+                let d = (served_total * js.backlog / total_backlog).clamp(0.0, js.backlog);
+                js.backlog = (js.backlog - d).max(0.0);
+                js.delivered = d;
+            }
+            if !(mark_p > 0.0 && js.marks && js.delivered > 0.0) {
+                continue;
+            }
+            let packets = js.delivered / cfg.mtu_bytes;
+            js.expected_marks += packets * mark_p;
+            if js.expected_marks < js.mark_threshold {
+                continue;
+            }
+            js.expected_marks = 0.0;
+            js.mark_threshold = if cfg.mark_noise > 0.0 {
+                1.0 + cfg.mark_noise * (rng.f64() * 2.0 - 1.0)
+            } else {
+                1.0
+            };
+            // Fault injection: the mark may be stripped before it reaches
+            // the NP.
+            if faults.mark_lost() {
+                continue;
+            }
+            if R::ENABLED {
+                rec.record(t_end, Event::EcnMark { flow: i as u32 });
+            }
+            if !js.np.on_marked_arrival(t_end) {
+                continue;
+            }
+            // The NP sent a CNP; it may be lost on the reverse path before
+            // the RP sees it.
+            let cnp_lost = faults.cnp_lost();
+            if R::ENABLED {
+                rec.record(t_end, Event::CnpSent { flow: i as u32 });
+            }
+            if !cnp_lost {
+                js.cc.on_cnp();
+                if R::ENABLED {
+                    // NP→RP notification is modeled as zero-delay, so send
+                    // and receipt land on the same instant.
+                    rec.record(t_end, Event::CnpReceived { flow: i as u32 });
+                    rec.record(
+                        t_end,
+                        Event::RateChange {
+                            flow: i as u32,
+                            bps: js.cc.rate(),
+                            state: CcState::Cut,
+                        },
+                    );
+                }
+            }
+        }
+
+        // 3. Controller clocks, adaptive progress, and delivery to jobs.
+        // The queueing delay a delay-based controller observes: the time
+        // the standing queue takes to drain at line rate. Mark-reactive
+        // controllers ignore it, so it is computed only for a delay-based
+        // one.
+        let delay = if *senses_delay && standing != 0.0 {
+            Dur::from_secs_f64(standing * 8.0 / bps)
+        } else {
+            Dur::ZERO
+        };
+        let mut ended = false;
+        for &i in active.iter() {
+            let js = &mut jobs[i];
+            let progress = &mut js.job.progress;
+            let communicating = progress.is_communicating();
+            if js.adaptive && communicating {
+                let sent = js.phase_bytes - progress.remaining_bytes();
+                js.cc.on_phase_progress(sent / js.phase_bytes);
+            }
+            js.cc.advance(dt, js.delivered, delay);
+            if communicating && js.delivered > 0.0 {
+                js.traced_bytes += js.delivered;
+                let finished = progress.deliver(js.delivered, t_end).is_some();
+                if finished {
+                    // Iteration finished: residual float dust is discarded.
+                    js.to_inject = 0.0;
+                    js.backlog = 0.0;
+                    js.cc.on_iteration_end();
+                }
+                // Iteration end — or, for pipelined jobs, a mid-iteration
+                // gap between communication segments — returns the job to
+                // computing.
+                if !progress.is_communicating() {
+                    js.job.record_compute(rec, spans, t_end, i, finished);
+                    ended = true;
+                }
+            }
+        }
+        Traffic {
+            standing,
+            delay,
+            ended,
+        }
+    }
+
+    /// Advances the idle delay-sensing controllers through `lag` earlier
+    /// steps without queueing delay, then one step of `delay`.
+    fn sense_delay(&mut self, lag: u64, delay: Dur) {
+        let dt = self.cfg.dt;
+        for &i in &self.idle {
+            let js = &mut self.jobs[i];
+            if !js.marks {
+                if lag > 0 {
+                    js.cc.advance(dt * lag, 0.0, Dur::ZERO);
+                }
+                js.cc.advance(dt, 0.0, delay);
+            }
+        }
+    }
+
+    /// Catches the idle controllers up after `taken` steps: a
+    /// mark-reactive one through all of them, a delay-sensing one through
+    /// the last `lag`, which had no queueing delay.
+    fn catch_up_idle(&mut self, taken: u64, lag: u64) {
+        let dt = self.cfg.dt;
+        for &i in &self.idle {
+            let js = &mut self.jobs[i];
+            let n = if js.marks { taken } else { lag };
+            if n > 0 {
+                js.cc.advance(dt * n, 0.0, Dur::ZERO);
+            }
+        }
+    }
 }
 
 impl RateSimulator {
@@ -249,23 +491,27 @@ impl<R: Recorder> RateSimulator<R> {
                         ),
                         j.depart_at,
                     ),
+                    marks: cc.reacts_to_marks(),
                     cc,
                     np: NotificationPoint::new(cfg.base_params.cnp_interval),
                     adaptive: j.variant.wants_progress(),
+                    phase_bytes: 0.0,
                     to_inject: 0.0,
                     backlog: 0.0,
+                    delivered: 0.0,
                     traced_bytes: 0.0,
                     expected_marks: 0.0,
                     mark_threshold: 1.0,
                 }
             })
-            .collect();
+            .collect::<Vec<JobState>>();
         let n = jobs.len();
         let faults = BottleneckFaults::new(cfg.capacity_schedule.take(), cfg.signal_loss.take());
         let st = RateState {
             rng: Rng::new(cfg.seed),
             cfg,
             now: Time::ZERO,
+            senses_delay: states.iter().any(|js| !js.marks),
             jobs: states,
             queue_trace: TimeSeries::new(),
             rate_traces: (0..n).map(|_| TimeSeries::new()).collect(),
@@ -274,7 +520,8 @@ impl<R: Recorder> RateSimulator<R> {
             next_sample_at: Time::ZERO,
             steps: 0,
             faults,
-            delivered: vec![0.0; n],
+            active: Vec::with_capacity(n),
+            idle: Vec::with_capacity(n),
         };
         RateSimulator { st, rec }
     }
@@ -297,17 +544,14 @@ impl<R: Recorder> RateSimulator<R> {
     /// Advances the simulation by one step.
     pub fn step(&mut self) {
         let st = &mut self.st;
-        let dt = st.cfg.dt;
-        let dt_secs = dt.as_secs_f64();
-        let t_end = st.now + dt;
 
-        // 0. Fault injection: the capacity in effect this step, the exact
+        // 1. Fault injection: the capacity in effect this step, the exact
         // config value on the quiet path.
         let effective_bps =
             st.faults
                 .capacity_bps(&mut self.rec, st.now, st.cfg.capacity.as_bps_f64());
 
-        // 1. Compute→communicate transitions due at (or before) this step,
+        // 2. Compute→communicate transitions due at (or before) this step,
         // and churn departures (a departing job finishes any in-flight
         // communication phase, then idles forever instead of re-entering).
         for (i, js) in st.jobs.iter_mut().enumerate() {
@@ -316,6 +560,7 @@ impl<R: Recorder> RateSimulator<R> {
             }
             if js.job.poll(&mut self.rec, &mut st.spans, st.now, i) {
                 js.to_inject = js.job.progress.remaining_bytes();
+                js.phase_bytes = js.job.progress.comm_bytes_per_iteration();
                 js.backlog = 0.0;
                 if st.cfg.restart_on_phase {
                     js.cc.restart();
@@ -334,135 +579,13 @@ impl<R: Recorder> RateSimulator<R> {
             }
         }
 
-        // 2. Injection at DCQCN rates (capped by phase residual).
-        for js in &mut st.jobs {
-            if js.job.progress.is_communicating() {
-                let offered = js.cc.rate() * dt_secs / 8.0; // bytes
-                let a = offered.min(js.to_inject);
-                js.backlog += a;
-                js.to_inject -= a;
-            }
-        }
+        // 3. The step's traffic.
+        st.sort_jobs();
+        let (_, _, standing_queue) = self.run_traffic(1, effective_bps, false);
 
-        // 3. FIFO service at the (possibly degraded) link capacity, shared
-        // pro-rata by backlog.
-        let total_backlog: f64 = st.jobs.iter().map(|j| j.backlog).sum();
-        let service = effective_bps * dt_secs / 8.0;
-        let served_total = total_backlog.min(service);
-        let delivered = &mut st.delivered;
-        if total_backlog > 0.0 {
-            for (js, d_out) in st.jobs.iter_mut().zip(delivered.iter_mut()) {
-                // Clamp against float dust: pro-rata shares can overshoot a
-                // job's backlog by an ulp, and a negative backlog would
-                // poison the next step's totals.
-                let d = (served_total * js.backlog / total_backlog).clamp(0.0, js.backlog);
-                js.backlog = (js.backlog - d).max(0.0);
-                *d_out = d;
-            }
-        } else {
-            delivered.fill(0.0);
-        }
-        let standing_queue = total_backlog - served_total;
-
-        // 4. ECN marking on the standing queue → CNPs (paced per flow;
-        // DCQCN controllers only — delay-based flows observe the queue
-        // directly in step 5).
-        // Fluid marking: accumulate the expected number of marked packets
-        // and fire when it crosses the threshold. Marks suppressed by CNP
-        // pacing are dropped, as NP hardware coalesces them. At zero
-        // marking probability no accumulator moves and, with `mark_noise`
-        // in `[0, 1)` (checked at construction), every threshold is positive, so no
-        // mark can fire: the pass is skipped.
-        let mark_p = st.cfg.marker.mark_probability(standing_queue);
-        if mark_p > 0.0 {
-            for (i, js) in st.jobs.iter_mut().enumerate() {
-                if !js.cc.reacts_to_marks() {
-                    continue;
-                }
-                if delivered[i] > 0.0 {
-                    let packets = delivered[i] / st.cfg.mtu_bytes;
-                    js.expected_marks += packets * mark_p;
-                    if js.expected_marks >= js.mark_threshold {
-                        js.expected_marks = 0.0;
-                        js.mark_threshold = if st.cfg.mark_noise > 0.0 {
-                            1.0 + st.cfg.mark_noise * (st.rng.f64() * 2.0 - 1.0)
-                        } else {
-                            1.0
-                        };
-                        // Fault injection: the mark may be stripped before it
-                        // reaches the NP.
-                        if !st.faults.mark_lost() {
-                            if R::ENABLED {
-                                self.rec.record(t_end, Event::EcnMark { flow: i as u32 });
-                            }
-                            if js.np.on_marked_arrival(t_end) {
-                                // The NP sent a CNP; it may be lost on the
-                                // reverse path before the RP sees it.
-                                let cnp_lost = st.faults.cnp_lost();
-                                if R::ENABLED {
-                                    self.rec.record(t_end, Event::CnpSent { flow: i as u32 });
-                                }
-                                if !cnp_lost {
-                                    js.cc.on_cnp();
-                                    if R::ENABLED {
-                                        // NP→RP notification is modeled as
-                                        // zero-delay, so send and receipt land
-                                        // on the same instant.
-                                        self.rec
-                                            .record(t_end, Event::CnpReceived { flow: i as u32 });
-                                        self.rec.record(
-                                            t_end,
-                                            Event::RateChange {
-                                                flow: i as u32,
-                                                bps: js.cc.rate(),
-                                                state: CcState::Cut,
-                                            },
-                                        );
-                                    }
-                                }
-                            }
-                        }
-                    }
-                }
-            }
-        }
-
-        // 5. Controller clocks, adaptive progress, and delivery to jobs.
-        // The queueing delay a delay-based controller observes: the time
-        // the standing queue takes to drain at line rate.
-        let queue_delay = if standing_queue == 0.0 {
-            Dur::ZERO
-        } else {
-            Dur::from_secs_f64(standing_queue * 8.0 / effective_bps)
-        };
-        for (i, js) in st.jobs.iter_mut().enumerate() {
-            let progress = &mut js.job.progress;
-            if js.adaptive && progress.is_communicating() {
-                let total = progress.comm_bytes_per_iteration();
-                let sent = total - progress.remaining_bytes();
-                js.cc.on_phase_progress(sent / total);
-            }
-            js.cc.advance(dt, delivered[i], queue_delay);
-            if progress.is_communicating() && delivered[i] > 0.0 {
-                js.traced_bytes += delivered[i];
-                let finished = progress.deliver(delivered[i], t_end).is_some();
-                if finished {
-                    // Iteration finished: residual float dust is discarded.
-                    js.to_inject = 0.0;
-                    js.backlog = 0.0;
-                    js.cc.on_iteration_end();
-                }
-                // Iteration end — or, for pipelined jobs, a mid-iteration
-                // gap between communication segments — returns the job to
-                // computing.
-                if !progress.is_communicating() {
-                    js.job
-                        .record_compute(&mut self.rec, &mut st.spans, t_end, i, finished);
-                }
-            }
-        }
-
-        // 6. Traces.
+        // 4. Traces.
+        let st = &mut self.st;
+        let t_end = st.now;
         if let Some(interval) = st.cfg.trace_interval {
             if t_end >= st.next_trace_at {
                 let span = interval.as_secs_f64();
@@ -476,7 +599,7 @@ impl<R: Recorder> RateSimulator<R> {
             }
         }
 
-        // 7. Telemetry sampling (observed runs only): queue depth plus each
+        // 5. Telemetry sampling (observed runs only): queue depth plus each
         // communicating flow's rate, tagged with its DCQCN increase stage.
         if R::ENABLED && t_end >= st.next_sample_at {
             self.rec.record(
@@ -501,9 +624,48 @@ impl<R: Recorder> RateSimulator<R> {
             let interval = st.cfg.trace_interval.unwrap_or(DEFAULT_SAMPLE_INTERVAL);
             st.next_sample_at = t_end + interval;
         }
+    }
 
-        st.steps += 1;
-        st.now = t_end;
+    /// Up to `k` steps of traffic at link capacity `bps`, over the jobs
+    /// that [`RateState::sort_jobs`] last split, stopping after a step
+    /// that ends a phase. Each step runs the [`traffic`](RateState::traffic)
+    /// kernel over the active jobs. An idle controller sees no traffic, so
+    /// it only needs its clock moved: a delay-sensing one is advanced
+    /// through each step whose queue stands, and every other stretch of
+    /// idle steps is one `advance(n·dt, 0, 0)` per controller, exact under
+    /// the idle-coalescing rule of [`CcAlgorithm::advance`] (and, for a
+    /// mark-reactive controller, its rule that it ignores the queueing
+    /// delay). Returns the steps taken; among them, in observed runs with
+    /// `solo` set, those whose queue stayed empty; and the last step's
+    /// standing queue.
+    fn run_traffic(&mut self, k: u64, bps: f64, solo: bool) -> (u64, u64, f64) {
+        let st = &mut self.st;
+        let dt = st.cfg.dt;
+        let service = bps * dt.as_secs_f64() / 8.0;
+        let idle_senses = st.idle.iter().any(|&i| !st.jobs[i].marks);
+        let (mut taken, mut lag, mut empty) = (0, 0, 0);
+        let mut standing = 0.0;
+        while taken < k {
+            let step = st.traffic(&mut self.rec, service, bps);
+            taken += 1;
+            st.now += dt;
+            if idle_senses && !step.delay.is_zero() {
+                st.sense_delay(lag, step.delay);
+                lag = 0;
+            } else {
+                lag += 1;
+            }
+            if R::ENABLED && solo && step.standing == 0.0 {
+                empty += 1;
+            }
+            standing = step.standing;
+            if step.ended {
+                break;
+            }
+        }
+        st.catch_up_idle(taken, lag);
+        st.steps += taken;
+        (taken, empty, standing)
     }
 
     /// Whole `dt` steps from `now` that a fast path may take at once, on
@@ -576,121 +738,53 @@ impl<R: Recorder> RateSimulator<R> {
         k
     }
 
-    /// Exact solo fast path: while exactly one job communicates and every
-    /// other job computes (or has departed) with nothing queued, steps
-    /// that one job alone, up to the [`window_steps`](Self::window_steps)
-    /// bound. Each step repeats [`step`](Self::step)'s float operations
-    /// for that job in the same order — the injection `min`, the
-    /// `served·backlog/total` share and its clamp, `on_phase_progress`,
-    /// `advance(dt, d, 0)` and `deliver` — and the loop stops after the
-    /// step that ends the job's phase. A step first checks that its
-    /// standing queue would be exactly 0 and hands back to `step` (having
-    /// written nothing) if not; with an empty queue and zero marking
-    /// probability no mark fires, no CNP is sent and the queueing delay
-    /// is 0. The other controllers only advance their clocks with no
-    /// traffic, so they catch up afterwards in one `advance(n·dt, 0, 0)`
-    /// each, under the idle-coalescing rule of [`CcAlgorithm::advance`].
-    /// Returns the steps taken `n`, 0 if none.
-    fn run_solo_steps(&mut self, end: Time) -> u64 {
-        let mut solo = None;
-        for (i, js) in self.st.jobs.iter().enumerate() {
-            if js.job.progress.is_communicating() {
-                if solo.replace(i).is_some() {
-                    return 0;
-                }
-            } else if js.backlog != 0.0 {
-                return 0;
-            }
-        }
-        let Some(s) = solo else {
-            return 0;
-        };
-        if self.st.cfg.marker.mark_probability(0.0) != 0.0 {
+    /// Exact stepping window: while some job communicates or holds queued
+    /// bytes, runs [`run_traffic`](Self::run_traffic) for the
+    /// [`window_steps`](Self::window_steps) bound, whatever the number of
+    /// communicators. Inside the bound no compute deadline, departure,
+    /// capacity change, trace or telemetry sample falls due, so a step is
+    /// `step()` without its polls and its tail; the window stops after a
+    /// step that ends a phase, which moves a deadline. Tallies the steps
+    /// in `split` (split exactly in observed runs): solo while one job
+    /// sends alone into an empty queue that the marker leaves unmarked,
+    /// contended otherwise. Returns the steps taken, 0 if none.
+    fn run_window(&mut self, end: Time, split: &mut StepSplit) -> u64 {
+        let communicating = self.st.sort_jobs();
+        if self.st.active.is_empty() {
             return 0;
         }
         let k = self.window_steps(end);
         if k == 0 {
             return 0;
         }
-        let st = &mut self.st;
-        let dt = st.cfg.dt;
-        let dt_secs = dt.as_secs_f64();
+        let st = &self.st;
+        let solo = communicating == 1
+            && st.active.len() == 1
+            && st.cfg.marker.mark_probability(0.0) == 0.0;
         // `window_steps` holds the capacity multiplier where it was.
-        let effective_bps = st.faults.held_capacity_bps(st.cfg.capacity.as_bps_f64());
-        let service = effective_bps * dt_secs / 8.0;
-        let js = &mut st.jobs[s];
-        let mut taken = 0;
-        while taken < k {
-            let offered = js.cc.rate() * dt_secs / 8.0;
-            let a = offered.min(js.to_inject);
-            // Every other backlog is 0, so this job's is the link total.
-            let total_backlog = js.backlog + a;
-            let served_total = total_backlog.min(service);
-            if total_backlog - served_total != 0.0 {
-                break;
-            }
-            js.backlog = total_backlog;
-            js.to_inject -= a;
-            let mut delivered = 0.0;
-            if total_backlog > 0.0 {
-                delivered = (served_total * js.backlog / total_backlog).clamp(0.0, js.backlog);
-                js.backlog = (js.backlog - delivered).max(0.0);
-            }
-            let t_end = st.now + dt;
-            let progress = &mut js.job.progress;
-            if js.adaptive {
-                let total = progress.comm_bytes_per_iteration();
-                let sent = total - progress.remaining_bytes();
-                js.cc.on_phase_progress(sent / total);
-            }
-            js.cc.advance(dt, delivered, Dur::ZERO);
-            taken += 1;
-            st.now = t_end;
-            if delivered > 0.0 {
-                js.traced_bytes += delivered;
-                let finished = progress.deliver(delivered, t_end).is_some();
-                if finished {
-                    js.to_inject = 0.0;
-                    js.backlog = 0.0;
-                    js.cc.on_iteration_end();
-                }
-                if !progress.is_communicating() {
-                    js.job
-                        .record_compute(&mut self.rec, &mut st.spans, t_end, s, finished);
-                    break;
-                }
-            }
-        }
-        if taken > 0 {
-            let idle = Dur::from_nanos(taken * dt.as_nanos());
-            for (i, js) in st.jobs.iter_mut().enumerate() {
-                if i != s {
-                    js.cc.advance(idle, 0.0, Dur::ZERO);
-                }
-            }
-            st.steps += taken;
-        }
+        let bps = st.faults.held_capacity_bps(st.cfg.capacity.as_bps_f64());
+        let (taken, empty, _) = self.run_traffic(k, bps, solo);
+        split.solo += empty;
+        split.contended += taken - empty;
         taken
     }
 
-    /// One pass of the run loops toward `end`: an idle jump, else a solo
-    /// window, else one full step. Tallies the fast-path steps in `split`.
+    /// One pass of the run loops toward `end`: an idle jump, else a
+    /// stepping window, else one full step. Tallies the steps by mode in
+    /// `split`.
     fn advance_toward(&mut self, end: Time, split: &mut StepSplit) {
         let idle = self.skip_idle_steps(end);
         if idle > 0 {
             split.idle += idle;
             return;
         }
-        let solo = self.run_solo_steps(end);
-        if solo > 0 {
-            split.solo += solo;
-            return;
+        if self.run_window(end, split) == 0 {
+            self.step();
         }
-        self.step();
     }
 
     /// Reports a finished run loop to the recorder: the `netsim.rate` span
-    /// and the steps taken since `steps0`, in total and by fast path.
+    /// and the steps taken since `steps0`, in total and by mode.
     fn record_run(&mut self, wall: Option<std::time::Instant>, steps0: u64, split: StepSplit) {
         if let Some(t0) = wall {
             let steps = self.st.steps - steps0;
@@ -698,6 +792,7 @@ impl<R: Recorder> RateSimulator<R> {
             self.rec.count("rate_steps_total", steps);
             self.rec.count("rate_steps_idle", split.idle);
             self.rec.count("rate_steps_solo", split.solo);
+            self.rec.count("rate_steps_contended", split.contended);
         }
     }
 
@@ -722,8 +817,10 @@ impl<R: Recorder> RateSimulator<R> {
         let params = self.st.cfg.base_params.with_line_rate(self.st.cfg.capacity);
         let js = &mut self.st.jobs[i];
         js.cc = variant.build(params);
+        js.marks = js.cc.reacts_to_marks();
         js.adaptive = variant.wants_progress();
         js.np.reset();
+        self.st.senses_delay = self.st.jobs.iter().any(|js| !js.marks);
     }
 
     /// Injects (or clears) per-iteration phase noise for job `i`, taking
@@ -1129,11 +1226,11 @@ mod tests {
         assert_eq!(sim.skip_idle_steps(end), 0);
     }
 
-    /// The solo path takes a lone communicator's whole phase in one window
-    /// that ends on the step delivering its last byte, and declines while
-    /// another job holds queued bytes.
+    /// A lone communicator's whole phase is one window that ends on the
+    /// step delivering its last byte; a computing job's queued bytes are
+    /// served inside a window.
     #[test]
-    fn solo_window_ends_on_the_phase_end_step() {
+    fn window_ends_on_the_phase_end_step() {
         let spec = vgg19(1200);
         let late = RateJob {
             start_offset: Dur::from_millis(200),
@@ -1144,17 +1241,24 @@ mod tests {
             &[RateJob::new(spec, CcVariant::Fair), late],
         );
         let end = Time::ZERO + Dur::from_secs(1);
-        assert_eq!(sim.run_solo_steps(end), 0, "no job communicates yet");
+        let mut split = StepSplit::default();
+        assert_eq!(
+            sim.run_window(end, &mut split),
+            0,
+            "no job communicates yet"
+        );
         assert!(sim.skip_idle_steps(end) > 0);
         sim.step();
         assert!(sim.progress(0).is_communicating());
 
-        sim.st.jobs[1].backlog = 0.25;
-        assert_eq!(sim.run_solo_steps(end), 0, "stepped over queued bytes");
-        sim.st.jobs[1].backlog = 0.0;
+        let mut dusty = sim.snapshot().unwrap();
+        dusty.state.jobs[1].backlog = 0.25;
+        let mut dusty: RateSimulator = Engine::restore(dusty, NoopRecorder).unwrap();
+        assert!(dusty.run_window(end, &mut split) > 0);
+        assert_eq!(dusty.st.jobs[1].backlog, 0.0, "queued bytes left unserved");
 
         let steps = sim.steps();
-        let taken = sim.run_solo_steps(end);
+        let taken = sim.run_window(end, &mut split);
         assert_eq!(sim.steps(), steps + taken);
         assert!(!sim.progress(0).is_communicating());
         assert_eq!(sim.progress(0).iterations()[0].completed, sim.now());

@@ -166,8 +166,8 @@ impl JsonValue {
 
 fn f64_as_u64(n: f64) -> Option<u64> {
     // `u64::MAX as f64` rounds up to 2^64, which does not fit: the bound
-    // is strict.
-    (n >= 0.0 && n.fract() == 0.0 && n < u64::MAX as f64).then_some(n as u64)
+    // is strict. A negative zero is a negative number, not an integer.
+    (n.is_sign_positive() && n.fract() == 0.0 && n < u64::MAX as f64).then_some(n as u64)
 }
 
 /// Declares [`Key`], the key text table [`KEY_NAMES`], [`Key::of`] and
@@ -381,13 +381,14 @@ fn scan_object<const LINES: bool>(
     if b.first() != Some(&b'{') {
         return Err(syntax(text, 0, "expected '{'"));
     }
-    let mut pos = 1;
+    let mut pos = skip_whitespace::<LINES>(text, 1);
+    if b.get(pos) == Some(&b'}') {
+        return finish::<LINES>(text, pos + 1);
+    }
     loop {
-        pos = skip_whitespace::<LINES>(text, pos);
-        match b.get(pos) {
-            Some(b'}') => return finish::<LINES>(text, pos + 1),
-            Some(b'"') => {}
-            _ => return Err(syntax(text, pos, "expected '\"'")),
+        // A key: first, or after a comma (so a trailing comma is a fault).
+        if b.get(pos) != Some(&b'"') {
+            return Err(syntax(text, pos, "expected '\"'"));
         }
         let key_text;
         (key_text, pos) = string::<LINES>(text, pos + 1)?;
@@ -435,7 +436,7 @@ fn scan_object<const LINES: bool>(
         }
         pos = skip_whitespace::<LINES>(text, pos);
         match b.get(pos) {
-            Some(b',') => pos += 1,
+            Some(b',') => pos = skip_whitespace::<LINES>(text, pos + 1),
             Some(b'}') => return finish::<LINES>(text, pos + 1),
             _ => return Err(syntax(text, pos, "expected ',' or '}'")),
         }
@@ -644,30 +645,40 @@ fn escape(text: &str, pos: usize) -> Result<(char, usize), ParseError> {
 }
 
 /// The elements of the array whose `[` is just before `pos`, each passed
-/// to `push`; returns the offset past its `]`.
+/// to `push`; returns the offset past its `]`. Elements are separated by
+/// single commas, with none before the first or after the last.
 fn array<const LINES: bool>(
     text: &str,
-    mut pos: usize,
+    pos: usize,
     mut push: impl FnMut(u32),
 ) -> Result<usize, ParseError> {
+    let b = text.as_bytes();
+    let unterminated = || perr(ReplayErrorKind::BadArray, "unterminated array");
+    let mut pos = skip_whitespace::<LINES>(text, pos);
+    if b.get(pos) == Some(&b']') {
+        return Ok(pos + 1);
+    }
     loop {
-        pos = skip_whitespace::<LINES>(text, pos);
-        match text.as_bytes().get(pos) {
+        match b.get(pos) {
+            Some(b',' | b']') => return Err(syntax(text, pos, "expected an array element")),
+            Some(_) => {}
+            None => return Err(unterminated()),
+        }
+        let mut n = Slot::UInt(0);
+        let next = number(text, pos, &mut n)?;
+        let n = n.as_u64().and_then(|n| u32::try_from(n).ok());
+        push(n.ok_or_else(|| {
+            perr(
+                ReplayErrorKind::BadArray,
+                "array element is not an unsigned integer",
+            )
+        })?);
+        pos = skip_whitespace::<LINES>(text, next);
+        match b.get(pos) {
+            Some(b',') => pos = skip_whitespace::<LINES>(text, pos + 1),
             Some(b']') => return Ok(pos + 1),
-            Some(b',') => pos += 1,
-            Some(_) => {
-                let mut n = Slot::UInt(0);
-                let next = number(text, pos, &mut n)?;
-                let n = n.as_u64().and_then(|n| u32::try_from(n).ok());
-                push(n.ok_or_else(|| {
-                    perr(
-                        ReplayErrorKind::BadArray,
-                        "array element is not an unsigned integer",
-                    )
-                })?);
-                pos = next;
-            }
-            None => return Err(perr(ReplayErrorKind::BadArray, "unterminated array")),
+            Some(_) => return Err(syntax(text, pos, "expected ',' or ']'")),
+            None => return Err(unterminated()),
         }
     }
 }
@@ -1581,13 +1592,20 @@ mod tests {
         ] {
             assert_eq!(bytes(&queue(text)), want.to_bits(), "{text}");
         }
-        // Integer fields take any number spelling of a whole value.
-        for t_ns in ["-0", "1e3", "1000.0", "01000"] {
+        // Integer fields take any number spelling of a whole value that is
+        // not negative; a negative zero is negative.
+        for t_ns in ["1e3", "1000.0", "01000"] {
             let line = format!("{{\"t_ns\":{t_ns},\"type\":\"ecn_mark\",\"flow\":0}}");
             let te = parse_jsonl(&line).unwrap().remove(0);
-            let want = if t_ns == "-0" { 0 } else { 1000 };
-            assert_eq!(te.at, Time::from_nanos(want), "{t_ns}");
+            assert_eq!(te.at, Time::from_nanos(1000), "{t_ns}");
         }
+        for t_ns in ["-0", "-0.0", "-0e3"] {
+            let line = format!("{{\"t_ns\":{t_ns},\"type\":\"ecn_mark\",\"flow\":0}}");
+            let err = parse_jsonl(&line).unwrap_err();
+            assert_eq!(err.kind, ReplayErrorKind::BadField, "{t_ns}");
+            assert_eq!(err.reason, "invalid field \"t_ns\"", "{t_ns}");
+        }
+        assert_eq!(m["b"].as_u64(), None);
     }
 
     #[test]

@@ -101,8 +101,8 @@ awk -v w="$WALL" -v b="$BUDGET" 'BEGIN { exit !(w <= b) }' || {
 echo "== fig1 work gate (rate-engine step counts, exact) =="
 # The wall-clock budget above only catches a hang. The engine's own step
 # counts are work, which host load cannot move, so a stepping regression
-# (more steps, or steps moved between the idle jump, the solo loop and
-# plain stepping) fails here and not only in mlcc-bench.
+# (more steps, or steps moved between the idle jump, solo and contended
+# window steps and plain stepping) fails here and not only in mlcc-bench.
 "$BIN" fig1 --iterations 100 --metrics > "$GATE/fig1_metrics.txt"
 while read -r name pin; do
     GOT=$(awk -v n="$name" '$1 == n { print $3 }' "$GATE/fig1_metrics.txt")
@@ -115,6 +115,7 @@ done <<'PINS'
 rate_steps_total 12890140
 rate_steps_idle 3359299
 rate_steps_solo 4656451
+rate_steps_contended 4809640
 PINS
 
 echo "== chaos none byte-identity gate (fig1 + table1 trace JSONL) =="

@@ -1,8 +1,8 @@
 //! Paper-scale runs: Fig. 1d over the paper's 1,000 iterations and the
 //! DLRM pair over 200. They simulate about 2 × 300 s and 2 × 260 s of
-//! cluster time on the rate engine, which its idle and solo fast-forwards
-//! turn into a few seconds of wall clock, so they run with the rest of
-//! the suite.
+//! cluster time on the rate engine, which its idle jumps and stepping
+//! windows turn into a few seconds of wall clock, so they run with the
+//! rest of the suite.
 
 use dcqcn::CcVariant;
 use mlcc_repro::*;

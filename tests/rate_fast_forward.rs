@@ -1,14 +1,19 @@
 //! Exactness of the rate engine's fast paths. `run_for`, `run_until` and
 //! `run_until_iterations` take runs of idle fixed steps (every job
-//! computing, link queue empty) as one jump, and step a job that
-//! communicates alone into an empty queue in a loop of its own; each case
-//! here drives the same engine that way and by calling the public `step()`
+//! computing, link queue empty) as one jump, and run every other stretch
+//! without a compute deadline, departure, capacity change or sample in
+//! it as one stepping window of the traffic kernel alone; each case here
+//! drives the same engine that way and by calling the public `step()`
 //! once per step, and requires the two to agree bit for bit: iteration
 //! records, rate and queue traces, step counts, and every recorded
 //! telemetry event. The solo cases also require the observed run to have
-//! taken solo steps, so they cannot pass by never reaching the path.
+//! taken solo steps (one job sending into an empty queue), and the
+//! contended cases window steps that are not solo, so they cannot pass by
+//! never reaching the path. `step()` and the windows share the kernel, so
+//! the contended cases also pin a hash of the observed run, taken from
+//! the engine before the kernel was split out of `step()`.
 
-use dcqcn::{CcVariant, FairnessPolicy, RedMarker};
+use dcqcn::{CcVariant, FairnessPolicy, RedMarker, SignalLoss};
 use eventsim::TimeSeries;
 use mlcc::experiments::table1::ordered_timers;
 use netsim::rate::{RateJob, RateSimConfig, RateSimulator};
@@ -100,11 +105,20 @@ fn step_until<R: Recorder>(sim: &mut RateSimulator<R>, t: Time) {
     }
 }
 
-/// Steps the observed fast run took on each fast path.
+/// Steps the observed fast run took on each fast path, and an FNV-1a hash
+/// of its outcome and event stream.
 #[derive(Debug)]
 struct Split {
     idle: u64,
     solo: u64,
+    contended: u64,
+    hash: u64,
+}
+
+fn fnv1a(text: &str) -> u64 {
+    text.bytes().fold(0xcbf2_9ce4_8422_2325, |h, b| {
+        (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3)
+    })
 }
 
 /// Runs `jobs` both ways, unobserved and observed, and requires identical
@@ -121,25 +135,40 @@ fn assert_exact(cfg: &RateSimConfig, jobs: &[RateJob], drive: Drive) -> Split {
     let mut stepped = RateSimulator::with_recorder(cfg.clone(), jobs, &mut stepped_rec);
     drive_fast(&mut fast, drive);
     drive_stepped(&mut stepped, drive);
-    assert_eq!(outcome(&fast), outcome(&stepped), "observed, {drive:?}");
+    let observed = outcome(&fast);
+    assert_eq!(observed, outcome(&stepped), "observed, {drive:?}");
     let steps = fast.steps();
     drop((fast, stepped));
-    assert_eq!(event_stream(&fast_rec), event_stream(&stepped_rec));
+    let events = event_stream(&fast_rec);
+    assert_eq!(events, event_stream(&stepped_rec));
     // Skipped steps still count as simulated steps.
     let counts = fast_rec.counts();
     assert_eq!(counts["rate_steps_total"], steps);
     let split = Split {
         idle: counts["rate_steps_idle"],
         solo: counts["rate_steps_solo"],
+        contended: counts["rate_steps_contended"],
+        hash: fnv1a(&format!("{observed:?}{events}")),
     };
-    assert!(split.idle + split.solo <= steps, "{split:?} of {steps}");
+    assert!(
+        split.idle + split.solo + split.contended <= steps,
+        "{split:?} of {steps}"
+    );
     split
 }
 
-/// [`assert_exact`], requiring the solo path to have run.
+/// [`assert_exact`], requiring solo window steps.
 fn assert_exact_solo(cfg: &RateSimConfig, jobs: &[RateJob], drive: Drive) {
     let split = assert_exact(cfg, jobs, drive);
-    assert!(split.solo > 0, "solo path never ran: {split:?}");
+    assert!(split.solo > 0, "no solo window step: {split:?}");
+}
+
+/// [`assert_exact`], requiring contended window steps and the observed
+/// run's `hash`.
+fn assert_exact_contended(cfg: &RateSimConfig, jobs: &[RateJob], drive: Drive, hash: u64) {
+    let split = assert_exact(cfg, jobs, drive);
+    assert!(split.contended > 0, "no contended window step: {split:?}");
+    assert_eq!(split.hash, hash, "{split:?}");
 }
 
 fn vgg19() -> JobSpec {
@@ -452,4 +481,126 @@ fn solo_path_declines_when_an_empty_queue_marks() {
     let split = assert_exact(&cfg, &jobs, Drive::Iterations(2));
     assert_eq!(split.solo, 0);
     assert!(split.idle > 0);
+}
+
+/// Fig. 1's fair pair, locked in contention, under `signal`'s 5% mark
+/// and CNP loss: the chaos RNG is drawn inside windows.
+#[test]
+fn contended_signal_loss_matches_single_stepping() {
+    let cfg = RateSimConfig {
+        signal_loss: Some(SignalLoss {
+            mark_loss: 0.05,
+            cnp_loss: 0.05,
+            seed: 3,
+        }),
+        ..traced()
+    };
+    let jobs = [CcVariant::Fair; 2].map(|v| RateJob::new(vgg19(), v));
+    assert_exact_contended(&cfg, &jobs, Drive::Iterations(5), 4_740_966_975_448_720_665);
+}
+
+/// Jittered CNP thresholds: the engine RNG is drawn inside windows, one
+/// draw per fired mark in job order.
+#[test]
+fn contended_mark_noise_matches_single_stepping() {
+    let cfg = RateSimConfig {
+        mark_noise: 0.3,
+        seed: 11,
+        ..RateSimConfig::default()
+    };
+    let jobs = [
+        RateJob::new(vgg19(), CcVariant::Fair),
+        RateJob::new(JobSpec::reference(Model::Vgg19, 1400), CcVariant::Fair),
+    ];
+    assert_exact_contended(&cfg, &jobs, Drive::Iterations(5), 5_888_756_606_887_665_571);
+}
+
+/// A half-capacity window opens and closes off the step grid while the
+/// fair pair contends.
+#[test]
+fn contended_capacity_window_matches_single_stepping() {
+    let cfg = RateSimConfig {
+        capacity_schedule: Some(LinkSchedule::new(vec![
+            (Time::from_nanos(200_000_700), 0.5),
+            (Time::from_nanos(300_011_003), 1.0),
+        ])),
+        ..RateSimConfig::default()
+    };
+    let jobs = [CcVariant::Fair; 2].map(|v| RateJob::new(vgg19(), v));
+    assert_exact_contended(
+        &cfg,
+        &jobs,
+        Drive::For(Dur::from_millis(700)),
+        11_415_089_427_141_287_172,
+    );
+}
+
+/// Table 1's third group with WideResNet50 on Swift: its delay-sensing
+/// clock runs while it computes beside the two contending fair DCQCN
+/// jobs, whose standing queue exceeds its 5 µs target, and without phase
+/// restarts that state carries into its next phase.
+#[test]
+fn contended_swift_beside_a_dcqcn_pair_matches_single_stepping() {
+    let j = JobSpec::reference;
+    let jobs = [
+        RateJob::new(j(Model::BertLarge, 8), CcVariant::Fair),
+        RateJob::new(j(Model::Vgg19, 1400), CcVariant::Fair),
+        RateJob::new(
+            j(Model::WideResNet50, 800),
+            CcVariant::Swift {
+                target_delay: Dur::from_micros(5),
+            },
+        ),
+    ];
+    let cfg = RateSimConfig {
+        restart_on_phase: false,
+        ..RateSimConfig::default()
+    };
+    assert_exact_contended(
+        &cfg,
+        &jobs,
+        Drive::Iterations(3),
+        18_206_932_566_839_545_017,
+    );
+}
+
+/// MLTCP against a bonus-decay policy job: progress-fed boosts on both
+/// contending controllers.
+#[test]
+fn contended_progress_fed_pair_matches_single_stepping() {
+    let jobs = [
+        RateJob::new(vgg19(), CcVariant::Mltcp { bonus: 1.0 }),
+        RateJob::new(
+            vgg19(),
+            CcVariant::Policy {
+                policy: FairnessPolicy::BonusDecay {
+                    bonus: 1.0,
+                    decay: 3.0,
+                },
+            },
+        ),
+    ];
+    assert_exact_contended(
+        &traced(),
+        &jobs,
+        Drive::Iterations(4),
+        5_147_078_442_142_828_634,
+    );
+}
+
+/// A staggered pipelined pair: segments overlap, and a segment that ends
+/// under contention leaves float dust queued into its compute gap.
+#[test]
+fn contended_pipelined_pair_matches_single_stepping() {
+    let spec = JobSpec::reference(Model::Vgg19, 600).pipelined(3, Dur::from_millis(4));
+    let jobs = [
+        RateJob::new(spec, CcVariant::Fair),
+        offset(RateJob::new(spec, CcVariant::Fair), 2_000_003),
+    ];
+    assert_exact_contended(
+        &RateSimConfig::default(),
+        &jobs,
+        Drive::Iterations(4),
+        13_834_091_142_548_228_805,
+    );
 }

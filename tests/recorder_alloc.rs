@@ -2,7 +2,7 @@
 //! `NoopRecorder` through hundreds of thousands of instrumentation calls
 //! performs **zero heap allocations**, and so does stepping an unobserved
 //! rate engine through a contended communication phase or running it
-//! across solo-communication windows. A counting global
+//! across solo and contended stepping windows. A counting global
 //! allocator measures, so regressions that sneak a buffer or a clone into
 //! the disabled path fail loudly rather than silently taxing every
 //! unobserved simulation.
@@ -145,10 +145,10 @@ fn disabled_recorder_paths_are_allocation_free() {
         "RateSimulator<NoopRecorder>::step allocated {allocs} times"
     );
 
-    // 4. The unobserved run loop across solo-communication windows: job 0
-    // sends alone while job 1 computes (its start is 100 ms later), so
-    // `run_for` takes the solo fast path. An observed twin run over the
-    // same span shows that path is the one taken.
+    // 4. The unobserved run loop across solo windows: job 0 sends alone
+    // while job 1 computes (its start is 100 ms later), so `run_for`
+    // windows step job 0 alone. An observed twin run over the same span
+    // counts those steps as solo.
     let solo_jobs = [
         RateJob::new(vgg19, CcVariant::Fair),
         RateJob {
@@ -175,5 +175,28 @@ fn disabled_recorder_paths_are_allocation_free() {
     assert_eq!(
         allocs, 0,
         "RateSimulator<NoopRecorder>::run_for across solo windows allocated {allocs} times"
+    );
+
+    // 5. The unobserved run loop across contended windows: both jobs send
+    // into a standing queue, so `run_for` windows step them together. An
+    // observed twin over the same span counts those steps as contended.
+    let mut sim = RateSimulator::new(RateSimConfig::default(), &jobs);
+    let mut rec = BufferRecorder::new();
+    let mut twin = RateSimulator::with_recorder(RateSimConfig::default(), &jobs, &mut rec);
+    while !sim.progress(0).is_communicating() {
+        sim.step();
+        twin.step();
+    }
+    let allocs = min_allocations_during(|| sim.run_for(window));
+    twin.run_for(window * 10);
+    assert_eq!(sim.now(), twin.now());
+    assert!((0..2).all(|i| sim.progress(i).is_communicating()));
+    drop(twin);
+    // 2,000 steps of 5 µs, all contended but the 20 that take a telemetry
+    // sample.
+    assert_eq!(rec.counts()["rate_steps_contended"], 2_000 - 20);
+    assert_eq!(
+        allocs, 0,
+        "RateSimulator<NoopRecorder>::run_for across contended windows allocated {allocs} times"
     );
 }

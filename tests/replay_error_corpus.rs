@@ -51,6 +51,14 @@ const CORPUS: &[(&str, usize, K, &str)] = &[
     ("{\"seq\":3,\"t_ns\":0,\"type\":\"ecn_mark\",\"flow\":0}\n{\"seq\":3,\"t_ns\":1,\"type\":\"ecn_mark\",\"flow\":1}", 2, K::BadSeq, "seq 3 does not increase past 3"),
     (r#"{"t_ns":0,"type":"span_end","job":0,"kind":"compute","iteration":0}"#, 1, K::BadSpan, "orphan span end (compute of iteration 0) for job 0 with no open span"),
     ("\n\n{\"t_ns\":0,\"type\":\"ecn_mark\",\"flow\":0}\n  \n{\"t_ns\":1,\"type\":\"warp_drive\"}", 5, K::UnknownEventType, r#"unknown event type "warp_drive""#),
+    (r#"{"a":1,}"#, 1, K::Syntax, r#"expected '"' at char 7"#),
+    ("{\"é\":\"ü\",\u{2003}}", 1, K::Syntax, r#"expected '"' at char 10"#),
+    (r#"{"t_ns":0,"type":"job_path","job":0,"links":[,1 2,,]}"#, 1, K::Syntax, "expected an array element at char 45"),
+    (r#"{"t_ns":0,"type":"job_path","job":0,"links":[1 2]}"#, 1, K::Syntax, "expected ',' or ']' at char 47"),
+    (r#"{"t_ns":0,"type":"job_path","job":0,"links":[1,,2]}"#, 1, K::Syntax, "expected an array element at char 47"),
+    (r#"{"t_ns":0,"type":"job_path","job":0,"links":[1, ]}"#, 1, K::Syntax, "expected an array element at char 48"),
+    (r#"{"t_ns":-0,"type":"ecn_mark","flow":0}"#, 1, K::BadField, r#"invalid field "t_ns""#),
+    (r#"{"t_ns":0,"type":"ecn_mark","flow":-0.0}"#, 1, K::BadField, r#"invalid field "flow""#),
 ];
 
 /// Faults inside one object, which `parse_flat_object` reports too.
