@@ -346,17 +346,22 @@ echo "zoo sweep byte-identical across --jobs, rejects --shards, mltcp beats fair
 
 echo "== recorded-event work pins (trace line counts + sha256, exact) =="
 # The traces written above by `chaos --iterations 40`, `table1 --iterations
-# 10` and `variants --iterations 12 --jobs 1`, and a fig1 run under signal
-# loss: one line per recorded event, so the count is work that host load
-# cannot move, and the digest pins the exporter's bytes. An engine change
-# that records more or fewer events, or an exporter change that moves a
-# byte, fails here. The signal run is the only pin on the rate engine's
-# mark-loss and CNP-loss rolls, and must also match across --jobs.
+# 10` and `variants --iterations 12 --jobs 1`, the fork gate's forked fig1
+# and chaos runs, a fig1 run under signal loss, and `fig2 --iterations 6`
+# and `adaptive --iterations 12`: one line per recorded event, so the count
+# is work that host load cannot move, and the digest pins the exporter's
+# bytes. An engine change that records more or fewer events, or an
+# exporter change that moves a byte, fails here. The forked pins catch a
+# drift that a forked run and its replay share. The signal run is the only
+# pin on the rate engine's mark-loss and CNP-loss rolls, and must also
+# match across --jobs.
 for j in 1 4; do
     "$BIN" fig1 --iterations 10 --chaos signal --chaos-seed 3 --jobs "$j" \
         --trace "$GATE/signal_j$j.jsonl" > /dev/null
 done
 cmp "$GATE/signal_j1.jsonl" "$GATE/signal_j4.jsonl"
+"$BIN" fig2 --iterations 6 --trace "$GATE/fig2.jsonl" > /dev/null
+"$BIN" adaptive --iterations 12 --trace "$GATE/adaptive.jsonl" > /dev/null
 while read -r file lines sha; do
     GOT_LINES=$(wc -l < "$GATE/$file")
     GOT_SHA=$(sha256sum "$GATE/$file" | cut -d' ' -f1)
@@ -371,6 +376,10 @@ chaos_trace.jsonl 495309 a24130edccfa9fa99c57e7636f458c2017bf3bfeee5ef73d4766df0
 table1_plain.jsonl 420986 7e58f1b0978c53cd6fd22b5d6902b67e540ef6c7e617391c6b2c1364460ce81e
 var/j1.jsonl 102431 0a6b501b834ab756afa8333ce4e40cce0bcbae66b517d59532726ed14341eac3
 signal_j1.jsonl 25308 f417f06627779d5a35d0359f7f2d08b6ea4f58492ac14b69601c252de0319d6d
+fig2.jsonl 27831 e848645d7c916e00ef6239cd1e6399407b8055de8bea34c7c9e7d4aa307434e1
+adaptive.jsonl 195205 ba41a4f84b8ff726763edaf9fcd4cb053b3452dc433724589972d8c89b8b50a6
+fork/fig1_forked.jsonl 43106 977f72f5dd610e2a2eab03eee1e9121875568294d366aa71951c59e9009a1fa4
+fork/chaos_j1.jsonl 252213 81ae5899437f434bcc0604406c94b3cd48b21a3527e15ce2f35ed27ab32b3a3d
 PINS
 
 echo "OK"
