@@ -25,12 +25,15 @@
 //! the same monotone progress→aggressiveness mapping to the multiplicative
 //! decrease as well — a job at progress `p` cuts by `alpha/(2(1+p))`.
 
+use super::run_rate;
+use crate::experiments::chaos::stats_tolerant;
 use crate::metrics::{JobStats, Speedup};
 use crate::parallel;
 use dcqcn::CcVariant;
-use netsim::rate::{RateJob, RateSimConfig, RateSimulator};
+use faults::ChaosConfig;
+use netsim::rate::{RateJob, RateSimConfig};
 use netsim::Engine;
-use simtime::{Bandwidth, Dur, Time};
+use simtime::{Dur, Time};
 use telemetry::{Event, ForkableRecorder, NoopRecorder, Recorder};
 use workload::{JobSpec, Model};
 
@@ -169,6 +172,8 @@ impl AdaptiveResult {
     }
 }
 
+/// Runs one scenario's pair, the second job starting at `offset`, and
+/// returns each job's statistics.
 fn run_pair<R: Recorder>(
     jobs: [JobSpec; 2],
     variants: [CcVariant; 2],
@@ -176,18 +181,22 @@ fn run_pair<R: Recorder>(
     cfg: &AdaptiveConfig,
     rec: R,
 ) -> Vec<JobStats> {
-    let mut second = RateJob::new(jobs[1], variants[1]);
-    second.start_offset = offset;
-    let rj = [RateJob::new(jobs[0], variants[0]), second];
-    let mut sim = RateSimulator::with_recorder(RateSimConfig::default(), &rj, rec);
-    let cap = Bandwidth::from_gbps(50);
-    let per_iter = jobs[0]
-        .iteration_time_at(cap)
-        .max(jobs[1].iteration_time_at(cap));
-    let ok = sim.run_until_iterations(cfg.iterations, per_iter * (cfg.iterations as u64 * 4 + 40));
-    assert!(ok, "adaptive: pair did not finish");
+    let mut rj = [
+        RateJob::new(jobs[0], variants[0]),
+        RateJob::new(jobs[1], variants[1]),
+    ];
+    rj[1].start_offset = offset;
+    let sim = run_rate(
+        "adaptive",
+        &mut rj,
+        RateSimConfig::default(),
+        &ChaosConfig::none(),
+        cfg.iterations,
+        None,
+        rec,
+    );
     (0..2)
-        .map(|i| JobStats::from_progress(sim.progress(i), cfg.warmup))
+        .map(|i| stats_tolerant(sim.progress(i), cfg.warmup))
         .collect()
 }
 
@@ -260,6 +269,7 @@ pub fn run_traced<R: ForkableRecorder>(cfg: &AdaptiveConfig, mut rec: R) -> Adap
 #[cfg(test)]
 mod tests {
     use super::*;
+    use simtime::Bandwidth;
 
     #[test]
     fn adaptive_helps_compatible_and_spares_incompatible() {

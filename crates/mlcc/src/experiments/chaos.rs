@@ -14,14 +14,14 @@
 //! re-interleave after each perturbation. The per-cell medians, fault
 //! windows, and recovery times are the `BENCH_chaos.json` payload.
 
-use crate::forkcache;
+use super::{chaos_horizon, nominal_iteration, run_rate, Fork};
 use crate::metrics::{text_table, JobStats};
 use crate::parallel;
 use dcqcn::CcVariant;
 use dcqcn::SignalLoss;
 use diagnostics::{recovery, RecoveryConfig, RecoveryReport};
 use faults::{ChaosConfig, CompiledChaos};
-use netsim::rate::{RateJob, RateSimConfig, RateSimulator, RateSnapshot};
+use netsim::rate::{RateJob, RateSimConfig, RateSimulator};
 use netsim::Engine;
 use simtime::{Dur, Time};
 use telemetry::{BufferRecorder, Event, ForkableRecorder, Recorder};
@@ -98,16 +98,16 @@ fn shift_schedule(s: &LinkSchedule, by: Dur) -> LinkSchedule {
 /// already started inside the shared prefix. The builtin sweep profiles
 /// (`stragglers`, `links`) have churn arrivals off; a profile that draws
 /// one panics rather than silently diverging from its from-`t=0` meaning.
-pub fn apply_rate_at_barrier<R: Recorder>(
+pub(super) fn apply_rate_at_barrier<R: Recorder>(
     chaos: &ChaosConfig,
     sim: &mut RateSimulator<R>,
-    jobs: usize,
     fork_at: Dur,
     remaining: Dur,
 ) {
     if chaos.is_none() {
         return;
     }
+    let jobs = sim.num_jobs();
     let plan = chaos.compile(jobs, 1, remaining);
     assert!(
         plan.arrivals.iter().all(|d| d.is_zero()),
@@ -199,24 +199,14 @@ impl Default for ChaosSweepConfig {
 }
 
 impl ChaosSweepConfig {
-    /// Nominal length of one iteration: the slower job's solo time.
-    fn per_iter(&self) -> Dur {
-        self.jobs[0]
-            .iteration_time_at(self.sim.capacity)
-            .max(self.jobs[1].iteration_time_at(self.sim.capacity))
-    }
-
     /// The simulated span a cell's chaos plan covers (two nominal
     /// iterations per iteration run). A fork point must fall before it.
     /// Saturates at [`Dur::MAX`] for absurd iteration counts.
     pub fn horizon(&self) -> Dur {
-        let iterations = (self.iterations as u64).saturating_mul(2);
-        self.per_iter().checked_mul(iterations).unwrap_or(Dur::MAX)
-    }
-
-    /// Simulated-time budget of a cell perturbed by `chaos`.
-    fn budget(&self, chaos: &ChaosConfig) -> Dur {
-        self.per_iter() * ((self.iterations as u64 * 4 + 40) * budget_slack(chaos))
+        chaos_horizon(
+            nominal_iteration(&self.jobs, self.sim.capacity),
+            self.iterations,
+        )
     }
 }
 
@@ -306,139 +296,21 @@ impl ChaosSweepResult {
     }
 }
 
-/// The sweep's competing pair: job 0 on the aggressive timer, job 1 fair.
-fn base_jobs(cfg: &ChaosSweepConfig) -> [RateJob; 2] {
-    [
-        RateJob::new(
-            cfg.jobs[0],
-            CcVariant::StaticUnfair {
-                timer: cfg.aggressive_timer,
-            },
-        ),
-        RateJob::new(cfg.jobs[1], CcVariant::Fair),
-    ]
-}
-
-/// Runs one grid cell, returning its outcome and raw telemetry.
-fn run_cell(cfg: &ChaosSweepConfig, profile: &str, seed: u64) -> (ChaosCell, BufferRecorder) {
-    let chaos = ChaosConfig {
-        seed,
-        ..ChaosConfig::profile(profile)
-            .unwrap_or_else(|| panic!("chaos_sweep: unknown profile {profile:?}"))
-    };
-    let mut jobs = base_jobs(cfg);
-    let mut sim_cfg = cfg.sim.clone();
-    apply_rate(&chaos, &mut jobs, &mut sim_cfg, cfg.horizon());
-    // Each cell records into its own buffer regardless of the caller's
-    // recorder: the recovery analyzer needs the event stream.
-    let mut rec = BufferRecorder::new();
-    let mut sim = RateSimulator::with_recorder(sim_cfg, &jobs, &mut rec);
-    let done = sim.run_until_iterations(cfg.iterations, cfg.budget(&chaos));
-    assert!(done, "chaos_sweep: cell {profile}/s{seed} did not finish");
-    let medians_ms = (0..2)
-        .map(|i| stats_tolerant(sim.progress(i), cfg.warmup).median_ms())
-        .collect();
-    drop(sim);
-    let report = recovery(rec.events(), &RecoveryConfig::default());
-    (
-        ChaosCell {
-            profile: profile.to_string(),
-            seed,
-            medians_ms,
-            recovery: report,
-        },
-        rec,
-    )
-}
-
 /// Runs the full grid, streaming each cell's telemetry into `rec` behind
 /// an [`Event::Scenario`] marker (`chaos/<profile>/s<seed>`). Cells are
 /// independent and run in parallel under [`parallel::jobs`] workers;
 /// results and telemetry are identical to a serial run.
-pub fn run_traced<R: ForkableRecorder>(cfg: &ChaosSweepConfig, mut rec: R) -> ChaosSweepResult {
-    let grid: Vec<(String, u64)> = cfg
-        .profiles
-        .iter()
-        .flat_map(|p| cfg.seeds.iter().map(move |&s| (p.clone(), s)))
-        .collect();
-    let cells = parallel::map_traced(&mut rec, &grid, |_, (profile, seed), fork| {
-        let (cell, cell_rec) = run_cell(cfg, profile, *seed);
-        emit_cell(fork, profile, *seed, &cell_rec);
-        cell
-    });
-    ChaosSweepResult { cells }
-}
-
-/// Streams one cell's telemetry into a sweep fork behind its
-/// [`Event::Scenario`] marker.
-fn emit_cell<F: Recorder>(fork: &mut F, profile: &str, seed: u64, cell_rec: &BufferRecorder) {
-    if F::ENABLED {
-        fork.record(
-            Time::ZERO,
-            Event::Scenario {
-                name: format!("chaos/{profile}/s{seed}"),
-            },
-        );
-        for te in cell_rec.events() {
-            fork.record(te.at, te.event.clone());
-        }
-    }
-}
-
-/// Runs one grid cell from a fork barrier: restoring `shared`'s snapshot
-/// (fork mode) or re-simulating the clean prefix (replay mode), then
-/// applying the cell's chaos at the barrier either way.
-fn run_cell_forked(
-    cfg: &ChaosSweepConfig,
-    profile: &str,
-    seed: u64,
-    fork_at: Dur,
-    shared: Option<&(RateSnapshot, BufferRecorder)>,
-) -> (ChaosCell, BufferRecorder) {
-    let chaos = ChaosConfig {
-        seed,
-        ..ChaosConfig::profile(profile)
-            .unwrap_or_else(|| panic!("chaos_sweep: unknown profile {profile:?}"))
-    };
-    let horizon = cfg.horizon();
-    let remaining = if fork_at < horizon {
-        horizon - fork_at
-    } else {
-        cfg.per_iter()
-    };
-    let mut cell_rec = BufferRecorder::new();
-    let medians_ms: Vec<f64> = {
-        let mut sim = forkcache::resume(shared, fork_at, &mut cell_rec, |rec| {
-            RateSimulator::with_recorder(cfg.sim.clone(), &base_jobs(cfg), rec)
-        });
-        apply_rate_at_barrier(&chaos, &mut sim, 2, fork_at, remaining);
-        let done = sim.run_until_iterations(cfg.iterations, cfg.budget(&chaos));
-        assert!(
-            done,
-            "chaos_sweep: forked cell {profile}/s{seed} did not finish"
-        );
-        (0..2)
-            .map(|i| stats_tolerant(sim.progress(i), cfg.warmup).median_ms())
-            .collect()
-    };
-    let report = recovery(cell_rec.events(), &RecoveryConfig::default());
-    (
-        ChaosCell {
-            profile: profile.to_string(),
-            seed,
-            medians_ms,
-            recovery: report,
-        },
-        cell_rec,
-    )
+pub fn run_traced<R: ForkableRecorder>(cfg: &ChaosSweepConfig, rec: R) -> ChaosSweepResult {
+    sweep(cfg, rec, None)
 }
 
 /// Runs the grid forked from a shared clean prefix: the unperturbed pair
 /// runs once to `fork_at`, is snapshotted, and every cell restores the
-/// snapshot on a worker thread and applies its chaos at the barrier (see
-/// [`apply_rate_at_barrier`]). With `replay`, every cell instead
-/// re-simulates the prefix itself — same semantics, so a replay run is
-/// the byte-identity baseline gating the fork path's snapshot fidelity.
+/// snapshot on a worker thread and applies its chaos at the barrier over
+/// the post-fork remainder of the horizon. With `replay`, every cell
+/// instead re-simulates the prefix itself — same semantics, so a replay
+/// run is the byte-identity baseline gating the fork path's snapshot
+/// fidelity.
 ///
 /// Forked semantics differ from [`run_traced`]'s: a cell's chaos plan
 /// covers only the post-fork remainder of the horizon, so forked and
@@ -447,28 +319,77 @@ fn run_cell_forked(
 /// canonical config hash (see [`crate::forkcache`]).
 pub fn run_forked<R: ForkableRecorder>(
     cfg: &ChaosSweepConfig,
-    mut rec: R,
+    rec: R,
     fork_at: Dur,
     replay: bool,
 ) -> ChaosSweepResult {
+    sweep(cfg, rec, Some((fork_at, replay)))
+}
+
+/// Runs the grid, each cell the Fig. 1 unfair pair (job 0 on the
+/// aggressive timer, job 1 fair) under its chaos profile, from t = 0 or
+/// from a `(fork_at, replay)` barrier. Each cell records into its own
+/// buffer whatever the caller's recorder: the recovery analyzer needs the
+/// event stream.
+fn sweep<R: ForkableRecorder>(
+    cfg: &ChaosSweepConfig,
+    mut rec: R,
+    fork: Option<(Dur, bool)>,
+) -> ChaosSweepResult {
+    let jobs = [
+        RateJob::new(
+            cfg.jobs[0],
+            CcVariant::StaticUnfair {
+                timer: cfg.aggressive_timer,
+            },
+        ),
+        RateJob::new(cfg.jobs[1], CcVariant::Fair),
+    ];
+    let fork = fork.map(|(at, replay)| Fork::new(&jobs, &cfg.sim, at, replay));
     let grid: Vec<(String, u64)> = cfg
         .profiles
         .iter()
         .flat_map(|p| cfg.seeds.iter().map(move |&s| (p.clone(), s)))
         .collect();
-    let shared = (!replay).then(|| {
-        let key = simtime::hash::config_hash(&format!(
-            "chaos-prefix|{:?}|{:?}|{:?}|{:?}",
-            cfg.jobs, cfg.aggressive_timer, cfg.sim, fork_at
-        ));
-        forkcache::prefix(key, fork_at, |rec| {
-            RateSimulator::with_recorder(cfg.sim.clone(), &base_jobs(cfg), rec)
-        })
-    });
-    let cells = parallel::map_traced(&mut rec, &grid, |_, (profile, seed), fork| {
-        let (cell, cell_rec) = run_cell_forked(cfg, profile, *seed, fork_at, shared.as_deref());
-        emit_cell(fork, profile, *seed, &cell_rec);
-        cell
+    let cells = parallel::map_traced(&mut rec, &grid, |_, (profile, seed), rec| {
+        let seed = *seed;
+        let chaos = ChaosConfig {
+            seed,
+            ..ChaosConfig::profile(profile)
+                .unwrap_or_else(|| panic!("chaos_sweep: unknown profile {profile:?}"))
+        };
+        let mut cell_rec = BufferRecorder::new();
+        let sim = run_rate(
+            format_args!("chaos/{profile}/s{seed}"),
+            &mut jobs.clone(),
+            cfg.sim.clone(),
+            &chaos,
+            cfg.iterations,
+            fork.as_ref(),
+            &mut cell_rec,
+        );
+        let medians_ms = (0..2)
+            .map(|i| stats_tolerant(sim.progress(i), cfg.warmup).median_ms())
+            .collect();
+        drop(sim);
+        let recovery = recovery(cell_rec.events(), &RecoveryConfig::default());
+        if R::ENABLED {
+            rec.record(
+                Time::ZERO,
+                Event::Scenario {
+                    name: format!("chaos/{profile}/s{seed}"),
+                },
+            );
+            for te in cell_rec.events() {
+                rec.record(te.at, te.event.clone());
+            }
+        }
+        ChaosCell {
+            profile: profile.clone(),
+            seed,
+            medians_ms,
+            recovery,
+        }
     });
     ChaosSweepResult { cells }
 }
@@ -476,6 +397,7 @@ pub fn run_forked<R: ForkableRecorder>(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::experiments::fig1::{self, Fig1Config};
     use telemetry::NoopRecorder;
 
     fn quick() -> ChaosSweepConfig {
@@ -556,6 +478,63 @@ mod tests {
             assert_eq!(f.medians_ms, r.medians_ms, "{}/s{}", f.profile, f.seed);
             assert_eq!(f.incidents(), r.incidents());
             assert_eq!(f.worst_recovery_ms(), r.worst_recovery_ms());
+        }
+    }
+
+    /// A sweep cell is the Fig. 1 unfair cell under the cell's profile,
+    /// untraced: the same medians and the same recorded events after the
+    /// scenario marker.
+    #[test]
+    fn sweep_cell_is_the_fig1_unfair_cell() {
+        for (profile, seed) in [("links", 16), ("stragglers", 6)] {
+            let cfg = ChaosSweepConfig {
+                iterations: 12,
+                warmup: 3,
+                seeds: vec![seed],
+                profiles: vec![profile.to_string()],
+                ..ChaosSweepConfig::default()
+            };
+            let mut sweep_rec = BufferRecorder::new();
+            let cell = run_traced(&cfg, &mut sweep_rec).cells.remove(0);
+            let f1 = Fig1Config {
+                jobs: cfg.jobs,
+                iterations: cfg.iterations,
+                warmup: cfg.warmup,
+                aggressive_timer: cfg.aggressive_timer,
+                sim: RateSimConfig {
+                    trace_interval: None,
+                    ..cfg.sim.clone()
+                },
+                chaos: ChaosConfig {
+                    seed,
+                    ..ChaosConfig::profile(profile).unwrap()
+                },
+                ..Fig1Config::default()
+            };
+            let mut fig1_rec = BufferRecorder::new();
+            let unfair = &fig1::default_cells(&f1)[1..];
+            let m = fig1::run_matrix_traced(&f1, unfair, &mut fig1_rec);
+            for (i, s) in m.cells[0].1.stats.iter().enumerate() {
+                assert_eq!(
+                    cell.medians_ms[i].to_bits(),
+                    s.median_ms().to_bits(),
+                    "{profile}/s{seed} job {i}"
+                );
+            }
+            let clean = Fig1Config {
+                chaos: ChaosConfig::none(),
+                ..f1.clone()
+            };
+            let mut clean_rec = BufferRecorder::new();
+            fig1::run_matrix_traced(&clean, unfair, &mut clean_rec);
+            assert!(
+                clean_rec.events() != fig1_rec.events(),
+                "{profile}/s{seed} perturbed nothing"
+            );
+            assert!(
+                sweep_rec.events()[1..] == fig1_rec.events()[1..],
+                "{profile}/s{seed}: the recordings differ"
+            );
         }
     }
 

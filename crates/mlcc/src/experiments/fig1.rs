@@ -10,17 +10,17 @@
 //!   for *both* jobs under unfairness (≈ 1.23× at the median on the
 //!   testbed).
 
+use super::{chaos_horizon, nominal_iteration, run_rate, Fork};
 use crate::experiments::chaos;
-use crate::forkcache;
 use crate::metrics::{text_table, JobStats, Speedup};
 use crate::parallel;
 use dcqcn::CcVariant;
 use eventsim::TimeSeries;
 use faults::ChaosConfig;
-use netsim::rate::{RateJob, RateSimConfig, RateSimulator, RateSnapshot};
+use netsim::rate::{RateJob, RateSimConfig, RateSimulator};
 use netsim::Engine;
 use simtime::{Dur, Time};
-use telemetry::{BufferRecorder, Event, ForkableRecorder, NoopRecorder, Recorder};
+use telemetry::{Event, ForkableRecorder, NoopRecorder, Recorder};
 use workload::{JobSpec, Model};
 
 /// Experiment parameters.
@@ -73,29 +73,14 @@ impl Default for Fig1Config {
 }
 
 impl Fig1Config {
-    /// Nominal length of one iteration: the slower job's solo time.
-    fn per_iter(&self) -> Dur {
-        self.jobs[0]
-            .iteration_time_at(self.sim.capacity)
-            .max(self.jobs[1].iteration_time_at(self.sim.capacity))
-    }
-
     /// The simulated span a run's chaos plan covers (two nominal
     /// iterations per iteration run). A fork point must fall before it.
     /// Saturates at [`Dur::MAX`] for absurd iteration counts.
     pub fn horizon(&self) -> Dur {
-        let iterations = (self.iterations as u64).saturating_mul(2);
-        self.per_iter().checked_mul(iterations).unwrap_or(Dur::MAX)
-    }
-
-    /// Simulated-time budget of one run (scaled up under chaos).
-    /// Saturates at [`Dur::MAX`] for absurd iteration counts.
-    fn budget(&self) -> Dur {
-        let iterations = (self.iterations as u64)
-            .saturating_mul(4)
-            .saturating_add(40)
-            .saturating_mul(chaos::budget_slack(&self.chaos));
-        self.per_iter().checked_mul(iterations).unwrap_or(Dur::MAX)
+        chaos_horizon(
+            nominal_iteration(&self.jobs, self.sim.capacity),
+            self.iterations,
+        )
     }
 }
 
@@ -203,29 +188,6 @@ pub fn predicted_overlap(cfg: &Fig1Config) -> f64 {
     }
 }
 
-fn run_scenario<R: Recorder>(
-    cfg: &Fig1Config,
-    variants: [CcVariant; 2],
-    stagger: Dur,
-    rec: R,
-) -> Scenario {
-    let mut jobs = [
-        RateJob::new(cfg.jobs[0], variants[0]),
-        RateJob::new(cfg.jobs[1], variants[1]),
-    ];
-    jobs[1].start_offset = stagger;
-    let mut sim_cfg = cfg.sim.clone();
-    chaos::apply_rate(&cfg.chaos, &mut jobs, &mut sim_cfg, cfg.horizon());
-    let mut sim = RateSimulator::with_recorder(sim_cfg, &jobs, rec);
-    let done = sim.run_until_iterations(cfg.iterations, cfg.budget());
-    assert!(
-        done,
-        "fig1: jobs did not finish {} iterations",
-        cfg.iterations
-    );
-    collect_scenario(cfg, &sim)
-}
-
 /// Extracts a finished run's [`Scenario`] numbers.
 fn collect_scenario<R: Recorder>(cfg: &Fig1Config, sim: &RateSimulator<R>) -> Scenario {
     // First-iteration bandwidth: mean rate over the overlapped window of
@@ -236,7 +198,7 @@ fn collect_scenario<R: Recorder>(cfg: &Fig1Config, sim: &RateSimulator<R>) -> Sc
     let first_done = (0..2)
         .filter_map(|i| sim.progress(i).iterations().first().map(|it| it.completed))
         .min()
-        .unwrap_or(comm_start + cfg.per_iter());
+        .unwrap_or(comm_start + nominal_iteration(&cfg.jobs, cfg.sim.capacity));
     let first_iteration_bw = (0..2)
         .map(|i| sim.rate_trace(i).mean(comm_start, first_done))
         .collect();
@@ -304,6 +266,16 @@ impl MatrixCell {
     pub fn with_stagger(mut self, stagger: Dur) -> MatrixCell {
         self.stagger = Some(stagger);
         self
+    }
+
+    /// The cell's two jobs: its variants, `J2` starting at its stagger.
+    fn jobs(&self, cfg: &Fig1Config) -> [RateJob; 2] {
+        let mut jobs = [
+            RateJob::new(cfg.jobs[0], self.variants[0]),
+            RateJob::new(cfg.jobs[1], self.variants[1]),
+        ];
+        jobs[1].start_offset = self.stagger.unwrap_or(cfg.stagger);
+        jobs
     }
 }
 
@@ -416,27 +388,49 @@ impl Fig1Matrix {
 pub fn run_matrix_traced<R: ForkableRecorder>(
     cfg: &Fig1Config,
     cells: &[MatrixCell],
+    rec: R,
+) -> Fig1Matrix {
+    run_cells(cfg, cells, None, rec)
+}
+
+/// [`run_matrix_traced`], with every cell resumed at `fork`'s barrier
+/// when one is given.
+fn run_cells<R: ForkableRecorder>(
+    cfg: &Fig1Config,
+    cells: &[MatrixCell],
+    fork: Option<&Fork>,
     mut rec: R,
 ) -> Fig1Matrix {
-    let out = parallel::map_traced(&mut rec, cells, |_, cell, fork| {
+    let out = parallel::map_traced(&mut rec, cells, |_, cell, rec| {
         if R::ENABLED {
-            fork.record(
+            rec.record(
                 Time::ZERO,
                 Event::Scenario {
                     name: cell.name.clone(),
                 },
             );
         }
-        run_scenario(
-            cfg,
-            cell.variants,
-            cell.stagger.unwrap_or(cfg.stagger),
+        let sim = run_rate(
+            &cell.name,
+            &mut cell.jobs(cfg),
+            cfg.sim.clone(),
+            &cfg.chaos,
+            cfg.iterations,
             fork,
-        )
+            rec,
+        );
+        collect_scenario(cfg, &sim)
     });
     Fig1Matrix {
         cells: cells.iter().map(|c| c.name.clone()).zip(out).collect(),
     }
+}
+
+/// The fair and unfair scenarios of a [`default_cells`] matrix.
+fn fair_and_unfair(mut m: Fig1Matrix) -> Fig1Result {
+    let unfair = m.cells.pop().expect("two scenarios").1;
+    let fair = m.cells.pop().expect("two scenarios").1;
+    Fig1Result { fair, unfair }
 }
 
 /// Runs both scenarios.
@@ -446,56 +440,13 @@ pub fn run(cfg: &Fig1Config) -> Fig1Result {
 
 /// Runs the paper's two scenarios — the [`default_cells`] matrix.
 pub fn run_traced<R: ForkableRecorder>(cfg: &Fig1Config, rec: R) -> Fig1Result {
-    let mut m = run_matrix_traced(cfg, &default_cells(cfg), rec);
-    let unfair = m.cells.pop().expect("two scenarios").1;
-    let fair = m.cells.pop().expect("two scenarios").1;
-    Fig1Result { fair, unfair }
+    fair_and_unfair(run_matrix_traced(cfg, &default_cells(cfg), rec))
 }
 
-/// The fair pair the forked matrix's prefix runs.
-fn fair_prefix<R: Recorder>(cfg: &Fig1Config, rec: R) -> RateSimulator<R> {
-    let mut jobs = [
-        RateJob::new(cfg.jobs[0], CcVariant::Fair),
-        RateJob::new(cfg.jobs[1], CcVariant::Fair),
-    ];
-    jobs[1].start_offset = cfg.stagger;
-    RateSimulator::with_recorder(cfg.sim.clone(), &jobs, rec)
-}
-
-/// Runs one variant cell from a fork barrier: restoring `shared`'s
-/// snapshot (fork mode) or re-simulating the fair prefix (replay mode),
-/// then switching job 0's variant and applying chaos at the barrier.
-fn run_forked_cell<F: Recorder>(
-    cfg: &Fig1Config,
-    variant: Option<CcVariant>,
-    fork_at: Dur,
-    shared: Option<&(RateSnapshot, BufferRecorder)>,
-    rec: F,
-) -> Scenario {
-    let horizon = cfg.horizon();
-    let remaining = if fork_at < horizon {
-        horizon - fork_at
-    } else {
-        cfg.per_iter()
-    };
-    let mut sim = forkcache::resume(shared, fork_at, rec, |rec| fair_prefix(cfg, rec));
-    if let Some(v) = variant {
-        sim.set_cc_variant(0, v);
-    }
-    chaos::apply_rate_at_barrier(&cfg.chaos, &mut sim, 2, fork_at, remaining);
-    let done = sim.run_until_iterations(cfg.iterations, cfg.budget());
-    assert!(
-        done,
-        "fig1: forked cell did not finish {} iterations",
-        cfg.iterations
-    );
-    collect_scenario(cfg, &sim)
-}
-
-/// Runs the variant matrix forked from a shared **fair** prefix: both
-/// jobs run fair DCQCN to `fork_at` once, are snapshotted, and each cell
-/// restores the snapshot — the unfair cell switches `J1` to the
-/// aggressive timer *at the barrier* (as if its transport restarted
+/// Runs the [`default_cells`] matrix forked from a shared **fair**
+/// prefix: both jobs run fair DCQCN to `fork_at` once, are snapshotted,
+/// and each cell restores the snapshot — the unfair cell switches `J1` to
+/// the aggressive timer *at the barrier* (as if its transport restarted
 /// there), and `cfg.chaos` likewise applies from the barrier over the
 /// remaining horizon. With `replay`, every cell re-simulates the fair
 /// prefix instead — identical semantics, the byte-identity baseline for
@@ -509,40 +460,20 @@ fn run_forked_cell<F: Recorder>(
 /// (see [`crate::forkcache`]).
 pub fn run_traced_forked<R: ForkableRecorder>(
     cfg: &Fig1Config,
-    mut rec: R,
+    rec: R,
     fork_at: Dur,
     replay: bool,
 ) -> Fig1Result {
-    let scenarios: [(&str, Option<CcVariant>); 2] = [
-        ("fig1/fair", None),
-        (
-            "fig1/unfair",
-            Some(CcVariant::StaticUnfair {
-                timer: cfg.aggressive_timer,
-            }),
-        ),
-    ];
-    let shared = (!replay).then(|| {
-        let key = simtime::hash::config_hash(&format!(
-            "fig1-prefix|{:?}|{:?}|{:?}|{:?}",
-            cfg.jobs, cfg.sim, cfg.stagger, fork_at
-        ));
-        forkcache::prefix(key, fork_at, |rec| fair_prefix(cfg, rec))
-    });
-    let mut out = parallel::map_traced(&mut rec, &scenarios, |_, &(name, variant), fork| {
-        if R::ENABLED {
-            fork.record(Time::ZERO, Event::Scenario { name: name.into() });
-        }
-        run_forked_cell(cfg, variant, fork_at, shared.as_deref(), fork)
-    });
-    let unfair = out.pop().expect("two scenarios");
-    let fair = out.pop().expect("two scenarios");
-    Fig1Result { fair, unfair }
+    let cells = default_cells(cfg);
+    let prefix = cells[0].jobs(cfg);
+    let fork = Fork::new(&prefix, &cfg.sim, fork_at, replay);
+    fair_and_unfair(run_cells(cfg, &cells, Some(&fork), rec))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use telemetry::BufferRecorder;
 
     fn quick_cfg() -> Fig1Config {
         Fig1Config {
@@ -581,15 +512,20 @@ mod tests {
     /// unchanged for every real count.
     #[test]
     fn absurd_iteration_counts_saturate() {
+        let budget = |cfg: &Fig1Config| {
+            let nominal = nominal_iteration(&cfg.jobs, cfg.sim.capacity);
+            super::super::rate_budget(nominal, cfg.iterations, 2, &cfg.chaos)
+        };
         let cfg = Fig1Config {
             iterations: usize::MAX,
             ..Fig1Config::default()
         };
         assert_eq!(cfg.horizon(), Dur::MAX);
-        assert_eq!(cfg.budget(), Dur::MAX);
+        assert_eq!(budget(&cfg), Dur::MAX);
         let cfg = quick_cfg();
-        assert_eq!(cfg.horizon(), cfg.per_iter() * 20);
-        assert_eq!(cfg.budget(), cfg.per_iter() * 80);
+        let per_iter = nominal_iteration(&cfg.jobs, cfg.sim.capacity);
+        assert_eq!(cfg.horizon(), per_iter * 20);
+        assert_eq!(budget(&cfg), per_iter * 80);
     }
 
     #[test]

@@ -8,13 +8,10 @@
 //! contended (both-communicating) time of each of the aggressive job's
 //! iterations.
 
-use crate::parallel;
-use dcqcn::CcVariant;
+use crate::experiments::fig1::{self, Fig1Config, Scenario};
 use eventsim::TimeSeries;
-use netsim::rate::{RateJob, RateSimConfig, RateSimulator};
-use netsim::Engine;
 use simtime::{Dur, Time};
-use telemetry::{Event, ForkableRecorder, NoopRecorder, Recorder};
+use telemetry::{ForkableRecorder, NoopRecorder};
 use workload::{JobSpec, Model};
 
 /// Experiment parameters.
@@ -26,9 +23,6 @@ pub struct Fig2Config {
     pub iterations: usize,
     /// Aggressive timer for `J1` in the unfair scenario.
     pub aggressive_timer: Dur,
-    /// Rate at or above which a job counts as "using the link" when
-    /// measuring contention (Gbps).
-    pub busy_threshold_gbps: f64,
 }
 
 impl Default for Fig2Config {
@@ -40,7 +34,6 @@ impl Default for Fig2Config {
             ],
             iterations: 6,
             aggressive_timer: Dur::from_micros(100),
-            busy_threshold_gbps: 1.0,
         }
     }
 }
@@ -51,8 +44,16 @@ pub struct Fig2Scenario {
     /// Per-job throughput traces (Gbps, 1 ms samples).
     pub traces: Vec<TimeSeries>,
     /// For each of J1's iterations: milliseconds during which *both* jobs
-    /// were simultaneously using the link.
+    /// were simultaneously using the link (at 1 Gbps or more).
     pub contended_ms_per_iteration: Vec<f64>,
+}
+
+/// A Fig. 1 cell's traces and per-iteration contended time.
+fn from_fig1(s: Scenario) -> Fig2Scenario {
+    Fig2Scenario {
+        contended_ms_per_iteration: s.contention.iter().map(|&(_, ms)| ms).collect(),
+        traces: s.traces,
+    }
 }
 
 /// The Fig. 2 result: both scenarios.
@@ -100,78 +101,29 @@ impl Fig2Result {
     }
 }
 
-fn run_scenario<R: Recorder>(cfg: &Fig2Config, variants: [CcVariant; 2], rec: R) -> Fig2Scenario {
-    let sim_cfg = RateSimConfig {
-        trace_interval: Some(Dur::from_millis(1)),
-        ..RateSimConfig::default()
-    };
-    let jobs = [
-        RateJob::new(cfg.jobs[0], variants[0]),
-        RateJob::new(cfg.jobs[1], variants[1]),
-    ];
-    let mut sim = RateSimulator::with_recorder(sim_cfg, &jobs, rec);
-    let per_iter = cfg.jobs[0]
-        .iteration_time_at(simtime::Bandwidth::from_gbps(50))
-        .max(cfg.jobs[1].iteration_time_at(simtime::Bandwidth::from_gbps(50)));
-    assert!(
-        sim.run_until_iterations(cfg.iterations, per_iter * (cfg.iterations as u64 * 4 + 20)),
-        "fig2: did not reach {} iterations",
-        cfg.iterations
-    );
-    let traces: Vec<TimeSeries> = (0..2).map(|i| sim.rate_trace(i).clone()).collect();
-
-    // Contended time per J1 iteration: sample both traces at 1 ms and
-    // count samples where both exceed the busy threshold.
-    let step = Dur::from_millis(1);
-    let contended: Vec<f64> = sim
-        .progress(0)
-        .iterations()
-        .iter()
-        .take(cfg.iterations)
-        .map(|rec| {
-            let a = traces[0].resample(rec.started, rec.completed, step);
-            let b = traces[1].resample(rec.started, rec.completed, step);
-            a.iter()
-                .zip(&b)
-                .filter(|(&x, &y)| x >= cfg.busy_threshold_gbps && y >= cfg.busy_threshold_gbps)
-                .count() as f64
-        })
-        .collect();
-    Fig2Scenario {
-        traces,
-        contended_ms_per_iteration: contended,
-    }
-}
-
 /// Runs both scenarios.
 pub fn run(cfg: &Fig2Config) -> Fig2Result {
     run_traced(cfg, NoopRecorder)
 }
 
-/// Runs both scenarios, streaming telemetry into `rec` with per-scenario
-/// [`Event::Scenario`] markers. Scenarios run in parallel under
-/// [`parallel::jobs`] workers with output identical to a serial run.
-pub fn run_traced<R: ForkableRecorder>(cfg: &Fig2Config, mut rec: R) -> Fig2Result {
-    let scenarios: [(&str, [CcVariant; 2]); 2] = [
-        ("fig2/fair", [CcVariant::Fair, CcVariant::Fair]),
-        (
-            "fig2/unfair",
-            [
-                CcVariant::StaticUnfair {
-                    timer: cfg.aggressive_timer,
-                },
-                CcVariant::Fair,
-            ],
-        ),
-    ];
-    let mut out = parallel::map_traced(&mut rec, &scenarios, |_, &(name, variants), fork| {
-        if R::ENABLED {
-            fork.record(Time::ZERO, Event::Scenario { name: name.into() });
-        }
-        run_scenario(cfg, variants, fork)
-    });
-    let unfair = out.pop().expect("two scenarios");
-    let fair = out.pop().expect("two scenarios");
+/// Runs both scenarios — the Fig. 1 fair and unfair cells, named
+/// `fig2/fair` and `fig2/unfair`, traced at 1 ms — streaming telemetry
+/// into `rec` as [`fig1::run_matrix_traced`] does.
+pub fn run_traced<R: ForkableRecorder>(cfg: &Fig2Config, rec: R) -> Fig2Result {
+    let fig1 = Fig1Config {
+        jobs: cfg.jobs,
+        iterations: cfg.iterations,
+        warmup: 0,
+        aggressive_timer: cfg.aggressive_timer,
+        ..Fig1Config::default()
+    };
+    let mut cells = fig1::default_cells(&fig1);
+    for (cell, name) in cells.iter_mut().zip(["fig2/fair", "fig2/unfair"]) {
+        cell.name = name.to_string();
+    }
+    let mut m = fig1::run_matrix_traced(&fig1, &cells, rec);
+    let unfair = from_fig1(m.cells.pop().expect("two scenarios").1);
+    let fair = from_fig1(m.cells.pop().expect("two scenarios").1);
     Fig2Result { fair, unfair }
 }
 
@@ -193,7 +145,8 @@ mod tests {
 
     #[test]
     fn sliding_effect_reproduces() {
-        let r = run(&Fig2Config::default());
+        let cfg = Fig2Config::default();
+        let r = run(&cfg);
         // Fair: contention persists — the last iteration is still heavily
         // contended (within 50% of the first).
         let f = &r.fair.contended_ms_per_iteration;
@@ -223,5 +176,21 @@ mod tests {
         let mean: f64 = util.iter().sum::<f64>() / util.len() as f64;
         assert!(mean > 0.85, "fair contended utilization {mean}");
         assert!(r.render().contains("contended"));
+        // The contended counts are Fig. 1's contention profile of the pair.
+        let f1 = Fig1Config {
+            iterations: cfg.iterations,
+            ..Fig1Config::default()
+        };
+        let m = fig1::run_matrix_traced(&f1, &fig1::default_cells(&f1), NoopRecorder);
+        for (name, s) in [("fig1/fair", &r.fair), ("fig1/unfair", &r.unfair)] {
+            let counts: Vec<f64> = m
+                .get(name)
+                .unwrap()
+                .contention
+                .iter()
+                .map(|c| c.1)
+                .collect();
+            assert_eq!(s.contended_ms_per_iteration, counts, "{name}");
+        }
     }
 }

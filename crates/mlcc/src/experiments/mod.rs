@@ -14,11 +14,16 @@ pub mod shard;
 pub mod table1;
 pub mod variants;
 
+use crate::forkcache;
 use crate::metrics::JobStats;
+use faults::ChaosConfig;
 use netsim::fluid::{FluidConfig, FluidJob, FluidSimulator};
+use netsim::rate::{RateJob, RateSimConfig, RateSimulator, RateSnapshot};
 use netsim::Engine;
 use simtime::{Bandwidth, Dur};
-use telemetry::Recorder;
+use std::fmt::Display;
+use std::sync::Arc;
+use telemetry::{BufferRecorder, Recorder};
 use topology::builders::dumbbell;
 use workload::JobSpec;
 
@@ -45,15 +50,124 @@ fn run_on_dumbbell<R: Recorder>(
         .map(|(i, &spec)| FluidJob::single_path(spec, d.pair_links(i)))
         .collect();
     let mut sim = FluidSimulator::with_recorder(&d.topology, fluid_cfg, &fjobs, rec);
-    let per_iter = jobs
-        .iter()
-        .map(|s| s.iteration_time_at(line))
-        .max()
-        .expect("dumbbell has a job");
+    let per_iter = nominal_iteration(jobs, line);
     let budget = per_iter * (iterations as u64 * (jobs.len() as u64 + 2) + 20);
     sim.run_until_iterations(iterations, budget).then(|| {
         (0..jobs.len())
             .map(|i| JobStats::from_progress(sim.progress(i), warmup))
             .collect()
     })
+}
+
+/// One nominal iteration of a run: the slowest job's solo iteration at
+/// `capacity`.
+///
+/// # Panics
+/// Panics if `specs` is empty.
+fn nominal_iteration<'a>(specs: impl IntoIterator<Item = &'a JobSpec>, capacity: Bandwidth) -> Dur {
+    specs
+        .into_iter()
+        .map(|s| s.iteration_time_at(capacity))
+        .max()
+        .expect("a run has a job")
+}
+
+/// The simulated span a rate-engine run's chaos plan covers: two
+/// `nominal` iterations per iteration run. A fork point must fall before
+/// it. Saturates at [`Dur::MAX`] for absurd iteration counts.
+fn chaos_horizon(nominal: Dur, iterations: usize) -> Dur {
+    let n = (iterations as u64).saturating_mul(2);
+    nominal.checked_mul(n).unwrap_or(Dur::MAX)
+}
+
+/// Simulated-time budget of a rate-engine run of `jobs` jobs:
+/// `iterations × (jobs + 2) + 40` `nominal` iterations, scaled by
+/// `chaos`'s [`chaos::budget_slack`]. Saturates at [`Dur::MAX`].
+fn rate_budget(nominal: Dur, iterations: usize, jobs: usize, chaos: &ChaosConfig) -> Dur {
+    let n = (iterations as u64)
+        .saturating_mul(jobs as u64 + 2)
+        .saturating_add(40)
+        .saturating_mul(chaos::budget_slack(chaos));
+    nominal.checked_mul(n).unwrap_or(Dur::MAX)
+}
+
+/// A fork barrier at `at` that rate-engine runs resume from: the clean
+/// `prefix` jobs' run to `at`, either restored from a process-wide cached
+/// snapshot or, in replay mode, re-simulated by every run.
+struct Fork<'a> {
+    at: Dur,
+    prefix: &'a [RateJob],
+    shared: Option<Arc<(RateSnapshot, BufferRecorder)>>,
+}
+
+impl<'a> Fork<'a> {
+    /// The barrier at `at` after `prefix`'s clean run under `sim`. Unless
+    /// `replay`, the prefix runs once per process, cached under its jobs,
+    /// `sim` and `at` (see [`forkcache`]).
+    fn new(prefix: &'a [RateJob], sim: &RateSimConfig, at: Dur, replay: bool) -> Fork<'a> {
+        let shared = (!replay).then(|| {
+            let key = simtime::hash::config_hash(&format!("rate-prefix|{prefix:?}|{sim:?}|{at:?}"));
+            forkcache::prefix(key, at, |rec| {
+                RateSimulator::with_recorder(sim.clone(), prefix, rec)
+            })
+        });
+        Fork { at, prefix, shared }
+    }
+}
+
+/// Runs `jobs` on the rate engine under `sim` until every job finishes
+/// `iterations`, and returns the finished engine: the one run behind
+/// Fig. 1, Fig. 2, Table 1, §4.i and the chaos sweep, the DCQCN
+/// counterpart of [`run_on_dumbbell`].
+///
+/// Without a `fork`, `chaos` lands on `jobs` and `sim` from t = 0 over the
+/// [`chaos_horizon`]. With one, the engine resumes at its barrier (`jobs`
+/// must be its prefix jobs up to their variants), each job whose variant
+/// differs from the prefix's switches to its own there, and `chaos` lands
+/// at the barrier over the rest of the horizon — one nominal iteration
+/// when the barrier is past it.
+///
+/// # Panics
+/// Panics, naming `label`, if some job does not finish within the
+/// [`rate_budget`].
+fn run_rate<R: Recorder>(
+    label: impl Display,
+    jobs: &mut [RateJob],
+    mut sim: RateSimConfig,
+    chaos: &ChaosConfig,
+    iterations: usize,
+    fork: Option<&Fork>,
+    rec: R,
+) -> RateSimulator<R> {
+    let nominal = nominal_iteration(jobs.iter().map(|j| &j.spec), sim.capacity);
+    let horizon = chaos_horizon(nominal, iterations);
+    let mut engine = match fork {
+        None => {
+            chaos::apply_rate(chaos, jobs, &mut sim, horizon);
+            RateSimulator::with_recorder(sim, jobs, rec)
+        }
+        Some(fork) => {
+            let mut engine = forkcache::resume(fork.shared.as_deref(), fork.at, rec, |rec| {
+                RateSimulator::with_recorder(sim, fork.prefix, rec)
+            });
+            for (i, (job, clean)) in jobs.iter().zip(fork.prefix).enumerate() {
+                if job.variant != clean.variant {
+                    engine.set_cc_variant(i, job.variant);
+                }
+            }
+            let remaining = if fork.at < horizon {
+                horizon - fork.at
+            } else {
+                nominal
+            };
+            chaos::apply_rate_at_barrier(chaos, &mut engine, fork.at, remaining);
+            engine
+        }
+    };
+    let budget = rate_budget(nominal, iterations, jobs.len(), chaos);
+    assert!(
+        engine.run_until_iterations(iterations, budget),
+        "{label}: jobs did not finish {iterations} iterations"
+    );
+    engine
 }

@@ -14,13 +14,14 @@
 //! profiles; its verdict must agree with the measured green/red outcome —
 //! that cross-check is the reproduction's central scientific claim.
 
+use super::run_rate;
 use crate::experiments::chaos;
 use crate::metrics::{text_table, JobStats, Speedup};
 use crate::parallel;
 use dcqcn::CcVariant;
 use faults::ChaosConfig;
 use geometry::{solve, SolverConfig, Verdict};
-use netsim::rate::{RateJob, RateSimConfig, RateSimulator};
+use netsim::rate::{RateJob, RateSimConfig};
 use netsim::Engine;
 use scheduler::analytic_profile;
 use simtime::{Bandwidth, Dur, Time};
@@ -182,6 +183,8 @@ pub fn ordered_timers(n: usize, range: (Dur, Dur)) -> Vec<Dur> {
         .collect()
 }
 
+/// Runs `group` under `variants` on the 50 Gbps bottleneck and returns
+/// each job's statistics.
 fn mean_iteration_times<R: Recorder>(
     group: &[JobSpec],
     variants: &[CcVariant],
@@ -193,27 +196,15 @@ fn mean_iteration_times<R: Recorder>(
         .zip(variants)
         .map(|(&spec, &v)| RateJob::new(spec, v))
         .collect();
-    let cap = Bandwidth::from_gbps(50);
-    let per_iter = group
-        .iter()
-        .map(|s| s.iteration_time_at(cap))
-        .max()
-        .unwrap();
-    let mut sim_cfg = RateSimConfig::default();
-    chaos::apply_rate(
-        &cfg.chaos,
+    let sim = run_rate(
+        "table1",
         &mut jobs,
-        &mut sim_cfg,
-        per_iter * (cfg.iterations as u64 * 2),
-    );
-    let mut sim = RateSimulator::with_recorder(sim_cfg, &jobs, rec);
-    let ok = sim.run_until_iterations(
+        RateSimConfig::default(),
+        &cfg.chaos,
         cfg.iterations,
-        per_iter
-            * ((cfg.iterations as u64 * (group.len() as u64 + 2) + 40)
-                * chaos::budget_slack(&cfg.chaos)),
+        None,
+        rec,
     );
-    assert!(ok, "table1: group did not finish");
     (0..group.len())
         .map(|i| chaos::stats_tolerant(sim.progress(i), cfg.warmup))
         .collect()

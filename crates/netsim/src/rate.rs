@@ -798,14 +798,23 @@ impl<R: Recorder> RateSimulator<R> {
 
     /// Runs for a fixed span of simulated time.
     pub fn run_for(&mut self, span: Dur) {
+        self.run_loop(span, None);
+    }
+
+    /// Runs for `span`, or until every job has finished `n` iterations,
+    /// and returns whether they have. The one loop behind both run entry
+    /// points, so that `advance_toward` has one caller and is inlined.
+    fn run_loop(&mut self, span: Dur, n: Option<usize>) -> bool {
         let wall = R::ENABLED.then(std::time::Instant::now);
         let steps0 = self.st.steps;
         let mut split = StepSplit::default();
         let end = self.st.now + span;
-        while self.st.now < end {
+        let reached = |jobs: &[JobState]| n.is_some_and(|n| jobs.iter().all(|j| j.job.done(n)));
+        while self.st.now < end && !reached(&self.st.jobs) {
             self.advance_toward(end, &mut split);
         }
         self.record_run(wall, steps0, split);
+        reached(&self.st.jobs)
     }
 
     /// Replaces job `i`'s congestion-control variant with a freshly built
@@ -897,21 +906,7 @@ impl<R: Recorder> Engine for RateSimulator<R> {
     }
 
     fn run_until_iterations(&mut self, n: usize, max_span: Dur) -> bool {
-        let wall = R::ENABLED.then(std::time::Instant::now);
-        let steps0 = self.st.steps;
-        let mut split = StepSplit::default();
-        let end = self.st.now + max_span;
-        let mut done = false;
-        let reached = |jobs: &[JobState]| jobs.iter().all(|j| j.job.done(n));
-        while self.st.now < end {
-            if reached(&self.st.jobs) {
-                done = true;
-                break;
-            }
-            self.advance_toward(end, &mut split);
-        }
-        self.record_run(wall, steps0, split);
-        done || reached(&self.st.jobs)
+        self.run_loop(max_span, Some(n))
     }
 
     fn recorder(&self) -> &R {
