@@ -274,6 +274,9 @@ mkdir -p "$GATE/shard"
 cmp "$GATE/shard/s1.jsonl" "$GATE/shard/s4.jsonl"
 cmp "$GATE/shard/s1.jsonl" "$GATE/shard/s4_composed.jsonl"
 echo "sharded trace byte-identical across --shards 1/4, --jobs, --fork-at"
+# Pinned below: the shard landings of a chaos plan (fluid and packet).
+"$BIN" shard --iterations 2 --chaos stragglers --chaos-seed 3 \
+    --trace "$GATE/shard/stragglers.jsonl" > /dev/null
 # The fluid and packet runs each open a scenario, so the trace replays.
 "$BIN" report "$GATE/shard/s1.jsonl" --out "$GATE/shard/s1.html" > /dev/null
 echo "report replays the sharded trace"
@@ -347,8 +350,9 @@ echo "zoo sweep byte-identical across --jobs, rejects --shards, mltcp beats fair
 echo "== recorded-event work pins (trace line counts + sha256, exact) =="
 # The traces written above by `chaos --iterations 40`, `table1 --iterations
 # 10` and `variants --iterations 12 --jobs 1`, the fork gate's forked fig1
-# and chaos runs, a fig1 run under signal loss, and `fig2 --iterations 6`
-# and `adaptive --iterations 12`: one line per recorded event, so the count
+# and chaos runs, a fig1 run under signal loss, `fig2 --iterations 6`,
+# `adaptive --iterations 12` and `shard --iterations 2 --chaos stragglers
+# --chaos-seed 3`: one line per recorded event, so the count
 # is work that host load cannot move, and the digest pins the exporter's
 # bytes. An engine change that records more or fewer events, or an
 # exporter change that moves a byte, fails here. The forked pins catch a
@@ -380,6 +384,7 @@ fig2.jsonl 27831 e848645d7c916e00ef6239cd1e6399407b8055de8bea34c7c9e7d4aa307434e
 adaptive.jsonl 195205 ba41a4f84b8ff726763edaf9fcd4cb053b3452dc433724589972d8c89b8b50a6
 fork/fig1_forked.jsonl 43106 977f72f5dd610e2a2eab03eee1e9121875568294d366aa71951c59e9009a1fa4
 fork/chaos_j1.jsonl 252213 81ae5899437f434bcc0604406c94b3cd48b21a3527e15ce2f35ed27ab32b3a3d
+shard/stragglers.jsonl 1015840 9eb48a1a8038fbd206e584c309b1f74a82b56c76b1d7446818085b6f32b9dd7e
 PINS
 
 echo "OK"
