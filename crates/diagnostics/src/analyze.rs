@@ -41,7 +41,9 @@ pub struct ScenarioAnalysis {
     pub tracks: ScenarioTracks,
     pub interleave: InterleaveReport,
     pub health: HealthReport,
-    pub fairness: FairnessReport,
+    /// Windowed Jain fairness; `None` when the scenario has no rate
+    /// samples to judge.
+    pub fairness: Option<FairnessReport>,
     /// Contention ledger built from the engines' typed iteration spans;
     /// empty for traces recorded before spans existed.
     pub ledger: ContentionLedger,
@@ -181,9 +183,11 @@ impl RunAnalysis {
                     );
                 }
             }
-            s.put_under(&p, "fairness.mean_jain", sc.fairness.mean_jain);
-            s.put_under(&p, "fairness.min_jain", sc.fairness.min_jain);
-            s.put_under(&p, "fairness.long_term_jain", sc.fairness.long_term_jain);
+            if let Some(f) = &sc.fairness {
+                s.put_under(&p, "fairness.mean_jain", f.mean_jain);
+                s.put_under(&p, "fairness.min_jain", f.min_jain);
+                s.put_under(&p, "fairness.long_term_jain", f.long_term_jain);
+            }
             for f in &sc.health.flows {
                 let fp = format!("health.flow{}", f.flow);
                 s.put_under(&p, &format!("{fp}.mean_rate_gbps"), f.mean_rate_gbps);
@@ -322,7 +326,8 @@ mod tests {
         assert!(s
             .metrics
             .contains_key("fig1_fair.interleave.link0.job0.exclusive_share"));
-        assert_eq!(s.metrics["fig1_fair.fairness.mean_jain"], 1.0);
+        // No rate samples, so no Jain index to report.
+        assert!(!s.metrics.contains_key("fig1_fair.fairness.mean_jain"));
     }
 
     #[test]

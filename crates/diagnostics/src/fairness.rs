@@ -46,13 +46,15 @@ pub struct FairnessReport {
     pub long_term_jain: f64,
 }
 
-/// Computes windowed Jain fairness over the scenario's rate samples.
+/// Computes windowed Jain fairness over the scenario's rate samples, or
+/// `None` when there is no window to judge: no flow has a rate sample, or
+/// the window or the scenario's span is zero.
 ///
 /// Each flow's rate within a window is the mean of its samples there,
 /// carrying the last seen rate forward into sampleless windows (rates are
 /// step functions: a flow that last set 10 Gbps is still sending at
 /// 10 Gbps). Flows with no samples at all are excluded.
-pub fn analyze(tracks: &ScenarioTracks, window: Dur) -> FairnessReport {
+pub fn analyze(tracks: &ScenarioTracks, window: Dur) -> Option<FairnessReport> {
     let flows: Vec<&Vec<(Time, f64)>> = tracks
         .jobs
         .values()
@@ -60,12 +62,7 @@ pub fn analyze(tracks: &ScenarioTracks, window: Dur) -> FairnessReport {
         .map(|t| &t.rates)
         .collect();
     if flows.is_empty() || window.is_zero() || tracks.span().is_zero() {
-        return FairnessReport {
-            mean_jain: 1.0,
-            min_jain: 1.0,
-            long_term_jain: 1.0,
-            ..FairnessReport::default()
-        };
+        return None;
     }
     let n_windows = tracks.span().ratio(window).ceil() as usize;
     // Per-flow per-window mean rate, with last-value carry-forward.
@@ -104,12 +101,12 @@ pub fn analyze(tracks: &ScenarioTracks, window: Dur) -> FairnessReport {
         .iter()
         .map(|s| s.iter().map(|&(_, bps)| bps).sum::<f64>() / s.len() as f64)
         .collect();
-    FairnessReport {
+    Some(FairnessReport {
         windows,
         mean_jain,
         min_jain,
         long_term_jain: jain_index(&long_rates),
-    }
+    })
 }
 
 #[cfg(test)]
@@ -154,7 +151,7 @@ mod tests {
     fn equal_flows_are_fair_everywhere() {
         let samples: Vec<(Time, f64)> = (0..10).map(|i| (t(i * 100), 10e9)).collect();
         let tr = tracks(vec![samples.clone(), samples], 1_000);
-        let r = analyze(&tr, Dur::from_nanos(250));
+        let r = analyze(&tr, Dur::from_nanos(250)).unwrap();
         assert!((r.mean_jain - 1.0).abs() < 1e-12);
         assert!((r.long_term_jain - 1.0).abs() < 1e-12);
     }
@@ -165,7 +162,7 @@ mod tests {
         let a: Vec<(Time, f64)> = vec![(t(0), 20e9), (t(500), 0.0)];
         let b: Vec<(Time, f64)> = vec![(t(0), 0.0), (t(500), 20e9)];
         let tr = tracks(vec![a, b], 1_000);
-        let r = analyze(&tr, Dur::from_nanos(500));
+        let r = analyze(&tr, Dur::from_nanos(500)).unwrap();
         // Each window has one active flow: Jain = 1/2.
         assert!(r.min_jain < 0.55, "min {}", r.min_jain);
         assert!(
@@ -179,7 +176,7 @@ mod tests {
     fn carry_forward_fills_sampleless_windows() {
         // Flow sets a rate once; later windows still see it.
         let tr = tracks(vec![vec![(t(0), 10e9)], vec![(t(0), 10e9)]], 1_000);
-        let r = analyze(&tr, Dur::from_nanos(100));
+        let r = analyze(&tr, Dur::from_nanos(100)).unwrap();
         assert_eq!(r.windows.len(), 10);
         assert!(r.windows.iter().all(|w| (w.jain - 1.0).abs() < 1e-12));
     }

@@ -147,18 +147,19 @@ fn verdict_table(out: &mut String, sc: &ScenarioAnalysis) {
             }
         );
     }
-    let fj = &sc.fairness;
-    let cls = if fj.long_term_jain > 0.9 {
-        "ok"
-    } else {
-        "warn"
-    };
-    let _ = writeln!(
-        out,
-        "<tr><td>fairness (Jain)</td><td>windowed mean {:.3}, min {:.3}</td>\
-         <td class=\"{cls}\">long-term {:.3}</td></tr>",
-        fj.mean_jain, fj.min_jain, fj.long_term_jain
-    );
+    if let Some(fj) = &sc.fairness {
+        let cls = if fj.long_term_jain > 0.9 {
+            "ok"
+        } else {
+            "warn"
+        };
+        let _ = writeln!(
+            out,
+            "<tr><td>fairness (Jain)</td><td>windowed mean {:.3}, min {:.3}</td>\
+             <td class=\"{cls}\">long-term {:.3}</td></tr>",
+            fj.mean_jain, fj.min_jain, fj.long_term_jain
+        );
+    }
     out.push_str("</table>\n");
 }
 

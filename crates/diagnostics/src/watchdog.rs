@@ -323,9 +323,9 @@ fn breaches(marked: &[TimedEvent], sc: &ScenarioAnalysis, rules: &SloRules) -> V
             );
         }
     }
-    if let Some(min) = rules.min_jain {
-        if let Some(w) = sc.fairness.windows.iter().find(|w| w.jain < min) {
-            let jain = sc.fairness.min_jain;
+    if let (Some(min), Some(fairness)) = (rules.min_jain, &sc.fairness) {
+        if let Some(w) = fairness.windows.iter().find(|w| w.jain < min) {
+            let jain = fairness.min_jain;
             fire(
                 AlertKind::Fairness,
                 w.at + AnalysisConfig::default().fairness_window,
@@ -557,9 +557,49 @@ mod tests {
         let (analysis, alerts) = run(&events, rules);
         assert_eq!(alerts.len(), 1, "{alerts:?}");
         assert_eq!(alerts[0].kind, AlertKind::Fairness);
-        assert_eq!(alerts[0].value, analysis.scenarios[0].fairness.min_jain);
+        let fairness = analysis.scenarios[0].fairness.as_ref().unwrap();
+        assert_eq!(alerts[0].value, fairness.min_jain);
         assert!(alerts[0].value < 0.6);
         assert_eq!(alerts[0].at, Time::from_nanos(20_000_000));
+    }
+
+    /// A scenario with phase events but no `rate_change` has no Jain
+    /// index: the summary leaves the three fairness metrics out and the
+    /// `min_jain` rule does not judge it.
+    #[test]
+    fn rateless_scenario_has_no_jain_to_judge() {
+        let rules = SloRules {
+            min_jain: Some(0.99),
+            ..SloRules::default()
+        };
+        let enter = |ns, job| {
+            te(
+                ns,
+                Event::PhaseEnter {
+                    job,
+                    phase: Phase::Communicate,
+                    iteration: 0,
+                },
+            )
+        };
+        let events = [
+            marker(0, "s"),
+            enter(1_000_000, 0),
+            enter(2_000_000, 1),
+            comm_exit(11_000_000, 0, 0),
+            comm_exit(32_000_000, 1, 0),
+        ];
+        let (analysis, alerts) = run(&events, rules);
+        assert!(analysis.scenarios[0].fairness.is_none());
+        let summary = analysis.summary();
+        assert!(summary
+            .metrics
+            .contains_key("s.interleave.overlap_fraction"));
+        for metric in ["mean_jain", "min_jain", "long_term_jain"] {
+            let key = format!("s.fairness.{metric}");
+            assert!(!summary.metrics.contains_key(&key), "{key}");
+        }
+        assert!(alerts.is_empty(), "{alerts:?}");
     }
 
     /// One alert per link over the ceiling, at its first sample over it,
