@@ -86,7 +86,7 @@ pub struct DcqcnParams {
 impl DcqcnParams {
     /// The testbed defaults behind the paper's Fig. 1: 50 Gbps ConnectX-5
     /// NICs, `T = 125 µs`.
-    pub fn testbed_default() -> DcqcnParams {
+    pub const fn testbed_default() -> DcqcnParams {
         DcqcnParams {
             line_rate: Bandwidth::from_gbps(50),
             timer: Dur::from_micros(125),

@@ -158,6 +158,18 @@ impl CompiledChaos {
             && self.link_schedules.is_empty()
             && self.signal_loss.is_none()
     }
+
+    /// Moves every departure and capacity change point `by` later, so a
+    /// plan compiled over what remains of a run after `by` lands in the
+    /// run's own time. Noise and arrival delays are relative and stay.
+    pub fn shift(&mut self, by: Dur) {
+        for d in self.departures.iter_mut().flatten() {
+            *d += by;
+        }
+        for s in &mut self.link_schedules {
+            *s = LinkSchedule::new(s.changes().iter().map(|&(t, m)| (t + by, m)).collect());
+        }
+    }
 }
 
 impl ChaosConfig {

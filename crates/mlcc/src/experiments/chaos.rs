@@ -1,8 +1,9 @@
 //! Fault injection for the experiments, plus the `chaos_sweep` grid.
 //!
-//! [`apply_rate`] expands a [`faults::ChaosConfig`] for a rate-engine run
-//! and maps it onto the engine's knobs: per-job phase noise, late-arrival
-//! start offsets and departure deadlines, the bottleneck link's capacity
+//! [`apply_rate`] expands a [`faults::ChaosConfig`] for a rate-engine run,
+//! fresh or resumed at a fork barrier, and lands it as data on the run's
+//! jobs and engine config: per-job phase noise, late-arrival start
+//! offsets and departure deadlines, the bottleneck link's capacity
 //! schedule, and DCQCN signal loss. With [`ChaosConfig::none`] it returns
 //! without touching anything, so unperturbed runs stay bit-identical to a
 //! build without chaos plumbing.
@@ -21,31 +22,50 @@ use dcqcn::CcVariant;
 use dcqcn::SignalLoss;
 use diagnostics::{recovery, RecoveryConfig, RecoveryReport};
 use faults::{ChaosConfig, CompiledChaos};
-use netsim::rate::{RateJob, RateSimConfig, RateSimulator};
+use netsim::rate::{RateJob, RateSimConfig};
 use netsim::Engine;
 use simtime::{Dur, Time};
 use telemetry::{BufferRecorder, Event, ForkableRecorder, Recorder};
 use topology::LinkSchedule;
 use workload::{JobProgress, JobSpec, Model};
 
-/// Applies `chaos` to a rate-engine run lasting roughly `horizon`.
+/// Applies `chaos` to a rate-engine run, landing it as data on `jobs`
+/// and `sim`: the plan is compiled over `span` and starts at `at`, where
+/// its departures and capacity change points move to. Per-job phase
+/// noise, arrival delays (added to the existing start offsets) and
+/// departure deadlines land on `jobs`; the bottleneck-link capacity
+/// schedule and DCQCN signal loss land on `sim`. A fresh run takes them
+/// at construction with `at` zero; a run resumed at a fork barrier `at`
+/// takes them through [`RateSimulator::adopt`]. A [`ChaosConfig::none`]
+/// config is an exact no-op: nothing is read or written, so quiet runs
+/// remain byte-identical.
 ///
-/// Per-job phase noise, arrival delays (added to the existing start
-/// offsets), and departure deadlines land on `jobs`; the bottleneck-link
-/// capacity schedule and DCQCN signal loss land on `sim`. A
-/// [`ChaosConfig::none`] config is an exact no-op: nothing is read or
-/// written, so quiet runs remain byte-identical.
+/// # Panics
+/// Panics if `at` is positive and the plan draws a late arrival: every job
+/// already started inside the prefix before `at`, so an arrival-free
+/// profile or a run from t = 0 is needed.
+///
+/// [`RateSimulator::adopt`]: netsim::rate::RateSimulator::adopt
 pub fn apply_rate(
     chaos: &ChaosConfig,
     jobs: &mut [RateJob],
     sim: &mut RateSimConfig,
-    horizon: Dur,
+    span: Dur,
+    at: Dur,
 ) {
     if chaos.is_none() {
         return;
     }
     // The rate engine models a single shared bottleneck: one link.
-    let plan = chaos.compile(jobs.len(), 1, horizon);
+    let mut plan = chaos.compile(jobs.len(), 1, span);
+    if !at.is_zero() {
+        assert!(
+            plan.arrivals.iter().all(|d| d.is_zero()),
+            "forked sweep: late arrivals cannot be applied after the shared \
+             prefix (use an arrival-free profile or run without --fork-at)"
+        );
+        plan.shift(at);
+    }
     apply_plan(
         &plan,
         jobs,
@@ -80,49 +100,6 @@ pub(crate) fn apply_plan(
         _ => {}
     }
     *loss = plan.signal_loss;
-}
-
-/// Shifts a compiled link schedule's change points forward by `by`, so a
-/// plan compiled over a post-fork remainder lands in absolute time.
-fn shift_schedule(s: &LinkSchedule, by: Dur) -> LinkSchedule {
-    LinkSchedule::new(s.changes().iter().map(|&(t, m)| (t + by, m)).collect())
-}
-
-/// Applies `chaos` to an already-running rate simulator at a fork
-/// barrier: the plan is compiled over the post-fork `remaining` horizon
-/// and its absolute times shifted by `fork_at`. Phase noise takes effect
-/// at each job's next iteration rollover; schedules and signal loss apply
-/// from the barrier on.
-///
-/// Late arrivals are **not representable** after a fork — every job
-/// already started inside the shared prefix. The builtin sweep profiles
-/// (`stragglers`, `links`) have churn arrivals off; a profile that draws
-/// one panics rather than silently diverging from its from-`t=0` meaning.
-pub(super) fn apply_rate_at_barrier<R: Recorder>(
-    chaos: &ChaosConfig,
-    sim: &mut RateSimulator<R>,
-    fork_at: Dur,
-    remaining: Dur,
-) {
-    if chaos.is_none() {
-        return;
-    }
-    let jobs = sim.num_jobs();
-    let plan = chaos.compile(jobs, 1, remaining);
-    assert!(
-        plan.arrivals.iter().all(|d| d.is_zero()),
-        "forked sweep: late arrivals cannot be applied after the shared \
-         prefix (use an arrival-free profile or run without --fork-at)"
-    );
-    for i in 0..jobs {
-        sim.set_noise(i, plan.noise[i]);
-        sim.set_depart_at(i, plan.departures[i].map(|t| t + fork_at));
-    }
-    match plan.link_schedules.first() {
-        Some(s) if !s.is_identity() => sim.set_capacity_schedule(Some(shift_schedule(s, fork_at))),
-        _ => {}
-    }
-    sim.set_signal_loss(plan.signal_loss);
 }
 
 /// Simulation-budget multiplier for a perturbed run: degraded links and
@@ -437,7 +414,13 @@ mod tests {
         let sim_before = RateSimConfig::default();
         let mut jobs = jobs_before.clone();
         let mut sim = sim_before.clone();
-        apply_rate(&ChaosConfig::none(), &mut jobs, &mut sim, Dur::ZERO);
+        apply_rate(
+            &ChaosConfig::none(),
+            &mut jobs,
+            &mut sim,
+            Dur::ZERO,
+            Dur::ZERO,
+        );
         assert!(sim.capacity_schedule.is_none());
         assert!(sim.signal_loss.is_none());
         for (a, b) in jobs.iter().zip(&jobs_before) {

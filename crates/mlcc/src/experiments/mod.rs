@@ -120,12 +120,13 @@ impl<'a> Fork<'a> {
 /// Fig. 1, Fig. 2, Table 1, §4.i and the chaos sweep, the DCQCN
 /// counterpart of [`run_on_dumbbell`].
 ///
-/// Without a `fork`, `chaos` lands on `jobs` and `sim` from t = 0 over the
-/// [`chaos_horizon`]. With one, the engine resumes at its barrier (`jobs`
-/// must be its prefix jobs up to their variants), each job whose variant
-/// differs from the prefix's switches to its own there, and `chaos` lands
-/// at the barrier over the rest of the horizon — one nominal iteration
-/// when the barrier is past it.
+/// `chaos` lands on `jobs` and `sim` as data ([`chaos::apply_rate`]).
+/// Without a `fork` it covers the [`chaos_horizon`] from t = 0 and the
+/// engine is built from it. With one, the engine resumes at the barrier
+/// (`jobs` must be its prefix jobs up to their variants), `chaos` covers
+/// the rest of the horizon — one nominal iteration when the barrier is
+/// past it — and the engine adopts the landed jobs and config there:
+/// each job whose variant differs from the prefix's switches to its own.
 ///
 /// # Panics
 /// Panics, naming `label`, if some job does not finish within the
@@ -143,24 +144,20 @@ fn run_rate<R: Recorder>(
     let horizon = chaos_horizon(nominal, iterations);
     let mut engine = match fork {
         None => {
-            chaos::apply_rate(chaos, jobs, &mut sim, horizon);
+            chaos::apply_rate(chaos, jobs, &mut sim, horizon, Dur::ZERO);
             RateSimulator::with_recorder(sim, jobs, rec)
         }
         Some(fork) => {
             let mut engine = forkcache::resume(fork.shared.as_deref(), fork.at, rec, |rec| {
-                RateSimulator::with_recorder(sim, fork.prefix, rec)
+                RateSimulator::with_recorder(sim.clone(), fork.prefix, rec)
             });
-            for (i, (job, clean)) in jobs.iter().zip(fork.prefix).enumerate() {
-                if job.variant != clean.variant {
-                    engine.set_cc_variant(i, job.variant);
-                }
-            }
-            let remaining = if fork.at < horizon {
+            let span = if fork.at < horizon {
                 horizon - fork.at
             } else {
                 nominal
             };
-            chaos::apply_rate_at_barrier(chaos, &mut engine, fork.at, remaining);
+            chaos::apply_rate(chaos, jobs, &mut sim, span, fork.at);
+            engine.adopt(jobs, &sim);
             engine
         }
     };

@@ -201,7 +201,7 @@ impl FluidScenario {
 /// apply to the fluid abstraction. Chaos is keyed by **global** job index,
 /// so a shard inherits exactly the perturbations its jobs would see in an
 /// unsharded run.
-pub fn apply_fluid(
+fn apply_fluid(
     chaos: &ChaosConfig,
     jobs: &mut [FluidJob],
     cfg: &mut FluidConfig,

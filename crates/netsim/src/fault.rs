@@ -106,15 +106,14 @@ impl BottleneckFaults {
         }
     }
 
-    /// Replaces the capacity schedule from now on.
-    pub(crate) fn set_schedule(&mut self, schedule: Option<LinkSchedule>) {
+    /// Takes `schedule` from now on, and `loss` with its chaos RNG seeded
+    /// as construction would seed it, unless `loss` is the loss in force,
+    /// whose stream then runs on.
+    pub(crate) fn adopt(&mut self, schedule: Option<LinkSchedule>, loss: Option<SignalLoss>) {
         self.schedule = schedule;
-    }
-
-    /// Replaces the signal-loss profile and reseeds the chaos RNG from it,
-    /// exactly as construction would have.
-    pub(crate) fn set_loss(&mut self, loss: Option<SignalLoss>) {
-        self.loss = loss;
-        self.rng = Rng::new(loss.map_or(0, |l| l.seed));
+        if loss != self.loss {
+            self.loss = loss;
+            self.rng = Rng::new(loss.map_or(0, |l| l.seed));
+        }
     }
 }

@@ -46,20 +46,24 @@ use workload::{JobProgress, JobSpec, PhaseNoise};
 /// run is observed but no trace interval is configured.
 const DEFAULT_SAMPLE_INTERVAL: Dur = Dur::from_micros(500);
 
+/// Simulation step. 5 µs resolves the 50–125 µs DCQCN time constants.
+const DT: Dur = Dur::from_micros(5);
+
+/// Packet size that converts fluid bytes into "packets" for the
+/// marking-probability computation (the RoCE default).
+const MTU_BYTES: f64 = 1024.0;
+
+/// DCQCN parameters each job's controller is built from, at the link's
+/// line rate (variants override them per job).
+const BASE_PARAMS: DcqcnParams = DcqcnParams::testbed_default();
+
 /// Configuration of the rate-based engine.
 #[derive(Debug, Clone)]
 pub struct RateSimConfig {
     /// Bottleneck link capacity (also the default NIC line rate).
     pub capacity: Bandwidth,
-    /// Simulation step. 5 µs resolves the 50–125 µs DCQCN time constants.
-    pub dt: Dur,
     /// ECN marking curve of the bottleneck queue.
     pub marker: RedMarker,
-    /// Base DCQCN parameters (variants override per job).
-    pub base_params: DcqcnParams,
-    /// Packet size used to convert fluid bytes into "packets" for the
-    /// marking-probability computation (RoCE default 1024 B).
-    pub mtu_bytes: f64,
     /// Marking noise in `[0, 1)`. The fluid CP accumulates *expected*
     /// marked packets per flow and fires deterministically when the
     /// accumulator crosses 1 — this keeps two identical fair jobs exactly
@@ -88,10 +92,7 @@ impl Default for RateSimConfig {
     fn default() -> RateSimConfig {
         RateSimConfig {
             capacity: Bandwidth::from_gbps(50),
-            dt: Dur::from_micros(5),
             marker: RedMarker::default_50g(),
-            base_params: DcqcnParams::testbed_default(),
-            mtu_bytes: 1024.0,
             mark_noise: 0.0,
             seed: 1,
             restart_on_phase: true,
@@ -146,11 +147,17 @@ pub(crate) fn cc_state_of(cc: &dyn CcAlgorithm) -> CcState {
     }
 }
 
+/// A fresh controller running `variant` on a link of `capacity`.
+fn controller(variant: CcVariant, capacity: Bandwidth) -> Box<dyn CcAlgorithm> {
+    variant.build(BASE_PARAMS.with_line_rate(capacity))
+}
+
 #[derive(Clone)]
 struct JobState {
     job: Job,
-    /// The job's live congestion controller, built from its
-    /// [`CcVariant`] spec.
+    /// The congestion-control behaviour `cc` runs.
+    variant: CcVariant,
+    /// The job's live congestion controller, built from `variant`.
     cc: Box<dyn CcAlgorithm>,
     /// `cc.reacts_to_marks()`, cached: refreshed whenever `cc` is replaced.
     marks: bool,
@@ -278,9 +285,8 @@ impl RateState {
             active,
             ..
         } = self;
-        let dt = cfg.dt;
-        let dt_secs = dt.as_secs_f64();
-        let t_end = *now + dt;
+        let dt_secs = DT.as_secs_f64();
+        let t_end = *now + DT;
 
         // 1. Injection at the controllers' rates (capped by the phase
         // residual), summing the link's backlog.
@@ -323,7 +329,7 @@ impl RateState {
             if !(mark_p > 0.0 && js.marks && js.delivered > 0.0) {
                 continue;
             }
-            let packets = js.delivered / cfg.mtu_bytes;
+            let packets = js.delivered / MTU_BYTES;
             js.expected_marks += packets * mark_p;
             if js.expected_marks < js.mark_threshold {
                 continue;
@@ -388,7 +394,7 @@ impl RateState {
                 let sent = js.phase_bytes - progress.remaining_bytes();
                 js.cc.on_phase_progress(sent / js.phase_bytes);
             }
-            js.cc.advance(dt, js.delivered, delay);
+            js.cc.advance(DT, js.delivered, delay);
             if communicating && js.delivered > 0.0 {
                 js.traced_bytes += js.delivered;
                 let finished = progress.deliver(js.delivered, t_end).is_some();
@@ -417,14 +423,13 @@ impl RateState {
     /// Advances the idle delay-sensing controllers through `lag` earlier
     /// steps without queueing delay, then one step of `delay`.
     fn sense_delay(&mut self, lag: u64, delay: Dur) {
-        let dt = self.cfg.dt;
         for &i in &self.idle {
             let js = &mut self.jobs[i];
             if !js.marks {
                 if lag > 0 {
-                    js.cc.advance(dt * lag, 0.0, Dur::ZERO);
+                    js.cc.advance(DT * lag, 0.0, Dur::ZERO);
                 }
-                js.cc.advance(dt, 0.0, delay);
+                js.cc.advance(DT, 0.0, delay);
             }
         }
     }
@@ -433,12 +438,11 @@ impl RateState {
     /// mark-reactive one through all of them, a delay-sensing one through
     /// the last `lag`, which had no queueing delay.
     fn catch_up_idle(&mut self, taken: u64, lag: u64) {
-        let dt = self.cfg.dt;
         for &i in &self.idle {
             let js = &mut self.jobs[i];
             let n = if js.marks { taken } else { lag };
             if n > 0 {
-                js.cc.advance(dt * n, 0.0, Dur::ZERO);
+                js.cc.advance(DT * n, 0.0, Dur::ZERO);
             }
         }
     }
@@ -448,8 +452,7 @@ impl RateSimulator {
     /// Builds an unobserved simulator for `jobs` sharing the bottleneck.
     ///
     /// # Panics
-    /// Panics if `jobs` is empty, `dt` is zero, or `mark_noise` is outside
-    /// `[0, 1)`.
+    /// Panics if `jobs` is empty or `mark_noise` is outside `[0, 1)`.
     pub fn new(cfg: RateSimConfig, jobs: &[RateJob]) -> RateSimulator {
         RateSimulator::with_recorder(cfg, jobs, NoopRecorder)
     }
@@ -459,13 +462,12 @@ impl<R: Recorder> RateSimulator<R> {
     /// Builds a simulator whose instrumentation feeds `rec`.
     ///
     /// # Panics
-    /// Panics if `jobs` is empty, `dt` is zero, or `mark_noise` is outside
-    /// `[0, 1)` (NaN included): the engine skips the marking pass at zero
-    /// marking probability, which is exact only while every CNP threshold
-    /// is positive.
+    /// Panics if `jobs` is empty or `mark_noise` is outside `[0, 1)` (NaN
+    /// included): the engine skips the marking pass at zero marking
+    /// probability, which is exact only while every CNP threshold is
+    /// positive.
     pub fn with_recorder(mut cfg: RateSimConfig, jobs: &[RateJob], mut rec: R) -> RateSimulator<R> {
         assert!(!jobs.is_empty(), "RateSimulator: no jobs");
-        assert!(!cfg.dt.is_zero(), "RateSimulator: zero dt");
         assert!(
             (0.0..1.0).contains(&cfg.mark_noise),
             "RateSimulator: mark_noise {} outside [0, 1)",
@@ -479,8 +481,7 @@ impl<R: Recorder> RateSimulator<R> {
         let states = jobs
             .iter()
             .map(|j| {
-                let params = cfg.base_params.with_line_rate(cfg.capacity);
-                let cc = j.variant.build(params);
+                let cc = controller(j.variant, cfg.capacity);
                 JobState {
                     job: Job::new(
                         JobProgress::with_noise(
@@ -491,9 +492,10 @@ impl<R: Recorder> RateSimulator<R> {
                         ),
                         j.depart_at,
                     ),
+                    variant: j.variant,
                     marks: cc.reacts_to_marks(),
                     cc,
-                    np: NotificationPoint::new(cfg.base_params.cnp_interval),
+                    np: NotificationPoint::new(BASE_PARAMS.cnp_interval),
                     adaptive: j.variant.wants_progress(),
                     phase_bytes: 0.0,
                     to_inject: 0.0,
@@ -640,15 +642,14 @@ impl<R: Recorder> RateSimulator<R> {
     /// standing queue.
     fn run_traffic(&mut self, k: u64, bps: f64, solo: bool) -> (u64, u64, f64) {
         let st = &mut self.st;
-        let dt = st.cfg.dt;
-        let service = bps * dt.as_secs_f64() / 8.0;
+        let service = bps * DT.as_secs_f64() / 8.0;
         let idle_senses = st.idle.iter().any(|&i| !st.jobs[i].marks);
         let (mut taken, mut lag, mut empty) = (0, 0, 0);
         let mut standing = 0.0;
         while taken < k {
             let step = st.traffic(&mut self.rec, service, bps);
             taken += 1;
-            st.now += dt;
+            st.now += DT;
             if idle_senses && !step.delay.is_zero() {
                 st.sense_delay(lag, step.delay);
                 lag = 0;
@@ -676,7 +677,7 @@ impl<R: Recorder> RateSimulator<R> {
     /// the capacity multiplier changes at `now`, which a step must record.
     fn window_steps(&self, end: Time) -> u64 {
         let now = self.st.now.as_nanos();
-        let dt = self.st.cfg.dt.as_nanos();
+        let dt = DT.as_nanos();
         // Whole steps from `now` that start strictly before `t`, and that
         // end strictly before it.
         let starting_before = |t: Time| t.as_nanos().saturating_sub(now).div_ceil(dt);
@@ -729,7 +730,7 @@ impl<R: Recorder> RateSimulator<R> {
         if k < 2 {
             return 0;
         }
-        let span = Dur::from_nanos(k * self.st.cfg.dt.as_nanos());
+        let span = Dur::from_nanos(k * DT.as_nanos());
         for js in &mut self.st.jobs {
             js.cc.advance(span, 0.0, Dur::ZERO);
         }
@@ -817,44 +818,39 @@ impl<R: Recorder> RateSimulator<R> {
         reached(&self.st.jobs)
     }
 
-    /// Replaces job `i`'s congestion-control variant with a freshly built
-    /// controller, as if the job restarted its transport (rate resets to
-    /// line rate on the next phase restart; CNP pacing state clears).
-    /// Forked sweeps use this to vary the Fig. 1 variant matrix from a
-    /// shared prefix.
-    pub fn set_cc_variant(&mut self, i: usize, variant: CcVariant) {
-        let params = self.st.cfg.base_params.with_line_rate(self.st.cfg.capacity);
-        let js = &mut self.st.jobs[i];
-        js.cc = variant.build(params);
-        js.marks = js.cc.reacts_to_marks();
-        js.adaptive = variant.wants_progress();
-        js.np.reset();
+    /// Takes `jobs`' and `cfg`'s chaos data onto a running engine, as a
+    /// run resumed at a fork barrier needs it: each job's phase noise
+    /// (from its next iteration rollover) and departure, and the
+    /// bottleneck's capacity schedule and signal loss from now on. A job
+    /// whose variant differs from the one it runs gets a fresh controller,
+    /// as if its transport restarted (line rate at its next phase restart,
+    /// CNP pacing cleared). Start offsets and the rest of `cfg` stay the
+    /// engine's. With the jobs and config the engine was built from, it
+    /// changes nothing.
+    ///
+    /// # Panics
+    /// Panics unless `jobs` has one entry per engine job.
+    pub fn adopt(&mut self, jobs: &[RateJob], cfg: &RateSimConfig) {
+        assert_eq!(
+            jobs.len(),
+            self.st.jobs.len(),
+            "RateSimulator::adopt: job count"
+        );
+        for (js, j) in self.st.jobs.iter_mut().zip(jobs) {
+            if js.variant != j.variant {
+                js.variant = j.variant;
+                js.cc = controller(j.variant, self.st.cfg.capacity);
+                js.marks = js.cc.reacts_to_marks();
+                js.adaptive = j.variant.wants_progress();
+                js.np.reset();
+            }
+            js.job.progress.set_noise(j.noise);
+            js.job.depart_at = j.depart_at;
+        }
         self.st.senses_delay = self.st.jobs.iter().any(|js| !js.marks);
-    }
-
-    /// Injects (or clears) per-iteration phase noise for job `i`, taking
-    /// effect at its next iteration rollover.
-    pub fn set_noise(&mut self, i: usize, noise: Option<PhaseNoise>) {
-        self.st.jobs[i].job.progress.set_noise(noise);
-    }
-
-    /// Schedules job `i` to leave the cluster at the first compute-phase
-    /// instant at/after `at` (or cancels a pending departure). Ignored if
-    /// the job already departed.
-    pub fn set_depart_at(&mut self, i: usize, at: Option<Time>) {
-        self.st.jobs[i].job.depart_at = at;
-    }
-
-    /// Replaces the bottleneck's capacity schedule (fault-injection
-    /// degradation windows and flaps) from now on.
-    pub fn set_capacity_schedule(&mut self, schedule: Option<LinkSchedule>) {
-        self.st.faults.set_schedule(schedule);
-    }
-
-    /// Replaces the signal-loss profile and reseeds the chaos RNG from it,
-    /// exactly as construction would have.
-    pub fn set_signal_loss(&mut self, loss: Option<SignalLoss>) {
-        self.st.faults.set_loss(loss);
+        self.st
+            .faults
+            .adopt(cfg.capacity_schedule.clone(), cfg.signal_loss);
     }
 }
 
@@ -1200,7 +1196,6 @@ mod tests {
             RateSimConfig::default(),
             &[RateJob::new(spec, CcVariant::Fair)],
         );
-        let dt = sim.st.cfg.dt;
         let deadline = Time::ZERO + spec.compute_time();
         let end = Time::ZERO + Dur::from_secs(1);
 
@@ -1209,8 +1204,8 @@ mod tests {
         sim.st.jobs[0].backlog = 0.0;
 
         assert!(sim.skip_idle_steps(end) > 0);
-        assert!(sim.now() >= deadline && sim.now() < deadline + dt);
-        assert_eq!(sim.now().as_nanos(), sim.steps() * dt.as_nanos());
+        assert!(sim.now() >= deadline && sim.now() < deadline + DT);
+        assert_eq!(sim.now().as_nanos(), sim.steps() * DT.as_nanos());
         assert_eq!(
             sim.skip_idle_steps(end),
             0,
@@ -1257,7 +1252,7 @@ mod tests {
         assert_eq!(sim.steps(), steps + taken);
         assert!(!sim.progress(0).is_communicating());
         assert_eq!(sim.progress(0).iterations()[0].completed, sim.now());
-        assert_eq!(sim.now().as_nanos(), sim.steps() * sim.st.cfg.dt.as_nanos());
+        assert_eq!(sim.now().as_nanos(), sim.steps() * DT.as_nanos());
     }
 
     /// A capacity degradation window slows delivery while open and the
@@ -1392,6 +1387,65 @@ mod tests {
             assert_eq!(whole.rate_trace(i), resumed.rate_trace(i));
         }
         assert_eq!(whole.queue_trace(), resumed.queue_trace());
+    }
+
+    /// Adopting the jobs and config the engine was built from changes
+    /// nothing, noise, departures, capacity schedule and signal loss
+    /// included: the barrier step of every chaos-free forked run.
+    #[test]
+    fn adopting_the_build_data_is_a_no_op() {
+        use dcqcn::SignalLoss;
+        use telemetry::BufferRecorder;
+        use topology::LinkSchedule;
+        let ms = |n| Time::ZERO + Dur::from_millis(n);
+        let jobs = [
+            RateJob {
+                noise: Some(PhaseNoise {
+                    seed: 5,
+                    job: 0,
+                    compute_jitter: 0.1,
+                    comm_jitter: 0.1,
+                    straggler_prob: 0.3,
+                    straggler_factor: 2.0,
+                }),
+                depart_at: Some(ms(1200)),
+                ..RateJob::new(
+                    vgg19(1200),
+                    CcVariant::StaticUnfair {
+                        timer: Dur::from_micros(100),
+                    },
+                )
+            },
+            RateJob::new(vgg19(1400), CcVariant::Fair),
+        ];
+        let cfg = RateSimConfig {
+            capacity_schedule: Some(LinkSchedule::degraded(ms(200), ms(600), 0.5)),
+            signal_loss: Some(SignalLoss {
+                mark_loss: 0.2,
+                cnp_loss: 0.2,
+                seed: 9,
+            }),
+            ..RateSimConfig::default()
+        };
+        let mut prefix = RateSimulator::with_recorder(cfg.clone(), &jobs, BufferRecorder::new());
+        prefix.run_for(Dur::from_millis(300));
+        let snap = prefix.snapshot().unwrap();
+        let resume = |adopt: bool| {
+            let mut rec = BufferRecorder::new();
+            let mut sim: RateSimulator<&mut BufferRecorder> =
+                Engine::restore(snap.clone(), &mut rec).unwrap();
+            if adopt {
+                sim.adopt(&jobs, &cfg);
+            }
+            sim.run_until(ms(2000));
+            let times: Vec<_> = (0..2).map(|i| sim.progress(i).iteration_times()).collect();
+            assert!(sim.departed(0));
+            drop(sim);
+            (rec.events().to_vec(), times)
+        };
+        let (events, times) = resume(false);
+        assert!(events.iter().any(|e| e.event.kind() == "link_capacity"));
+        assert_eq!((events, times), resume(true));
     }
 
     /// A snapshot from a different layout version is rejected with a typed

@@ -49,7 +49,7 @@ use std::error::Error;
 use std::fmt;
 
 /// Current snapshot layout version, shared by all three engines.
-pub const SNAPSHOT_VERSION: u32 = 4;
+pub const SNAPSHOT_VERSION: u32 = 5;
 
 /// Why a snapshot could not be taken or restored. All misuse surfaces as
 /// one of these — never a panic.

@@ -331,7 +331,7 @@ proptest! {
         ];
         let per = a.iteration_time_at(LINE).max(b.iteration_time_at(LINE));
         let horizon = per * 10;
-        chaos::apply_rate(&chaos_cfg, &mut jobs, &mut sim_cfg, horizon);
+        chaos::apply_rate(&chaos_cfg, &mut jobs, &mut sim_cfg, horizon, Dur::ZERO);
         let schedule = sim_cfg
             .capacity_schedule
             .clone()
