@@ -829,30 +829,6 @@ impl<R: Recorder> FluidSimulator<R> {
         FluidSimulator { st, rec }
     }
 
-    /// Instantaneous utilization of link `l` (allocated rate over
-    /// capacity, in `[0, 1]`) under the current allocation.
-    ///
-    /// # Panics
-    /// Panics if `l` is out of range or the link has zero capacity.
-    pub fn link_utilization(&self, l: topology::LinkId) -> f64 {
-        let st = &self.st;
-        let idx = l.0 as usize;
-        assert!(idx < st.capacities.len(), "unknown link {l}");
-        let cap = st.capacities[idx];
-        assert!(cap > 0.0, "link {l} has zero capacity");
-        let Some((c, local)) = st.link_owner[idx] else {
-            return 0.0;
-        };
-        let allocated: f64 = st.comps[c as usize]
-            .jobs
-            .iter()
-            .flat_map(|&j| st.arena.job_range(j))
-            .filter(|&f| st.arena.links_of(f).contains(&(local as usize)))
-            .map(|f| st.arena.rate[f])
-            .sum();
-        allocated / cap
-    }
-
     /// Reconstructs every job's flows in the legacy array-of-structs
     /// layout — the differential-oracle view of the SoA arena, with link
     /// ids mapped back to the topology's. Test and validation code diffs
@@ -1474,6 +1450,11 @@ impl<R: Recorder> Engine for FluidSimulator<R> {
                 what: "last-rate count mismatches jobs",
             });
         }
+        if !st.spans.fits::<R>(st.jobs.len()) {
+            return Err(SnapshotError::Malformed {
+                what: "span state does not fit the recorder",
+            });
+        }
         (st.comp_of_job, st.link_owner) = st.validate_components()?;
         Ok(FluidSimulator { st, rec })
     }
@@ -1800,28 +1781,6 @@ mod tests {
             let got = median_ms(&sim, j, 0);
             assert!((got - solo).abs() < 0.5, "job {j}: {got:.2} vs {solo:.2}");
         }
-    }
-
-    #[test]
-    fn link_utilization_reflects_allocation() {
-        let spec = JobSpec::reference(Model::Vgg19, 1200);
-        let (mut sim, t) = two_job_setup(spec, spec, FluidConfig::fair());
-        let bottleneck = t
-            .node_by_name("tor-left")
-            .and_then(|n| {
-                t.out_links(n)
-                    .iter()
-                    .copied()
-                    .find(|&l| t.node(t.link(l).dst).name == "tor-right")
-            })
-            .expect("dumbbell bottleneck");
-        // During compute: idle.
-        sim.run_for(Dur::from_millis(10));
-        assert_eq!(sim.link_utilization(bottleneck), 0.0);
-        // Mid-overlap: both jobs communicating → fully utilized.
-        sim.run_for(Dur::from_millis(150)); // compute ends at 142.6 ms
-        let u = sim.link_utilization(bottleneck);
-        assert!((u - 1.0).abs() < 1e-9, "contended utilization {u}");
     }
 
     #[test]

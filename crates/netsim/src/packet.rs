@@ -54,8 +54,6 @@ pub struct PacketSimConfig {
     /// Marking RNG seed (packet marking is genuinely per-packet random
     /// here — the packet engine is where that physics lives).
     pub seed: u64,
-    /// Restart flows at line rate on each communication phase.
-    pub restart_on_phase: bool,
     /// Packets coalesced per sender/dequeue event (a "packet train").
     /// `1` is the exact per-packet engine; larger values trade event count
     /// for a bounded marking/pacing approximation (capped at
@@ -137,7 +135,6 @@ impl Default for PacketSimConfig {
             capacity: Bandwidth::from_gbps(50),
             marker: RedMarker::default_50g(),
             seed: 1,
-            restart_on_phase: true,
             train_packets: 1,
             capacity_schedule: None,
             signal_loss: None,
@@ -428,20 +425,20 @@ impl<R: Recorder> PacketSimulator<R> {
                 }
                 let f = &mut self.st.flows[i];
                 if f.job.poll(&mut self.rec, &mut self.st.spans, now, i) {
+                    // A new phase restarts the flow at line rate (RDMA
+                    // message semantics).
                     f.to_send = f.job.progress.remaining_bytes();
-                    if self.st.cfg.restart_on_phase {
-                        f.rp.restart();
-                        f.np.reset();
-                        if R::ENABLED {
-                            self.rec.record(
-                                now,
-                                Event::RateChange {
-                                    flow: i as u32,
-                                    bps: f.rp.rate(),
-                                    state: CcState::Restart,
-                                },
-                            );
-                        }
+                    f.rp.restart();
+                    f.np.reset();
+                    if R::ENABLED {
+                        self.rec.record(
+                            now,
+                            Event::RateChange {
+                                flow: i as u32,
+                                bps: f.rp.rate(),
+                                state: CcState::Restart,
+                            },
+                        );
                     }
                     self.arm_sender(i, now);
                 } else if let Some(t) = f.job.progress.next_self_transition() {
@@ -620,6 +617,25 @@ impl<R: Recorder> PacketSimulator<R> {
         }
     }
 
+    /// Handles events up to `stop`, or until every job has finished `n`
+    /// iterations, and returns whether they have. The one loop behind both
+    /// run entry points.
+    fn run_loop(&mut self, stop: Time, n: Option<usize>) -> bool {
+        let wall = R::ENABLED.then(std::time::Instant::now);
+        let before = (self.st.events_processed, self.st.packets_sent);
+        let mut in_runs = 0;
+        let reached = |flows: &[FlowState]| n.is_some_and(|n| flows.iter().all(|f| f.job.done(n)));
+        while !reached(&self.st.flows) {
+            let Some(e) = self.st.events.pop_until(stop) else {
+                break;
+            };
+            self.st.events_processed += 1;
+            self.handle(e.event, e.at, &mut in_runs);
+        }
+        self.record_run(wall, before, in_runs);
+        reached(&self.st.flows)
+    }
+
     /// Reports a finished run loop to the recorder: the `netsim.packet`
     /// span, the events handled and the packets sent since `before`
     /// (`(events, packets)`), and how many of those packets were enqueued
@@ -691,34 +707,11 @@ impl<R: Recorder> Engine for PacketSimulator<R> {
     }
 
     fn run_until(&mut self, t_stop: Time) {
-        let wall = R::ENABLED.then(std::time::Instant::now);
-        let before = (self.st.events_processed, self.st.packets_sent);
-        let mut in_runs = 0;
-        while let Some(e) = self.st.events.pop_until(t_stop) {
-            self.st.events_processed += 1;
-            self.handle(e.event, e.at, &mut in_runs);
-        }
-        self.record_run(wall, before, in_runs);
+        self.run_loop(t_stop, None);
     }
 
     fn run_until_iterations(&mut self, n: usize, max_span: Dur) -> bool {
-        let wall = R::ENABLED.then(std::time::Instant::now);
-        let before = (self.st.events_processed, self.st.packets_sent);
-        let mut in_runs = 0;
-        let stop = self.now() + max_span;
-        let reached = |flows: &[FlowState]| flows.iter().all(|f| f.job.done(n));
-        let done = loop {
-            if reached(&self.st.flows) {
-                break true;
-            }
-            let Some(e) = self.st.events.pop_until(stop) else {
-                break reached(&self.st.flows);
-            };
-            self.st.events_processed += 1;
-            self.handle(e.event, e.at, &mut in_runs);
-        };
-        self.record_run(wall, before, in_runs);
-        done
+        self.run_loop(self.now() + max_span, Some(n))
     }
 
     fn recorder(&self) -> &R {
@@ -747,6 +740,11 @@ impl<R: Recorder> Engine for PacketSimulator<R> {
         if st.busy && st.fifo.is_empty() {
             return Err(SnapshotError::Malformed {
                 what: "link busy with an empty FIFO",
+            });
+        }
+        if !st.spans.fits::<R>(st.flows.len()) {
+            return Err(SnapshotError::Malformed {
+                what: "span state does not fit the recorder",
             });
         }
         Ok(PacketSimulator { st, rec })

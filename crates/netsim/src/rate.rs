@@ -18,16 +18,16 @@
 //! A step is three parts: the compute-deadline and departure polls, one
 //! traffic kernel (injection, pro-rata FIFO service, marking and CNPs,
 //! controller advance, delivery) over the jobs that communicate or hold
-//! queued bytes, and the trace and telemetry samples. The run loops take
-//! most steps faster than [`RateSimulator::step`] without changing a bit
-//! of output: idle stretches (every job computing, queue empty) are
-//! jumped in one controller advance, and any other stretch in which no
-//! poll or sample falls due is a stepping window that runs the kernel
-//! alone, however many jobs communicate, until a phase ends. Inside a
-//! window a computing job's controller only moves its clock, so it
-//! catches up once afterwards, except that a delay-sensing one is
-//! advanced through each step whose queue stands. Every other step is a
-//! full `step`.
+//! queued bytes, and the samples (throughput traces and telemetry, on one
+//! clock). The run loops take most steps faster than
+//! [`RateSimulator::step`] without changing a bit of output: any stretch
+//! in which no poll or sample falls due is a stepping window. An idle
+//! window (every job computing, queue empty) is one controller advance;
+//! any other runs the kernel alone, however many jobs communicate, until
+//! a phase ends. Inside a window a computing job's controller only moves
+//! its clock, so it catches up once afterwards, except that a
+//! delay-sensing one is advanced through each step whose queue stands.
+//! Every other step is a full `step`.
 
 use crate::fault::BottleneckFaults;
 use crate::job::{self, Job};
@@ -76,8 +76,8 @@ pub struct RateSimConfig {
     /// Whether a job's flow restarts at line rate when a new communication
     /// phase begins (RDMA message semantics; see [`dcqcn::DcqcnRp::restart`]).
     pub restart_on_phase: bool,
-    /// If set, per-job throughput and queue traces are recorded at this
-    /// granularity.
+    /// If set, per-job throughput traces are recorded at this granularity
+    /// (and observed runs sample telemetry at it).
     pub trace_interval: Option<Dur>,
     /// Fault injection: a time-varying multiplier on the bottleneck
     /// capacity (degradation windows, up/down flaps). `None` is the exact
@@ -187,7 +187,7 @@ struct JobState {
 /// Steps a run loop took in each mode (the rest were full steps).
 #[derive(Default)]
 struct StepSplit {
-    /// Jumped while every job computed.
+    /// Window steps in which no job communicated or held queued bytes.
     idle: u64,
     /// Window steps with one job sending into an empty, unmarked queue.
     solo: u64,
@@ -226,11 +226,11 @@ struct RateState {
     now: Time,
     jobs: Vec<JobState>,
     rng: Rng,
-    queue_trace: TimeSeries,
     rate_traces: Vec<TimeSeries>,
-    next_trace_at: Time,
     /// Typed-span emission state (empty when `R` is disabled).
     spans: SpanTracker,
+    /// When the next trace and telemetry sample falls due (unused while
+    /// the run is unobserved and untraced).
     next_sample_at: Time,
     steps: u64,
     /// The bottleneck's capacity schedule and signal loss.
@@ -515,9 +515,7 @@ impl<R: Recorder> RateSimulator<R> {
             now: Time::ZERO,
             senses_delay: states.iter().any(|js| !js.marks),
             jobs: states,
-            queue_trace: TimeSeries::new(),
             rate_traces: (0..n).map(|_| TimeSeries::new()).collect(),
-            next_trace_at: Time::ZERO,
             spans,
             next_sample_at: Time::ZERO,
             steps: 0,
@@ -533,12 +531,7 @@ impl<R: Recorder> RateSimulator<R> {
         &self.st.rate_traces[i]
     }
 
-    /// Bottleneck queue-depth trace (bytes), if tracing is enabled.
-    pub fn queue_trace(&self) -> &TimeSeries {
-        &self.st.queue_trace
-    }
-
-    /// Total steps taken so far, idle steps skipped in bulk included.
+    /// Total steps taken so far, window steps included.
     pub fn steps(&self) -> u64 {
         self.st.steps
     }
@@ -585,25 +578,24 @@ impl<R: Recorder> RateSimulator<R> {
         st.sort_jobs();
         let (_, _, standing_queue) = self.run_traffic(1, effective_bps, false);
 
-        // 4. Traces.
+        // 4. Samples, on one clock: each job's throughput trace (traced
+        // runs) and the queue depth plus each communicating flow's rate,
+        // tagged with its DCQCN increase stage (observed runs).
         let st = &mut self.st;
         let t_end = st.now;
+        let sampled = R::ENABLED || st.cfg.trace_interval.is_some();
+        if !(sampled && t_end >= st.next_sample_at) {
+            return;
+        }
         if let Some(interval) = st.cfg.trace_interval {
-            if t_end >= st.next_trace_at {
-                let span = interval.as_secs_f64();
-                for (i, js) in st.jobs.iter_mut().enumerate() {
-                    let gbps = js.traced_bytes * 8.0 / span / 1e9;
-                    st.rate_traces[i].push(t_end, gbps);
-                    js.traced_bytes = 0.0;
-                }
-                st.queue_trace.push(t_end, standing_queue);
-                st.next_trace_at = t_end + interval;
+            let span = interval.as_secs_f64();
+            for (i, js) in st.jobs.iter_mut().enumerate() {
+                let gbps = js.traced_bytes * 8.0 / span / 1e9;
+                st.rate_traces[i].push(t_end, gbps);
+                js.traced_bytes = 0.0;
             }
         }
-
-        // 5. Telemetry sampling (observed runs only): queue depth plus each
-        // communicating flow's rate, tagged with its DCQCN increase stage.
-        if R::ENABLED && t_end >= st.next_sample_at {
+        if R::ENABLED {
             self.rec.record(
                 t_end,
                 Event::QueueDepth {
@@ -623,9 +615,8 @@ impl<R: Recorder> RateSimulator<R> {
                     );
                 }
             }
-            let interval = st.cfg.trace_interval.unwrap_or(DEFAULT_SAMPLE_INTERVAL);
-            st.next_sample_at = t_end + interval;
         }
+        st.next_sample_at = t_end + st.cfg.trace_interval.unwrap_or(DEFAULT_SAMPLE_INTERVAL);
     }
 
     /// Up to `k` steps of traffic at link capacity `bps`, over the jobs
@@ -673,8 +664,8 @@ impl<R: Recorder> RateSimulator<R> {
     /// the same grid as [`step`](Self::step): each starts before `end`,
     /// before every computing job's compute deadline and departure, and
     /// before the next capacity-schedule change, and ends before the next
-    /// trace sample and (observed runs) the next telemetry sample. 0 when
-    /// the capacity multiplier changes at `now`, which a step must record.
+    /// sample (traced or observed runs). 0 when the capacity multiplier
+    /// changes at `now`, which a step must record.
     fn window_steps(&self, end: Time) -> u64 {
         let now = self.st.now.as_nanos();
         let dt = DT.as_nanos();
@@ -700,65 +691,47 @@ impl<R: Recorder> RateSimulator<R> {
         if let Some(change) = self.st.faults.next_change(self.st.now) {
             k = k.min(starting_before(change));
         }
-        if self.st.cfg.trace_interval.is_some() {
-            k = k.min(ending_before(self.st.next_trace_at));
-        }
-        if R::ENABLED {
+        if R::ENABLED || self.st.cfg.trace_interval.is_some() {
             k = k.min(ending_before(self.st.next_sample_at));
         }
         k
     }
 
-    /// Exact idle fast-forward: while every job is computing (or departed)
-    /// and the link queue is empty, a base step only advances the
-    /// controllers' clocks with no traffic and no queue. Takes `k ≥ 2`
-    /// such steps of the [`window_steps`](Self::window_steps) bound at
-    /// once, as one `advance(k·dt, 0, 0)` per controller — which fires the
-    /// same timer events in the same order as `k` separate advances, so
-    /// the run stays bit-identical to stepping. Returns the steps taken:
-    /// 0 (having done nothing) when fewer than two qualify.
-    fn skip_idle_steps(&mut self, end: Time) -> u64 {
-        if self
-            .st
-            .jobs
-            .iter()
-            .any(|j| j.job.progress.is_communicating() || j.backlog != 0.0)
-        {
-            return 0;
-        }
-        let k = self.window_steps(end);
-        if k < 2 {
-            return 0;
-        }
-        let span = Dur::from_nanos(k * DT.as_nanos());
-        for js in &mut self.st.jobs {
-            js.cc.advance(span, 0.0, Dur::ZERO);
-        }
-        self.st.steps += k;
-        self.st.now += span;
-        k
-    }
-
-    /// Exact stepping window: while some job communicates or holds queued
-    /// bytes, runs [`run_traffic`](Self::run_traffic) for the
-    /// [`window_steps`](Self::window_steps) bound, whatever the number of
-    /// communicators. Inside the bound no compute deadline, departure,
-    /// capacity change, trace or telemetry sample falls due, so a step is
-    /// `step()` without its polls and its tail; the window stops after a
-    /// step that ends a phase, which moves a deadline. Tallies the steps
-    /// in `split` (split exactly in observed runs): solo while one job
-    /// sends alone into an empty queue that the marker leaves unmarked,
-    /// contended otherwise. Returns the steps taken, 0 if none.
+    /// Exact stepping window: takes the
+    /// [`window_steps`](Self::window_steps) bound at once. Inside it no
+    /// compute deadline, departure, capacity change or sample falls due,
+    /// so a step is `step()` without its polls and its tail.
+    ///
+    /// - An idle window (no job communicates or holds queued bytes) only
+    ///   moves the controllers' clocks, as one `advance(k·dt, 0, 0)` per
+    ///   controller, which fires the same timer events in the same order as
+    ///   `k` separate advances. It needs `k ≥ 2`; a lone idle step is left
+    ///   to `step()`.
+    /// - Any other window runs [`run_traffic`](Self::run_traffic),
+    ///   whatever the number of communicators, and stops after a step that
+    ///   ends a phase, which moves a deadline.
+    ///
+    /// Tallies the steps in `split` (split exactly in observed runs): idle;
+    /// solo while one job sends alone into an empty queue that the marker
+    /// leaves unmarked; contended otherwise. Returns the steps taken, 0 if
+    /// none.
     fn run_window(&mut self, end: Time, split: &mut StepSplit) -> u64 {
         let communicating = self.st.sort_jobs();
-        if self.st.active.is_empty() {
-            return 0;
-        }
         let k = self.window_steps(end);
+        let st = &mut self.st;
+        if st.active.is_empty() {
+            if k < 2 {
+                return 0;
+            }
+            st.catch_up_idle(k, k);
+            st.steps += k;
+            st.now += DT * k;
+            split.idle += k;
+            return k;
+        }
         if k == 0 {
             return 0;
         }
-        let st = &self.st;
         let solo = communicating == 1
             && st.active.len() == 1
             && st.cfg.marker.mark_probability(0.0) == 0.0;
@@ -768,20 +741,6 @@ impl<R: Recorder> RateSimulator<R> {
         split.solo += empty;
         split.contended += taken - empty;
         taken
-    }
-
-    /// One pass of the run loops toward `end`: an idle jump, else a
-    /// stepping window, else one full step. Tallies the steps by mode in
-    /// `split`.
-    fn advance_toward(&mut self, end: Time, split: &mut StepSplit) {
-        let idle = self.skip_idle_steps(end);
-        if idle > 0 {
-            split.idle += idle;
-            return;
-        }
-        if self.run_window(end, split) == 0 {
-            self.step();
-        }
     }
 
     /// Reports a finished run loop to the recorder: the `netsim.rate` span
@@ -803,8 +762,9 @@ impl<R: Recorder> RateSimulator<R> {
     }
 
     /// Runs for `span`, or until every job has finished `n` iterations,
-    /// and returns whether they have. The one loop behind both run entry
-    /// points, so that `advance_toward` has one caller and is inlined.
+    /// and returns whether they have: a stepping window where one fits,
+    /// else a full step. The one loop behind both run entry points, so
+    /// that `run_window` has one caller and is inlined.
     fn run_loop(&mut self, span: Dur, n: Option<usize>) -> bool {
         let wall = R::ENABLED.then(std::time::Instant::now);
         let steps0 = self.st.steps;
@@ -812,7 +772,9 @@ impl<R: Recorder> RateSimulator<R> {
         let end = self.st.now + span;
         let reached = |jobs: &[JobState]| n.is_some_and(|n| jobs.iter().all(|j| j.job.done(n)));
         while self.st.now < end && !reached(&self.st.jobs) {
-            self.advance_toward(end, &mut split);
+            if self.run_window(end, &mut split) == 0 {
+                self.step();
+            }
         }
         self.record_run(wall, steps0, split);
         reached(&self.st.jobs)
@@ -929,6 +891,11 @@ impl<R: Recorder> Engine for RateSimulator<R> {
         if st.rate_traces.len() != st.jobs.len() {
             return Err(SnapshotError::Malformed {
                 what: "rate-trace count does not match job count",
+            });
+        }
+        if !st.spans.fits::<R>(st.jobs.len()) {
+            return Err(SnapshotError::Malformed {
+                what: "span state does not fit the recorder",
             });
         }
         Ok(RateSimulator { st, rec })
@@ -1079,7 +1046,6 @@ mod tests {
         assert!(t0.iter().all(|(_, v)| v <= 50.5));
         assert!(t0.max_value().unwrap() > 10.0);
         assert!(t1.max_value().unwrap() > 10.0);
-        assert!(!sim.queue_trace().is_empty());
     }
 
     /// Staggered starts shift the first communication phase.
@@ -1185,10 +1151,10 @@ mod tests {
         assert!((enters - exits).abs() <= 1, "enters {enters} exits {exits}");
     }
 
-    /// The idle fast-forward crosses a whole compute phase in one jump that
-    /// stays on the step grid and stops on the step that starts the
-    /// communication phase; it declines while any bytes are queued or any
-    /// job communicates.
+    /// An idle window crosses a whole compute phase in one jump that stays
+    /// on the step grid and stops on the step that starts the
+    /// communication phase; while any bytes are queued or any job
+    /// communicates, a window runs traffic instead.
     #[test]
     fn idle_skip_stops_on_the_deadline_step() {
         let spec = vgg19(1200);
@@ -1198,22 +1164,28 @@ mod tests {
         );
         let deadline = Time::ZERO + spec.compute_time();
         let end = Time::ZERO + Dur::from_secs(1);
+        let mut split = StepSplit::default();
 
-        sim.st.jobs[0].backlog = 0.25;
-        assert_eq!(sim.skip_idle_steps(end), 0, "jumped over queued bytes");
-        sim.st.jobs[0].backlog = 0.0;
+        let mut dusty = sim.snapshot().unwrap();
+        dusty.state.jobs[0].backlog = 0.25;
+        let mut dusty: RateSimulator = Engine::restore(dusty, NoopRecorder).unwrap();
+        assert!(dusty.run_window(end, &mut split) > 0);
+        assert_eq!(split.idle, 0, "jumped over queued bytes");
 
-        assert!(sim.skip_idle_steps(end) > 0);
+        let taken = sim.run_window(end, &mut split);
+        assert!(taken > 0);
+        assert_eq!(split.idle, taken);
         assert!(sim.now() >= deadline && sim.now() < deadline + DT);
         assert_eq!(sim.now().as_nanos(), sim.steps() * DT.as_nanos());
         assert_eq!(
-            sim.skip_idle_steps(end),
+            sim.run_window(end, &mut split),
             0,
             "a second jump past the deadline"
         );
         sim.step();
         assert!(sim.progress(0).is_communicating());
-        assert_eq!(sim.skip_idle_steps(end), 0);
+        assert!(sim.run_window(end, &mut split) > 0);
+        assert_eq!(split.idle, taken, "an idle window while communicating");
     }
 
     /// A lone communicator's whole phase is one window that ends on the
@@ -1232,12 +1204,9 @@ mod tests {
         );
         let end = Time::ZERO + Dur::from_secs(1);
         let mut split = StepSplit::default();
-        assert_eq!(
-            sim.run_window(end, &mut split),
-            0,
-            "no job communicates yet"
-        );
-        assert!(sim.skip_idle_steps(end) > 0);
+        let idle = sim.run_window(end, &mut split);
+        assert!(idle > 0);
+        assert_eq!(split.idle, idle, "no job communicates yet");
         sim.step();
         assert!(sim.progress(0).is_communicating());
 
@@ -1386,7 +1355,6 @@ mod tests {
             );
             assert_eq!(whole.rate_trace(i), resumed.rate_trace(i));
         }
-        assert_eq!(whole.queue_trace(), resumed.queue_trace());
     }
 
     /// Adopting the jobs and config the engine was built from changes

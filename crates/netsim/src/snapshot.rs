@@ -20,7 +20,9 @@
 //! holds at the telemetry byte level. The recorder itself is *not* part of
 //! the snapshot: restore takes a fresh recorder, and callers that need the
 //! merged stream replay the prefix recording into it (see
-//! `mlcc::forkcache::resume`).
+//! `mlcc::forkcache::resume`). An unobserved engine keeps no per-job span
+//! state, so its snapshot restores only into a disabled recorder; an
+//! enabled one is [`SnapshotError::Malformed`].
 //!
 //! # Barriers
 //!
@@ -49,7 +51,7 @@ use std::error::Error;
 use std::fmt;
 
 /// Current snapshot layout version, shared by all three engines.
-pub const SNAPSHOT_VERSION: u32 = 5;
+pub const SNAPSHOT_VERSION: u32 = 6;
 
 /// Why a snapshot could not be taken or restored. All misuse surfaces as
 /// one of these — never a panic.

@@ -69,6 +69,13 @@ impl SpanTracker {
         }
     }
 
+    /// Whether this state can drive recorder `R` for `jobs` jobs: a
+    /// disabled recorder never reads it, an enabled one needs one slot per
+    /// job, which a tracker built for a disabled recorder lacks.
+    pub fn fits<R: Recorder>(&self, jobs: usize) -> bool {
+        !R::ENABLED || self.open.len() == jobs
+    }
+
     /// Emits the span begins implied by `job` entering `phase` of
     /// iteration `iteration`. Call **before** recording the `PhaseEnter`.
     pub fn enter<R: Recorder>(

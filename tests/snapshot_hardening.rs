@@ -1,8 +1,9 @@
 //! Snapshot misuse surfaces as typed [`SnapshotError`]s — never a panic
 //! and never a silently-wrong restore. Exercises the public tamper
 //! surface for every engine: a snapshot from a different engine layout
-//! version, and a snapshot whose queue holds an event at or before the
-//! captured clock (not a clean barrier).
+//! version, a snapshot whose queue holds an event at or before the
+//! captured clock (not a clean barrier), and an unobserved engine's
+//! snapshot restored into a recording one.
 
 use dcqcn::CcVariant;
 use mlcc_repro::*;
@@ -13,7 +14,7 @@ use netsim::snapshot::{SnapshotError, SNAPSHOT_VERSION};
 use netsim::Engine;
 use simtime::{Bandwidth, Dur, Time};
 use std::error::Error;
-use telemetry::NoopRecorder;
+use telemetry::{BufferRecorder, NoopRecorder};
 use topology::builders::dumbbell;
 use workload::{JobSpec, Model};
 
@@ -56,7 +57,10 @@ fn fluid_snapshot() -> <FluidSimulator as Engine>::Snapshot {
 /// Extracts the error without requiring the simulator to be `Debug`.
 macro_rules! restore_err {
     ($sim:ty, $snap:expr) => {
-        match <$sim>::restore($snap, NoopRecorder) {
+        restore_err!($sim, $snap, NoopRecorder)
+    };
+    ($sim:ty, $snap:expr, $rec:expr) => {
+        match <$sim>::restore($snap, $rec) {
             Ok(_) => panic!("tampered snapshot restored cleanly"),
             Err(e) => e,
         }
@@ -91,6 +95,38 @@ fn mid_event_barrier_is_typed_for_queue_backed_engines() {
         panic!("expected MidEventBarrier, got {e}");
     };
     assert!(pending_at <= now, "stale event must not be in the future");
+}
+
+/// An unobserved engine keeps no per-job span state, so its snapshot
+/// cannot drive a recorder: restoring it observed is a typed error, not a
+/// panic at the first phase exit.
+#[test]
+fn unobserved_snapshot_rejects_a_recorder_for_every_engine() {
+    let errors = [
+        restore_err!(
+            RateSimulator<BufferRecorder>,
+            rate_snapshot(),
+            BufferRecorder::new()
+        ),
+        restore_err!(
+            PacketSimulator<BufferRecorder>,
+            packet_snapshot(),
+            BufferRecorder::new()
+        ),
+        restore_err!(
+            FluidSimulator<BufferRecorder>,
+            fluid_snapshot(),
+            BufferRecorder::new()
+        ),
+    ];
+    for e in errors {
+        assert_eq!(
+            e,
+            SnapshotError::Malformed {
+                what: "span state does not fit the recorder"
+            }
+        );
+    }
 }
 
 #[test]
