@@ -307,7 +307,8 @@ pub fn run_forked<R: ForkableRecorder>(
 /// aggressive timer, job 1 fair) under its chaos profile, from t = 0 or
 /// from a `(fork_at, replay)` barrier. Each cell records into its own
 /// buffer whatever the caller's recorder: the recovery analyzer needs the
-/// event stream.
+/// event stream. An enabled caller's recorder then receives the cell's
+/// events, counters and spans (each span total as one call).
 fn sweep<R: ForkableRecorder>(
     cfg: &ChaosSweepConfig,
     mut rec: R,
@@ -359,6 +360,12 @@ fn sweep<R: ForkableRecorder>(
             );
             for te in cell_rec.events() {
                 rec.record(te.at, te.event.clone());
+            }
+            for (&name, &n) in cell_rec.counts() {
+                rec.count(name, n);
+            }
+            for (&component, s) in cell_rec.spans() {
+                rec.span(component, s.wall, s.events);
             }
         }
         ChaosCell {

@@ -22,7 +22,7 @@
 
 use crate::alloc::{strict_priority_into, weighted_max_min_into, AllocScratch, FlowDemand};
 use crate::job::{self, Job};
-use crate::snapshot::{check_barrier, check_version, SnapshotError, SNAPSHOT_VERSION};
+use crate::snapshot::{check_barrier, SnapshotError};
 use crate::Engine;
 use dcqcn::CcVariant;
 use eventsim::EventQueue;
@@ -237,40 +237,6 @@ impl FlowArena {
     fn flow_count(&self) -> usize {
         self.fraction.len()
     }
-
-    /// Structural invariants a well-formed arena satisfies; `restore`
-    /// rejects a snapshot whose columns disagree.
-    fn validate(&self, job_count: usize) -> Result<(), SnapshotError> {
-        let n = self.flow_count();
-        if self.flow_off.len() != job_count + 1
-            || self.flow_off[0] != 0
-            || *self.flow_off.last().unwrap() as usize != n
-            || self.flow_off.windows(2).any(|w| w[0] > w[1])
-        {
-            return Err(SnapshotError::Malformed {
-                what: "flow arena job offsets",
-            });
-        }
-        if self.job_of.len() != n || self.remaining.len() != n || self.rate.len() != n {
-            return Err(SnapshotError::Malformed {
-                what: "flow arena column lengths disagree",
-            });
-        }
-        for (off, links) in [
-            (&self.link_off, &self.links),
-            (&self.solve_off, &self.solve_links),
-        ] {
-            if off.len() != n + 1
-                || *off.last().unwrap() as usize != links.len()
-                || off.windows(2).any(|w| w[0] > w[1])
-            {
-                return Err(SnapshotError::Malformed {
-                    what: "flow arena link offsets",
-                });
-            }
-        }
-        Ok(())
-    }
 }
 
 /// One link-disjoint component of the job set. Routes never change, so
@@ -454,46 +420,25 @@ fn binding_links(
     (0..m).filter(|&k| !dominated(k)).collect()
 }
 
-/// Each job's component, and each link's `(component, local id)`.
-type ComponentIndex = (Vec<u32>, Vec<Option<(u32, u32)>>);
-
 /// Where each job and link sits among the components: the job's
 /// component, and each link's `(component, local id)` (`None` for links no
-/// flow crosses). Checks that `comps` partition the jobs and own disjoint,
-/// ascending link sets, so a restored snapshot cannot alias state.
+/// flow crosses).
 fn index_components(
     comps: &[Component],
     job_count: usize,
     link_count: usize,
-) -> Result<ComponentIndex, SnapshotError> {
-    let malformed = |what| Err(SnapshotError::Malformed { what });
-    let mut comp_of_job = vec![u32::MAX; job_count];
+) -> (Vec<u32>, Vec<Option<(u32, u32)>>) {
+    let mut comp_of_job = vec![0; job_count];
     let mut link_owner = vec![None; link_count];
     for (c, comp) in comps.iter().enumerate() {
-        if comp.jobs.is_empty() || comp.jobs.windows(2).any(|w| w[0] >= w[1]) {
-            return malformed("component jobs empty or unsorted");
-        }
         for &j in &comp.jobs {
-            match comp_of_job.get_mut(j) {
-                Some(slot) if *slot == u32::MAX => *slot = c as u32,
-                _ => return malformed("component jobs overlap or out of range"),
-            }
-        }
-        if comp.links.windows(2).any(|w| w[0] >= w[1]) || comp.capacities.len() != comp.links.len()
-        {
-            return malformed("component links unsorted or capacities mismatch");
+            comp_of_job[j] = c as u32;
         }
         for (k, &l) in comp.links.iter().enumerate() {
-            match link_owner.get_mut(l) {
-                Some(slot @ None) => *slot = Some((c as u32, k as u32)),
-                _ => return malformed("component links overlap or out of range"),
-            }
+            link_owner[l] = Some((c as u32, k as u32));
         }
     }
-    if comp_of_job.contains(&u32::MAX) {
-        return malformed("a job belongs to no component");
-    }
-    Ok((comp_of_job, link_owner))
+    (comp_of_job, link_owner)
 }
 
 #[derive(Debug, Clone)]
@@ -772,8 +717,7 @@ impl<R: Recorder> FluidSimulator<R> {
                 Component::new(members.clone(), links, caps, dynamic)
             })
             .collect();
-        let (comp_of_job, link_owner) = index_components(&comps, jobs.len(), capacities.len())
-            .expect("partition yields disjoint components");
+        let (comp_of_job, link_owner) = index_components(&comps, jobs.len(), capacities.len());
         for f in 0..arena.flow_count() {
             let comp = &comps[comp_of_job[arena.job_of[f] as usize] as usize];
             let span = arena.link_off[f] as usize..arena.link_off[f + 1] as usize;
@@ -1301,7 +1245,6 @@ impl<R: Recorder> FluidSimulator<R> {
 /// [`crate::snapshot`] for the contract.
 #[derive(Clone)]
 pub struct FluidSnapshot {
-    version: u32,
     state: FluidState,
 }
 
@@ -1309,64 +1252,6 @@ impl FluidSnapshot {
     /// The simulated instant the snapshot was taken at.
     pub fn taken_at(&self) -> Time {
         self.state.now
-    }
-
-    /// Overrides the version field — test hook for the mismatch path.
-    #[doc(hidden)]
-    pub fn with_version(mut self, v: u32) -> FluidSnapshot {
-        self.version = v;
-        self
-    }
-
-    /// Schedules an already-due event — test hook for the barrier check.
-    #[doc(hidden)]
-    pub fn with_stale_event(mut self) -> FluidSnapshot {
-        let st = &mut self.state;
-        st.events.schedule_at(st.now, Ev::Poll(0));
-        self
-    }
-}
-
-impl FluidState {
-    /// Checks the per-component state against the jobs, links and flows
-    /// it indexes; returns the job and link maps it implies.
-    fn validate_components(&self) -> Result<ComponentIndex, SnapshotError> {
-        let (comp_of_job, link_owner) =
-            index_components(&self.comps, self.jobs.len(), self.capacities.len())?;
-        let malformed = |what| Err(SnapshotError::Malformed { what });
-        let arena = &self.arena;
-        for (c, comp) in self.comps.iter().enumerate() {
-            if comp.clock > self.now {
-                return malformed("component clock ahead of the snapshot");
-            }
-            let owned = |f: &u32| {
-                let job = arena.job_of.get(*f as usize);
-                job.and_then(|&j| comp_of_job.get(j as usize)) == Some(&(c as u32))
-            };
-            for set in [&comp.active, &comp.solved_active] {
-                if set.windows(2).any(|w| w[0] >= w[1]) || !set.iter().all(owned) {
-                    return malformed("component active index unsorted or foreign");
-                }
-            }
-            if comp.solved.windows(2).any(|w| w[0] >= w[1])
-                || comp.solved.last().is_some_and(|&k| k >= comp.links.len())
-            {
-                return malformed("component solve links unsorted or out of range");
-            }
-            for &j in &comp.jobs {
-                for f in arena.job_range(j) {
-                    if arena.links_of(f).iter().any(|&k| k >= comp.links.len())
-                        || arena
-                            .solve_links_of(f)
-                            .iter()
-                            .any(|&i| i >= comp.solved.len())
-                    {
-                        return malformed("flow link outside its component");
-                    }
-                }
-            }
-        }
-        Ok((comp_of_job, link_owner))
     }
 }
 
@@ -1430,32 +1315,17 @@ impl<R: Recorder> Engine for FluidSimulator<R> {
     fn snapshot(&self) -> Result<FluidSnapshot, SnapshotError> {
         check_barrier(self.st.events.peek_time(), self.st.now)?;
         Ok(FluidSnapshot {
-            version: SNAPSHOT_VERSION,
             state: self.st.clone(),
         })
     }
 
-    /// Validates the snapshot, then rebuilds its job and link maps from
-    /// the components it carries.
     fn restore(snap: FluidSnapshot, rec: R) -> Result<FluidSimulator<R>, SnapshotError> {
-        check_version(snap.version)?;
-        let mut st = snap.state;
-        check_barrier(st.events.peek_time(), st.now)?;
-        st.arena.validate(st.jobs.len())?;
-        if st.jobs.is_empty() {
-            return Err(SnapshotError::Malformed { what: "no jobs" });
-        }
-        if st.last_rates.len() != st.jobs.len() {
-            return Err(SnapshotError::Malformed {
-                what: "last-rate count mismatches jobs",
-            });
-        }
+        let st = snap.state;
         if !st.spans.fits::<R>(st.jobs.len()) {
             return Err(SnapshotError::Malformed {
                 what: "span state does not fit the recorder",
             });
         }
-        (st.comp_of_job, st.link_owner) = st.validate_components()?;
         Ok(FluidSimulator { st, rec })
     }
 }
@@ -2099,50 +1969,22 @@ mod tests {
         );
     }
 
-    /// Version mismatch and mid-event-barrier misuse surface as typed
-    /// errors, never panics.
+    /// An event still due at the clock is a mid-event state: `snapshot`
+    /// refuses it with a typed error instead of capturing it.
     #[test]
-    fn snapshot_misuse_returns_typed_errors() {
+    fn snapshot_refuses_an_event_due_at_now() {
         let spec = JobSpec::reference(Model::Vgg19, 1200);
         let (mut sim, _t) = two_job_setup(spec, spec, FluidConfig::fair());
         sim.run_until(Time::ZERO + Dur::from_millis(200));
-        let snap = sim.snapshot().expect("barrier");
-
-        let err = match FluidSimulator::restore(snap.clone().with_version(7), NoopRecorder) {
-            Err(e) => e,
-            Ok(_) => panic!("version mismatch accepted"),
-        };
+        let now = sim.now();
+        sim.st.events.schedule_at(now, Ev::Poll(0));
         assert_eq!(
-            err,
-            SnapshotError::VersionMismatch {
-                expected: SNAPSHOT_VERSION,
-                found: 7
-            }
+            sim.snapshot().err(),
+            Some(SnapshotError::MidEventBarrier {
+                pending_at: now,
+                now
+            })
         );
-
-        let mut ahead = snap.clone();
-        ahead.state.comps[0].clock = ahead.state.now + Dur::NANOSECOND;
-        let err = match FluidSimulator::restore(ahead, NoopRecorder) {
-            Err(e) => e,
-            Ok(_) => panic!("component clock past the snapshot accepted"),
-        };
-        assert_eq!(
-            err,
-            SnapshotError::Malformed {
-                what: "component clock ahead of the snapshot"
-            }
-        );
-
-        let err = match FluidSimulator::restore(snap.with_stale_event(), NoopRecorder) {
-            Err(e) => e,
-            Ok(_) => panic!("stale event accepted"),
-        };
-        match err {
-            SnapshotError::MidEventBarrier { pending_at, now } => {
-                assert!(pending_at <= now, "{pending_at:?} vs {now:?}")
-            }
-            other => panic!("wrong error: {other}"),
-        }
     }
 
     /// One job per route, one flow each, over local links `0..caps.len()`

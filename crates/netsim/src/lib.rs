@@ -100,12 +100,15 @@ pub trait Engine: Sized {
 
     /// Captures the engine's complete state at the current simulated-time
     /// barrier. Cheap: near-memcpy of the engine's vectors plus a clone of
-    /// the pending event queue.
+    /// the pending event queue. Fails with
+    /// [`SnapshotError::MidEventBarrier`] while an event is still due at
+    /// the clock.
     fn snapshot(&self) -> Result<Self::Snapshot, SnapshotError>;
 
     /// Rebuilds an engine from `snap`, recording into `rec`. The restored
     /// engine's future behaviour — events popped, bytes delivered, RNG
     /// draws, telemetry emitted — is byte-identical to the engine the
-    /// snapshot was taken from.
+    /// snapshot was taken from. Fails only when the snapshot's span state
+    /// does not fit `rec` ([`SnapshotError::Malformed`]).
     fn restore(snap: Self::Snapshot, rec: Self::Rec) -> Result<Self, SnapshotError>;
 }

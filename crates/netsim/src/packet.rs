@@ -34,7 +34,7 @@
 use crate::fault::BottleneckFaults;
 use crate::job::{self, Job};
 use crate::rate::RateJob;
-use crate::snapshot::{check_barrier, check_version, SnapshotError, SNAPSHOT_VERSION};
+use crate::snapshot::{check_barrier, SnapshotError};
 use crate::Engine;
 use dcqcn::{CcAlgorithm, DcqcnParams, NotificationPoint, RedMarker, SignalLoss};
 use eventsim::{EventQueue, Rng};
@@ -657,7 +657,6 @@ impl<R: Recorder> PacketSimulator<R> {
 /// and its FIFO tie-break counter included.
 #[derive(Clone)]
 pub struct PacketSnapshot {
-    version: u32,
     state: PacketState,
 }
 
@@ -665,24 +664,6 @@ impl PacketSnapshot {
     /// The simulated instant the snapshot was taken at.
     pub fn taken_at(&self) -> Time {
         self.state.events.now()
-    }
-
-    /// Overrides the version tag — test hook for the
-    /// [`SnapshotError::VersionMismatch`] path.
-    #[doc(hidden)]
-    pub fn with_version(mut self, version: u32) -> PacketSnapshot {
-        self.version = version;
-        self
-    }
-
-    /// Corrupts the snapshot by scheduling an event at its own clock, the
-    /// state a mid-event capture would leave behind — test hook for the
-    /// [`SnapshotError::MidEventBarrier`] path.
-    #[doc(hidden)]
-    pub fn with_stale_event(mut self) -> PacketSnapshot {
-        let at = self.state.events.now();
-        self.state.events.schedule_at(at, Ev::Dequeue);
-        self
     }
 }
 
@@ -725,23 +706,12 @@ impl<R: Recorder> Engine for PacketSimulator<R> {
     fn snapshot(&self) -> Result<PacketSnapshot, SnapshotError> {
         check_barrier(self.st.events.peek_time(), self.st.events.now())?;
         Ok(PacketSnapshot {
-            version: SNAPSHOT_VERSION,
             state: self.st.clone(),
         })
     }
 
     fn restore(snap: PacketSnapshot, rec: R) -> Result<PacketSimulator<R>, SnapshotError> {
-        check_version(snap.version)?;
         let st = snap.state;
-        check_barrier(st.events.peek_time(), st.events.now())?;
-        if st.flows.is_empty() {
-            return Err(SnapshotError::Malformed { what: "no flows" });
-        }
-        if st.busy && st.fifo.is_empty() {
-            return Err(SnapshotError::Malformed {
-                what: "link busy with an empty FIFO",
-            });
-        }
         if !st.spans.fits::<R>(st.flows.len()) {
             return Err(SnapshotError::Malformed {
                 what: "span state does not fit the recorder",
@@ -1163,37 +1133,27 @@ mod tests {
         }
     }
 
-    /// Tampered snapshots surface typed errors, never panics: a stale
-    /// same-instant event trips the barrier check, a foreign version tag
-    /// trips the version check.
+    /// An event still due at the clock is a mid-event state (what
+    /// `run_until_iterations` can stop in): `snapshot` refuses it with a
+    /// typed error, and takes the clean barrier beside it.
     #[test]
-    fn snapshot_misuse_returns_typed_errors() {
-        use crate::snapshot::{SnapshotError, SNAPSHOT_VERSION};
+    fn snapshot_refuses_an_event_due_at_now() {
+        use crate::snapshot::SnapshotError;
         let mut sim = PacketSimulator::new(
             PacketSimConfig::default(),
             &[RateJob::new(small_job(), CcVariant::Fair)],
         );
         sim.run_until(Time::ZERO + Dur::from_millis(40));
-        let clean = sim.snapshot().unwrap();
-        assert_eq!(clean.taken_at(), sim.now());
-
-        let stale = clean.clone().with_stale_event();
-        match <PacketSimulator>::restore(stale, NoopRecorder) {
-            Err(SnapshotError::MidEventBarrier { pending_at, now }) => {
-                assert!(pending_at <= now);
-            }
-            Err(e) => panic!("wrong error {e}"),
-            Ok(_) => panic!("stale snapshot accepted"),
-        }
-
-        let old = clean.with_version(0);
-        match <PacketSimulator>::restore(old, NoopRecorder) {
-            Err(SnapshotError::VersionMismatch { expected, found }) => {
-                assert_eq!((expected, found), (SNAPSHOT_VERSION, 0));
-            }
-            Err(e) => panic!("wrong error {e}"),
-            Ok(_) => panic!("old snapshot accepted"),
-        }
+        let now = sim.now();
+        assert_eq!(sim.snapshot().unwrap().taken_at(), now);
+        sim.st.events.schedule_at(now, Ev::Dequeue);
+        assert_eq!(
+            sim.snapshot().err(),
+            Some(SnapshotError::MidEventBarrier {
+                pending_at: now,
+                now
+            })
+        );
     }
 
     #[test]

@@ -31,7 +31,7 @@
 
 use crate::fault::BottleneckFaults;
 use crate::job::{self, Job};
-use crate::snapshot::{check_version, SnapshotError, SNAPSHOT_VERSION};
+use crate::snapshot::SnapshotError;
 use crate::Engine;
 use dcqcn::{
     CcAlgorithm, CcVariant, DcqcnParams, NotificationPoint, RedMarker, RpStage, SignalLoss,
@@ -820,7 +820,6 @@ impl<R: Recorder> RateSimulator<R> {
 /// everything the engine holds but its recorder.
 #[derive(Clone)]
 pub struct RateSnapshot {
-    version: u32,
     state: RateState,
 }
 
@@ -828,14 +827,6 @@ impl RateSnapshot {
     /// The simulated instant the snapshot was taken at.
     pub fn taken_at(&self) -> Time {
         self.state.now
-    }
-
-    /// Overrides the version tag — test hook for exercising the
-    /// [`SnapshotError::VersionMismatch`] path.
-    #[doc(hidden)]
-    pub fn with_version(mut self, version: u32) -> RateSnapshot {
-        self.version = version;
-        self
     }
 }
 
@@ -877,22 +868,12 @@ impl<R: Recorder> Engine for RateSimulator<R> {
 
     fn snapshot(&self) -> Result<RateSnapshot, SnapshotError> {
         Ok(RateSnapshot {
-            version: SNAPSHOT_VERSION,
             state: self.st.clone(),
         })
     }
 
     fn restore(snap: RateSnapshot, rec: R) -> Result<RateSimulator<R>, SnapshotError> {
-        check_version(snap.version)?;
         let st = snap.state;
-        if st.jobs.is_empty() {
-            return Err(SnapshotError::Malformed { what: "no jobs" });
-        }
-        if st.rate_traces.len() != st.jobs.len() {
-            return Err(SnapshotError::Malformed {
-                what: "rate-trace count does not match job count",
-            });
-        }
         if !st.spans.fits::<R>(st.jobs.len()) {
             return Err(SnapshotError::Malformed {
                 what: "span state does not fit the recorder",
@@ -1414,30 +1395,6 @@ mod tests {
         let (events, times) = resume(false);
         assert!(events.iter().any(|e| e.event.kind() == "link_capacity"));
         assert_eq!((events, times), resume(true));
-    }
-
-    /// A snapshot from a different layout version is rejected with a typed
-    /// error, not misread.
-    #[test]
-    fn snapshot_version_mismatch_is_typed() {
-        use crate::snapshot::{SnapshotError, SNAPSHOT_VERSION};
-        let mut sim = RateSimulator::new(
-            RateSimConfig::default(),
-            &[RateJob::new(vgg19(1200), CcVariant::Fair)],
-        );
-        sim.run_for(Dur::from_millis(10));
-        let snap = sim.snapshot().unwrap().with_version(SNAPSHOT_VERSION + 7);
-        let err = match <RateSimulator>::restore(snap, NoopRecorder) {
-            Err(e) => e,
-            Ok(_) => panic!("version mismatch accepted"),
-        };
-        assert_eq!(
-            err,
-            SnapshotError::VersionMismatch {
-                expected: SNAPSHOT_VERSION,
-                found: SNAPSHOT_VERSION + 7
-            }
-        );
     }
 
     /// The same run, observed or not, produces identical simulation

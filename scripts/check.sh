@@ -181,6 +181,15 @@ awk -v s="$SPEEDUP" -v i="$IDENT" -v b="$SNAP_BUDGET" 'BEGIN { exit !(s >= b && 
     exit 1
 }
 echo "forked sweep ${SPEEDUP}x faster than replaying the prefix, byte-identical"
+# The wall-clock ratio rides on host noise; the engine's own step counts
+# do not. Forking must save at least the same factor of rate-engine steps.
+FSTEPS=$(grep -o '"forked_steps":[0-9.eE+-]*' "$GATE/bench/BENCH_snapshot.json" | cut -d: -f2)
+RSTEPS=$(grep -o '"replayed_steps":[0-9.eE+-]*' "$GATE/bench/BENCH_snapshot.json" | cut -d: -f2)
+awk -v f="$FSTEPS" -v r="$RSTEPS" -v b="$SNAP_BUDGET" 'BEGIN { exit !(f > 0 && r >= b * f) }' || {
+    echo "snapshot bench: replayed_steps=$RSTEPS < ${SNAP_BUDGET} x forked_steps=$FSTEPS" >&2
+    exit 1
+}
+echo "forked sweep steps ${FSTEPS} vs replayed ${RSTEPS}"
 
 echo "== watch byte-identity gate (--watch --slo --flight leave outputs untouched) =="
 # The watchdog and the flight dump read the recording after the run, so

@@ -1022,7 +1022,10 @@ fn run_chaos(o: &Opts, rec: Option<&mut BufferRecorder>, out: &mut dyn Write) ->
 /// snapshot, then with the prefix replayed per cell — byte-compares the
 /// two telemetry streams, and reports the wall-clock speedup. The
 /// `speedup` and `byte_identical` metrics in `BENCH_snapshot.json` are
-/// the gate for the snapshot/restore machinery.
+/// the gate for the snapshot/restore machinery, beside the work the fork
+/// saves: `forked_steps` and `replayed_steps` are each sweep's rate-engine
+/// steps (`rate_steps_total`) across its cells; the shared prefix, run
+/// once outside the cells, is in neither.
 fn run_snapshot_bench(o: &Opts, _: Option<&mut BufferRecorder>, out: &mut dyn Write) -> RunResult {
     let cfg = exp::chaos::ChaosSweepConfig {
         seeds: vec![6, 16, 25, 33],
@@ -1059,6 +1062,7 @@ fn run_snapshot_bench(o: &Opts, _: Option<&mut BufferRecorder>, out: &mut dyn Wr
             .zip(&replayed.cells)
             .all(|(f, r)| f.medians_ms == r.medians_ms);
     let speedup = replay_wall.as_secs_f64() / forked_wall.as_secs_f64().max(1e-9);
+    let steps = |rec: &BufferRecorder| rec.counts().get("rate_steps_total").copied().unwrap_or(0);
     writeln!(out, "{}", forked.render())?;
     writeln!(
         out,
@@ -1075,6 +1079,8 @@ fn run_snapshot_bench(o: &Opts, _: Option<&mut BufferRecorder>, out: &mut dyn Wr
         ("forked_wall_secs", forked_wall.as_secs_f64()),
         ("replay_wall_secs", replay_wall.as_secs_f64()),
         ("speedup", speedup),
+        ("forked_steps", steps(&forked_rec) as f64),
+        ("replayed_steps", steps(&replay_rec) as f64),
         ("byte_identical", byte_identical as u8 as f64),
         ("all_recovered", forked.all_recovered() as u8 as f64),
     ]))

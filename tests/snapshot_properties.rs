@@ -355,41 +355,3 @@ fn zoo_variant_controllers_round_trip_byte_identical() {
         END,
     );
 }
-
-/// A snapshot carrying wrapped-controller state is still guarded by the
-/// layout version: bumping it yields the typed mismatch, not a mangled
-/// restore.
-#[test]
-fn zoo_variant_snapshot_rejects_version_bump() {
-    use netsim::snapshot::{SnapshotError, SNAPSHOT_VERSION};
-    let spec = JobSpec::reference(Model::ResNet50, 400);
-    let jobs = [
-        RateJob::new(spec, CcVariant::Mltcp { bonus: 1.0 }),
-        RateJob::new(
-            spec,
-            CcVariant::Policy {
-                policy: dcqcn::FairnessPolicy::BonusDecay {
-                    bonus: 1.0,
-                    decay: 2.0,
-                },
-            },
-        ),
-    ];
-    let mut sim = RateSimulator::new(RateSimConfig::default(), &jobs);
-    sim.run_until(BARRIER);
-    let snap = sim
-        .snapshot()
-        .expect("clean barrier")
-        .with_version(SNAPSHOT_VERSION + 1);
-    let err = match RateSimulator::restore(snap, telemetry::NoopRecorder) {
-        Ok(_) => panic!("bumped version restored"),
-        Err(e) => e,
-    };
-    assert_eq!(
-        err,
-        SnapshotError::VersionMismatch {
-            expected: SNAPSHOT_VERSION,
-            found: SNAPSHOT_VERSION + 1,
-        }
-    );
-}
